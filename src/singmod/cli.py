@@ -7,6 +7,8 @@ Exit code contract (scientifically meaningful, do not conflate 1 and 2):
   1  an assertion failed, i.e. a numerical counterexample to a claimed bound
   2  computational failure (precision exhausted, tail budget, bad input)
 
+A sweep with both counterexamples and failed instances exits 1.
+
 Big integers are serialized as decimal strings in JSON output so results
 survive any JSON parser.  Point arguments accept three spellings: a negative
 discriminant (principal class), a form triple "a,b,c", or a complex number
@@ -288,6 +290,8 @@ def cmd_norm(args) -> int:
                 verify_chain(args.d1, args.d2, args.m, ctx, report=rep)
             except (SingularityError, TailBudgetError) as err:
                 print(f"chain skipped: {err}", file=sys.stderr)
+                rep.status = "error"
+                rep.error = f"chain: {type(err).__name__}: {err}"
     _emit(args, _report_dict(rep), _report_text(rep))
     if rep.status == "zero":
         return EXIT_OK
@@ -375,7 +379,9 @@ def cmd_sweep(args) -> int:
         print(text)
     else:
         _emit(args, payload, text)
-    return EXIT_OK if stats["assert_failures"] == 0 else EXIT_ASSERT
+    if stats["assert_failures"]:
+        return EXIT_ASSERT
+    return EXIT_COMPUTE if stats["error"] else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,15 @@ whether d1*d2 is a perfect square:
 
 Norms are assembled as products of per-pair modular values at a precision
 pre-estimated from a cheap low-precision pass, then integer-recognized with
-doubling retries.
+doubling retries.  A big cycle's product is n0^4, where n0 is the product
+over the grid at multiplicity 1 and is itself an integer (see
+cycle_norm_integer), so only n0 is certified, at a quarter of the bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 
@@ -100,6 +102,9 @@ def cycle_case(d1, d2) -> str:
     return "small" if r * r == prod else "big"
 
 
+BIG_MULTIPLICITY = 4
+
+
 def big_cm_cycle(d1, d2) -> CMCycle:
     """The Cl(d1) x Cl(d2) orbit with multiplicity 4 per pair.
 
@@ -108,6 +113,10 @@ def big_cm_cycle(d1, d2) -> CMCycle:
     grid, so each of the four branches traverses the same multiset.  With
     gcd(d1, d2) > 1 the result is tagged "diagnostic": the product is a
     well-defined integer but not certified to be the norm itself.
+
+    Either kind has product n0^4, with n0 the product over the grid at
+    multiplicity 1; the grid is Galois-stable, so n0 is an integer and
+    cycle_norm_integer certifies n0 alone.
     """
     d1 = _as_disc(d1)
     d2 = _as_disc(d2)
@@ -117,13 +126,13 @@ def big_cm_cycle(d1, d2) -> CMCycle:
     g1 = enumerate_reduced(d1.d)
     g2 = enumerate_reduced(d2.d)
     pairs = tuple(
-        CyclePair(cm_point(fa), cm_point(fb), 4)
+        CyclePair(cm_point(fa), cm_point(fb), BIG_MULTIPLICITY)
         for fa in g1.reduced_forms
         for fb in g2.reduced_forms
     )
     kind = "big" if math.gcd(-d1.d, -d2.d) == 1 else "diagnostic"
     return CMCycle(kind=kind, d1=d1, d2=d2, pairs=pairs,
-                   group_order=4 * g1.h * g2.h)
+                   group_order=BIG_MULTIPLICITY * g1.h * g2.h)
 
 
 def common_order_discriminant(d1, d2) -> int:
@@ -184,10 +193,14 @@ def build_cycle(d1, d2, base1=None, base2=None) -> CMCycle:
 
 @dataclass(frozen=True)
 class CycleLogNorm:
-    """Sum of multiplicity * log|phi_m| over the cycle, with an error bound."""
+    """Sum of multiplicity * log|phi_m| over the cycle, with an error bound.
+
+    error_bound is an mpf bound on |value - true log|, so it does not
+    underflow at thousands of bits.
+    """
 
     value: mp.mpf
-    error_bound: float
+    error_bound: mp.mpf
 
     def __float__(self):
         return float(self.value)
@@ -198,28 +211,37 @@ def cycle_log_norm(cycle: CMCycle, m: int, ctx: PrecisionContext) -> CycleLogNor
 
     Raises SingularCycleError the moment a factor is numerically zero; the
     iteration order is fixed (pairs sorted by form key) so sums are
-    bit-stable.
+    bit-stable.  A value with relative error e < 1 has log error at most
+    e / (1 - e); the rounding of each log and of the running sum is added
+    on top.
     """
     with ctx.workprec():
+        ulp = mp.mpf(2) ** (1 - mp.mp.prec)
         total = mp.mpf(0)
-        err = 0.0
+        err = mp.mpf(0)
         for pair in sorted(cycle.pairs, key=lambda p: p.key):
             v = modpoly_eval(m, pair.z1, pair.z2, ctx)
             if v.is_zero:
                 raise SingularCycleError(
                     f"phi_{m} vanishes at cycle pair {pair.key}",
                     pair=pair, zero_cosets=v.zero_cosets)
-            total += pair.multiplicity * v.log_abs()
-            err += pair.multiplicity * float(v.rel_error)
+            log_abs = v.log_abs()
+            total += pair.multiplicity * log_abs
+            log_err = (v.rel_error / (1 - v.rel_error) if v.rel_error < 1
+                       else mp.inf)
+            # plus the rounding of the log and of the running sum
+            err += (pair.multiplicity * (log_err + abs(log_abs) * ulp)
+                    + abs(total) * ulp)
         return CycleLogNorm(value=total, error_bound=err)
 
 
-def cycle_norm_integer(cycle: CMCycle, m: int, ctx: PrecisionContext) -> int:
-    """The exact integer |product over the cycle of phi_m|.
+def _certified_norm(cycle: CMCycle, m: int, ctx: PrecisionContext) -> int:
+    """|product over the cycle of phi_m|, certified as an integer.
 
     A low-precision pass estimates the bit size of the result; the product
     is then recomputed with that many mantissa bits plus guard and
-    integer-recognized, doubling on failure up to ctx.max_retries.
+    integer-recognized against its propagated error, doubling on failure up
+    to ctx.max_retries.
     """
     probe = cycle_log_norm(cycle, m, ctx.with_bits(96))
     bits = max(int(float(probe.value) / math.log(2)) + 64, ctx.mantissa_bits)
@@ -229,12 +251,40 @@ def cycle_norm_integer(cycle: CMCycle, m: int, ctx: PrecisionContext) -> int:
         log_norm = cycle_log_norm(cycle, m, current)
         with current.workprec():
             value = mp.exp(log_norm.value)
+            # |e^(L + t) - e^L| <= e^L (e^|t| - 1) for |t| <= error_bound
+            err = value * mp.expm1(log_norm.error_bound)
             try:
-                return integer_recognize(value, current)
-            except PrecisionError as err:
-                last = err
+                return integer_recognize(value, current, err)
+            except PrecisionError as exc:
+                last = exc
                 current = current.doubled()
     raise PrecisionError(
         f"cycle norm for (d1, d2, m) = ({cycle.d1.d}, {cycle.d2.d}, {m}) "
         f"did not stabilize (last residual {last.residual if last else 'n/a'})",
         residual=last.residual if last else None)
+
+
+def cycle_norm_integer(cycle: CMCycle, m: int, ctx: PrecisionContext) -> int:
+    """The exact integer |product over the cycle of phi_m|.
+
+    Small cycles are certified as they stand.  A big or diagnostic cycle
+    (see big_cm_cycle) gives every pair of the Cl(d1) x Cl(d2) grid
+    multiplicity 4, so its product is n0^4 with
+
+        n0 = |product over the grid of phi_m(j(z1), j(z2))|.
+
+    n0 is an integer: the j-values of the reduced forms of discriminant d
+    are all the roots of the class polynomial H_d, so each coordinate of the
+    grid runs over all roots of H_d1, resp. H_d2, and any sigma in
+    Gal(Qbar/Q) permutes the grid.  The grid product is therefore rational,
+    and it is an algebraic integer because phi_m lies in Z[X, Y] and
+    j-values are algebraic integers.  So n0 is certified at multiplicity 1,
+    at log2(n0) + 64 bits (floored at ctx.mantissa_bits), and n0^4 is
+    returned exactly.
+    """
+    if cycle.kind == "small":
+        return _certified_norm(cycle, m, ctx)
+    grid = replace(
+        cycle, pairs=tuple(CyclePair(p.z1, p.z2, 1) for p in cycle.pairs),
+        group_order=cycle.group_order // BIG_MULTIPLICITY)
+    return _certified_norm(grid, m, ctx) ** BIG_MULTIPLICITY

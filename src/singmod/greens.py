@@ -335,7 +335,7 @@ def G_k_m(k: int, m: int, z1, z2, ctx: PrecisionContext,
                 "modular polynomial vanishes; G_1^m is singular",
                 where=v.zero_cosets[0])
         value = 2 * v.log_abs()
-        return GreensValue(value=value, tail_bound=2.0 * v.rel_error,
+        return GreensValue(value=value, tail_bound=2.0 * float(v.rel_error),
                            cosh_cutoff=math.inf, terms=len(cosets))
     target = DEFAULT_GK_TAIL if tail_target is None else float(tail_target)
     z1c = _as_complex(z1)

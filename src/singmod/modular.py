@@ -240,10 +240,13 @@ def coset_apply(coset: tuple[int, int, int], z):
 
 @dataclass(frozen=True)
 class ModPolyValue:
-    """phi_m(j(z1), j(z2)) together with an accumulated error estimate."""
+    """phi_m(j(z1), j(z2)) together with a bound on its relative error.
+
+    rel_error is an mpf, so it does not underflow at thousands of bits.
+    """
 
     value: mp.mpc
-    rel_error: float
+    rel_error: mp.mpf
     zero_cosets: tuple[tuple[int, int, int], ...]
 
     @property
@@ -268,7 +271,8 @@ def modpoly_eval(m: int, z1, z2, ctx: PrecisionContext) -> ModPolyValue:
     with mp.workprec(prec):
         j1 = j_eval(z1, ctx)
         product = mp.mpc(1)
-        rel_error = 0.0
+        rounding = mp.mpf(2) ** (-(prec - 4))
+        rel_error = mp.mpf(0)
         zero_cosets = []
         for coset in cosets.reps:
             w = coset_apply(coset, z2)
@@ -278,7 +282,9 @@ def modpoly_eval(m: int, z1, z2, ctx: PrecisionContext) -> ModPolyValue:
             if abs(factor) <= abs_bound:
                 zero_cosets.append(coset)
                 continue
-            rel_error += float(abs_bound / abs(factor)) + 2.0 ** (-(prec - 4))
+            # relative errors compose as (1 + e)(1 + e_factor) - 1
+            rel_factor = abs_bound / abs(factor) + rounding
+            rel_error += rel_factor * (1 + rel_error)
             product *= factor
         return ModPolyValue(
             value=product,

@@ -46,7 +46,7 @@ class PrecisionContext:
 
     mantissa_bits      -- mpmath working mantissa (>= 64)
     integer_tolerance  -- max distance to the nearest integer, scaled by
-                          sqrt(|x|) for large x
+                          sqrt(|x|) for large x and never above 1/2
     max_retries        -- how many precision doublings before giving up
     series_tail_bound  -- absolute truncation budget per series/integral
     """
@@ -166,24 +166,35 @@ def mk_constant(k: int, ctx: PrecisionContext | None = None):
     raise ValueError(f"m_k is defined for k in (3, 5, 7), got {k}")
 
 
-def integer_recognize(x, ctx: PrecisionContext) -> int:
-    """Round x to the nearest integer if it is provably close, else raise.
+def integer_recognize(x, ctx: PrecisionContext, err=0) -> int:
+    """Round x to the nearest integer n if it is certified, else raise.
 
-    Acceptance window: |x - round(x)| < integer_tolerance * max(1, sqrt(|x|)).
-    The sqrt scaling keeps the relative demand sane for norms with hundreds
-    of digits.  Raises IntegerRecognitionError (a PrecisionError) with the
-    residual distance otherwise, so callers can retry at doubled mantissa.
+    err is the caller's absolute bound on |x - X| for the exact value X.
+    n is accepted only if
+
+        |x - n| + err + |x| 2^-mantissa_bits
+            < min(integer_tolerance * max(1, sqrt|x|), 1/2),
+
+    where the middle term covers the rounding of x itself.  The 1/2 cap is
+    the certificate: if X is an integer, |X - n| < 1/2 forces X = n.  The
+    sqrt-scaled tolerance only tightens the window for small values.
+    Raises IntegerRecognitionError (a PrecisionError) with the residual
+    distance otherwise, so callers can retry at doubled mantissa.
     """
     with ctx.workprec():
         x = mp.mpf(x)
         n = int(mp.nint(x))
         residual = abs(x - n)
-        threshold = mp.mpf(ctx.integer_tolerance) * max(mp.mpf(1), mp.sqrt(abs(x)))
-        if residual < threshold:
+        budget = residual + mp.mpf(err) + abs(x) * mp.mpf(2) ** (-ctx.mantissa_bits)
+        threshold = min(
+            mp.mpf(ctx.integer_tolerance) * max(mp.mpf(1), mp.sqrt(abs(x))),
+            mp.mpf(0.5))
+        if budget < threshold:
             return n
         raise IntegerRecognitionError(
             f"value is {mp.nstr(residual, 6)} away from the nearest integer "
-            f"(allowed {mp.nstr(threshold, 6)})",
+            f"with error bound {mp.nstr(budget - residual, 6)} "
+            f"(allowed {mp.nstr(threshold, 6)} in total)",
             residual=float(residual),
         )
 

@@ -30,7 +30,7 @@ from .cmcycles import (
     cycle_log_norm,
     cycle_norm_integer,
 )
-from .greens import G_k_m, GreensValue, SingularityError, tm_count
+from .greens import G_k_m, SingularityError, TailBudgetError, tm_count
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +358,10 @@ def _sweep_instance(task) -> VerificationReport:
         if chain:
             try:
                 verify_chain(d1, d2, m, ctx, report=rep)
-            except (SingularityError, PrecisionError) as err:
-                rep.error = f"chain: {err}"
+            except (SingularityError, PrecisionError, TailBudgetError) as err:
+                # the chain was asked for and could not be checked
+                rep.status = "error"
+                rep.error = f"chain: {type(err).__name__}: {err}"
     return rep
 
 

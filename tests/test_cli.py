@@ -3,8 +3,11 @@ import os
 
 import pytest
 
+from singmod import cli, verify
 from singmod.cli import main, parse_point
+from singmod.greens import TailBudgetError
 from singmod.quadforms import CMPoint
+from singmod.verify import VerificationReport
 
 
 def run(capsys, *argv):
@@ -171,3 +174,23 @@ def test_sweep_threads(capsys):
     strip = lambda p: [{k: v for k, v in r.items() if k != "elapsed"}
                        for r in p["reports"]]
     assert strip(serial) == strip(parallel)
+
+
+def test_sweep_error_exit_code(capsys, monkeypatch):
+    failed = VerificationReport(d1=-3, d2=-4, m=1, status="error",
+                                error="PrecisionError: did not stabilize")
+    monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: [failed])
+    code, payload, _ = run_json(capsys, "sweep", "--dmax", "4")
+    assert code == 2
+    assert payload["summary"]["error"] == 1
+
+
+def test_norm_chain_tail_budget_exit_code(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise TailBudgetError("tail target out of reach")
+
+    monkeypatch.setattr(verify, "G_k_m", unreachable)
+    code, payload, err = run_json(capsys, "norm", "-3", "-4", "1", "--chain")
+    assert code == 2
+    assert "chain skipped" in err
+    assert payload["status"] == "error" and "TailBudgetError" in payload["error"]

@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
+from singmod import cmcycles
 from singmod.numerics import PrecisionContext
 from singmod.quadforms import QuadForm, enumerate_reduced
 from singmod.modular import classpoly
@@ -156,3 +158,38 @@ def test_log_norm_consistent_with_integer():
     log = cycle_log_norm(cyc, 1, CTX)
     assert float(log) == pytest.approx(math.log(n), rel=1e-12)
     assert log.error_bound < 1e-12
+
+
+def test_log_norm_error_bound_does_not_underflow():
+    log = cycle_log_norm(big_cm_cycle(-15, -23), 4, CTX.with_bits(2000))
+    assert 0 < log.error_bound < mp.mpf(2) ** -1900
+
+
+def _full_multiplicity_norm(cycle, m):
+    """Round exp(cycle_log_norm) of the multiplicity-4 cycle at log2 N + 64 bits."""
+    probe = cycle_log_norm(cycle, m, CTX.with_bits(96))
+    bits = int(float(probe) / math.log(2)) + 64
+    ctx = CTX.with_bits(bits)
+    log = cycle_log_norm(cycle, m, ctx)
+    with ctx.workprec():
+        return int(mp.nint(mp.exp(log.value)))
+
+
+@pytest.mark.parametrize("d1,d2,m", [(-7, -8, 2), (-15, -23, 1), (-15, -20, 1)])
+def test_grid_product_to_the_fourth_is_the_cycle_norm(d1, d2, m):
+    cyc = big_cm_cycle(d1, d2)
+    assert cyc.kind == ("big" if math.gcd(d1, d2) == 1 else "diagnostic")
+    assert cycle_norm_integer(cyc, m, CTX) == _full_multiplicity_norm(cyc, m)
+
+
+def test_big_cycle_certified_at_a_quarter_of_the_bits(monkeypatch):
+    seen = []
+    original = cmcycles.modpoly_eval
+
+    def recording(m, z1, z2, ctx):
+        seen.append(ctx.mantissa_bits)
+        return original(m, z1, z2, ctx)
+
+    monkeypatch.setattr(cmcycles, "modpoly_eval", recording)
+    n = cycle_norm_integer(big_cm_cycle(-23, -24), 4, CTX)
+    assert max(seen) <= n.bit_length() // 4 + 64 + 16

@@ -127,6 +127,24 @@ def test_integer_recognize():
     assert err.value.residual == pytest.approx(0.4, rel=1e-9)
 
 
+def test_integer_recognize_window_capped_at_half():
+    # 1e-9 * sqrt|x| is about 1e21 here; the window must still stop at 1/2
+    with mp.workprec(CTX.mantissa_bits):
+        x = mp.mpf(2 ** 200 + 10 ** 20) + mp.mpf(0.5)
+    with pytest.raises(IntegerRecognitionError):
+        integer_recognize(x, CTX)
+
+
+def test_integer_recognize_counts_the_error_bound():
+    n = 2 ** 100  # large enough that only the 1/2 cap binds
+    with mp.workprec(CTX.mantissa_bits):
+        x = mp.mpf(n) + mp.mpf(0.3)
+    assert integer_recognize(x, CTX) == n
+    with pytest.raises(IntegerRecognitionError):
+        integer_recognize(x, CTX, err=0.25)
+    assert integer_recognize(x, CTX, err=0.1) == n
+
+
 def test_recognize_with_retries():
     calls = []
 

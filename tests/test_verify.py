@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from singmod import verify
+from singmod.greens import TailBudgetError
 from singmod.numerics import PrecisionContext
 from singmod.verify import (
     Factorization,
@@ -157,3 +159,17 @@ def test_sweep_parallel_matches_serial():
     parallel = sweep(*grid, CTX, workers=2)
     assert [(r.d1, r.d2, r.m, r.status, r.norm) for r in serial] == \
         [(r.d1, r.d2, r.m, r.status, r.norm) for r in parallel]
+
+
+def _unreachable_tail(*args, **kwargs):
+    raise TailBudgetError("tail target out of reach")
+
+
+def test_sweep_chain_failure_is_an_error(monkeypatch):
+    monkeypatch.setattr(verify, "G_k_m", _unreachable_tail)
+    # every instance reaches the chain; none aborts the sweep or passes
+    reports = sweep([-3, -4], [-7, -8], [1], CTX, chain=True)
+    assert reports and all(r.status == "error" for r in reports)
+    assert all("TailBudgetError" in r.error for r in reports)
+    assert not any(r.all_passed for r in reports)
+    assert summarize(reports)["error"] == len(reports)
