@@ -8,7 +8,6 @@ from .numerics import (
     legendre_P,
     legendre_Q_closed,
     legendre_Q_num,
-    legendre_R,
     mk_constant,
 )
 from .quadforms import (

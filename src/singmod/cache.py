@@ -1,4 +1,4 @@
-"""Small on-disk cache for integer sequences (class polynomials, j-series).
+"""Small on-disk cache for integer sequences; the CLI stores class polynomials.
 
 One file per key.  Format, line by line: version, key, the decimal payload
 (one integer per line), and a sha256 checksum over everything above.  A bad

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 
@@ -28,7 +27,6 @@ import mpmath as mp
 from . import cache as diskcache
 from .numerics import PrecisionContext, PrecisionError
 from .quadforms import (
-    Discriminant,
     QuadForm,
     QuadFormError,
     cm_point,
@@ -40,9 +38,7 @@ from .modular import (
     coset_apply,
     hecke_cosets,
     j_eval,
-    known_j_coefficients,
     modpoly_eval,
-    seed_j_coefficients,
 )
 from .greens import (
     G_1,
@@ -98,32 +94,6 @@ def _emit(args, payload, text: str):
             fh.write(body + "\n")
     else:
         print(body)
-
-
-def _load_jcoeff_cache(args):
-    if not args.cache_dir:
-        return
-    best = None
-    import os
-    if os.path.isdir(args.cache_dir):
-        for name in os.listdir(args.cache_dir):
-            match = re.fullmatch(r"jcoeffs_(\d+)\.cache", name)
-            if match:
-                count = int(match.group(1))
-                if best is None or count > best:
-                    best = count
-    if best:
-        values = diskcache.load_ints(args.cache_dir, f"jcoeffs:{best}")
-        if values:
-            seed_j_coefficients(values)
-
-
-def _save_jcoeff_cache(args):
-    if not args.cache_dir:
-        return
-    coeffs = known_j_coefficients()
-    if len(coeffs) >= 64:
-        diskcache.store_ints(args.cache_dir, f"jcoeffs:{len(coeffs)}", coeffs)
 
 
 def _poly_text(coeffs) -> str:
@@ -281,10 +251,7 @@ def cmd_norm(args) -> int:
     rep = verify_nonunit(args.d1, args.d2, args.m, ctx, factor=args.factor)
     if rep.status == "ok":
         for eps in args.epsilon or []:
-            try:
-                verify_lower_bound(args.d1, args.d2, args.m, eps, ctx, report=rep)
-            except (SingularityError, ValueError) as err:
-                print(f"epsilon bound skipped: {err}", file=sys.stderr)
+            verify_lower_bound(args.d1, args.d2, args.m, eps, ctx, report=rep)
         if args.chain:
             try:
                 verify_chain(args.d1, args.d2, args.m, ctx, report=rep)
@@ -397,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=str, default=None,
                         help="write output to this path instead of stdout")
     common.add_argument("--cache-dir", type=str, default=None,
-                        help="directory for class polynomial / series caches")
+                        help="directory for the class polynomial cache")
     common.add_argument("--threads", type=int, default=1,
                         help="worker processes for sweeps (default 1)")
     parser = argparse.ArgumentParser(
@@ -462,7 +429,6 @@ def main(argv=None) -> int:
     if args.command == "greens" and not args.cycle and not (args.z1 and args.z2):
         print("error: greens needs --cycle or both --z1/--z2", file=sys.stderr)
         return EXIT_COMPUTE
-    _load_jcoeff_cache(args)
     try:
         code = args.func(args)
     except PrecisionError as err:
@@ -471,7 +437,6 @@ def main(argv=None) -> int:
     except (QuadFormError, ValueError) as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_COMPUTE
-    _save_jcoeff_cache(args)
     return code
 
 

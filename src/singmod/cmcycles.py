@@ -31,16 +31,11 @@ from dataclasses import dataclass, replace
 
 import mpmath as mp
 
-from .numerics import (
-    PrecisionContext,
-    PrecisionError,
-    integer_recognize,
-)
+from .numerics import PrecisionContext, recognize_with_retries
 from .quadforms import (
     CMPoint,
     Discriminant,
     QuadForm,
-    QuadFormError,
     cm_point,
     compose,
     enumerate_reduced,
@@ -240,28 +235,19 @@ def _certified_norm(cycle: CMCycle, m: int, ctx: PrecisionContext) -> int:
 
     A low-precision pass estimates the bit size of the result; the product
     is then recomputed with that many mantissa bits plus guard and
-    integer-recognized against its propagated error, doubling on failure up
-    to ctx.max_retries.
+    certified by recognize_with_retries against its propagated error.
     """
     probe = cycle_log_norm(cycle, m, ctx.with_bits(96))
     bits = max(int(float(probe.value) / math.log(2)) + 64, ctx.mantissa_bits)
-    current = ctx.with_bits(bits)
-    last = None
-    for _ in range(ctx.max_retries + 1):
+
+    def compute(current):
         log_norm = cycle_log_norm(cycle, m, current)
         with current.workprec():
             value = mp.exp(log_norm.value)
             # |e^(L + t) - e^L| <= e^L (e^|t| - 1) for |t| <= error_bound
-            err = value * mp.expm1(log_norm.error_bound)
-            try:
-                return integer_recognize(value, current, err)
-            except PrecisionError as exc:
-                last = exc
-                current = current.doubled()
-    raise PrecisionError(
-        f"cycle norm for (d1, d2, m) = ({cycle.d1.d}, {cycle.d2.d}, {m}) "
-        f"did not stabilize (last residual {last.residual if last else 'n/a'})",
-        residual=last.residual if last else None)
+            return [(value, value * mp.expm1(log_norm.error_bound))]
+
+    return recognize_with_retries(compute, ctx.with_bits(bits))[0]
 
 
 def cycle_norm_integer(cycle: CMCycle, m: int, ctx: PrecisionContext) -> int:

@@ -5,13 +5,15 @@ with d the hyperbolic distance; G_s averages it over the modular group, G_k^m
 additionally over the determinant-m Hecke cosets, and G_f takes the linear
 combination dictated by the principal part of a weakly holomorphic form.
 
-Lattice sums are truncated at a cosh-distance cutoff with an explicit tail
-bound: the orbit-point count up to cosh-distance T grows linearly in T, the
-kernel decays like t^(-s), so the tail is O(T^(1-s)).  The count slope is
-calibrated on the enumerated terms and doubled for safety; the cutoff-doubling
-test in the suite checks the bound is honest.  Because the decay is only
-polynomial, very small tail budgets are refused explicitly (TailBudgetError)
-instead of looping forever.
+Lattice sums, for G_s and for each Hecke coset of G_k^m, run through one
+cutoff loop, _lattice_sum, truncated at a cosh-distance cutoff with an
+explicit tail bound: the orbit-point count up to cosh-distance T grows
+linearly in T, the kernel decays like t^(-s), so the tail is O(T^(1-s)).
+The count slope is calibrated on the enumerated terms and doubled for
+safety; the cutoff-doubling test in the suite checks the bound is honest.
+Because the decay is only polynomial, very small tail budgets are refused
+explicitly (TailBudgetError) instead of looping forever.  At integer s the
+kernel is numerics._q_int, the one integer-order Legendre-Q route.
 
 For Laplacian eigenfunction checks use gamma_orbit + g_s_truncated: every
 single gamma-term is an exact eigenfunction in z1, so a truncated sum over a
@@ -23,19 +25,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import mpmath as mp
 
-from .numerics import GUARD_BITS, PrecisionContext
+from .numerics import PrecisionContext, _q_int
 from .quadforms import CMPoint
 from .modular import (
-    ModPolyValue,
     coset_apply,
     gamma_translates,
     hecke_cosets,
-    j_eval,
-    j_relative_error,
     modpoly_eval,
     y1_distance,
 )
@@ -72,50 +71,6 @@ def cosh_dist(z1, z2):
     return 1 + ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (2 * y1 * y2)
 
 
-def _q_float_series(n: int, t: float) -> float:
-    """Q_n(t) in double precision by the descending series in 1/t^2, t >= 2.
-
-    Q_n(t) = sum_j a_j t^(-(n+1+2j)) with a_0 = 2^n n!^2 / (2n+1)! and the
-    hypergeometric term ratio; every term is positive, so no cancellation.
-    """
-    a0 = 1.0
-    for i in range(1, n + 1):
-        a0 *= i / (2.0 * i + 1.0)
-    u = 1.0 / (t * t)
-    term = a0 * t ** (-(n + 1))
-    total = term
-    j = 0.0
-    while term > 1e-20 * total:
-        ratio = (0.5 * (n + 1) + j) * (0.5 * (n + 2) + j) / ((n + 1.5 + j) * (1.0 + j))
-        term *= ratio * u
-        total += term
-        j += 1.0
-    return total
-
-
-def _q_int(n: int, t):
-    """Legendre Q_n(t) for integer n >= 0, t > 1; type follows t.
-
-    The upward three-term recurrence cancels catastrophically in double
-    precision once t is large (t * Q_0 - 1 loses all significant bits), so
-    the float path switches to the stable descending series for t >= 2; the
-    mpf path keeps the recurrence, whose bit loss is negligible against the
-    extended mantissa at the moderate t reached there.
-    """
-    if not isinstance(t, mp.mpf):
-        if t >= 2.0:
-            return _q_float_series(n, t)
-        q0 = math.log((t + 1) / (t - 1)) / 2
-    else:
-        q0 = mp.log((t + 1) / (t - 1)) / 2
-    if n == 0:
-        return q0
-    q1 = t * q0 - 1
-    for j in range(1, n):
-        q0, q1 = q1, ((2 * j + 1) * t * q1 - j * q0) / (j + 1)
-    return q1
-
-
 def _q_order(s) -> int | None:
     """The integer n with s = n + 1 when s is (numerically) an integer."""
     n = int(round(float(s))) - 1
@@ -132,7 +87,7 @@ def _q_raw(s_m, t_m, n: int | None):
 
 
 def q_kernel(s, t, ctx: PrecisionContext):
-    """Q_{s-1}(t) at the context precision; closed form at integer s."""
+    """Q_{s-1}(t) at the context precision; the recurrence at integer s."""
     if not t > 1:
         raise SingularityError("Q_{s-1} blows up at t = 1", where=t)
     with ctx.workprec():
@@ -233,20 +188,15 @@ def _tail_bound(s: float, t_cut: float, n_terms: int) -> float:
 _MAX_LATTICE_TERMS = 3_000_000
 
 
-def G_s_sum(s, z1, z2, ctx: PrecisionContext, tail_target: float | None = None) -> GreensValue:
-    """G_s(z1, z2) = sum over the full modular group of g_s(z1, gamma z2).
+def _lattice_sum(s: float, c1: complex, c2: complex, target: float) -> GreensValue:
+    """Sum of g_s(c1, gamma c2) over the modular group, tail below target.
 
-    Requires s > 1 strictly (the sum diverges at s = 1).  The cutoff grows
-    until the certified tail drops below tail_target (default: the context
-    series_tail_bound); since the decay is only T^(1-s), unreachable budgets
-    raise TailBudgetError instead of spinning.
+    The cosh cutoff grows until the certified tail drops below target; since
+    the decay is only T^(1-s), unreachable budgets raise TailBudgetError
+    instead of spinning.  Terms are summed in double precision with fsum;
+    rounding noise is orders of magnitude below the certified tail for every
+    reachable target.
     """
-    s = float(s)
-    if not s > 1:
-        raise ValueError("G_s_sum requires s > 1; the series diverges at s = 1")
-    target = ctx.series_tail_bound if tail_target is None else float(tail_target)
-    c1 = _as_complex(z1)
-    c2 = _as_complex(z2)
     t_cut = max(8.0, 2.0 * cosh_dist(c1, c2))
     while True:
         translates = gamma_translates(c1, c2, t_cut)
@@ -262,12 +212,10 @@ def G_s_sum(s, z1, z2, ctx: PrecisionContext, tail_target: float | None = None) 
                 f"(~{int((n + 16) * needed / t_cut)} terms) at s = {s}; "
                 "loosen tail_target")
         t_cut = min(needed * 1.5, t_cut * 16.0)
-    chs = sorted(ch for _, _, ch in translates)
-    if chs and chs[0] <= 1 + 1e-12:
+    chs = [ch for _, _, ch in translates]
+    if chs and min(chs) <= 1 + 1e-12:
         raise SingularityError("z1 and z2 are equivalent under the group",
-                               where=(z1, z2))
-    # double precision per term; rounding noise is orders of magnitude below
-    # the certified tail for every reachable tail target
+                               where=(c1, c2))
     n_ord = _q_order(s)
     if n_ord is not None:
         value = math.fsum(-2.0 * _q_int(n_ord, ch) for ch in chs)
@@ -280,36 +228,25 @@ def G_s_sum(s, z1, z2, ctx: PrecisionContext, tail_target: float | None = None) 
     return GreensValue(value=value, tail_bound=tail, cosh_cutoff=t_cut, terms=n)
 
 
+def G_s_sum(s, z1, z2, ctx: PrecisionContext, tail_target: float | None = None) -> GreensValue:
+    """G_s(z1, z2) = sum over the full modular group of g_s(z1, gamma z2).
+
+    Requires s > 1 strictly (the sum diverges at s = 1).  The tail budget
+    defaults to the context series_tail_bound; see _lattice_sum.
+    """
+    s = float(s)
+    if not s > 1:
+        raise ValueError("G_s_sum requires s > 1; the series diverges at s = 1")
+    target = ctx.series_tail_bound if tail_target is None else float(tail_target)
+    return _lattice_sum(s, _as_complex(z1), _as_complex(z2), target)
+
+
 def G_1(z1, z2, ctx: PrecisionContext):
     """G_1(z1, z2) = 2 log |j(z1) - j(z2)|; singular at equal j-values."""
     v = modpoly_eval(1, z1, z2, ctx)
     if v.is_zero:
         raise SingularityError("j(z1) = j(z2); G_1 is singular", where=(z1, z2))
     return 2 * v.log_abs()
-
-
-def _g_k_coset_sum(k: int, z1c: complex, wc: complex, tail_target: float,
-                   coset) -> GreensValue:
-    """Float-precision G_k(z1, w) for odd k >= 3 by the same cutoff scheme."""
-    t_cut = max(8.0, 2.0 * cosh_dist(z1c, wc))
-    while True:
-        translates = gamma_translates(z1c, wc, t_cut)
-        n = len(translates)
-        tail = _tail_bound(k, t_cut, n)
-        if tail <= tail_target:
-            break
-        needed = t_cut * (tail / tail_target) ** (1.0 / (k - 1.0))
-        if (n + 16) * needed / t_cut > _MAX_LATTICE_TERMS:
-            raise TailBudgetError(
-                f"tail target {tail_target:g} out of reach for k = {k}")
-        t_cut = min(needed * 1.5, t_cut * 16.0)
-    acc = 0.0
-    for _, _, ch in translates:
-        if ch <= 1 + 1e-12:
-            raise SingularityError(
-                "pair lies on the Hecke correspondence", where=coset)
-        acc += -2.0 * _q_int(k - 1, ch)
-    return GreensValue(value=acc, tail_bound=tail, cosh_cutoff=t_cut, terms=n)
 
 
 # default absolute tail budget for the k >= 3 averaged sums; the T^(1-k)
@@ -322,7 +259,7 @@ def G_k_m(k: int, m: int, z1, z2, ctx: PrecisionContext,
     """Hecke-averaged Green's function: sum of G_k(z1, coset z2) over cosets.
 
     k = 1 routes through the modular-polynomial logarithm (exact high
-    precision path); k in {3, 5, 7} sums the closed-form kernel in double
+    precision path); k in {3, 5, 7} sums the integer-order kernel in double
     precision per coset, which is ample for inequality checks.
     """
     if k not in (1, 3, 5, 7):
@@ -345,7 +282,7 @@ def G_k_m(k: int, m: int, z1, z2, ctx: PrecisionContext,
     t_cut = 0.0
     for coset in cosets.reps:
         wc = _as_complex(coset_apply(coset, z2))
-        part = _g_k_coset_sum(k, z1c, wc, target / len(cosets), coset)
+        part = _lattice_sum(float(k), z1c, wc, target / len(cosets))
         acc += part.value
         tail += part.tail_bound
         terms += part.terms

@@ -16,7 +16,6 @@ the two notions agree.
 
 from __future__ import annotations
 
-import cmath
 import math
 import threading
 from dataclasses import dataclass
@@ -27,10 +26,10 @@ from .numerics import (
     GUARD_BITS,
     PrecisionContext,
     PrecisionError,
-    integer_recognize,
+    recognize_with_retries,
     arccosh,
 )
-from .quadforms import CMPoint, QuadForm, cm_point, enumerate_reduced, reduce_form
+from .quadforms import CMPoint, _xgcd, cm_point, enumerate_reduced, reduce_form
 
 _FOUR_PI = 4 * math.pi
 
@@ -92,36 +91,31 @@ def j_q_coefficients(count: int) -> list[int]:
         return _jcoeffs[:count]
 
 
-def seed_j_coefficients(coeffs: list[int]) -> None:
-    """Install externally cached coefficients (used by the CLI disk cache)."""
-    with _jcoeff_lock:
-        if len(coeffs) > len(_jcoeffs):
-            del _jcoeffs[:]
-            _jcoeffs.extend(coeffs)
-
-
-def known_j_coefficients() -> list[int]:
-    with _jcoeff_lock:
-        return list(_jcoeffs)
-
-
 def fd_reduce(z, max_steps: int = 10_000):
     """Move z into the fundamental domain F; return (z', gamma) with z' = gamma z.
 
-    gamma is returned as the integer tuple (a, b, c, d).  Terminates because
-    the imaginary part strictly increases on every inversion step.
+    z is a complex or anything mpmath reads as an mpc; the arithmetic stays
+    in that type.  gamma is returned as the integer tuple (a, b, c, d).  A
+    point is inverted only when |z|^2 < 1 - slack, the slack a few ulps of
+    the working precision, so a point on the unit arc whose rounded norm
+    falls just below 1 is accepted instead of bouncing across the arc.  Each
+    inversion multiplies the imaginary part by more than 1/(1 - slack), so
+    the loop terminates.
     """
-    z = mp.mpc(z)
-    if not mp.im(z) > 0:
+    if isinstance(z, complex):
+        inside = 1 - 2.0 ** -48
+    else:
+        z = mp.mpc(z)
+        inside = 1 - mp.mpf(2) ** (4 - mp.mp.prec)
+    if not z.imag > 0:
         raise ValueError("fd_reduce needs a point in the upper half plane")
     a, b, c, d = 1, 0, 0, 1
     for _ in range(max_steps):
-        n = int(mp.nint(mp.re(z)))
+        n = math.floor(z.real + 0.5)
         if n:
             z -= n
             a, b = a - n * c, b - n * d
-        norm = mp.re(z) ** 2 + mp.im(z) ** 2
-        if norm < 1:
+        if z.real * z.real + z.imag * z.imag < inside:
             z = -1 / z
             a, b, c, d = -c, -d, a, b
             continue
@@ -296,42 +290,39 @@ def modpoly_eval(m: int, z1, z2, ctx: PrecisionContext) -> ModPolyValue:
 def classpoly(d: int, ctx: PrecisionContext) -> list[int]:
     """Integer coefficients (ascending) of the class polynomial H_d.
 
-    Expands prod over reduced forms of (X - j(z_form)) and integer-recognizes
-    every coefficient, retrying at doubled precision on failure.  The initial
-    precision is pre-estimated from pi sqrt(|d|) h / ln 2 plus guard bits.
+    Expands prod over reduced forms of (X - j(z_form)) and certifies every
+    coefficient through recognize_with_retries.  Each root carries relative
+    error at most eps (j_relative_error plus rounding), and each term of the
+    k-th coefficient is a product of at most h roots, formed in at most h
+    rounded steps, so |c_k - C_k| <= A_k ((1 + eps)^(2h) - 1), where A_k is
+    the same coefficient of prod (X + |root|).  The exact C_k is real, so the
+    imaginary part of c_k is added to the bound.  The initial precision is
+    pre-estimated from pi sqrt(|d|) h / ln 2 plus guard bits.
     """
     group = enumerate_reduced(d)
     h = group.h
     estimate = int(math.pi * math.sqrt(-d) * h / math.log(2)) + 64
-    current = ctx.with_bits(max(ctx.mantissa_bits, estimate))
-    last_residual = None
-    for _ in range(ctx.max_retries + 1):
+
+    def compute(current):
+        eps = (j_relative_error(current)
+               + mp.mpf(2) ** (-(current.mantissa_bits + GUARD_BITS - 4)))
         with current.workprec():
             coeffs = [mp.mpc(1)]
+            absolute = [mp.mpf(1)]
             for form in group.reduced_forms:
                 root = j_eval(cm_point(form), current)
+                size = abs(root)
                 coeffs = [mp.mpc(0)] + coeffs
+                absolute = [mp.mpf(0)] + absolute
                 for i in range(len(coeffs) - 1):
                     coeffs[i] -= root * coeffs[i + 1]
-            try:
-                out = []
-                for c in coeffs:
-                    n = integer_recognize(mp.re(c), current)
-                    if abs(mp.im(c)) > current.integer_tolerance * max(1.0, math.sqrt(abs(n))):
-                        raise PrecisionError(
-                            "class polynomial coefficient has a large imaginary part",
-                            residual=float(abs(mp.im(c))),
-                        )
-                    out.append(n)
-                return out
-            except PrecisionError as err:
-                last_residual = err.residual
-                current = current.doubled()
-    raise PrecisionError(
-        f"class polynomial for d={d} did not stabilize "
-        f"(worst residual {last_residual})",
-        residual=last_residual,
-    )
+                    absolute[i] += size * absolute[i + 1]
+            growth = (1 + eps) ** (2 * h) - 1
+            return [(mp.re(c), a * growth + abs(mp.im(c)))
+                    for c, a in zip(coeffs, absolute)]
+
+    return recognize_with_retries(
+        compute, ctx.with_bits(max(ctx.mantissa_bits, estimate)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +333,6 @@ def cosh_dist_raw(z1: complex, z2: complex) -> float:
     x1, y1 = z1.real, z1.imag
     x2, y2 = z2.real, z2.imag
     return 1.0 + ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (2.0 * y1 * y2)
-
-
-def _fd_reduce_float(z: complex) -> complex:
-    for _ in range(10_000):
-        n = math.floor(z.real + 0.5)
-        if n:
-            z = complex(z.real - n, z.imag)
-        if z.real * z.real + z.imag * z.imag < 1.0 - 1e-15:
-            z = -1.0 / z
-            continue
-        return z
-    raise PrecisionError("float fundamental-domain reduction did not terminate")
 
 
 def gamma_translates(z1: complex, z2: complex, cosh_cut: float):
@@ -387,7 +366,7 @@ def gamma_translates(z1: complex, z2: complex, cosh_cut: float):
             if c == 0:
                 a0, b0 = 1, 0
             else:
-                g, u, v = _ext_gcd(c, d)
+                g, u, v = _xgcd(c, d)
                 # a d - b c = 1 with bottom row (c, d)
                 a0, b0 = v, -u
             denom = complex(c * x2 + d, c * y2)
@@ -408,21 +387,10 @@ def gamma_translates(z1: complex, z2: complex, cosh_cut: float):
     return out
 
 
-def _ext_gcd(a: int, b: int):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
 def y1_cosh_distance(z1: complex, z2: complex) -> float:
     """cosh of the distance between the images of z1, z2 on Y(1)."""
-    z1 = _fd_reduce_float(complex(z1))
-    z2 = _fd_reduce_float(complex(z2))
+    z1 = fd_reduce(complex(z1))[0]
+    z2 = fd_reduce(complex(z2))[0]
     best = cosh_dist_raw(z1, z2)
     for _, _, ch in gamma_translates(z1, z2, best + 1e-12):
         if ch < best:

@@ -2,25 +2,22 @@
 
 Everything downstream (j-values, lattice sums, norm products) runs on mpmath
 at a precision carried by a PrecisionContext.  The Legendre function of the
-second kind appears in two independent routes:
+second kind at integer order n has one route, _q_int: the upward three-term
+recurrence from Q_0(t) = artanh(1/t), with a descending series in 1/t^2 for
+double-precision arguments t >= 2.  legendre_Q_closed evaluates it at odd
+orders k - 1, k in {1, 3, 5, 7}, at the context precision.  Its oracle is
+legendre_Q_num, direct quadrature of the integral representation
 
-  * legendre_Q_closed -- the polynomial-log closed form available at odd
-    integer order k in {1, 3, 5, 7},
-  * legendre_Q_num    -- direct quadrature of the integral representation
-        Q_{s-1}(t) = int_0^oo (t + sqrt(t^2-1) cosh v)^(-s) dv,  t > 1,
+    Q_{s-1}(t) = int_0^oo (t + sqrt(t^2-1) cosh v)^(-s) dv,  t > 1.
 
-and the quadrature route serves as the oracle for the closed forms.  The
-published table of the R polynomials contains two typos (the R_0 row is
-labelled R_2, and the last monomial of R_6 is printed without its power of
-t); the table frozen here was cross-checked against the quadrature route,
-which pins R_6(t) = (231/16)t^5 - (119/8)t^3 + (231/80)t.
+Integers are certified by one loop, recognize_with_retries, which doubles
+the precision until every value of a computation is recognized.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import mpmath as mp
 
@@ -88,39 +85,58 @@ def legendre_P(n: int, t):
     return p
 
 
-# R_{k-1} for k in {1,3,5,7}, as (coefficient, power) monomial lists.
-# The k = 7 constant-row typo is resolved as (231/80)*t (quadrature-checked).
-_R_TABLE = {
-    0: (),
-    2: ((Fraction(3, 2), 1),),
-    4: ((Fraction(35, 8), 3), (Fraction(-55, 24), 1)),
-    6: ((Fraction(231, 16), 5), (Fraction(-119, 8), 3), (Fraction(231, 80), 1)),
-}
+def _q_float_series(n: int, t: float) -> float:
+    """Q_n(t) in double precision by the descending series in 1/t^2, t >= 2.
 
-_CLOSED_FORM_KS = (1, 3, 5, 7)
+    Q_n(t) = sum_j a_j t^(-(n+1+2j)) with a_0 = 2^n n!^2 / (2n+1)! and the
+    hypergeometric term ratio; every term is positive, so no cancellation.
+    """
+    a0 = 1.0
+    for i in range(1, n + 1):
+        a0 *= i / (2.0 * i + 1.0)
+    u = 1.0 / (t * t)
+    term = a0 * t ** (-(n + 1))
+    total = term
+    j = 0.0
+    while term > 1e-20 * total:
+        ratio = (0.5 * (n + 1) + j) * (0.5 * (n + 2) + j) / ((n + 1.5 + j) * (1.0 + j))
+        term *= ratio * u
+        total += term
+        j += 1.0
+    return total
 
 
-def legendre_R(n: int, t):
-    """The logarithm-free part R_n of Q_n = (P_n/2) log((t+1)/(t-1)) - R_n."""
-    if n not in _R_TABLE:
-        raise ValueError(f"R_n is tabulated only for n in {sorted(_R_TABLE)}, got {n}")
-    acc = 0
-    for coef, power in _R_TABLE[n]:
-        acc += coef * t ** power
-    return acc
+def _q_int(n: int, t):
+    """Legendre Q_n(t) for integer n >= 0, t > 1; type follows t.
+
+    The upward three-term recurrence cancels catastrophically in double
+    precision once t is large (t * Q_0 - 1 loses all significant bits), so
+    the float path switches to the stable descending series for t >= 2; the
+    mpf path keeps the recurrence, whose bit loss is negligible against the
+    extended mantissa at the moderate t reached there.
+    """
+    if not isinstance(t, mp.mpf):
+        if t >= 2.0:
+            return _q_float_series(n, t)
+        q0 = math.log((t + 1) / (t - 1)) / 2
+    else:
+        q0 = mp.log((t + 1) / (t - 1)) / 2
+    if n == 0:
+        return q0
+    q1 = t * q0 - 1
+    for j in range(1, n):
+        q0, q1 = q1, ((2 * j + 1) * t * q1 - j * q0) / (j + 1)
+    return q1
 
 
 def legendre_Q_closed(k: int, t, ctx: PrecisionContext):
-    """Q_{k-1}(t) for odd k in {1,3,5,7} via the polynomial-log closed form."""
-    if k not in _CLOSED_FORM_KS:
-        raise ValueError(f"closed form requires k in {_CLOSED_FORM_KS}, got {k}")
+    """Q_{k-1}(t) for odd k in {1,3,5,7} by the integer-order route _q_int."""
+    if k not in (1, 3, 5, 7):
+        raise ValueError(f"closed form requires k in (1, 3, 5, 7), got {k}")
     if not t > 1:
         raise ValueError("Q_{k-1} has a logarithmic singularity at t = 1; need t > 1")
     with ctx.workprec():
-        t = mp.mpf(t)
-        p = legendre_P(k - 1, t)
-        r = legendre_R(k - 1, t)
-        return p / 2 * mp.log((t + 1) / (t - 1)) - r
+        return _q_int(k - 1, mp.mpf(t))
 
 
 def legendre_Q_num(s, t, ctx: PrecisionContext):
@@ -128,7 +144,7 @@ def legendre_Q_num(s, t, ctx: PrecisionContext):
 
     The integrand is truncated at v_max chosen so the analytic tail bound
     falls below ctx.series_tail_bound; the finite piece goes to mp.quad at
-    the context precision.  This is the oracle route for the closed forms.
+    the context precision.  This is the oracle for the integer-order route.
     """
     if not s >= 1:
         raise ValueError("integral representation requires s >= 1")
@@ -199,18 +215,20 @@ def integer_recognize(x, ctx: PrecisionContext, err=0) -> int:
         )
 
 
-def recognize_with_retries(compute, ctx: PrecisionContext) -> int:
-    """Run compute(ctx) and integer-recognize, doubling precision on failure.
+def recognize_with_retries(compute, ctx: PrecisionContext) -> list[int]:
+    """Certify every value of compute(ctx) as an integer, doubling on failure.
 
-    compute receives the (possibly escalated) context and must return a real.
-    Fails explicitly after ctx.max_retries doublings.
+    compute receives the (possibly escalated) context and returns a list of
+    (x, err) pairs, err the absolute error bound of x; each pair must pass
+    integer_recognize(x, current, err), else the whole computation reruns at
+    doubled mantissa.  Fails explicitly after ctx.max_retries doublings.
     """
     current = ctx
     last = None
     for _ in range(ctx.max_retries + 1):
-        value = compute(current)
+        values = compute(current)
         try:
-            return integer_recognize(value, current)
+            return [integer_recognize(x, current, err) for x, err in values]
         except IntegerRecognitionError as err:
             last = err
             current = current.doubled()

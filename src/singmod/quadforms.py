@@ -205,15 +205,6 @@ class ClassGroup:
     def identity(self) -> QuadForm:
         return self.reduced_forms[self.identity_index]
 
-    def index_of(self, form: QuadForm) -> int:
-        return self.reduced_forms.index(reduce_form(form))
-
-    def compose(self, f1: QuadForm, f2: QuadForm) -> QuadForm:
-        return compose(f1, f2)
-
-    def inverse(self, form: QuadForm) -> QuadForm:
-        return inverse(form)
-
 
 @lru_cache(maxsize=None)
 def enumerate_reduced(d: int) -> ClassGroup:

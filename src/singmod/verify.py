@@ -19,17 +19,9 @@ import random
 import time
 from dataclasses import dataclass, field
 
-import mpmath as mp
-
 from .numerics import PrecisionContext, PrecisionError, legendre_Q_closed, mk_constant
 from .quadforms import Discriminant, QuadFormError
-from .cmcycles import (
-    CMCycle,
-    SingularCycleError,
-    build_cycle,
-    cycle_log_norm,
-    cycle_norm_integer,
-)
+from .cmcycles import SingularCycleError, build_cycle, cycle_norm_integer
 from .greens import G_k_m, SingularityError, TailBudgetError, tm_count
 
 
@@ -351,10 +343,7 @@ def _sweep_instance(task) -> VerificationReport:
     rep = verify_nonunit(d1, d2, m, ctx, factor=factor)
     if rep.status == "ok":
         for eps in epsilons:
-            try:
-                verify_lower_bound(d1, d2, m, eps, ctx, report=rep)
-            except SingularityError:
-                pass
+            verify_lower_bound(d1, d2, m, eps, ctx, report=rep)
         if chain:
             try:
                 verify_chain(d1, d2, m, ctx, report=rep)

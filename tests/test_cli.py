@@ -58,8 +58,6 @@ def test_classpoly_cache(capsys, tmp_path):
     assert any(name.startswith("classpoly") for name in os.listdir(cache))
     code, second, _ = run_json(capsys, "classpoly", "-23", "--cache-dir", cache)
     assert code == 0 and first == second
-    # the j-series coefficients are cached alongside
-    assert any(name.startswith("jcoeffs") for name in os.listdir(cache))
 
 
 def test_cmpoints(capsys):
@@ -109,6 +107,18 @@ def test_norm_zero_exit_ok(capsys):
 def test_norm_bad_input(capsys):
     code, out, _ = run(capsys, "norm", "-5", "-4", "1")
     assert code == 2 and "error" in out
+
+
+def test_norm_epsilon_check_that_cannot_run_exits_2(capsys):
+    code, out, err = run(capsys, "norm", "-3", "-4", "1", "--epsilon", "-0.5")
+    assert code == 2
+    assert "epsilon must be positive" in err
+
+
+def test_sweep_epsilon_check_that_cannot_run_exits_2(capsys):
+    code, out, err = run(capsys, "sweep", "--dmax", "4", "--epsilon", "-0.5")
+    assert code == 2
+    assert "epsilon must be positive" in err
 
 
 def test_greens_point_mode(capsys):

@@ -4,6 +4,7 @@ import random
 import mpmath as mp
 import pytest
 
+from singmod import numerics
 from singmod.numerics import PrecisionContext
 from singmod.quadforms import CMPoint, cm_point, enumerate_reduced
 from singmod.modular import (
@@ -81,6 +82,20 @@ def test_fd_reduce():
             assert abs((a * w + b) / (c * w + d) - z) < 1e-50
 
 
+def test_fd_reduce_terminates_on_the_unit_arc():
+    # 82 degrees on the arc: the rounded |z|^2 falls just below 1, and an
+    # exact "< 1" test inverted the point back and forth forever
+    with CTX.workprec():
+        w = mp.expjpi(mp.mpf(1) / 3 + mp.mpf(22) / 180)
+        z, (a, b, c, d) = fd_reduce(w)
+        assert abs(z) >= 1 - 1e-60
+        assert abs(mp.re(z)) <= 0.5 + 1e-60
+        assert abs((a * w + b) / (c * w + d) - z) < 1e-50
+    # j is real on the arc, between j(zeta_3) = 0 and j(i) = 1728
+    value = j_eval(w, CTX)
+    assert abs(mp.im(value)) < 1e-50 and 0 < mp.re(value) < 1728
+
+
 def test_hecke_cosets():
     assert hecke_cosets(1).reps == ((1, 0, 1),)
     assert set(hecke_cosets(2).reps) == {(1, 0, 2), (1, 1, 2), (2, 0, 1)}
@@ -151,6 +166,20 @@ def test_classpoly_known():
     assert classpoly(-23, CTX) == [12771880859375, -5151296875, 3491750, 1]
 
 
+def test_classpoly_certifies_against_an_error_bound(monkeypatch):
+    bounds = []
+    recognize = numerics.integer_recognize
+
+    def spy(x, ctx, err=0):
+        bounds.append(err)
+        return recognize(x, ctx, err)
+
+    monkeypatch.setattr(numerics, "integer_recognize", spy)
+    assert classpoly(-23, CTX) == [12771880859375, -5151296875, 3491750, 1]
+    assert len(bounds) == 4
+    assert all(err > 0 for err in bounds)
+
+
 def test_classpoly_roots():
     with CTX.workprec():
         for d in (-15, -23, -31):
@@ -182,6 +211,10 @@ def test_y1_distance_examples():
     assert y1_distance(1j, 1j) == pytest.approx(0.0, abs=1e-12)
     assert y1_distance(1j, 1j + 1) == pytest.approx(0.0, abs=1e-12)
     assert y1_distance(1j, 2j) == pytest.approx(math.acosh(1.25), rel=1e-12)
+    # zeta_3 in double precision sits on the corner of F, where rounding
+    # puts |z|^2 on either side of 1
+    zeta3 = complex(0.5, math.sqrt(3) / 2)
+    assert y1_distance(zeta3, zeta3 - 1) == pytest.approx(0.0, abs=1e-7)
 
 
 def test_y1_distance_brute_force():

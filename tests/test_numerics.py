@@ -8,11 +8,11 @@ from singmod.numerics import (
     IntegerRecognitionError,
     PrecisionContext,
     PrecisionError,
+    _q_int,
     integer_recognize,
     legendre_P,
     legendre_Q_closed,
     legendre_Q_num,
-    legendre_R,
     mk_constant,
     recognize_with_retries,
 )
@@ -44,16 +44,6 @@ def test_legendre_P_table():
             (231 * t ** 6 - 315 * t ** 4 + 105 * t ** 2 - 5) / 16, abs=1e-12)
 
 
-def test_legendre_R_table():
-    assert legendre_R(0, 3.0) == 0
-    assert legendre_R(2, 3.0) == pytest.approx(4.5)
-    assert legendre_R(4, 1.0) == pytest.approx(35.0 / 8 - 55.0 / 24)
-    with pytest.raises(ValueError):
-        legendre_R(1, 2.0)
-    with pytest.raises(ValueError):
-        legendre_R(8, 2.0)
-
-
 def test_Q_closed_examples():
     assert float(legendre_Q_closed(1, 2.0, CTX)) == pytest.approx(
         math.log(3) / 2, rel=1e-15)
@@ -67,12 +57,22 @@ def test_Q_closed_examples():
 
 
 def test_Q_closed_vs_quadrature():
-    # the quadrature route is the oracle that pinned the R-polynomial table
+    # the quadrature route is the oracle for the integer-order recurrence
     for k in (1, 3, 5, 7):
         for t in (1.01, 1.1, 2.0, 5.0, 10.0):
             a = legendre_Q_closed(k, t, CTX)
             b = legendre_Q_num(k, t, CTX)
             assert abs(a - b) <= 10 * CTX.series_tail_bound
+
+
+def test_Q_float_route_vs_quadrature():
+    # the double-precision path the lattice sums run on: the recurrence
+    # below t = 2, the descending series from t = 2 on
+    for n in range(7):
+        for t in (1.01, 1.5, 1.9, 2.0, 3.0, 10.0, 1000.0):
+            a = _q_int(n, t)
+            b = legendre_Q_num(n + 1, t, CTX)
+            assert abs(a - b) <= 1e-9 * abs(b) + 1e-28
 
 
 def test_Q_positive_decreasing():
@@ -151,10 +151,10 @@ def test_recognize_with_retries():
     def compute(ctx):
         calls.append(ctx.mantissa_bits)
         # converges to an integer only once precision has doubled twice
-        return mp.mpf(5) + mp.mpf(10) ** (-3 if len(calls) < 3 else -20)
+        return [(mp.mpf(5) + mp.mpf(10) ** (-3 if len(calls) < 3 else -20), 0)]
 
-    assert recognize_with_retries(compute, CTX) == 5
+    assert recognize_with_retries(compute, CTX) == [5]
     assert calls == [256, 512, 1024]
 
     with pytest.raises(PrecisionError):
-        recognize_with_retries(lambda ctx: mp.mpf("7.25"), CTX)
+        recognize_with_retries(lambda ctx: [(mp.mpf("7.25"), 0)], CTX)
