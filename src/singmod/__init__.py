@@ -36,6 +36,7 @@ from .greens import (
     G_1,
     G_f,
     G_k_m,
+    G_ks_m,
     G_s_sum,
     GraphProximity,
     PrincipalPart,

@@ -48,6 +48,7 @@ from .greens import (
 )
 from .cmcycles import build_cycle
 from .verify import (
+    check_epsilons,
     fundamental_discriminants,
     summarize,
     sweep,
@@ -247,6 +248,7 @@ def _report_text(rep) -> str:
 
 
 def cmd_norm(args) -> int:
+    check_epsilons(args.epsilon or ())
     ctx = _context(args)
     rep = verify_nonunit(args.d1, args.d2, args.m, ctx, factor=args.factor)
     if rep.status == "ok":
@@ -326,6 +328,7 @@ def cmd_greens(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    check_epsilons(args.epsilon or ())
     ctx = _context(args)
     if args.coprime_fundamental:
         values = fundamental_discriminants(args.dmax)

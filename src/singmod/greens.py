@@ -6,14 +6,18 @@ additionally over the determinant-m Hecke cosets, and G_f takes the linear
 combination dictated by the principal part of a weakly holomorphic form.
 
 Lattice sums, for G_s and for each Hecke coset of G_k^m, run through one
-cutoff loop, _lattice_sum, truncated at a cosh-distance cutoff with an
+cutoff loop, _lattice_sums, truncated at a cosh-distance cutoff with an
 explicit tail bound: the orbit-point count up to cosh-distance T grows
 linearly in T, the kernel decays like t^(-s), so the tail is O(T^(1-s)).
 The count slope is calibrated on the enumerated terms and doubled for
 safety; the cutoff-doubling test in the suite checks the bound is honest.
 Because the decay is only polynomial, very small tail budgets are refused
-explicitly (TailBudgetError) instead of looping forever.  At integer s the
-kernel is numerics._q_int, the one integer-order Legendre-Q route.
+explicitly (TailBudgetError) instead of looping forever.  The orbit is
+enumerated once per (pair, coset) and shared by every s asked for at that
+coset (G_ks_m evaluates k = 3, 5, 7 together); each s keeps its own cutoff
+loop and counts its terms in the one sorted list.  At integer s the kernel
+and the tail constant are numerics._q_int, the one integer-order Legendre-Q
+route; mpmath's legenq serves non-integer s only.
 
 For Laplacian eigenfunction checks use gamma_orbit + g_s_truncated: every
 single gamma-term is an exact eigenfunction in z1, so a truncated sum over a
@@ -24,6 +28,7 @@ truncation noise.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -132,9 +137,13 @@ def _q_decay_const(s: float, t_cut: float) -> float:
     """q with Q_{s-1}(t) <= q * t^(-s) for t >= t_cut (asymptotically sharp)."""
     # limit of t^s Q_{s-1}(t) is sqrt(pi) Gamma(s) / (Gamma(s+1/2) 2^s)
     c_inf = math.sqrt(math.pi) * math.gamma(s) / (math.gamma(s + 0.5) * 2.0 ** s)
-    with mp.workprec(53):
-        at_cut = float(mp.legenq(s - 1, 0, mp.mpf(t_cut), type=3).real) * t_cut ** s
-    return 2.0 * max(c_inf, at_cut)
+    n = _q_order(s)
+    if n is not None:
+        q_cut = _q_int(n, float(t_cut))
+    else:
+        with mp.workprec(53):
+            q_cut = float(mp.legenq(s - 1, 0, mp.mpf(t_cut), type=3).real)
+    return 2.0 * max(c_inf, q_cut * t_cut ** s)
 
 
 def _as_complex(z) -> complex:
@@ -188,57 +197,71 @@ def _tail_bound(s: float, t_cut: float, n_terms: int) -> float:
 _MAX_LATTICE_TERMS = 3_000_000
 
 
-def _lattice_sum(s: float, c1: complex, c2: complex, target: float) -> GreensValue:
-    """Sum of g_s(c1, gamma c2) over the modular group, tail below target.
+def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensValue]:
+    """Sums of g_s(c1, gamma c2) over the modular group for each s in ss.
 
-    The cosh cutoff grows until the certified tail drops below target; since
-    the decay is only T^(1-s), unreachable budgets raise TailBudgetError
-    instead of spinning.  Terms are summed in double precision with fsum;
-    rounding noise is orders of magnitude below the certified tail for every
-    reachable target.
+    Each s has its own cutoff loop: the cosh cutoff grows until the certified
+    tail drops below target; since the decay is only T^(1-s), unreachable
+    budgets raise TailBudgetError instead of spinning.  All s share one
+    orbit enumeration, kept as a sorted list of cosh distances; a loop counts
+    its terms by bisection and enumerates again only when it needs a cutoff
+    above the enumerated one.  Processing s in ascending order lets the
+    slowly decaying s = 3 set the enumeration that s = 5, 7 reuse.  Terms
+    are summed in double precision with fsum; rounding noise is orders of
+    magnitude below the certified tail for every reachable target.  The
+    result is aligned with ss.
     """
-    t_cut = max(8.0, 2.0 * cosh_dist(c1, c2))
-    while True:
-        translates = gamma_translates(c1, c2, t_cut)
-        n = len(translates)
-        tail = _tail_bound(s, t_cut, n)
-        if tail <= target:
-            break
-        # predict the cutoff needed and refuse hopeless budgets early
-        needed = t_cut * (tail / target) ** (1.0 / (s - 1.0))
-        if (n + 16) * needed / t_cut > _MAX_LATTICE_TERMS:
-            raise TailBudgetError(
-                f"tail target {target:g} needs cosh cutoff ~{needed:.3g} "
-                f"(~{int((n + 16) * needed / t_cut)} terms) at s = {s}; "
-                "loosen tail_target")
-        t_cut = min(needed * 1.5, t_cut * 16.0)
-    chs = [ch for _, _, ch in translates]
-    if chs and min(chs) <= 1 + 1e-12:
-        raise SingularityError("z1 and z2 are equivalent under the group",
-                               where=(c1, c2))
-    n_ord = _q_order(s)
-    if n_ord is not None:
-        value = math.fsum(-2.0 * _q_int(n_ord, ch) for ch in chs)
-    else:
-        with mp.workprec(53):
-            s_m = mp.mpf(s)
-            value = math.fsum(
-                -2.0 * float(mp.legenq(s_m - 1, 0, mp.mpf(ch), type=3).real)
-                for ch in chs)
-    return GreensValue(value=value, tail_bound=tail, cosh_cutoff=t_cut, terms=n)
+    t_start = max(8.0, 2.0 * cosh_dist(c1, c2))
+    t_enum = 0.0
+    chs: list[float] = []
+    out = {}
+    for s in sorted(set(ss)):
+        t_cut = t_start
+        while True:
+            if t_cut > t_enum:
+                chs = [ch for _, _, ch in gamma_translates(c1, c2, t_cut)]
+                chs.sort()
+                t_enum = t_cut
+            n = bisect_right(chs, t_cut)
+            tail = _tail_bound(s, t_cut, n)
+            if tail <= target:
+                break
+            # predict the cutoff needed and refuse hopeless budgets early
+            needed = t_cut * (tail / target) ** (1.0 / (s - 1.0))
+            if (n + 16) * needed / t_cut > _MAX_LATTICE_TERMS:
+                raise TailBudgetError(
+                    f"tail target {target:g} needs cosh cutoff ~{needed:.3g} "
+                    f"(~{int((n + 16) * needed / t_cut)} terms) at s = {s}; "
+                    "loosen tail_target")
+            t_cut = min(needed * 1.5, t_cut * 16.0)
+        if n and chs[0] <= 1 + 1e-12:
+            raise SingularityError("z1 and z2 are equivalent under the group",
+                                   where=(c1, c2))
+        kept = chs[:n]
+        n_ord = _q_order(s)
+        if n_ord is not None:
+            value = math.fsum([-2.0 * _q_int(n_ord, ch) for ch in kept])
+        else:
+            with mp.workprec(53):
+                s_m = mp.mpf(s)
+                value = math.fsum(
+                    -2.0 * float(mp.legenq(s_m - 1, 0, mp.mpf(ch), type=3).real)
+                    for ch in kept)
+        out[s] = GreensValue(value=value, tail_bound=tail, cosh_cutoff=t_cut, terms=n)
+    return [out[s] for s in ss]
 
 
 def G_s_sum(s, z1, z2, ctx: PrecisionContext, tail_target: float | None = None) -> GreensValue:
     """G_s(z1, z2) = sum over the full modular group of g_s(z1, gamma z2).
 
     Requires s > 1 strictly (the sum diverges at s = 1).  The tail budget
-    defaults to the context series_tail_bound; see _lattice_sum.
+    defaults to the context series_tail_bound; see _lattice_sums.
     """
     s = float(s)
     if not s > 1:
         raise ValueError("G_s_sum requires s > 1; the series diverges at s = 1")
     target = ctx.series_tail_bound if tail_target is None else float(tail_target)
-    return _lattice_sum(s, _as_complex(z1), _as_complex(z2), target)
+    return _lattice_sums((s,), _as_complex(z1), _as_complex(z2), target)[0]
 
 
 def G_1(z1, z2, ctx: PrecisionContext):
@@ -259,35 +282,49 @@ def G_k_m(k: int, m: int, z1, z2, ctx: PrecisionContext,
     """Hecke-averaged Green's function: sum of G_k(z1, coset z2) over cosets.
 
     k = 1 routes through the modular-polynomial logarithm (exact high
-    precision path); k in {3, 5, 7} sums the integer-order kernel in double
-    precision per coset, which is ample for inequality checks.
+    precision path); k in {3, 5, 7} is G_ks_m for that one k.
     """
     if k not in (1, 3, 5, 7):
         raise ValueError(f"k must be odd in (1, 3, 5, 7), got {k}")
+    if k != 1:
+        return G_ks_m((k,), m, z1, z2, ctx, tail_target=tail_target)[0]
+    v = modpoly_eval(m, z1, z2, ctx)
+    if v.is_zero:
+        raise SingularityError(
+            "modular polynomial vanishes; G_1^m is singular",
+            where=v.zero_cosets[0])
+    return GreensValue(value=2 * v.log_abs(), tail_bound=2.0 * float(v.rel_error),
+                       cosh_cutoff=math.inf, terms=len(hecke_cosets(m)))
+
+
+def G_ks_m(ks, m: int, z1, z2, ctx: PrecisionContext,
+           tail_target: float | None = None) -> list[GreensValue]:
+    """G_k^m(z1, z2) for every k in ks (each in {3, 5, 7}), aligned with ks.
+
+    Each Hecke coset contributes one lattice sum per k, all from one orbit
+    enumeration (_lattice_sums), summed in double precision, which is ample
+    for inequality checks.  Every coset gets an equal share of the tail
+    budget.
+    """
+    if any(k not in (3, 5, 7) for k in ks):
+        raise ValueError(f"k must be odd in (3, 5, 7), got {tuple(ks)}")
     cosets = hecke_cosets(m)
-    if k == 1:
-        v = modpoly_eval(m, z1, z2, ctx)
-        if v.is_zero:
-            raise SingularityError(
-                "modular polynomial vanishes; G_1^m is singular",
-                where=v.zero_cosets[0])
-        value = 2 * v.log_abs()
-        return GreensValue(value=value, tail_bound=2.0 * float(v.rel_error),
-                           cosh_cutoff=math.inf, terms=len(cosets))
     target = DEFAULT_GK_TAIL if tail_target is None else float(tail_target)
+    ss = [float(k) for k in ks]
     z1c = _as_complex(z1)
-    acc = 0.0
-    tail = 0.0
-    terms = 0
-    t_cut = 0.0
-    for coset in cosets.reps:
-        wc = _as_complex(coset_apply(coset, z2))
-        part = _lattice_sum(float(k), z1c, wc, target / len(cosets))
-        acc += part.value
-        tail += part.tail_bound
-        terms += part.terms
-        t_cut = max(t_cut, part.cosh_cutoff)
-    return GreensValue(value=acc, tail_bound=tail, cosh_cutoff=t_cut, terms=terms)
+    share = target / len(cosets)
+    per_coset = [_lattice_sums(ss, z1c, _as_complex(coset_apply(coset, z2)), share)
+                 for coset in cosets.reps]
+    out = []
+    for parts in zip(*per_coset):
+        value = tail = 0.0
+        for part in parts:
+            value += part.value
+            tail += part.tail_bound
+        out.append(GreensValue(value=value, tail_bound=tail,
+                               cosh_cutoff=max(p.cosh_cutoff for p in parts),
+                               terms=sum(p.terms for p in parts)))
+    return out
 
 
 # ---------------------------------------------------------------------------

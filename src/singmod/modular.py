@@ -297,11 +297,15 @@ def classpoly(d: int, ctx: PrecisionContext) -> list[int]:
     rounded steps, so |c_k - C_k| <= A_k ((1 + eps)^(2h) - 1), where A_k is
     the same coefficient of prod (X + |root|).  The exact C_k is real, so the
     imaginary part of c_k is added to the bound.  The initial precision is
-    pre-estimated from pi sqrt(|d|) h / ln 2 plus guard bits.
+    pre-estimated from log2 prod |j(z_form)| ~ sum over forms of
+    pi sqrt(|d|) / (a ln 2), since |j(z)| ~ e^(2 pi Im z) and
+    Im z_form = sqrt(|d|) / (2a), plus guard bits; the retry loop still
+    doubles if that falls short.
     """
     group = enumerate_reduced(d)
     h = group.h
-    estimate = int(math.pi * math.sqrt(-d) * h / math.log(2)) + 64
+    estimate = int(sum(math.pi * math.sqrt(-d) / form.a
+                       for form in group.reduced_forms) / math.log(2)) + 64
 
     def compute(current):
         eps = (j_relative_error(current)
@@ -347,6 +351,7 @@ def gamma_translates(z1: complex, z2: complex, cosh_cut: float):
     if y1 <= 0 or y2 <= 0:
         raise ValueError("points must lie in the upper half plane")
     out = []
+    append = out.append
     y_low = y1 / (cosh_cut + math.sqrt(max(cosh_cut * cosh_cut - 1.0, 0.0)))
     # |c z2 + d|^2 <= y2 / y_low
     cap = y2 / y_low
@@ -372,18 +377,21 @@ def gamma_translates(z1: complex, z2: complex, cosh_cut: float):
             denom = complex(c * x2 + d, c * y2)
             w0 = (complex(a0 * x2 + b0, a0 * y2)) / denom if c else complex(x2 + b0, y2)
             yw = y2 / ((c * x2 + d) ** 2 + (c * y2) ** 2)
-            rad = 2.0 * y1 * yw * (cosh_cut - 1.0) - (y1 - yw) ** 2
+            # cosh_dist_raw(z1, w) with the n-independent parts hoisted
+            dy2 = (y1 - yw) ** 2
+            den = 2.0 * y1 * yw
+            rad = den * (cosh_cut - 1.0) - dy2
             if rad < 0:
                 continue
             r = math.sqrt(rad)
-            n_lo = int(math.ceil(x1 - w0.real - r))
-            n_hi = int(math.floor(x1 - w0.real + r))
+            wx0 = w0.real
+            n_lo = int(math.ceil(x1 - wx0 - r))
+            n_hi = int(math.floor(x1 - wx0 + r))
             for n in range(n_lo, n_hi + 1):
-                w = complex(w0.real + n, yw)
-                ch = cosh_dist_raw(z1, w)
+                wx = wx0 + n
+                ch = 1.0 + ((x1 - wx) ** 2 + dy2) / den
                 if ch <= cosh_cut:
-                    gamma = (a0 + n * c, b0 + n * d, c, d)
-                    out.append((gamma, w, ch))
+                    append(((a0 + n * c, b0 + n * d, c, d), complex(wx, yw), ch))
     return out
 
 

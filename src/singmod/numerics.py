@@ -3,10 +3,16 @@
 Everything downstream (j-values, lattice sums, norm products) runs on mpmath
 at a precision carried by a PrecisionContext.  The Legendre function of the
 second kind at integer order n has one route, _q_int: the upward three-term
-recurrence from Q_0(t) = artanh(1/t), with a descending series in 1/t^2 for
-double-precision arguments t >= 2.  legendre_Q_closed evaluates it at odd
-orders k - 1, k in {1, 3, 5, 7}, at the context precision.  Its oracle is
-legendre_Q_num, direct quadrature of the integral representation
+recurrence from Q_0(t) = artanh(1/t), and for double-precision arguments
+t >= 2 the descending series t^(-(n+1)) sum_j a_j u^j in u = 1/t^2, cut at
+a fixed degree J per t-band (t >= 64, 16, 4, 2) and evaluated by Horner.
+All terms are positive, so the remainder is at most
+a_(J+1) u^(J+1) / (1 - rho u) with rho the largest later term ratio (above
+1 for small j once n >= 3); each band's J is the least one putting this
+below 2^-53 times the sum at the band's lower edge.  legendre_Q_closed
+evaluates the route at odd orders k - 1, k in {1, 3, 5, 7}, at the context
+precision.  Its oracle is legendre_Q_num, direct quadrature of the integral
+representation
 
     Q_{s-1}(t) = int_0^oo (t + sqrt(t^2-1) cosh v)^(-s) dv,  t > 1.
 
@@ -85,25 +91,53 @@ def legendre_P(n: int, t):
     return p
 
 
-def _q_float_series(n: int, t: float) -> float:
-    """Q_n(t) in double precision by the descending series in 1/t^2, t >= 2.
+# lower edges of the t-bands of the float route; each band has its own degree
+_Q_BANDS = (64.0, 16.0, 4.0, 2.0)
+_Q_HORNER: dict[int, tuple[tuple[float, tuple[float, ...]], ...]] = {}
 
-    Q_n(t) = sum_j a_j t^(-(n+1+2j)) with a_0 = 2^n n!^2 / (2n+1)! and the
-    hypergeometric term ratio; every term is positive, so no cancellation.
+
+def _q_horner_bands(n: int) -> tuple[tuple[float, tuple[float, ...]], ...]:
+    """(lower edge t0, coefficients a_J..a_0) per t-band, for Q_n with t >= 2.
+
+    Q_n(t) = t^(-(n+1)) sum_j a_j u^j with u = 1/t^2, a_0 = 2^n n!^2/(2n+1)!
+    and the term ratio r_j = a_(j+1)/a_j
+    = ((n+1)/2 + j)((n+2)/2 + j) / ((n + 3/2 + j)(1 + j)).  Every term is
+    positive, so truncating after degree J leaves the remainder
+
+        R_J <= a_(J+1) u^(J+1) / (1 - rho u),   rho = sup_(j > J) r_j,
+
+    and the partial sum is at least a_0.  r_j > 1 exactly when
+    j < (n^2 - n - 4)/4 (for n >= 3 the first ratios exceed 1), so rho is the
+    largest of 1 and the r_j with J < j below that crossing.  The degree of a
+    band is the least J with rho u < 1 and R_J <= 2^-53 a_0 at the band's
+    lower edge t0; since R_J falls with u, the bound holds on the whole band.
     """
-    a0 = 1.0
+    bands = _Q_HORNER.get(n)
+    if bands is not None:
+        return bands
+
+    def ratio(j):
+        return (0.5 * (n + 1) + j) * (0.5 * (n + 2) + j) / ((n + 1.5 + j) * (1.0 + j))
+
+    a = [1.0]
     for i in range(1, n + 1):
-        a0 *= i / (2.0 * i + 1.0)
-    u = 1.0 / (t * t)
-    term = a0 * t ** (-(n + 1))
-    total = term
-    j = 0.0
-    while term > 1e-20 * total:
-        ratio = (0.5 * (n + 1) + j) * (0.5 * (n + 2) + j) / ((n + 1.5 + j) * (1.0 + j))
-        term *= ratio * u
-        total += term
-        j += 1.0
-    return total
+        a[0] *= i / (2.0 * i + 1.0)
+    crossing = (n * n - n - 4) // 4 + 1
+    out = []
+    for t0 in _Q_BANDS:
+        u = 1.0 / (t0 * t0)
+        J = 0
+        while True:
+            while len(a) < J + 2:
+                a.append(a[-1] * ratio(len(a) - 1))
+            rho = max([1.0] + [ratio(j) for j in range(J + 1, crossing + 1)])
+            if (rho * u < 1.0
+                    and a[J + 1] * u ** (J + 1) / (1.0 - rho * u) <= 2.0 ** -53 * a[0]):
+                break
+            J += 1
+        out.append((t0, tuple(reversed(a[:J + 1]))))
+    bands = _Q_HORNER[n] = tuple(out)
+    return bands
 
 
 def _q_int(n: int, t):
@@ -111,13 +145,22 @@ def _q_int(n: int, t):
 
     The upward three-term recurrence cancels catastrophically in double
     precision once t is large (t * Q_0 - 1 loses all significant bits), so
-    the float path switches to the stable descending series for t >= 2; the
+    the float path switches at t >= 2 to the descending series in u = 1/t^2,
+    cut at a fixed degree per t-band and evaluated by Horner (see
+    _q_horner_bands for the remainder bound, at most 2^-53 relative); the
     mpf path keeps the recurrence, whose bit loss is negligible against the
     extended mantissa at the moderate t reached there.
     """
     if not isinstance(t, mp.mpf):
         if t >= 2.0:
-            return _q_float_series(n, t)
+            for t0, coeffs in _Q_HORNER.get(n) or _q_horner_bands(n):
+                if t >= t0:
+                    break
+            u = 1.0 / (t * t)
+            p = 0.0
+            for a in coeffs:
+                p = p * u + a
+            return p * t ** -(n + 1)
         q0 = math.log((t + 1) / (t - 1)) / 2
     else:
         q0 = mp.log((t + 1) / (t - 1)) / 2

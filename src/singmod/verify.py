@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .numerics import PrecisionContext, PrecisionError, legendre_Q_closed, mk_constant
 from .quadforms import Discriminant, QuadFormError
 from .cmcycles import SingularCycleError, build_cycle, cycle_norm_integer
-from .greens import G_k_m, SingularityError, TailBudgetError, tm_count
+from .greens import G_ks_m, SingularityError, TailBudgetError, tm_count
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +267,12 @@ def isogeny_witness(d1, d2, m: int, ctx: PrecisionContext) -> int | None:
     return rep.witness
 
 
+def check_epsilons(epsilons) -> None:
+    """Raise ValueError unless every epsilon is positive."""
+    if not all(eps > 0 for eps in epsilons):
+        raise ValueError("epsilon must be positive")
+
+
 def verify_lower_bound(d1, d2, m: int, epsilon: float,
                        ctx: PrecisionContext,
                        report: VerificationReport | None = None) -> EpsilonBound:
@@ -275,8 +281,7 @@ def verify_lower_bound(d1, d2, m: int, epsilon: float,
     The right side counts cycle points within epsilon of the degree-m Hecke
     graph and weights them by the k = 3 kernel at the rescaled distance.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    check_epsilons((epsilon,))
     base = report or verify_nonunit(d1, d2, m, ctx)
     if base.status != "ok":
         raise SingularityError(
@@ -298,7 +303,8 @@ def verify_chain(d1, d2, m: int, ctx: PrecisionContext,
                  report: VerificationReport | None = None) -> list[ChainBound]:
     """2 log N >= m_k * (-G_k^m(Z(W))) for k in {3, 5, 7}.
 
-    -G_k^m over the cycle is summed from truncated lattice sums; the omitted
+    -G_k^m over the cycle is summed from truncated lattice sums, all k of a
+    pair from one orbit enumeration per Hecke coset (G_ks_m); the omitted
     tails are added on the right so the inequality tested is an upper bound
     of the true one.
     """
@@ -307,16 +313,17 @@ def verify_chain(d1, d2, m: int, ctx: PrecisionContext,
         raise SingularityError(
             f"chain bound undefined: status {base.status} ({base.error})")
     cycle = build_cycle(base.d1, base.d2)
+    neg = [0.0] * len(ks)
+    for pair in cycle.pairs:
+        parts = G_ks_m(ks, m, pair.z1, pair.z2, ctx, tail_target=tail_target)
+        for i, part in enumerate(parts):
+            neg[i] += pair.multiplicity * (-part.value + part.tail_bound)
     out = []
-    for k in ks:
+    for k, neg_k in zip(ks, neg):
         mk = float(mk_constant(k))
-        neg = 0.0
-        for pair in cycle.pairs:
-            part = G_k_m(k, m, pair.z1, pair.z2, ctx, tail_target=tail_target)
-            neg += pair.multiplicity * (-part.value + part.tail_bound)
-        bound = mk * neg
+        bound = mk * neg_k
         passed = 2.0 * base.log_norm >= bound
-        out.append(ChainBound(k=k, mk=mk, neg_gkm=neg, bound=bound, passed=passed))
+        out.append(ChainBound(k=k, mk=mk, neg_gkm=neg_k, bound=bound, passed=passed))
     if report is not None:
         report.chain.extend(out)
     return out
@@ -387,10 +394,12 @@ def sweep(d1_values, d2_values, m_values, ctx: PrecisionContext,
           factor: bool = False, workers: int = 1) -> list[VerificationReport]:
     """Run verify_nonunit (plus optional bound checks) over a grid.
 
-    Per-instance errors are recorded in the report, never raised.  With
+    An epsilon that is not positive raises ValueError before any instance
+    runs; per-instance errors are recorded in the report, never raised.  With
     workers > 1 instances run in a process pool; the report order is the
     grid order either way.
     """
+    check_epsilons(epsilons)
     tasks = [(d1, d2, m, ctx, tuple(epsilons), chain, factor)
              for d1, d2, m in sweep_instances(d1_values, d2_values, m_values, policy)]
     if workers <= 1 or len(tasks) < 2:

@@ -115,6 +115,15 @@ def test_norm_epsilon_check_that_cannot_run_exits_2(capsys):
     assert "epsilon must be positive" in err
 
 
+def test_norm_rejects_epsilon_before_a_zero_report(capsys):
+    # (-4, -4, 2) is a legal zero, so the epsilon check never runs on it;
+    # the invalid epsilon must still be refused, before any work
+    code, out, err = run(capsys, "norm", "-4", "-4", "2", "--epsilon", "-0.5")
+    assert code == 2
+    assert "epsilon must be positive" in err
+    assert out == ""
+
+
 def test_sweep_epsilon_check_that_cannot_run_exits_2(capsys):
     code, out, err = run(capsys, "sweep", "--dmax", "4", "--epsilon", "-0.5")
     assert code == 2
@@ -199,7 +208,7 @@ def test_norm_chain_tail_budget_exit_code(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise TailBudgetError("tail target out of reach")
 
-    monkeypatch.setattr(verify, "G_k_m", unreachable)
+    monkeypatch.setattr(verify, "G_ks_m", unreachable)
     code, payload, err = run_json(capsys, "norm", "-3", "-4", "1", "--chain")
     assert code == 2
     assert "chain skipped" in err

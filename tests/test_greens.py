@@ -12,10 +12,12 @@ from singmod.greens import (
     G_1,
     G_f,
     G_k_m,
+    G_ks_m,
     G_s_sum,
     PrincipalPart,
     SingularityError,
     TailBudgetError,
+    _q_decay_const,
     cosh_dist,
     g_s,
     g_s_truncated,
@@ -117,6 +119,31 @@ def test_G_k_m_symmetry():
         b = G_k_m(k, 3, Z2, Z1, CTX, tail_target=1e-7)
         assert a.value == pytest.approx(
             b.value, abs=2 * (a.tail_bound + b.tail_bound))
+
+
+def test_G_ks_m_matches_G_k_m_per_k():
+    # one shared orbit enumeration per coset gives each k exactly its own sum
+    for m in (1, 2, 4):
+        shared = G_ks_m((3, 5, 7), m, Z1, Z2, CTX, tail_target=1e-4)
+        for k, got in zip((3, 5, 7), shared):
+            alone = G_k_m(k, m, Z1, Z2, CTX, tail_target=1e-4)
+            assert got.value == alone.value
+            assert got.tail_bound == alone.tail_bound
+            assert got.cosh_cutoff == alone.cosh_cutoff
+            assert got.terms == alone.terms
+    with pytest.raises(ValueError):
+        G_ks_m((1, 3), 2, Z1, Z2, CTX)
+
+
+def test_q_decay_const_integer_route_matches_legenq():
+    # integer s takes the float Q route; the general evaluator is the oracle
+    for s in (3, 5, 7):
+        c_inf = math.sqrt(math.pi) * math.gamma(s) / (math.gamma(s + 0.5) * 2.0 ** s)
+        for t in (8.0, 100.0, 1e4):
+            with mp.workprec(53):
+                q = float(mp.legenq(s - 1, 0, mp.mpf(t), type=3).real)
+            expect = 2.0 * max(c_inf, q * t ** s)
+            assert _q_decay_const(float(s), t) == pytest.approx(expect, rel=1e-12)
 
 
 def test_G_k_m_singular_on_graph():

@@ -4,7 +4,7 @@ import random
 import mpmath as mp
 import pytest
 
-from singmod import numerics
+from singmod import modular, numerics
 from singmod.numerics import PrecisionContext
 from singmod.quadforms import CMPoint, cm_point, enumerate_reduced
 from singmod.modular import (
@@ -178,6 +178,25 @@ def test_classpoly_certifies_against_an_error_bound(monkeypatch):
     assert classpoly(-23, CTX) == [12771880859375, -5151296875, 3491750, 1]
     assert len(bounds) == 4
     assert all(err > 0 for err in bounds)
+
+
+def test_classpoly_first_precision_from_the_forms(monkeypatch):
+    # the first pass is sized from sum over forms of pi sqrt|d| / a, not
+    # from h times the largest root; for d = -431 (h = 21) that is 544 bits
+    seen = []
+    inner = modular.recognize_with_retries
+
+    def spy(compute, ctx):
+        def counted(current):
+            seen.append(current.mantissa_bits)
+            return compute(current)
+        return inner(counted, ctx)
+
+    monkeypatch.setattr(modular, "recognize_with_retries", spy)
+    coeffs = classpoly(-431, CTX)
+    assert len(seen) == 1 and seen[0] < 600
+    monkeypatch.undo()
+    assert coeffs == classpoly(-431, PrecisionContext(mantissa_bits=2048))
 
 
 def test_classpoly_roots():
