@@ -37,11 +37,9 @@ from .quadforms import (
     Discriminant,
     QuadForm,
     cm_point,
-    compose,
     enumerate_reduced,
     inverse,
     project_class,
-    reduce_form,
 )
 from .modular import modpoly_eval
 
@@ -140,14 +138,12 @@ def common_order_discriminant(d1, d2) -> int:
     return math.lcm(d1.f, d2.f) ** 2 * d1.d_K
 
 
-def small_cm_cycle(d1, d2, base1: QuadForm | None = None,
-                   base2: QuadForm | None = None) -> CMCycle:
-    """Orbit of (z1, z2) under Cl(d') plus the conjugate branch.
+def small_cm_cycle(d1, d2) -> CMCycle:
+    """Orbit of the principal pair under Cl(d') plus the conjugate branch.
 
-    Base classes default to the principal ones.  sigma acts on coordinate i
-    through the projection Cl(d') -> Cl(d_i); the conjugate branch replaces
-    both classes by their inverses.  Coinciding pairs are merged with summed
-    multiplicities; group_order stays 2 h(d').
+    sigma acts on coordinate i through the projection Cl(d') -> Cl(d_i); the
+    conjugate branch replaces both classes by their inverses.  Coinciding
+    pairs are merged with summed multiplicities; group_order stays 2 h(d').
     """
     d1 = _as_disc(d1)
     d2 = _as_disc(d2)
@@ -156,10 +152,6 @@ def small_cm_cycle(d1, d2, base1: QuadForm | None = None,
             f"d1*d2 = {d1.d * d2.d} is not a perfect square; use big_cm_cycle")
     dp = common_order_discriminant(d1, d2)
     gp = enumerate_reduced(dp)
-    b1 = reduce_form(base1) if base1 is not None else enumerate_reduced(d1.d).identity
-    b2 = reduce_form(base2) if base2 is not None else enumerate_reduced(d2.d).identity
-    if b1.disc != d1.d or b2.disc != d2.d:
-        raise CycleError("base forms must match the cycle discriminants")
     counts: dict[tuple, CyclePair] = {}
 
     def add(f1: QuadForm, f2: QuadForm):
@@ -170,8 +162,8 @@ def small_cm_cycle(d1, d2, base1: QuadForm | None = None,
         counts[pair.key] = pair
 
     for sigma in gp.reduced_forms:
-        c1 = compose(project_class(sigma, d1), b1)
-        c2 = compose(project_class(sigma, d2), b2)
+        c1 = project_class(sigma, d1)
+        c2 = project_class(sigma, d2)
         add(c1, c2)
         add(inverse(c1), inverse(c2))
     pairs = tuple(counts[k] for k in sorted(counts))
@@ -179,10 +171,10 @@ def small_cm_cycle(d1, d2, base1: QuadForm | None = None,
                    group_order=2 * gp.h)
 
 
-def build_cycle(d1, d2, base1=None, base2=None) -> CMCycle:
+def build_cycle(d1, d2) -> CMCycle:
     """Dispatch on the square test; see big_cm_cycle and small_cm_cycle."""
     if cycle_case(d1, d2) == "small":
-        return small_cm_cycle(d1, d2, base1=base1, base2=base2)
+        return small_cm_cycle(d1, d2)
     return big_cm_cycle(d1, d2)
 
 

@@ -37,6 +37,7 @@ import mpmath as mp
 from .numerics import PrecisionContext, _q_int
 from .quadforms import CMPoint
 from .modular import (
+    cosh_dist,
     coset_apply,
     gamma_translates,
     hecke_cosets,
@@ -61,19 +62,6 @@ class TailBudgetError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # kernels
-
-
-def cosh_dist(z1, z2):
-    """cosh of the hyperbolic distance, 1 + |z1 - z2|^2 / (2 y1 y2).
-
-    Works on both native complex and mpmath mpc, preserving the input
-    precision.
-    """
-    x1, y1 = z1.real, z1.imag
-    x2, y2 = z2.real, z2.imag
-    if not (y1 > 0 and y2 > 0):
-        raise ValueError("points must lie in the upper half plane")
-    return 1 + ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (2 * y1 * y2)
 
 
 def _q_order(s) -> int | None:
@@ -155,7 +143,7 @@ def _as_complex(z) -> complex:
 def gamma_orbit(z1, z2, cosh_cut: float) -> tuple[tuple[int, int, int, int], ...]:
     """Group elements gamma with cosh d(z1, gamma z2) <= cosh_cut."""
     out = gamma_translates(_as_complex(z1), _as_complex(z2), cosh_cut)
-    return tuple(g for g, _, _ in out)
+    return tuple(g for g, _ in out)
 
 
 def g_s_truncated(s, z1, z2, gammas: Iterable[tuple[int, int, int, int]],
@@ -219,7 +207,7 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
         t_cut = t_start
         while True:
             if t_cut > t_enum:
-                chs = [ch for _, _, ch in gamma_translates(c1, c2, t_cut)]
+                chs = [ch for _, ch in gamma_translates(c1, c2, t_cut)]
                 chs.sort()
                 t_enum = t_cut
             n = bisect_right(chs, t_cut)

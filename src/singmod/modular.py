@@ -91,7 +91,10 @@ def j_q_coefficients(count: int) -> list[int]:
         return _jcoeffs[:count]
 
 
-def fd_reduce(z, max_steps: int = 10_000):
+_FD_MAX_STEPS = 10_000
+
+
+def fd_reduce(z):
     """Move z into the fundamental domain F; return (z', gamma) with z' = gamma z.
 
     z is a complex or anything mpmath reads as an mpc; the arithmetic stays
@@ -110,7 +113,7 @@ def fd_reduce(z, max_steps: int = 10_000):
     if not z.imag > 0:
         raise ValueError("fd_reduce needs a point in the upper half plane")
     a, b, c, d = 1, 0, 0, 1
-    for _ in range(max_steps):
+    for _ in range(_FD_MAX_STEPS):
         n = math.floor(z.real + 0.5)
         if n:
             z -= n
@@ -333,14 +336,21 @@ def classpoly(d: int, ctx: PrecisionContext) -> list[int]:
 # hyperbolic geometry on Y(1)
 
 
-def cosh_dist_raw(z1: complex, z2: complex) -> float:
+def cosh_dist(z1, z2):
+    """cosh of the hyperbolic distance, 1 + |z1 - z2|^2 / (2 y1 y2).
+
+    Works on both native complex and mpmath mpc, preserving the input
+    precision.
+    """
     x1, y1 = z1.real, z1.imag
     x2, y2 = z2.real, z2.imag
-    return 1.0 + ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (2.0 * y1 * y2)
+    if not (y1 > 0 and y2 > 0):
+        raise ValueError("points must lie in the upper half plane")
+    return 1 + ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (2 * y1 * y2)
 
 
 def gamma_translates(z1: complex, z2: complex, cosh_cut: float):
-    """All (gamma, gamma z2, cosh d(z1, gamma z2)) with cosh distance <= cosh_cut.
+    """All (gamma, cosh d(z1, gamma z2)) with cosh distance <= cosh_cut.
 
     Enumerates PSL2(Z) by coprime bottom row (c, d) (c > 0, or (0, 1)) and
     the residual translation; the bottom-row bound comes from the exact
@@ -377,7 +387,7 @@ def gamma_translates(z1: complex, z2: complex, cosh_cut: float):
             denom = complex(c * x2 + d, c * y2)
             w0 = (complex(a0 * x2 + b0, a0 * y2)) / denom if c else complex(x2 + b0, y2)
             yw = y2 / ((c * x2 + d) ** 2 + (c * y2) ** 2)
-            # cosh_dist_raw(z1, w) with the n-independent parts hoisted
+            # cosh_dist(z1, w0 + n) with the n-independent parts hoisted
             dy2 = (y1 - yw) ** 2
             den = 2.0 * y1 * yw
             rad = den * (cosh_cut - 1.0) - dy2
@@ -391,7 +401,7 @@ def gamma_translates(z1: complex, z2: complex, cosh_cut: float):
                 wx = wx0 + n
                 ch = 1.0 + ((x1 - wx) ** 2 + dy2) / den
                 if ch <= cosh_cut:
-                    append(((a0 + n * c, b0 + n * d, c, d), complex(wx, yw), ch))
+                    append(((a0 + n * c, b0 + n * d, c, d), ch))
     return out
 
 
@@ -399,8 +409,8 @@ def y1_cosh_distance(z1: complex, z2: complex) -> float:
     """cosh of the distance between the images of z1, z2 on Y(1)."""
     z1 = fd_reduce(complex(z1))[0]
     z2 = fd_reduce(complex(z2))[0]
-    best = cosh_dist_raw(z1, z2)
-    for _, _, ch in gamma_translates(z1, z2, best + 1e-12):
+    best = cosh_dist(z1, z2)
+    for _, ch in gamma_translates(z1, z2, best + 1e-12):
         if ch < best:
             best = ch
     return best

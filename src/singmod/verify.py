@@ -6,6 +6,12 @@ it is at least 2, compare its logarithm against the Green's-function lower
 bounds, factor it, and exhibit the smallest prime factor as the residue
 characteristic witnessing an m-isogeny between the reduced curves.
 
+Factoring is deterministic trial division.  By Gross-Zagier (On singular
+moduli, 1985) every prime dividing the norm of a coprime fundamental pair is
+at most m^2 |d1 d2| / 4, and verify_nonunit trial-divides up to
+max(10^6, m^2 |d1 d2|), so a cofactor left over marks a norm outside that
+theorem's reach or a wrong norm.
+
 A "zero" outcome (the modular polynomial vanishes somewhere on the cycle) is
 a legal result, not a failure; it is reported with the singular pair.
 Diagnostic cycles (big case with gcd(d1, d2) > 1) get their product computed
@@ -15,7 +21,6 @@ but no norm assertion.
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass, field
 
@@ -29,74 +34,9 @@ from .greens import G_ks_m, SingularityError, TailBudgetError, tm_count
 # integer factorization
 
 
-def _is_probable_prime(n: int, rounds: int = 24) -> bool:
-    """Miller-Rabin; deterministic below 3.3e24 via the first 13 prime bases."""
-    if n < 2:
-        return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for p in small:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    if n < 3_317_044_064_679_887_385_961_981:
-        bases = small
-    else:
-        rng = random.Random(n)
-        bases = tuple(rng.randrange(2, n - 1) for _ in range(rounds))
-    for a in bases:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _brent_rho(n: int, seed: int, deadline: float) -> int | None:
-    """Brent's cycle variant of Pollard rho; returns a nontrivial factor or None."""
-    rng = random.Random(seed)
-    while time.monotonic() < deadline:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m_batch = 128
-        g, r, q = 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m_batch, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m_batch
-                if time.monotonic() >= deadline:
-                    return None
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if 1 < g < n:
-            return g
-    return None
-
-
 @dataclass(frozen=True)
 class Factorization:
-    """prime-power factors plus an optional composite cofactor (1 if complete)."""
+    """prime-power factors plus an unfactored cofactor (1 if complete)."""
 
     factors: tuple[tuple[int, int], ...]
     cofactor: int
@@ -114,15 +54,17 @@ class Factorization:
     def __str__(self):
         parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors]
         if self.cofactor != 1:
-            parts.append(f"[composite {self.cofactor}]")
+            parts.append(f"[unfactored {self.cofactor}]")
         return " * ".join(parts) if parts else "1"
 
 
-def factor_norm(n: int, trial_bound: int = 10 ** 6,
-                rho_seconds: float = 10.0, seed: int = 1) -> Factorization:
-    """Factor n >= 2: trial division, then time-boxed Brent rho on cofactors.
+def factor_norm(n: int, trial_bound: int = 10 ** 6) -> Factorization:
+    """Factor n >= 2 by trial division up to trial_bound.
 
-    A leftover composite is legal output (reported as cofactor); the
+    Divides by 2 and by odd p up to min(isqrt(rest), trial_bound).  What is
+    left is prime when it is below p^2 for the next trial divisor p, since
+    every smaller prime has been divided out; otherwise it is returned as
+    the cofactor, which may itself be prime.  A cofactor is legal output: the
     non-unit verdict never depends on completing the factorization.
     """
     if n < 2:
@@ -135,26 +77,10 @@ def factor_norm(n: int, trial_bound: int = 10 ** 6,
             factors[p] = factors.get(p, 0) + 1
             rest //= p
         p += 1 if p == 2 else 2
-    deadline = time.monotonic() + rho_seconds
-    stack = [rest] if rest > 1 else []
-    cofactor = 1
-    while stack:
-        q = stack.pop()
-        if q == 1:
-            continue
-        if _is_probable_prime(q):
-            factors[q] = factors.get(q, 0) + 1
-            continue
-        root = math.isqrt(q)
-        if root * root == q:
-            stack.extend([root, root])
-            continue
-        g = _brent_rho(q, seed, deadline)
-        if g is None:
-            cofactor *= q
-            continue
-        stack.extend([g, q // g])
-    out = Factorization(factors=tuple(sorted(factors.items())), cofactor=cofactor)
+    if 1 < rest < p * p:
+        factors[rest] = 1
+        rest = 1
+    out = Factorization(factors=tuple(sorted(factors.items())), cofactor=rest)
     assert out.reassemble() == n
     return out
 
@@ -218,8 +144,7 @@ def _base_report(d1: int, d2: int, m: int) -> VerificationReport:
 
 
 def verify_nonunit(d1, d2, m: int, ctx: PrecisionContext,
-                   factor: bool = False,
-                   rho_seconds: float = 10.0) -> VerificationReport:
+                   factor: bool = False) -> VerificationReport:
     """Exact norm of the cycle product and the N >= 2 check.
 
     status "zero" with the singular pair identified is a legal outcome; in
@@ -240,8 +165,7 @@ def verify_nonunit(d1, d2, m: int, ctx: PrecisionContext,
         rep.status = "ok"
         if factor and n >= 2:
             trial = max(10 ** 6, abs(rep.d1 * rep.d2) * m * m)
-            rep.factorization = factor_norm(n, trial_bound=trial,
-                                            rho_seconds=rho_seconds)
+            rep.factorization = factor_norm(n, trial_bound=trial)
             if rep.factorization.factors:
                 rep.witness = rep.factorization.factors[0][0]
     except SingularCycleError as err:

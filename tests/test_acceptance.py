@@ -26,6 +26,7 @@ from singmod.modular import classpoly, coset_apply, hecke_cosets, j_eval, y1_dis
 from singmod.cmcycles import big_cm_cycle, cycle_log_norm, cycle_norm_integer
 from singmod.greens import G_k_m, gamma_orbit, g_s_truncated, graph_distance
 from singmod.verify import (
+    factor_norm,
     fundamental_discriminants,
     verify_chain,
     verify_lower_bound,
@@ -146,6 +147,18 @@ def test_criterion_4_nonunit_sweep():
             assert rep.non_unit, (rep.d1, rep.d2, rep.m, rep.norm)
             assert rep.norm >= 2
     assert elapsed < 600.0
+
+
+def test_criterion_4_norm_primes_within_gross_zagier_bound():
+    # every prime dividing N is at most m^2 |d1 d2| / 4 (Gross-Zagier), so
+    # trial division up to that bound factors N completely
+    reports, _ = sweep_results()
+    for rep in reports:
+        if rep.status != "ok":
+            continue
+        bound = rep.m * rep.m * abs(rep.d1 * rep.d2) // 4
+        f = factor_norm(rep.norm, trial_bound=bound)
+        assert f.complete, (rep.d1, rep.d2, rep.m, f.cofactor)
 
 
 # -- 5: epsilon-neighborhood lower bound ------------------------------------

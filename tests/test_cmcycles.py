@@ -6,7 +6,7 @@ import pytest
 
 from singmod import cmcycles
 from singmod.numerics import PrecisionContext
-from singmod.quadforms import QuadForm, enumerate_reduced
+from singmod.quadforms import enumerate_reduced
 from singmod.modular import classpoly
 from singmod.cmcycles import (
     CMCycle,
@@ -91,8 +91,6 @@ def test_small_cycle_structure():
     assert sum(p.multiplicity for p in cyc.pairs) == cyc.group_order
     with pytest.raises(CycleError):
         small_cm_cycle(-3, -4)
-    with pytest.raises(CycleError):
-        small_cm_cycle(-3, -12, base1=QuadForm(1, 0, 1))  # wrong discriminant
 
 
 def test_build_cycle_dispatch():

@@ -9,6 +9,7 @@ from singmod.numerics import PrecisionContext
 from singmod.quadforms import CMPoint, cm_point, enumerate_reduced
 from singmod.modular import (
     classpoly,
+    cosh_dist,
     coset_apply,
     fd_reduce,
     gamma_translates,
@@ -251,14 +252,14 @@ def test_gamma_translates_complete():
     # identity orbit point is always present
     z1, z2 = 0.3 + 1.1j, 0.2 + 1.4j
     out = gamma_translates(z1, z2, 10.0)
-    assert any(g == (1, 0, 0, 1) for g, _, _ in out)
-    for (a, b, c, d), w, ch in out:
+    assert any(g == (1, 0, 0, 1) for g, _ in out)
+    for (a, b, c, d), ch in out:
         assert a * d - b * c == 1
         assert ch <= 10.0 + 1e-9
-        expect = (a * z2 + b) / (c * z2 + d)
-        assert abs(w - expect) < 1e-9
+        w = (a * z2 + b) / (c * z2 + d)
+        assert ch == pytest.approx(cosh_dist(z1, w), rel=1e-12)
     # doubling the cutoff only adds elements
     bigger = gamma_translates(z1, z2, 20.0)
-    small_set = {g for g, _, _ in out}
-    big_set = {g for g, _, _ in bigger}
+    small_set = {g for g, _ in out}
+    big_set = {g for g, _ in bigger}
     assert small_set <= big_set

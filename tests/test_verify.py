@@ -7,7 +7,6 @@ from singmod.greens import TailBudgetError
 from singmod.numerics import PrecisionContext
 from singmod.verify import (
     Factorization,
-    _is_probable_prime,
     factor_norm,
     fundamental_discriminants,
     isogeny_witness,
@@ -20,13 +19,6 @@ from singmod.verify import (
 )
 
 CTX = PrecisionContext()
-
-
-def test_probable_prime():
-    primes = [2, 3, 5, 97, 7919, 2 ** 61 - 1, 2 ** 89 - 1]
-    composites = [1, 4, 561, 1729, 2 ** 67 - 1, 3215031751]
-    assert all(_is_probable_prime(p) for p in primes)
-    assert not any(_is_probable_prime(c) for c in composites)
 
 
 def test_factor_norm_examples():
@@ -42,15 +34,29 @@ def test_factor_norm_examples():
 
 
 def test_factor_norm_reassembles():
+    def is_prime(p):
+        return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
     for n in [2, 97, 1 << 40, 5103 ** 4, 10 ** 18 + 9, 2 ** 61 - 1]:
-        f = factor_norm(n, rho_seconds=5.0)
+        f = factor_norm(n)
         assert f.reassemble() == n
         if f.complete:
             prod = 1
             for p, e in f.factors:
-                assert _is_probable_prime(p)
+                assert is_prime(p)
                 prod *= p ** e
             assert prod == n
+
+
+def test_factor_norm_trial_division_rule():
+    # a leftover below the square of the next trial divisor is prime
+    f = factor_norm(999983 * 1000003)
+    assert f.complete and f.factors == ((999983, 1), (1000003, 1))
+    # above it the leftover stays a cofactor, prime or not
+    for n in (1000003 ** 2, 2 ** 61 - 1):
+        f = factor_norm(n)
+        assert f.factors == () and f.cofactor == n and not f.complete
+    assert "unfactored" in str(factor_norm(2 ** 61 - 1))
 
 
 def test_verify_nonunit_basic():
