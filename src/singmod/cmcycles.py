@@ -22,6 +22,10 @@ pre-estimated from a cheap low-precision pass, then integer-recognized with
 doubling retries.  A big cycle's product is n0^4, where n0 is the product
 over the grid at multiplicity 1 and is itself an integer (see
 cycle_norm_integer), so only n0 is certified, at a quarter of the bits.
+Inverting both classes sends (z1, z2) to (-conj z1, -conj z2), where |phi_m|
+is the same (phi_m has integer coefficients, j(-conj z) = conj j(z)) and so
+is G_k^m (z -> -conj z permutes the determinant-m matrices), so values are
+computed once per such orbit (conjugate_orbits).
 """
 
 from __future__ import annotations
@@ -178,6 +182,23 @@ def build_cycle(d1, d2) -> CMCycle:
     return big_cm_cycle(d1, d2)
 
 
+def conjugate_orbits(pairs) -> list[CyclePair]:
+    """One pair per orbit of (C1, C2) -> (C1^-1, C2^-1), sorted by key: the
+    pair of smaller key, with the orbit's summed multiplicity.  The first
+    zero in key order is an orbit's smaller key, so zeros are reported at
+    the same pair as over the unfolded cycle."""
+    orbits: dict[tuple, CyclePair] = {}
+    for pair in sorted(pairs, key=lambda p: p.key):
+        f1, f2 = inverse(pair.z1.form), inverse(pair.z2.form)
+        twin = orbits.get((f1.a, f1.b, f2.a, f2.b))
+        if twin is None:
+            orbits[pair.key] = pair
+        else:
+            orbits[twin.key] = replace(
+                twin, multiplicity=twin.multiplicity + pair.multiplicity)
+    return list(orbits.values())
+
+
 @dataclass(frozen=True)
 class CycleLogNorm:
     """Sum of multiplicity * log|phi_m| over the cycle, with an error bound.
@@ -197,8 +218,8 @@ def cycle_log_norm(cycle: CMCycle, m: int, ctx: PrecisionContext) -> CycleLogNor
     """Natural log of the cycle product of |phi_m(j(z1), j(z2))|.
 
     Raises SingularCycleError the moment a factor is numerically zero; the
-    iteration order is fixed (pairs sorted by form key) so sums are
-    bit-stable.  A value with relative error e < 1 has log error at most
+    iteration order is fixed (conjugate_orbits, sorted by form key) so sums
+    are bit-stable.  A value with relative error e < 1 has log error at most
     e / (1 - e); the rounding of each log and of the running sum is added
     on top.
     """
@@ -206,7 +227,7 @@ def cycle_log_norm(cycle: CMCycle, m: int, ctx: PrecisionContext) -> CycleLogNor
         ulp = mp.mpf(2) ** (1 - mp.mp.prec)
         total = mp.mpf(0)
         err = mp.mpf(0)
-        for pair in sorted(cycle.pairs, key=lambda p: p.key):
+        for pair in conjugate_orbits(cycle.pairs):
             v = modpoly_eval(m, pair.z1, pair.z2, ctx)
             if v.is_zero:
                 raise SingularCycleError(

@@ -6,7 +6,8 @@ additionally over the determinant-m Hecke cosets, and G_f takes the linear
 combination dictated by the principal part of a weakly holomorphic form.
 
 Lattice sums, for G_s and for each Hecke coset of G_k^m, run through one
-cutoff loop, _lattice_sums, truncated at a cosh-distance cutoff with an
+cutoff loop, _lattice_sums, over the cosh distances of cosh_translates,
+walked around the higher reduced point, truncated at a cutoff with an
 explicit tail bound: the orbit-point count up to cosh-distance T grows
 linearly in T, the kernel decays like t^(-s), so the tail is O(T^(1-s)).
 The count slope is calibrated on the enumerated terms and doubled for
@@ -38,7 +39,9 @@ from .numerics import PrecisionContext, _q_int
 from .quadforms import CMPoint
 from .modular import (
     cosh_dist,
+    cosh_translates,
     coset_apply,
+    fd_reduce,
     gamma_translates,
     hecke_cosets,
     modpoly_eval,
@@ -197,9 +200,14 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
     slowly decaying s = 3 set the enumeration that s = 5, 7 reuse.  Terms
     are summed in double precision with fsum; rounding noise is orders of
     magnitude below the certified tail for every reachable target.  The
-    result is aligned with ss.
+    result is aligned with ss.  G_s is Gamma-invariant in each variable and
+    symmetric, so cosh_translates walks around the higher of the two reduced
+    points, where its row count (~ T / Im of the centre) is least.
     """
     t_start = max(8.0, 2.0 * cosh_dist(c1, c2))
+    centre, other = fd_reduce(c1)[0], fd_reduce(c2)[0]
+    if other.imag > centre.imag:
+        centre, other = other, centre
     t_enum = 0.0
     chs: list[float] = []
     out = {}
@@ -207,7 +215,7 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
         t_cut = t_start
         while True:
             if t_cut > t_enum:
-                chs = [ch for _, ch in gamma_translates(c1, c2, t_cut)]
+                chs = cosh_translates(centre, other, t_cut)
                 chs.sort()
                 t_enum = t_cut
             n = bisect_right(chs, t_cut)

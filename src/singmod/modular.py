@@ -29,7 +29,7 @@ from .numerics import (
     recognize_with_retries,
     arccosh,
 )
-from .quadforms import CMPoint, _xgcd, cm_point, enumerate_reduced, reduce_form
+from .quadforms import CMPoint, cm_point, enumerate_reduced, reduce_form
 
 _FOUR_PI = 4 * math.pi
 
@@ -37,7 +37,8 @@ _jcoeff_lock = threading.Lock()
 _jcoeffs: list[int] = []  # c_{-1}, c_0, c_1, ... with c_{-1} = 1, c_0 = 744
 
 _jvalue_lock = threading.Lock()
-_jvalue_cache: dict[tuple[int, int, int, int], mp.mpf] = {}
+# reduced (a, b, d) -> (prec, j at prec bits), serving any prec up to its own
+_jvalue_cache: dict[tuple[int, int, int], tuple[int, mp.mpc]] = {}
 
 
 def _series_mul(a: list[int], b: list[int], n: int) -> list[int]:
@@ -153,14 +154,15 @@ def _j_from_q(q, n_terms: int):
 
 
 def j_eval(z, ctx: PrecisionContext):
-    """j(z) for a CMPoint (exact path, cached) or any upper-half-plane number."""
+    """j(z) for a CMPoint (exact path, cached per point at the highest
+    precision asked so far) or any upper-half-plane number."""
     prec = ctx.mantissa_bits + GUARD_BITS
     if isinstance(z, CMPoint):
         red = reduce_form(z.form)
-        key = (red.a, red.b, z.d, prec)
+        key = (red.a, red.b, z.d)
         with _jvalue_lock:
-            if key in _jvalue_cache:
-                return _jvalue_cache[key]
+            if _jvalue_cache.get(key, (0,))[0] >= prec:
+                return _jvalue_cache[key][1]
         with mp.workprec(prec):
             zz = CMPoint(red.a, red.b, z.d).mpc(mp)
             lam = 2 * math.pi * float(mp.im(zz))
@@ -170,7 +172,8 @@ def j_eval(z, ctx: PrecisionContext):
             # CM values are real algebraic integers only for h=1; keep complex
             value = mp.mpc(value)
         with _jvalue_lock:
-            _jvalue_cache[key] = value
+            if _jvalue_cache.get(key, (0,))[0] < prec:
+                _jvalue_cache[key] = (prec, value)
         return value
     with mp.workprec(prec):
         zz, _ = fd_reduce(mp.mpc(z))
@@ -349,59 +352,69 @@ def cosh_dist(z1, z2):
     return 1 + ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (2 * y1 * y2)
 
 
-def gamma_translates(z1: complex, z2: complex, cosh_cut: float):
-    """All (gamma, cosh d(z1, gamma z2)) with cosh distance <= cosh_cut.
+def _bottom_rows(z1: complex, z2: complex, cosh_cut: float):
+    """Yield (c, d, a0, wx0, dy2, den, n_lo, n_hi) per coprime bottom row
+    (c, d) of PSL2(Z), c > 0 or (0, 1), that can come within cosh_cut.
 
-    Enumerates PSL2(Z) by coprime bottom row (c, d) (c > 0, or (0, 1)) and
-    the residual translation; the bottom-row bound comes from the exact
-    inequality cosh d >= (y1^2 + yw^2) / (2 y1 yw) with yw = y2 / |c z2 + d|^2.
+    gamma_n = (a0 + n c, b0 + n d; c, d), a0 = d^-1 mod c, has Re gamma_n z2
+    = wx0 + n, wx0 = a0/c - (c x2 + d)/(c |c z2 + d|^2): no xgcd, no complex
+    division.  cosh d(z1, gamma_n z2) = 1 + ((x1 - wx0 - n)^2 + dy2) / den
+    <= cosh_cut only for n_lo <= n <= n_hi; rows need y1/yw + yw/y1 <= 2 T.
     """
     x1, y1 = z1.real, z1.imag
     x2, y2 = z2.real, z2.imag
     if y1 <= 0 or y2 <= 0:
         raise ValueError("points must lie in the upper half plane")
-    out = []
-    append = out.append
-    y_low = y1 / (cosh_cut + math.sqrt(max(cosh_cut * cosh_cut - 1.0, 0.0)))
-    # |c z2 + d|^2 <= y2 / y_low
-    cap = y2 / y_low
-    c_max = int(math.floor(math.sqrt(cap) / y2)) if cap > 0 else 0
-    for c in range(0, c_max + 1):
-        if c == 0:
-            d_candidates = [1]
-        else:
-            slack = cap - c * c * y2 * y2
-            if slack < 0:
+    # |c z2 + d|^2 <= cap = y2 / (least reachable Im)
+    cap = y2 * (cosh_cut + math.sqrt(max(cosh_cut * cosh_cut - 1.0, 0.0))) / y1
+    cut1 = cosh_cut - 1.0
+    gcd, sqrt, ceil, floor = math.gcd, math.sqrt, math.ceil, math.floor
+    for c in range(int(sqrt(cap) / y2) + 1):
+        cy2sq = (c * y2) ** 2
+        if cap < cy2sq:
+            continue
+        r = sqrt(cap - cy2sq)
+        for d in range(ceil(-c * x2 - r), floor(-c * x2 + r) + 1) if c else (1,):
+            if c and gcd(c, d) != 1:
                 continue
-            r = math.sqrt(slack)
-            lo = int(math.ceil(-c * x2 - r))
-            hi = int(math.floor(-c * x2 + r))
-            d_candidates = [d for d in range(lo, hi + 1) if math.gcd(c, d) == 1]
-        for d in d_candidates:
-            if c == 0:
-                a0, b0 = 1, 0
-            else:
-                g, u, v = _xgcd(c, d)
-                # a d - b c = 1 with bottom row (c, d)
-                a0, b0 = v, -u
-            denom = complex(c * x2 + d, c * y2)
-            w0 = (complex(a0 * x2 + b0, a0 * y2)) / denom if c else complex(x2 + b0, y2)
-            yw = y2 / ((c * x2 + d) ** 2 + (c * y2) ** 2)
-            # cosh_dist(z1, w0 + n) with the n-independent parts hoisted
+            q = c * x2 + d
+            norm = q * q + cy2sq
+            yw = y2 / norm
             dy2 = (y1 - yw) ** 2
             den = 2.0 * y1 * yw
-            rad = den * (cosh_cut - 1.0) - dy2
+            rad = den * cut1 - dy2
             if rad < 0:
                 continue
-            r = math.sqrt(rad)
-            wx0 = w0.real
-            n_lo = int(math.ceil(x1 - wx0 - r))
-            n_hi = int(math.floor(x1 - wx0 + r))
-            for n in range(n_lo, n_hi + 1):
-                wx = wx0 + n
-                ch = 1.0 + ((x1 - wx) ** 2 + dy2) / den
-                if ch <= cosh_cut:
-                    append(((a0 + n * c, b0 + n * d, c, d), ch))
+            a0 = pow(d, -1, c) if c else 1
+            wx0 = a0 / c - q / (c * norm) if c else x2
+            r = sqrt(rad)
+            yield c, d, a0, wx0, dy2, den, ceil(x1 - wx0 - r), floor(x1 - wx0 + r)
+
+
+def gamma_translates(z1: complex, z2: complex, cosh_cut: float):
+    """All (gamma, cosh d(z1, gamma z2)) with cosh distance <= cosh_cut."""
+    x1 = z1.real
+    out = []
+    for c, d, a0, wx0, dy2, den, n_lo, n_hi in _bottom_rows(z1, z2, cosh_cut):
+        b0 = (a0 * d - 1) // c if c else 0
+        for n in range(n_lo, n_hi + 1):
+            ch = 1.0 + ((x1 - wx0 - n) ** 2 + dy2) / den
+            if ch <= cosh_cut:
+                out.append(((a0 + n * c, b0 + n * d, c, d), ch))
+    return out
+
+
+def cosh_translates(z1: complex, z2: complex, cosh_cut: float) -> list[float]:
+    """The distances of gamma_translates alone, unsorted."""
+    x1 = z1.real
+    out = []
+    append = out.append
+    for _, _, _, wx0, dy2, den, n_lo, n_hi in _bottom_rows(z1, z2, cosh_cut):
+        base = x1 - wx0
+        for n in range(n_lo, n_hi + 1):
+            ch = 1.0 + ((base - n) ** 2 + dy2) / den
+            if ch <= cosh_cut:
+                append(ch)
     return out
 
 
@@ -410,10 +423,7 @@ def y1_cosh_distance(z1: complex, z2: complex) -> float:
     z1 = fd_reduce(complex(z1))[0]
     z2 = fd_reduce(complex(z2))[0]
     best = cosh_dist(z1, z2)
-    for _, ch in gamma_translates(z1, z2, best + 1e-12):
-        if ch < best:
-            best = ch
-    return best
+    return min([best] + cosh_translates(z1, z2, best + 1e-12))
 
 
 def y1_distance(z1, z2) -> float:

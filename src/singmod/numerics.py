@@ -3,16 +3,16 @@
 Everything downstream (j-values, lattice sums, norm products) runs on mpmath
 at a precision carried by a PrecisionContext.  The Legendre function of the
 second kind at integer order n has one route, _q_int: the upward three-term
-recurrence from Q_0(t) = artanh(1/t), and for double-precision arguments
-t >= 2 the descending series t^(-(n+1)) sum_j a_j u^j in u = 1/t^2, cut at
-a fixed degree J per t-band (t >= 64, 16, 4, 2) and evaluated by Horner.
-All terms are positive, so the remainder is at most
-a_(J+1) u^(J+1) / (1 - rho u) with rho the largest later term ratio (above
-1 for small j once n >= 3); each band's J is the least one putting this
-below 2^-53 times the sum at the band's lower edge.  legendre_Q_closed
-evaluates the route at odd orders k - 1, k in {1, 3, 5, 7}, at the context
-precision.  Its oracle is legendre_Q_num, direct quadrature of the integral
-representation
+recurrence from Q_0(t) = artanh(1/t); for double-precision arguments, the
+backward (Miller) recurrence below t = 2 away from t = 1, and at t >= 2 the
+descending series t^(-(n+1)) sum_j a_j u^j in u = 1/t^2, cut at a fixed
+degree J per t-band (t >= 64, 16, 4, 2) and evaluated by Horner.  All terms
+are positive, so the remainder is at most a_(J+1) u^(J+1) / (1 - rho u)
+with rho the largest later term ratio (above 1 for small j once n >= 3);
+each band's J is the least one putting this below 2^-53 times the sum at
+the band's lower edge.  legendre_Q_closed evaluates the route at odd orders
+k - 1, k in {1, 3, 5, 7}, at the context precision.  Its oracle is
+legendre_Q_num, direct quadrature of the integral representation
 
     Q_{s-1}(t) = int_0^oo (t + sqrt(t^2-1) cosh v)^(-s) dv,  t > 1.
 
@@ -140,16 +140,33 @@ def _q_horner_bands(n: int) -> tuple[tuple[float, tuple[float, ...]], ...]:
     return bands
 
 
+def _q_backward(n: int, t: float, xi: float, q0: float) -> float:
+    """Q_n(t), n >= 1, by Miller's backward recurrence, normalised by q0 = Q_0.
+
+    Downward, Q is the dominant solution; starting from (0, 1) at (N + 1, N)
+    admixes P at relative weight ~e^(-2 (N + 1 - n) xi) at n, xi = arccosh t,
+    so N = n + 20/xi + 2 puts it below e^-40.
+    """
+    later, q = 0.0, 1.0
+    for j in range(n + int(20.0 / xi) + 2, n, -1):
+        later, q = q, ((2 * j + 1) * t * q - (j + 1) * later) / j
+    qn = q
+    for j in range(n, 0, -1):
+        later, q = q, ((2 * j + 1) * t * q - (j + 1) * later) / j
+    return qn * q0 / q
+
+
 def _q_int(n: int, t):
     """Legendre Q_n(t) for integer n >= 0, t > 1; type follows t.
 
-    The upward three-term recurrence cancels catastrophically in double
-    precision once t is large (t * Q_0 - 1 loses all significant bits), so
-    the float path switches at t >= 2 to the descending series in u = 1/t^2,
-    cut at a fixed degree per t-band and evaluated by Horner (see
-    _q_horner_bands for the remainder bound, at most 2^-53 relative); the
-    mpf path keeps the recurrence, whose bit loss is negligible against the
-    extended mantissa at the moderate t reached there.
+    The upward three-term recurrence amplifies the rounding of Q_0 about
+    e^((2n+1) xi) times in the recessive Q_n, xi = arccosh t.  So in float,
+    t >= 2 takes the descending series in u = 1/t^2, cut at a fixed degree
+    per t-band and evaluated by Horner (see _q_horner_bands for the
+    remainder bound, at most 2^-53 relative); below, the upward recurrence
+    stays where (2n + 1) xi <= 2, near t = 1, and _q_backward runs elsewhere.
+    The mpf path keeps the upward recurrence, whose bit loss is negligible
+    against the extended mantissa at the moderate t reached there.
     """
     if not isinstance(t, mp.mpf):
         if t >= 2.0:
@@ -162,6 +179,9 @@ def _q_int(n: int, t):
                 p = p * u + a
             return p * t ** -(n + 1)
         q0 = math.log((t + 1) / (t - 1)) / 2
+        xi = math.acosh(t)
+        if n and (2 * n + 1) * xi > 2.0:
+            return _q_backward(n, t, xi, q0)
     else:
         q0 = mp.log((t + 1) / (t - 1)) / 2
     if n == 0:

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 from .numerics import PrecisionContext, PrecisionError, legendre_Q_closed, mk_constant
 from .quadforms import Discriminant, QuadFormError
-from .cmcycles import SingularCycleError, build_cycle, cycle_norm_integer
+from .cmcycles import (SingularCycleError, build_cycle, conjugate_orbits,
+                       cycle_norm_integer)
 from .greens import G_ks_m, SingularityError, TailBudgetError, tm_count
 
 
@@ -182,12 +183,14 @@ def verify_nonunit(d1, d2, m: int, ctx: PrecisionContext,
 def isogeny_witness(d1, d2, m: int, ctx: PrecisionContext) -> int | None:
     """Smallest prime dividing the norm: a residue characteristic at which
     the reductions of the two CM curves admit an m-isogeny.  None only when
-    the value is zero."""
+    the value is zero; ValueError when no prime factor was found."""
     rep = verify_nonunit(d1, d2, m, ctx, factor=True)
     if rep.status == "zero":
         return None
     if rep.status != "ok":
         raise PrecisionError(rep.error or "verification failed")
+    if rep.witness is None:
+        raise ValueError(f"no prime factor found in the norm {rep.norm}")
     return rep.witness
 
 
@@ -228,9 +231,9 @@ def verify_chain(d1, d2, m: int, ctx: PrecisionContext,
     """2 log N >= m_k * (-G_k^m(Z(W))) for k in {3, 5, 7}.
 
     -G_k^m over the cycle is summed from truncated lattice sums, all k of a
-    pair from one orbit enumeration per Hecke coset (G_ks_m); the omitted
-    tails are added on the right so the inequality tested is an upper bound
-    of the true one.
+    pair from one orbit enumeration per Hecke coset (G_ks_m), once per
+    conjugate_orbits orbit; the omitted tails are added on the right so the
+    inequality tested is an upper bound of the true one.
     """
     base = report or verify_nonunit(d1, d2, m, ctx)
     if base.status != "ok":
@@ -238,7 +241,7 @@ def verify_chain(d1, d2, m: int, ctx: PrecisionContext,
             f"chain bound undefined: status {base.status} ({base.error})")
     cycle = build_cycle(base.d1, base.d2)
     neg = [0.0] * len(ks)
-    for pair in cycle.pairs:
+    for pair in conjugate_orbits(cycle.pairs):
         parts = G_ks_m(ks, m, pair.z1, pair.z2, ctx, tail_target=tail_target)
         for i, part in enumerate(parts):
             neg[i] += pair.multiplicity * (-part.value + part.tail_bound)

@@ -6,7 +6,7 @@ import pytest
 
 from singmod import cmcycles
 from singmod.numerics import PrecisionContext
-from singmod.quadforms import enumerate_reduced
+from singmod.quadforms import enumerate_reduced, inverse
 from singmod.modular import classpoly
 from singmod.cmcycles import (
     CMCycle,
@@ -15,6 +15,7 @@ from singmod.cmcycles import (
     big_cm_cycle,
     build_cycle,
     common_order_discriminant,
+    conjugate_orbits,
     cycle_case,
     cycle_log_norm,
     cycle_norm_integer,
@@ -191,3 +192,35 @@ def test_big_cycle_certified_at_a_quarter_of_the_bits(monkeypatch):
     monkeypatch.setattr(cmcycles, "modpoly_eval", recording)
     n = cycle_norm_integer(big_cm_cycle(-23, -24), 4, CTX)
     assert max(seen) <= n.bit_length() // 4 + 64 + 16
+
+
+def _inverse_key(pair):
+    f1, f2 = inverse(pair.z1.form), inverse(pair.z2.form)
+    return (f1.a, f1.b, f2.a, f2.b)
+
+
+@pytest.mark.parametrize("cycle", [
+    big_cm_cycle(-23, -31), big_cm_cycle(-15, -23), big_cm_cycle(-3, -15),
+    small_cm_cycle(-23, -23), small_cm_cycle(-15, -60), small_cm_cycle(-3, -12),
+], ids=lambda c: f"{c.kind}{c.d1.d}{c.d2.d}")
+def test_conjugate_orbits_fold_inverse_pairs(cycle):
+    orbits = conjugate_orbits(cycle.pairs)
+    keys = [p.key for p in orbits]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert (sum(p.multiplicity for p in orbits)
+            == sum(p.multiplicity for p in cycle.pairs))
+    # every pair and its inverse land in one orbit, named by the smaller key
+    present = {p.key: p for p in cycle.pairs}
+    by_key = {p.key: p for p in orbits}
+    for pair in cycle.pairs:
+        twin = _inverse_key(pair)
+        rep = min(pair.key, twin) if twin in present else pair.key
+        assert rep in by_key
+        members = {pair.key, twin} if twin in present else {pair.key}
+        assert by_key[rep].multiplicity == sum(present[k].multiplicity for k in members)
+
+
+def test_conjugate_orbits_count():
+    # Cl(-23) x Cl(-31), both cyclic of order 3: (1, 1), (1, x), (x, 1),
+    # (x, y) and (x, y^-1) up to inversion
+    assert len(conjugate_orbits(big_cm_cycle(-23, -31).pairs)) == 5

@@ -73,6 +73,19 @@ def test_G_s_sum_symmetry_and_invariance():
             a.value, abs=a.tail_bound + other.tail_bound)
 
 
+def test_G_s_sum_symmetric_from_either_point():
+    # the walk is centred at the higher reduced point; swapping the points or
+    # moving the lower one by the group must not change the sum beyond tails
+    low, high = 0.31 + 0.17j, -0.12 + 1.9j
+    for s in (3, 5):
+        a = G_s_sum(s, low, high, CTX, tail_target=1e-6)
+        b = G_s_sum(s, high, low, CTX, tail_target=1e-6)
+        assert a.value == pytest.approx(b.value, abs=a.tail_bound + b.tail_bound)
+        moved = (2 * low + 1) / (low + 1)  # gamma = (2, 1; 1, 1)
+        c = G_s_sum(s, moved, high, CTX, tail_target=1e-6)
+        assert c.value == pytest.approx(a.value, abs=a.tail_bound + c.tail_bound)
+
+
 def test_G_s_sum_tail_honest_under_doubling():
     coarse = G_s_sum(3, Z1, Z2, CTX, tail_target=1e-4)
     fine = G_s_sum(3, Z1, Z2, CTX, tail_target=1e-8)

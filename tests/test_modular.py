@@ -10,6 +10,7 @@ from singmod.quadforms import CMPoint, cm_point, enumerate_reduced
 from singmod.modular import (
     classpoly,
     cosh_dist,
+    cosh_translates,
     coset_apply,
     fd_reduce,
     gamma_translates,
@@ -263,3 +264,32 @@ def test_gamma_translates_complete():
     small_set = {g for g, _ in out}
     big_set = {g for g, _ in bigger}
     assert small_set <= big_set
+
+
+def test_cosh_translates_match_gamma_translates():
+    # the distances-only consumer of the walk returns the same multiset
+    rng = random.Random(41)
+    for _ in range(40):
+        z1 = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.2, 3.0))
+        z2 = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.2, 3.0))
+        cut = rng.uniform(1.5, 60.0)
+        got = sorted(cosh_translates(z1, z2, cut))
+        want = sorted(ch for _, ch in gamma_translates(z1, z2, cut))
+        assert len(got) == len(want) and want
+        for a, b in zip(got, want):
+            assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_j_value_cache_keyed_by_point():
+    # one entry per point, answering any precision at or below its own;
+    # a higher precision replaces it
+    point = CMPoint(1, 1, -163)
+    key = (1, 1, -163)
+    low, high = PrecisionContext(mantissa_bits=128), PrecisionContext(mantissa_bits=320)
+    modular._jvalue_cache.pop(key, None)
+    first = j_eval(point, high)
+    assert modular._jvalue_cache[key][0] == 320 + numerics.GUARD_BITS
+    assert j_eval(point, low) is first
+    assert j_eval(point, CTX.with_bits(640)) is not first
+    assert modular._jvalue_cache[key][0] == 640 + numerics.GUARD_BITS
+    assert all(len(k) == 3 for k in modular._jvalue_cache)  # no precision in keys

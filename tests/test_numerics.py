@@ -66,19 +66,21 @@ def test_Q_closed_vs_quadrature():
 
 
 def test_Q_float_route_vs_quadrature():
-    # the double-precision path the lattice sums run on: the recurrence
-    # below t = 2, held to 1e-9; from t = 2 on, the banded Horner series at
-    # each band edge and just either side of it, held to 1e-13.  The oracle
-    # needs a far smaller absolute tail than Q_6(1e4) ~ 1e-31.
+    # the double-precision path the lattice sums run on: below t = 2 the
+    # upward recurrence near t = 1 and the backward recurrence elsewhere;
+    # from t = 2 on, the banded Horner series at each band edge and just
+    # either side of it; all held to 1e-13.  The oracle needs a far smaller
+    # absolute tail than Q_6(1e4) ~ 1e-31.
     oracle = PrecisionContext(series_tail_bound=1e-60)
-    ts = [1.01, 1.5, 1.9, 2.0 - 1e-9, 2.0, 2.0 + 1e-9, 3.0, 10.0, 1000.0, 1e4]
+    ts = [1.01, 1.1, 1.3, 1.5, 1.7, 1.9, 2.0 - 1e-9, 2.0, 2.0 + 1e-9, 3.0,
+          10.0, 1000.0, 1e4]
     for edge in (4.0, 16.0, 64.0):
         ts += [edge - 1e-9, edge, edge + 1e-9]
     for n in range(7):
         for t in ts:
             a = _q_int(n, t)
             b = legendre_Q_num(n + 1, t, oracle)
-            assert abs(a - b) <= (1e-13 if t >= 2.0 else 1e-9) * abs(b)
+            assert abs(a - b) <= 1e-13 * abs(b)
 
 
 def test_Q_positive_decreasing():

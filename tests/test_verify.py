@@ -3,7 +3,8 @@ import math
 import pytest
 
 from singmod import verify
-from singmod.greens import TailBudgetError
+from singmod.cmcycles import build_cycle
+from singmod.greens import G_ks_m, TailBudgetError
 from singmod.numerics import PrecisionContext
 from singmod.verify import (
     Factorization,
@@ -100,6 +101,14 @@ def test_isogeny_witness():
     assert isogeny_witness(-4, -4, 2, CTX) is None  # zero value: no witness
 
 
+def test_isogeny_witness_raises_without_a_prime(monkeypatch):
+    # a norm whose trial division finds no prime is not a zero: no silent None
+    monkeypatch.setattr(verify, "factor_norm",
+                        lambda n, trial_bound=0: Factorization((), 2 ** 61 - 1))
+    with pytest.raises(ValueError, match="no prime factor"):
+        isogeny_witness(-4, -7, 1, CTX)
+
+
 def test_verify_lower_bound():
     rep = verify_nonunit(-3, -4, 1, CTX)
     for eps in (0.25, 1.0, 4.0):
@@ -124,6 +133,33 @@ def test_verify_chain():
         assert b.neg_gkm > 0  # each Green's value is negative off the graph
         assert b.bound == pytest.approx(b.mk * b.neg_gkm)
     assert rep.chain == bounds and rep.all_passed
+
+
+def test_verify_chain_folding_matches_every_pair():
+    # each conjugate pair is evaluated once; summing every pair of the
+    # unfolded cycle gives the same bound within the tails
+    d1, d2, m, tail = -15, -23, 2, 1e-3
+    rep = verify_nonunit(d1, d2, m, CTX)
+    bounds = verify_chain(d1, d2, m, CTX, tail_target=tail, report=rep)
+    neg = [0.0, 0.0, 0.0]
+    slack = [0.0, 0.0, 0.0]
+    for pair in build_cycle(d1, d2).pairs:
+        for i, part in enumerate(G_ks_m((3, 5, 7), m, pair.z1, pair.z2, CTX,
+                                        tail_target=tail)):
+            neg[i] += pair.multiplicity * (-part.value + part.tail_bound)
+            slack[i] += pair.multiplicity * part.tail_bound
+    for b, want, tol in zip(bounds, neg, slack):
+        assert b.neg_gkm == pytest.approx(want, abs=tol)
+
+
+@pytest.mark.parametrize("d1, d2, m, pair", [
+    (-11, -11, 1, (1, 1, 1, 1)),
+    (-23, -23, 1, (1, 1, 1, 1)),
+    (-4, -4, 2, (1, 0, 1, 0)),
+])
+def test_zero_reported_at_the_first_singular_pair(d1, d2, m, pair):
+    rep = verify_nonunit(d1, d2, m, CTX)
+    assert rep.status == "zero" and rep.singular_pair == pair
 
 
 def test_fundamental_discriminants():
