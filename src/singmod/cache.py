@@ -36,7 +36,7 @@ def load_ints(cache_dir: str, key: str) -> list[int] | None:
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
-    except OSError:
+    except (OSError, UnicodeDecodeError):
         return None
     if len(lines) < 3:
         return None

@@ -17,11 +17,11 @@ whether d1*d2 is a perfect square:
     projection maps, plus the complex-conjugate branch, which inverts both
     classes.
 
-Norms are assembled as products of per-pair modular values at a precision
-pre-estimated from a cheap low-precision pass, then integer-recognized with
-doubling retries.  A big cycle's product is n0^4, where n0 is the product
-over the grid at multiplicity 1 and is itself an integer (see
-cycle_norm_integer), so only n0 is certified, at a quarter of the bits.
+Norms are assembled as products of per-pair modular values and certified
+by recognize_with_retries from the context's precision up, which sizes any
+retry.  A big cycle's product is n0^4, where n0 is the product over the
+grid at multiplicity 1 and is itself an integer (see cycle_norm_integer),
+so only n0 is certified, at a quarter of the bits.
 Inverting both classes sends (z1, z2) to (-conj z1, -conj z2), where |phi_m|
 is the same (phi_m has integer coefficients, j(-conj z) = conj j(z)) and so
 is G_k^m (z -> -conj z permutes the determinant-m matrices), so values are
@@ -243,26 +243,6 @@ def cycle_log_norm(cycle: CMCycle, m: int, ctx: PrecisionContext) -> CycleLogNor
         return CycleLogNorm(value=total, error_bound=err)
 
 
-def _certified_norm(cycle: CMCycle, m: int, ctx: PrecisionContext) -> int:
-    """|product over the cycle of phi_m|, certified as an integer.
-
-    A low-precision pass estimates the bit size of the result; the product
-    is then recomputed with that many mantissa bits plus guard and
-    certified by recognize_with_retries against its propagated error.
-    """
-    probe = cycle_log_norm(cycle, m, ctx.with_bits(96))
-    bits = max(int(float(probe.value) / math.log(2)) + 64, ctx.mantissa_bits)
-
-    def compute(current):
-        log_norm = cycle_log_norm(cycle, m, current)
-        with current.workprec():
-            value = mp.exp(log_norm.value)
-            # |e^(L + t) - e^L| <= e^L (e^|t| - 1) for |t| <= error_bound
-            return [(value, value * mp.expm1(log_norm.error_bound))]
-
-    return recognize_with_retries(compute, ctx.with_bits(bits))[0]
-
-
 def cycle_norm_integer(cycle: CMCycle, m: int, ctx: PrecisionContext) -> int:
     """The exact integer |product over the cycle of phi_m|.
 
@@ -278,12 +258,21 @@ def cycle_norm_integer(cycle: CMCycle, m: int, ctx: PrecisionContext) -> int:
     Gal(Qbar/Q) permutes the grid.  The grid product is therefore rational,
     and it is an algebraic integer because phi_m lies in Z[X, Y] and
     j-values are algebraic integers.  So n0 is certified at multiplicity 1,
-    at log2(n0) + 64 bits (floored at ctx.mantissa_bits), and n0^4 is
-    returned exactly.
+    from ctx.mantissa_bits up (recognize_with_retries sizes any retry from
+    the shortfall), and n0^4 is returned exactly.
     """
-    if cycle.kind == "small":
-        return _certified_norm(cycle, m, ctx)
-    grid = replace(
-        cycle, pairs=tuple(CyclePair(p.z1, p.z2, 1) for p in cycle.pairs),
-        group_order=cycle.group_order // BIG_MULTIPLICITY)
-    return _certified_norm(grid, m, ctx) ** BIG_MULTIPLICITY
+    power = 1
+    if cycle.kind != "small":
+        power = BIG_MULTIPLICITY
+        cycle = replace(
+            cycle, pairs=tuple(CyclePair(p.z1, p.z2, 1) for p in cycle.pairs),
+            group_order=cycle.group_order // BIG_MULTIPLICITY)
+
+    def compute(current):
+        log_norm = cycle_log_norm(cycle, m, current)
+        with current.workprec():
+            value = mp.exp(log_norm.value)
+            # |e^(L + t) - e^L| <= e^L (e^|t| - 1) for |t| <= error_bound
+            return [(value, value * mp.expm1(log_norm.error_bound))]
+
+    return recognize_with_retries(compute, ctx)[0] ** power

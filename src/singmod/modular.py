@@ -305,8 +305,8 @@ def classpoly(d: int, ctx: PrecisionContext) -> list[int]:
     imaginary part of c_k is added to the bound.  The initial precision is
     pre-estimated from log2 prod |j(z_form)| ~ sum over forms of
     pi sqrt(|d|) / (a ln 2), since |j(z)| ~ e^(2 pi Im z) and
-    Im z_form = sqrt(|d|) / (2a), plus guard bits; the retry loop still
-    doubles if that falls short.
+    Im z_form = sqrt(|d|) / (2a), plus guard bits; recognize_with_retries
+    sizes the retry if that falls short.
     """
     group = enumerate_reduced(d)
     h = group.h

@@ -16,8 +16,8 @@ legendre_Q_num, direct quadrature of the integral representation
 
     Q_{s-1}(t) = int_0^oo (t + sqrt(t^2-1) cosh v)^(-s) dv,  t > 1.
 
-Integers are certified by one loop, recognize_with_retries, which doubles
-the precision until every value of a computation is recognized.
+Integers are certified by one loop, recognize_with_retries, which sizes
+each retry from the bits the failed attempt lacked.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ import mpmath as mp
 
 # extra working bits on top of the context's mantissa, absorbs rounding noise
 GUARD_BITS = 16
+# retries recognize_with_retries makes before giving up
+MAX_RETRIES = 4
 
 
 class PrecisionError(Exception):
@@ -40,7 +42,12 @@ class PrecisionError(Exception):
 
 
 class IntegerRecognitionError(PrecisionError):
-    """A real value is too far from every integer at the current precision."""
+    """A real value is too far from every integer at the current precision;
+    short_bits is how many bits its error budget lacked (inf if unbounded)."""
+
+    def __init__(self, message, residual=None, short_bits=math.inf):
+        super().__init__(message, residual=residual)
+        self.short_bits = short_bits
 
 
 @dataclass(frozen=True)
@@ -50,13 +57,11 @@ class PrecisionContext:
     mantissa_bits      -- mpmath working mantissa (>= 64)
     integer_tolerance  -- max distance to the nearest integer, scaled by
                           sqrt(|x|) for large x and never above 1/2
-    max_retries        -- how many precision doublings before giving up
     series_tail_bound  -- absolute truncation budget per series/integral
     """
 
     mantissa_bits: int = 256
     integer_tolerance: float = 1e-9
-    max_retries: int = 4
     series_tail_bound: float = 1e-30
 
     def __post_init__(self):
@@ -64,8 +69,6 @@ class PrecisionContext:
             raise ValueError("mantissa_bits must be >= 64")
         if not (0.0 < self.integer_tolerance < 0.5):
             raise ValueError("integer_tolerance must lie in (0, 0.5)")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
         if self.series_tail_bound <= 0.0:
             raise ValueError("series_tail_bound must be positive")
 
@@ -258,7 +261,7 @@ def integer_recognize(x, ctx: PrecisionContext, err=0) -> int:
     the certificate: if X is an integer, |X - n| < 1/2 forces X = n.  The
     sqrt-scaled tolerance only tightens the window for small values.
     Raises IntegerRecognitionError (a PrecisionError) with the residual
-    distance otherwise, so callers can retry at doubled mantissa.
+    distance and the shortfall ceil(log2(budget / allowed)) otherwise.
     """
     with ctx.workprec():
         x = mp.mpf(x)
@@ -275,30 +278,34 @@ def integer_recognize(x, ctx: PrecisionContext, err=0) -> int:
             f"with error bound {mp.nstr(budget - residual, 6)} "
             f"(allowed {mp.nstr(threshold, 6)} in total)",
             residual=float(residual),
+            short_bits=(int(mp.ceil(mp.log(budget / threshold, 2)))
+                        if mp.isfinite(budget) else math.inf),
         )
 
 
 def recognize_with_retries(compute, ctx: PrecisionContext) -> list[int]:
-    """Certify every value of compute(ctx) as an integer, doubling on failure.
+    """Certify every value of compute(ctx) as an integer, retrying larger.
 
-    compute receives the (possibly escalated) context and returns a list of
+    compute receives the (possibly enlarged) context and returns a list of
     (x, err) pairs, err the absolute error bound of x; each pair must pass
-    integer_recognize(x, current, err), else the whole computation reruns at
-    doubled mantissa.  Fails explicitly after ctx.max_retries doublings.
+    integer_recognize(x, current, err), else the whole computation reruns
+    with max(bits, s + 64) more bits, s the first failure's shortfall (a
+    plain doubling when s is not finite).  Fails after MAX_RETRIES retries.
     """
     current = ctx
-    last = None
-    for _ in range(ctx.max_retries + 1):
+    for _ in range(MAX_RETRIES + 1):
         values = compute(current)
         try:
             return [integer_recognize(x, current, err) for x, err in values]
         except IntegerRecognitionError as err:
             last = err
-            current = current.doubled()
+            bits = current.mantissa_bits
+            grow = err.short_bits + 64 if math.isfinite(err.short_bits) else 0
+            current = current.with_bits(bits + max(bits, grow))
     raise PrecisionError(
-        f"integer recognition failed after {ctx.max_retries} retries "
-        f"(last residual {last.residual if last else 'n/a'})",
-        residual=last.residual if last else None,
+        f"integer recognition failed after {MAX_RETRIES} retries "
+        f"(last residual {last.residual})",
+        residual=last.residual,
     )
 
 

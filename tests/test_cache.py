@@ -63,3 +63,11 @@ def test_overwrite(tmp_path):
     store_ints(d, "k", [1])
     store_ints(d, "k", [2, 3])
     assert load_ints(d, "k") == [2, 3]
+
+
+def test_non_ascii_entry_invalid(tmp_path):
+    d = str(tmp_path)
+    store_ints(d, "k", [1, 2])
+    with open(cache_path(d, "k"), "ab") as fh:
+        fh.write(b"\xff\n")
+    assert load_ints(d, "k") is None

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from singmod import cache as diskcache
 from singmod import cli, verify
 from singmod.cli import main, parse_point
 from singmod.greens import TailBudgetError
@@ -58,6 +59,15 @@ def test_classpoly_cache(capsys, tmp_path):
     assert any(name.startswith("classpoly") for name in os.listdir(cache))
     code, second, _ = run_json(capsys, "classpoly", "-23", "--cache-dir", cache)
     assert code == 0 and first == second
+
+
+def test_classpoly_cache_non_ascii_entry_recomputed(capsys, tmp_path):
+    cache = str(tmp_path)
+    with open(diskcache.cache_path(cache, "classpoly:-23"), "wb") as fh:
+        fh.write(b"1\nclasspoly:-23\n\xff\n")
+    code, payload, _ = run_json(capsys, "classpoly", "-23", "--cache-dir", cache)
+    assert code == 0
+    assert payload["coeffs"] == ["12771880859375", "-5151296875", "3491750", "1"]
 
 
 def test_cmpoints(capsys):

@@ -151,6 +151,25 @@ def test_norm_stable_under_doubling():
     assert a == b and a > 1
 
 
+@pytest.mark.parametrize("d1, d2, m, passes", [(-3, -4, 1, 1), (-23, -24, 4, 2)])
+def test_norm_certified_without_a_probe_pass(monkeypatch, d1, d2, m, passes):
+    # a small norm passes at the context precision; a large one fails there
+    # once and the retry is sized from the shortfall
+    bits = []
+    inner = cmcycles.cycle_log_norm
+
+    def spy(cycle, order, ctx):
+        bits.append(ctx.mantissa_bits)
+        return inner(cycle, order, ctx)
+
+    monkeypatch.setattr(cmcycles, "cycle_log_norm", spy)
+    cyc = build_cycle(d1, d2)
+    n = cycle_norm_integer(cyc, m, CTX)
+    assert len(bits) == passes and bits[0] == CTX.mantissa_bits
+    monkeypatch.undo()
+    assert n == cycle_norm_integer(cyc, m, CTX.with_bits(2048))
+
+
 def test_log_norm_consistent_with_integer():
     cyc = big_cm_cycle(-15, -23)
     n = cycle_norm_integer(cyc, 1, CTX)

@@ -4,6 +4,7 @@ import random
 import mpmath as mp
 import pytest
 
+from singmod import numerics
 from singmod.numerics import (
     IntegerRecognitionError,
     PrecisionContext,
@@ -166,3 +167,30 @@ def test_recognize_with_retries():
 
     with pytest.raises(PrecisionError):
         recognize_with_retries(lambda ctx: [(mp.mpf("7.25"), 0)], CTX)
+
+
+def test_recognize_with_retries_sized_from_the_shortfall():
+    calls = []
+
+    def compute(ctx):
+        calls.append(ctx.mantissa_bits)
+        # the error needs about 1000 + 29 bits to fall inside the window
+        return [(mp.mpf(5), mp.mpf(2) ** (1000 - ctx.mantissa_bits))]
+
+    assert recognize_with_retries(compute, CTX) == [5]
+    assert len(calls) == 2 and calls[1] < 1100
+
+
+def test_recognize_with_retries_doubles_on_an_infinite_error():
+    with pytest.raises(IntegerRecognitionError) as err:
+        integer_recognize(5, CTX, err=mp.inf)
+    assert err.value.short_bits == math.inf
+    calls = []
+
+    def compute(ctx):
+        calls.append(ctx.mantissa_bits)
+        return [(mp.mpf(5), mp.inf)]
+
+    with pytest.raises(PrecisionError):
+        recognize_with_retries(compute, CTX)
+    assert calls == [256 * 2 ** i for i in range(numerics.MAX_RETRIES + 1)]
