@@ -152,8 +152,14 @@ def cmd_cmpoints(args) -> int:
                  "point": f"(-({form.b}) + sqrt({d}))/{2 * form.a}",
                  "approx": [z.approx().real, z.approx().imag]}
         if args.j:
+            value = j_eval(z, ctx)
+            # a part inside the certified error is shown as 0
+            re = 0 if abs(value.re) <= value.err else value.real
+            im = 0 if abs(value.im) <= value.err else value.imag
+            shown = mp.mpc(re, im) if im else mp.mpf(re)
             with ctx.workprec():
-                entry["j"] = mp.nstr(j_eval(z, ctx), 20)
+                entry["j"] = mp.nstr(shown, 20)
+                entry["j_error"] = mp.nstr(value.error, 5)
         rows.append(entry)
     payload = {"d": d, "d_K": group.discriminant.d_K,
                "conductor": group.discriminant.f, "h": group.h, "points": rows}

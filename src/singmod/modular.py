@@ -4,7 +4,12 @@ j is evaluated from its q-expansion (q = e^{2 pi i z}) after reduction to
 the standard fundamental domain F, where |q| <= e^{-pi sqrt(3)} makes the
 series decay geometrically.  The integer coefficients come from
 E_4^3 / Delta, with Delta generated through the eighth power of Jacobi's
-eta^3 series; they are computed once and extended on demand.
+eta^3 series; they are computed once and extended on demand.  The series
+runs in Python integers at the fixed binary scale 2^-P, P the working
+precision, and every value carries an absolute error bound in units of
+2^-P (JValue); mpmath only supplies q and 1/q.  modpoly_eval and classpoly
+multiply these integers exactly, so their zero tests and coefficient
+bounds are integer inequalities that hold at j = 0 as well.
 
 Coset convention: Gamma_m is ALL integer matrices of determinant m,
 imprimitive ones included, so that the scalar matrix sqrt(m) I sits in
@@ -21,6 +26,7 @@ import threading
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .numerics import (
     GUARD_BITS,
@@ -37,8 +43,9 @@ _jcoeff_lock = threading.Lock()
 _jcoeffs: list[int] = []  # c_{-1}, c_0, c_1, ... with c_{-1} = 1, c_0 = 744
 
 _jvalue_lock = threading.Lock()
-# reduced (a, b, d) -> (prec, j at prec bits), serving any prec up to its own
-_jvalue_cache: dict[tuple[int, int, int], tuple[int, mp.mpc]] = {}
+# reduced (a, b, d) -> (prec, j at the scale 2^-prec), serving any prec up
+# to its own
+_jvalue_cache: dict[tuple[int, int, int], tuple[int, JValue]] = {}
 
 
 def _series_mul(a: list[int], b: list[int], n: int) -> list[int]:
@@ -127,35 +134,119 @@ def fd_reduce(z):
     raise PrecisionError("fundamental-domain reduction did not terminate")
 
 
-def _terms_needed(lam: float, log_tail: float) -> int:
-    """Smallest n with e^{4 pi sqrt(n)} e^{-lam n} below e^{log_tail}.
+# q carries this many more fractional bits than the series; see _j_series
+_Q_GUARD = 32
+# units of 2^-scale in the error of every j-value; see _j_series
+_J_ERROR_UNITS = 4
 
-    Uses the classical bound |c_n| <= e^{4 pi sqrt(n)} for the j coefficients;
-    lam = -log|q| >= pi sqrt(3) after reduction to F.
+
+def _log_tail(top: int, lam: float) -> float:
+    """Natural log of a bound on sum_{k > top} c_k |q|^k, |q| = e^-lam.
+
+    With c_k <= e^(4 pi sqrt k) (Brisebarre-Philibert bound c_k <=
+    e^(4 pi sqrt k) / (sqrt 2 k^(3/4))), the terms t_k = e^(4 pi sqrt k - lam k)
+    fall with ratio at most rho = e^(2 pi / sqrt(top + 1) - lam) past top, so
+    the tail is at most t_(top + 1) / (1 - rho).  Needs rho < 1, which holds
+    for top >= 8 and lam >= pi sqrt 3 - 1.
     """
-    big_l = -log_tail
-    x = (_FOUR_PI + math.sqrt(_FOUR_PI**2 + 4 * lam * (big_l + lam))) / (2 * lam)
-    return max(int(math.ceil(x * x)) + 4, 8)
+    k = top + 1
+    rho = math.exp(2 * math.pi / math.sqrt(k) - lam)
+    return _FOUR_PI * math.sqrt(k) - lam * k - math.log1p(-rho)
 
 
-def _j_log_tail_rel(ctx: PrecisionContext, prec: int) -> float:
-    # natural log of the truncation target, relative to the leading 1/q term;
-    # never looser than the context budget and always tightened along with the
-    # mantissa.  Kept in log form so huge retry precisions cannot underflow.
-    return min(math.log(ctx.series_tail_bound), -(prec + 8) * math.log(2))
+def _series_top(lam: float, log_target: float) -> int:
+    """Least top >= 8 with _log_tail(top, lam) <= log_target."""
+    # 4 pi sqrt(x) - lam x = log_target at this sqrt(x); start just below it
+    root = (_FOUR_PI + math.sqrt(_FOUR_PI**2 - 4 * lam * log_target)) / (2 * lam)
+    top = max(int(root * root) - 2, 8)
+    while _log_tail(top, lam) > log_target:
+        top += 1
+    return top
 
 
-def _j_from_q(q, n_terms: int):
-    coeffs = j_q_coefficients(n_terms)
-    acc = mp.mpc(0)
-    for c in reversed(coeffs[1:]):
-        acc = acc * q + c
-    return acc + coeffs[0] / q
+class JValue(mp.mpc):
+    """A j-value in fixed point: the mpc (re + i im) 2^-scale, exactly, and
+    the true j within err 2^-scale of it.  re, im and err are integers."""
+
+    __slots__ = ("scale", "re", "im", "err")
+
+    @classmethod
+    def of(cls, re: int, im: int, err: int, scale: int) -> "JValue":
+        value = cls()
+        value._mpc_ = (from_man_exp(re, -scale), from_man_exp(im, -scale))
+        value.scale, value.re, value.im, value.err = scale, re, im, err
+        return value
+
+    @property
+    def error(self):
+        """The absolute error bound err 2^-scale, as an exact mpf."""
+        return mp.mpf((self.err, -self.scale))
+
+    def at_scale(self, scale: int) -> tuple[int, int, int]:
+        """(re, im, err) at a scale no finer than self.scale: both parts
+        are floored, which adds under sqrt 2 units of error."""
+        shift = self.scale - scale
+        if not shift:
+            return self.re, self.im, self.err
+        return (self.re >> shift, self.im >> shift,
+                ((self.err - 1) >> shift) + 3)
 
 
-def j_eval(z, ctx: PrecisionContext):
-    """j(z) for a CMPoint (exact path, cached per point at the highest
-    precision asked so far) or any upper-half-plane number."""
+def _inverse_q_bits(lam: float, scale: int) -> int:
+    """Working bits for q and 1/q: the relative error of either, at most
+    (8 lam + 32) 2^-bits, then moves e^lam 2^-bits below 2^(-scale - 7)."""
+    return scale + int((lam + math.log(8 * lam + 32)) / math.log(2)) + 8
+
+
+def _j_series(q, q_inv, lam: float, scale: int, ctx: PrecisionContext) -> JValue:
+    """j = 1/q + sum_{k >= 0} c_k q^k in integers at the scale 2^-scale.
+
+    q and 1/q are mpc values with relative error at most (8 lam + 32)
+    2^-bits, bits = _inverse_q_bits(lam, scale), and |q| = e^-lam <= 0.00434
+    (F has Im z >= sqrt 3 / 2).  q is floored to the scale 2^-(scale +
+    _Q_GUARD) and Horner runs on integer pairs,
+    acc = ((acc q) >> (scale + _Q_GUARD)) + (c << scale).  In units of
+    2^-scale, the result is off from j by less than
+      e^-1  for the tail past the top index (_series_top, with a margin of
+            1 in the log target, which is also below the context's budget);
+      1.43  for the Horner floors, under sqrt 2 per step and damped by |q|
+            per later step: sqrt 2 / (1 - 0.00434);
+      0.1   for the error of q, under sqrt 2 2^-_Q_GUARD from its floor plus
+            e^-(2 lam) 2^-7 from its evaluation, times the derivative bound
+            sum_k k c_k |q|^(k-1) < 2^19 (test_j_series_derivative_bound);
+      1.43  for 1/q: its floor, under sqrt 2, and its evaluation, under 2^-7;
+    which is under _J_ERROR_UNITS = 4 in all.
+    """
+    log_target = min(math.log(ctx.series_tail_bound), -scale * math.log(2)) - 1
+    coeffs = j_q_coefficients(_series_top(lam, log_target) + 2)
+    shift = scale + _Q_GUARD
+    qr = to_fixed(q.real._mpf_, shift)
+    qi = to_fixed(q.imag._mpf_, shift)
+    re = im = 0
+    if qi:
+        for c in reversed(coeffs[1:]):
+            re, im = (((re * qr - im * qi) >> shift) + (c << scale),
+                      (re * qi + im * qr) >> shift)
+    else:  # q real (Re z in {0, 1/2}): j is real and so is every step
+        for c in reversed(coeffs[1:]):
+            re = ((re * qr) >> shift) + (c << scale)
+    re += to_fixed(q_inv.real._mpf_, scale)
+    im += to_fixed(q_inv.imag._mpf_, scale)
+    return JValue.of(re, im, _J_ERROR_UNITS, scale)
+
+
+def j_eval(z, ctx: PrecisionContext) -> JValue:
+    """j(z) as a JValue at the scale 2^-(ctx.mantissa_bits + GUARD_BITS).
+
+    A CMPoint takes the exact path: reduced to its form's reduced
+    representative, with q = e^(-pi sqrt|d| / a) e^(-i pi b / a) (real,
+    with no rounded phase, when b/a is an integer), cached per point at the
+    finest scale asked so far and served to any coarser request.  The
+    error bound err 2^-scale is absolute (see _j_series), so it holds at
+    j = 0 too.  Any other upper-half-plane number is reduced to F by
+    fd_reduce first; its bound covers the series at the reduced point,
+    which is taken as exact.
+    """
     prec = ctx.mantissa_bits + GUARD_BITS
     if isinstance(z, CMPoint):
         red = reduce_form(z.form)
@@ -163,34 +254,21 @@ def j_eval(z, ctx: PrecisionContext):
         with _jvalue_lock:
             if _jvalue_cache.get(key, (0,))[0] >= prec:
                 return _jvalue_cache[key][1]
-        with mp.workprec(prec):
-            zz = CMPoint(red.a, red.b, z.d).mpc(mp)
-            lam = 2 * math.pi * float(mp.im(zz))
-            n_terms = _terms_needed(lam, _j_log_tail_rel(ctx, prec) - lam)
-            q = mp.exp(2j * mp.pi * zz)
-            value = _j_from_q(q, n_terms)
-            # CM values are real algebraic integers only for h=1; keep complex
-            value = mp.mpc(value)
+        lam = math.pi * math.sqrt(-z.d) / red.a
+        with mp.workprec(_inverse_q_bits(lam, prec)):
+            phase = mp.expjpi(mp.mpf(-red.b) / red.a)
+            size = mp.exp(-mp.pi * mp.sqrt(-z.d) / red.a)
+            value = _j_series(size * phase, mp.conj(phase) / size, lam, prec, ctx)
         with _jvalue_lock:
             if _jvalue_cache.get(key, (0,))[0] < prec:
                 _jvalue_cache[key] = (prec, value)
         return value
-    with mp.workprec(prec):
+    lam = 2 * math.pi * fd_reduce(complex(z))[0].imag
+    with mp.workprec(_inverse_q_bits(lam + 1, prec)):
         zz, _ = fd_reduce(mp.mpc(z))
-        lam = 2 * math.pi * float(mp.im(zz))
-        n_terms = _terms_needed(lam, _j_log_tail_rel(ctx, prec) - lam)
-        q = mp.exp(2j * mp.pi * zz)
-        return _j_from_q(q, n_terms)
-
-
-def j_relative_error(ctx: PrecisionContext):
-    """Conservative relative error of a single j_eval at the context precision.
-
-    Returned as an mpf so very high retry precisions do not underflow.
-    """
-    prec = ctx.mantissa_bits + GUARD_BITS
-    tail = mp.exp(mp.mpf(_j_log_tail_rel(ctx, prec)))
-    return tail + mp.mpf(2) ** (-(prec - 12))
+        lam = 2 * math.pi * float(zz.imag)
+        arg = 2j * mp.pi * zz
+        return _j_series(mp.exp(arg), mp.exp(-arg), lam, prec, ctx)
 
 
 @dataclass(frozen=True)
@@ -242,7 +320,8 @@ def coset_apply(coset: tuple[int, int, int], z):
 class ModPolyValue:
     """phi_m(j(z1), j(z2)) together with a bound on its relative error.
 
-    rel_error is an mpf, so it does not underflow at thousands of bits.
+    rel_error is an mpf rounded up, so it does not underflow at thousands
+    of bits.
     """
 
     value: mp.mpc
@@ -260,76 +339,100 @@ class ModPolyValue:
 
 
 def modpoly_eval(m: int, z1, z2, ctx: PrecisionContext) -> ModPolyValue:
-    """Product over Hecke cosets of (j(z1) - j((a z2 + b)/d)).
+    """Product over Hecke cosets of (j(z1) - j((a z2 + b)/d)), in integers.
 
-    A factor is flagged zero only when its modulus falls below the factor's
-    accumulated error bound; otherwise the nonzero value stands.
+    Every j-value is read at the scale 2^-prec, prec = ctx.mantissa_bits +
+    GUARD_BITS, so each factor is a Gaussian integer f over 2^prec, within
+    e = err1 + errw units of the true factor.  A factor is flagged zero when
+    |f|^2 <= e^2, an exact integer comparison; the others are multiplied
+    exactly.  With L = isqrt(|f|^2) <= |f|, a kept factor has relative error
+    at most e / (L - e), so the product is within prod L / prod (L - e) - 1
+    of the true one; rounding it to an mpc at prec bits adds at most
+    2^-prec (1 + that).  rel_error is the sum, rounded up.
     """
-    cosets = hecke_cosets(m)
     prec = ctx.mantissa_bits + GUARD_BITS
-    eps_j = j_relative_error(ctx)
+    re1, im1, err1 = j_eval(z1, ctx).at_scale(prec)
+    re, im, shift = 1, 0, 0
+    top = low = 1
+    zero_cosets = []
+    for coset in hecke_cosets(m).reps:
+        rew, imw, errw = j_eval(coset_apply(coset, z2), ctx).at_scale(prec)
+        fr, fi, e = re1 - rew, im1 - imw, err1 + errw
+        norm = fr * fr + fi * fi
+        if norm <= e * e:
+            zero_cosets.append(coset)
+            continue
+        re, im, shift = re * fr - im * fi, re * fi + im * fr, shift + prec
+        size = math.isqrt(norm)
+        top *= size
+        low *= size - e
     with mp.workprec(prec):
-        j1 = j_eval(z1, ctx)
-        product = mp.mpc(1)
-        rounding = mp.mpf(2) ** (-(prec - 4))
-        rel_error = mp.mpf(0)
-        zero_cosets = []
-        for coset in cosets.reps:
-            w = coset_apply(coset, z2)
-            jw = j_eval(w, ctx)
-            factor = j1 - jw
-            abs_bound = (abs(j1) + abs(jw)) * eps_j
-            if abs(factor) <= abs_bound:
-                zero_cosets.append(coset)
-                continue
-            # relative errors compose as (1 + e)(1 + e_factor) - 1
-            rel_factor = abs_bound / abs(factor) + rounding
-            rel_error += rel_factor * (1 + rel_error)
-            product *= factor
-        return ModPolyValue(
-            value=product,
-            rel_error=rel_error,
-            zero_cosets=tuple(zero_cosets),
-        )
+        value = mp.mpc(mp.mpf((re, -shift)), mp.mpf((im, -shift)))
+        rel_error = (mp.fdiv(((top - low) << prec) + 2 * top, low << prec,
+                             rounding="u") if low else mp.inf)
+    return ModPolyValue(value, rel_error, tuple(zero_cosets))
+
+
+def _mpf_up(man: int, exp: int):
+    """An mpf at least man 2^exp, man >= 0, at 53 bits."""
+    return mp.make_mpf(from_man_exp(man, exp, 53, "c"))
+
+
+def _times_root(re: list[int], im: list[int], r: int, i: int, scale: int):
+    """(re + i im)(X) times (X - (r + i i) 2^-scale), ascending Gaussian
+    integer coefficients at the scale 2^-scale; each product is floored,
+    which moves a coefficient by under sqrt 2 units."""
+    lo_re, lo_im = re + [0], im + [0]
+    return ([x - ((r * a - i * b) >> scale) for x, a, b in zip([0] + re, lo_re, lo_im)],
+            [x - ((r * b + i * a) >> scale) for x, a, b in zip([0] + im, lo_re, lo_im)])
+
+
+def _times_up(poly: list[int], a: int, scale: int) -> list[int]:
+    """poly(X) times (X + a 2^-scale) for nonnegative poly and a, at the
+    scale 2^-scale, every product rounded up."""
+    return [x - ((-a * y) >> scale) for x, y in zip([0] + poly, poly + [0])]
 
 
 def classpoly(d: int, ctx: PrecisionContext) -> list[int]:
     """Integer coefficients (ascending) of the class polynomial H_d.
 
-    Expands prod over reduced forms of (X - j(z_form)) and certifies every
-    coefficient through recognize_with_retries.  Each root carries relative
-    error at most eps (j_relative_error plus rounding), and each term of the
-    k-th coefficient is a product of at most h roots, formed in at most h
-    rounded steps, so |c_k - C_k| <= A_k ((1 + eps)^(2h) - 1), where A_k is
-    the same coefficient of prod (X + |root|).  The exact C_k is real, so the
-    imaginary part of c_k is added to the bound.  The initial precision is
-    pre-estimated from log2 prod |j(z_form)| ~ sum over forms of
-    pi sqrt(|d|) / (a ln 2), since |j(z)| ~ e^(2 pi Im z) and
+    Each root r = j(z_form) is read at the scale 2^-s, s the working
+    precision, as a Gaussian integer R over 2^s within E units (j_eval),
+    and prod (X - R 2^-s) is expanded in Gaussian integers at the same
+    scale, each product floored.  Let A = isqrt(|R|^2) + 1 >= |R|.  After
+    i roots, the computed P~_i and the true P_i = prod (X - r) differ by
+
+        P~_i - P_i = (P~_(i-1) - P_(i-1)) (X - R 2^-s)
+                     + P_(i-1) (r - R 2^-s) + (floors),
+
+    so coefficient by coefficient |P~_i - P_i| <= B_i with
+    B_i = B_(i-1) (X + A) + E F_(i-1) + 2 and F_i = F_(i-1) (X + A + E)
+    >= prod |X - r|, all in units of 2^-s and rounded up.  Without the
+    floors this is coefficient k of prod (X + A + E) - prod (X + A).  The
+    exact coefficient is real, so |Im c_k| is added to B_k.  Every
+    coefficient is certified through recognize_with_retries.  The initial
+    precision is pre-estimated from log2 prod |j(z_form)| ~ sum over forms
+    of pi sqrt(|d|) / (a ln 2), since |j(z)| ~ e^(2 pi Im z) and
     Im z_form = sqrt(|d|) / (2a), plus guard bits; recognize_with_retries
     sizes the retry if that falls short.
     """
     group = enumerate_reduced(d)
-    h = group.h
     estimate = int(sum(math.pi * math.sqrt(-d) / form.a
                        for form in group.reduced_forms) / math.log(2)) + 64
 
     def compute(current):
-        eps = (j_relative_error(current)
-               + mp.mpf(2) ** (-(current.mantissa_bits + GUARD_BITS - 4)))
+        scale = current.mantissa_bits + GUARD_BITS
+        re, im, far, err = [1 << scale], [0], [1 << scale], [0]
+        for form in group.reduced_forms:
+            r, i, e = j_eval(cm_point(form), current).at_scale(scale)
+            size = math.isqrt(r * r + i * i) + 1
+            re, im = _times_root(re, im, r, i, scale)
+            err = [x - ((-e * y) >> scale) + 2
+                   for x, y in zip(_times_up(err, size, scale), far + [0])]
+            far = _times_up(far, size + e, scale)
         with current.workprec():
-            coeffs = [mp.mpc(1)]
-            absolute = [mp.mpf(1)]
-            for form in group.reduced_forms:
-                root = j_eval(cm_point(form), current)
-                size = abs(root)
-                coeffs = [mp.mpc(0)] + coeffs
-                absolute = [mp.mpf(0)] + absolute
-                for i in range(len(coeffs) - 1):
-                    coeffs[i] -= root * coeffs[i + 1]
-                    absolute[i] += size * absolute[i + 1]
-            growth = (1 + eps) ** (2 * h) - 1
-            return [(mp.re(c), a * growth + abs(mp.im(c)))
-                    for c, a in zip(coeffs, absolute)]
+            return [(mp.mpf((c, -scale)), _mpf_up(b + abs(c_im), -scale))
+                    for c, c_im, b in zip(re, im, err)]
 
     return recognize_with_retries(
         compute, ctx.with_bits(max(ctx.mantissa_bits, estimate)))

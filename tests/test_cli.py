@@ -78,6 +78,20 @@ def test_cmpoints(capsys):
     assert all("j" in p for p in payload["points"])
 
 
+def test_cmpoints_j_inside_its_error_is_zero(capsys):
+    # j(zeta_3) = 0 and j(i) = 1728: a part within the certified error is
+    # printed as 0, and every point reports that error
+    code, out, _ = run(capsys, "cmpoints", "-3", "--j")
+    assert code == 0 and out.rstrip().endswith("j = 0.0")
+    code, payload, _ = run_json(capsys, "cmpoints", "-3", "--j")
+    (point,) = payload["points"]
+    assert point["j"] == "0.0" and 0 < float(point["j_error"]) < 1e-70
+    code, payload, _ = run_json(capsys, "cmpoints", "-4", "--j")
+    assert payload["points"][0]["j"] == "1728.0"
+    code, payload, _ = run_json(capsys, "cmpoints", "-23", "--j")
+    assert all("j_error" in p for p in payload["points"])
+
+
 def test_modpoly_eval_value_and_zero(capsys):
     code, payload, _ = run_json(capsys, "modpoly-eval", "1", "-3", "-4")
     assert code == 0

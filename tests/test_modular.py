@@ -1,12 +1,15 @@
+import hashlib
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 from singmod import modular, numerics
 from singmod.numerics import PrecisionContext
-from singmod.quadforms import CMPoint, cm_point, enumerate_reduced
+from singmod.quadforms import (
+    CMPoint, Discriminant, cm_point, enumerate_reduced, reduce_form)
 from singmod.modular import (
     classpoly,
     cosh_dist,
@@ -47,6 +50,71 @@ def test_j_special_values():
     assert abs(j_eval(CMPoint(1, 1, -7), CTX) + 3375) < tol
     assert abs(j_eval(2j, CTX) - 287496) < tol  # 66^3
     assert abs(j_eval(CMPoint(1, 0, -16), CTX) - 287496) < tol
+
+
+def exact_j(z):
+    """Oracle: mpmath's Klein invariant, at the caller's precision."""
+    return 1728 * mp.kleinj(z)
+
+
+def points_met_by_modpoly(dmax, mmax):
+    """Every reduced form with |d| <= dmax and its Hecke translates for
+    m <= mmax, each as its reduced CMPoint."""
+    points = {}
+    for d in range(-3, -dmax - 1, -1):
+        if d % 4 not in (0, 1):
+            continue
+        for form in enumerate_reduced(d).reduced_forms:
+            z = cm_point(form)
+            for m in range(1, mmax + 1):
+                for coset in hecke_cosets(m).reps:
+                    w = coset_apply(coset, z)
+                    red = reduce_form(w.form)
+                    points[red.a, red.b, w.d] = CMPoint(red.a, red.b, w.d)
+    return list(points.values())
+
+
+def assert_j_within_its_error(z, ctx):
+    value = j_eval(z, ctx)
+    prec = ctx.mantissa_bits + numerics.GUARD_BITS
+    with mp.workprec(4 * prec):
+        exact = exact_j(z.mpc(mp))
+        # the oracle's own error is far below 2^(-3 prec) |j|
+        slack = mp.mpf(2) ** (-3 * prec) * max(1, abs(exact))
+        assert abs(value - exact) <= value.error + slack, (z, ctx.mantissa_bits)
+    return value
+
+
+def test_j_absolute_error_holds_on_the_points_modpoly_meets():
+    points = points_met_by_modpoly(100, 4)
+    assert len(points) > 1000
+    for z in points:
+        assert_j_within_its_error(z, CTX)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+@pytest.mark.parametrize("d, exact", [(-3, 0), (-4, 1728)])
+def test_j_absolute_error_at_the_elliptic_points(d, exact, bits):
+    # j(zeta_3) = 0, where no relative error bound can hold, and j(i) = 1728
+    z = cm_point(enumerate_reduced(d).reduced_forms[0])
+    modular._jvalue_cache.pop((z.a, z.b, z.d), None)  # evaluate at these bits
+    value = assert_j_within_its_error(z, CTX.with_bits(bits))
+    assert value.scale == bits + numerics.GUARD_BITS
+    assert abs(value.re - (exact << value.scale)) <= value.err and value.im == 0
+
+
+def test_j_series_derivative_bound():
+    # the bounds _j_series rests on: |q| <= e^(-pi sqrt 3) < 0.00434 on F,
+    # c_k <= e^(4 pi sqrt k), and sum_k k c_k r^(k-1) < 2^19 at r = 0.00434
+    r = Fraction(434, 100000)
+    assert math.exp(-math.pi * math.sqrt(3)) < r
+    coeffs = j_q_coefficients(402)[2:]  # c_1 .. c_400
+    for k, c in enumerate(coeffs, start=1):
+        assert math.log(c) <= 4 * math.pi * math.sqrt(k)
+    head = sum(k * c * r ** (k - 1) for k, c in enumerate(coeffs[:40], start=1))
+    # past k = 40 the terms k e^(4 pi sqrt k) r^(k-1) fall by over e^-4 a step
+    tail = 2 * 41 * math.exp(4 * math.pi * math.sqrt(41)) * float(r) ** 40
+    assert head + Fraction(tail) < 2 ** 19
 
 
 def test_j_gamma_invariance():
@@ -161,6 +229,42 @@ def test_modpoly_zero_detection():
         v.log_abs()
 
 
+def test_modpoly_legal_zeros_at_principal_points():
+    for d, m, coset in [(-3, 1, (1, 0, 1)), (-4, 2, (1, 1, 2))]:
+        z = cm_point(enumerate_reduced(d).reduced_forms[0])
+        v = modpoly_eval(m, z, z, CTX)
+        assert v.is_zero and v.zero_cosets == (coset,)
+
+
+def coprime_fundamental_pairs(dmax):
+    ds = [d for d in range(-3, -dmax - 1, -1)
+          if d % 4 in (0, 1) and Discriminant.of(d).f == 1]
+    return [(d1, d2) for i, d1 in enumerate(ds) for d2 in ds[i + 1:]
+            if math.gcd(d1, d2) == 1]
+
+
+def test_modpoly_integer_product_against_an_oracle():
+    # every pair of classes of the |d| <= 24 coprime grid, m <= 4, against
+    # the coset product of the Klein invariant at 4x the precision
+    prec = CTX.mantissa_bits + numerics.GUARD_BITS
+    checked = 0
+    for d1, d2 in coprime_fundamental_pairs(24):
+        for f1 in enumerate_reduced(d1).reduced_forms:
+            for f2 in enumerate_reduced(d2).reduced_forms:
+                z1, z2 = cm_point(f1), cm_point(f2)
+                for m in range(1, 5):
+                    v = modpoly_eval(m, z1, z2, CTX)
+                    assert not v.is_zero and v.rel_error < 2.0 ** (40 - prec)
+                    with mp.workprec(4 * prec):
+                        j1 = exact_j(z1.mpc(mp))
+                        exact = mp.fprod(
+                            j1 - exact_j(coset_apply(c, z2).mpc(mp))
+                            for c in hecke_cosets(m).reps)
+                        assert abs(v.value - exact) <= v.rel_error * abs(exact)
+                    checked += 1
+    assert checked > 250
+
+
 def test_classpoly_known():
     assert classpoly(-3, CTX) == [0, 1]
     assert classpoly(-4, CTX) == [-1728, 1]
@@ -182,6 +286,24 @@ def test_classpoly_certifies_against_an_error_bound(monkeypatch):
     assert all(err > 0 for err in bounds)
 
 
+@pytest.mark.parametrize("d, bits", [(-3, 64), (-23, 64), (-431, 600), (-431, 2048)])
+def test_classpoly_bounds_cover_the_coefficient_errors(monkeypatch, d, bits):
+    # every (x, err) handed to the certifier has |x - C| <= err for the exact C
+    seen = []
+    recognize = numerics.integer_recognize
+
+    def spy(x, ctx, err=0):
+        seen.append((x, err))
+        return recognize(x, ctx, err)
+
+    monkeypatch.setattr(numerics, "integer_recognize", spy)
+    coeffs = classpoly(d, PrecisionContext(mantissa_bits=bits))
+    assert len(seen) == len(coeffs)
+    with mp.workprec(4 * bits):
+        for (x, err), c in zip(seen, coeffs):
+            assert abs(x - c) <= err + abs(x) * mp.mpf(2) ** -bits
+
+
 def test_classpoly_first_precision_from_the_forms(monkeypatch):
     # the first pass is sized from sum over forms of pi sqrt|d| / a, not
     # from h times the largest root; for d = -431 (h = 21) that is 544 bits
@@ -199,6 +321,15 @@ def test_classpoly_first_precision_from_the_forms(monkeypatch):
     assert len(seen) == 1 and seen[0] < 600
     monkeypatch.undo()
     assert coeffs == classpoly(-431, PrecisionContext(mantissa_bits=2048))
+
+
+def test_classpoly_h431_unchanged():
+    # degree h(-431) = 21; the digest is of the coefficients certified by the
+    # earlier mpc expansion, which had a relative error model
+    coeffs = classpoly(-431, CTX)
+    assert len(coeffs) == 22 and coeffs[-1] == 1
+    digest = hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest()
+    assert digest == "35d823579a501caa2f38d9f977edb72faa4a4623d6b6896f4c62abb1ea242ee5"
 
 
 def test_classpoly_roots():
