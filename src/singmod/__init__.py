@@ -34,12 +34,10 @@ from .modular import (
 )
 from .greens import (
     G_1,
-    G_f,
     G_k_m,
     G_ks_m,
     G_s_sum,
     GraphProximity,
-    PrincipalPart,
     SingularityError,
     TailBudgetError,
     cosh_dist,

@@ -23,9 +23,9 @@ retry.  A big cycle's product is n0^4, where n0 is the product over the
 grid at multiplicity 1 and is itself an integer (see cycle_norm_integer),
 so only n0 is certified, at a quarter of the bits.
 Inverting both classes sends (z1, z2) to (-conj z1, -conj z2), where |phi_m|
-is the same (phi_m has integer coefficients, j(-conj z) = conj j(z)) and so
-is G_k^m (z -> -conj z permutes the determinant-m matrices), so values are
-computed once per such orbit (conjugate_orbits).
+is the same (phi_m has integer coefficients, j(-conj z) = conj j(z)), so
+values are computed once per such orbit (conjugate_orbits).  Chain sums
+group by class pair instead (greens.class_pair_weights).
 """
 
 from __future__ import annotations

@@ -1,24 +1,24 @@
 """Automorphic Green's functions on the modular curve and Hecke graph geometry.
 
 The building block is the point-pair kernel g_s(z1, z2) = -2 Q_{s-1}(cosh d)
-with d the hyperbolic distance; G_s averages it over the modular group, G_k^m
-additionally over the determinant-m Hecke cosets, and G_f takes the linear
-combination dictated by the principal part of a weakly holomorphic form.
+with d the hyperbolic distance; G_s averages it over the modular group and
+G_k^m additionally over the determinant-m Hecke cosets.
 
 Lattice sums, for G_s and for each Hecke coset of G_k^m, run through one
 cutoff loop, _lattice_sums, over the cosh distances of cosh_translates,
-walked around the higher reduced point, truncated at a cutoff with an
-explicit tail bound: the orbit-point count up to cosh-distance T grows
-linearly in T, the kernel decays like t^(-s), so the tail is O(T^(1-s)).
-The count slope is calibrated on the enumerated terms and doubled for
-safety; the cutoff-doubling test in the suite checks the bound is honest.
-Because the decay is only polynomial, very small tail budgets are refused
-explicitly (TailBudgetError) instead of looping forever.  The orbit is
-enumerated once per (pair, coset) and shared by every s asked for at that
-coset (G_ks_m evaluates k = 3, 5, 7 together); each s keeps its own cutoff
-loop and counts its terms in the one sorted list.  At integer s the kernel
-and the tail constant are numerics._q_int, the one integer-order Legendre-Q
-route; mpmath's legenq serves non-integer s only.
+walked around the higher reduced point, truncated at a cutoff with a tail
+bound: the orbit-point count up to cosh-distance T grows linearly in T, the
+kernel decays like t^(-s), so the tail is O(T^(1-s)).  The count slope is
+calibrated on the enumerated terms and doubled; the suite checks the bound
+against sums with a far smaller budget, but it is not proven.  Very small
+budgets are refused (TailBudgetError) instead of looping forever.  One
+orbit enumeration serves every s asked for (k = 3, 5, 7 together); each s
+runs its own cutoff loop over the one sorted list, then trims its cutoff
+back to the least enumerated distance the tail bound accepts.  A cycle's
+G_k^m (G_ks_m_cycle) walks once per class-pair key (class_pair_key).  At
+integer s the kernel and the tail constant are numerics._q_int, the one
+integer-order Legendre-Q route, batched by numerics._q_sum; mpmath's legenq
+serves non-integer s only.
 
 For Laplacian eigenfunction checks use gamma_orbit + g_s_truncated: every
 single gamma-term is an exact eigenfunction in z1, so a truncated sum over a
@@ -31,12 +31,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import mpmath as mp
 
-from .numerics import PrecisionContext, _q_int
-from .quadforms import CMPoint
+from .numerics import PrecisionContext, _q_int, _q_sum
+from .quadforms import CMPoint, QuadForm, cm_point, inverse, reduce_form
 from .modular import (
     cosh_dist,
     cosh_translates,
@@ -109,10 +109,11 @@ def g_s(s, z1, z2, ctx: PrecisionContext | None = None):
 
 @dataclass(frozen=True)
 class GreensValue:
-    """A truncated lattice sum together with its certified tail bound.
+    """A truncated lattice sum together with its tail bound.
 
-    The exact sum lies in [value - tail_bound, value] since every omitted
-    term is negative.
+    Every omitted term is negative, so the exact sum lies in
+    [value - tail_bound, value] whenever the bound holds; see _tail_bound
+    for how far it is established.
     """
 
     value: float
@@ -179,6 +180,7 @@ def _tail_bound(s: float, t_cut: float, n_terms: int) -> float:
     Orbit points up to cosh-distance T number about C*T; the slope C is
     calibrated from the enumerated count and doubled.  Each omitted term is
     at most 2 q t^(-s), so the tail integrates to 2 q C t_cut^(1-s)/(s-1).
+    The calibrated slope makes this a measured bound, not a proven one.
     """
     slope = 2.0 * (n_terms + 16) / t_cut
     q = _q_decay_const(s, t_cut)
@@ -186,23 +188,49 @@ def _tail_bound(s: float, t_cut: float, n_terms: int) -> float:
 
 
 _MAX_LATTICE_TERMS = 3_000_000
+# the cutoff loop aims this far above the cutoff it predicts and grows by at
+# most this factor per step; the accepted cutoff is trimmed back afterwards
+_OVERSHOOT = 1.15
+_MAX_GROWTH = 64.0
+
+
+def _trimmed(s: float, chs: list[float], t_start: float, n: int, target: float) -> int:
+    """Index in the sorted chs of the least distance T > t_start with
+    _tail_bound(s, T, terms up to T) <= target, by bisection; n when none.
+
+    The cutoff loop accepted the first n distances, so index n stands for
+    its cutoff and passes.  Bisection keeps an index that passes, so the
+    result always passes even where the bound is not monotone in T.
+    """
+    lo, hi = bisect_right(chs, t_start, 0, n), n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        t = chs[mid]
+        if _tail_bound(s, t, bisect_right(chs, t, mid, n)) <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
 
 
 def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensValue]:
     """Sums of g_s(c1, gamma c2) over the modular group for each s in ss.
 
-    Each s has its own cutoff loop: the cosh cutoff grows until the certified
-    tail drops below target; since the decay is only T^(1-s), unreachable
+    Each s has its own cutoff loop: the cosh cutoff grows until the tail
+    bound drops below target; since the decay is only T^(1-s), unreachable
     budgets raise TailBudgetError instead of spinning.  All s share one
     orbit enumeration, kept as a sorted list of cosh distances; a loop counts
     its terms by bisection and enumerates again only when it needs a cutoff
     above the enumerated one.  Processing s in ascending order lets the
-    slowly decaying s = 3 set the enumeration that s = 5, 7 reuse.  Terms
-    are summed in double precision with fsum; rounding noise is orders of
-    magnitude below the certified tail for every reachable target.  The
-    result is aligned with ss.  G_s is Gamma-invariant in each variable and
-    symmetric, so cosh_translates walks around the higher of the two reduced
-    points, where its row count (~ T / Im of the centre) is least.
+    slowly decaying s = 3 set the enumeration that s = 5, 7 reuse.  The loop
+    overshoots its predicted cutoff a little; the cutoff it accepts is then
+    trimmed (_trimmed), never below its start, and only the terms up to the
+    trimmed cutoff are summed, in double precision with fsum.  Neither step
+    reads a distance beyond the loop's cutoff, so a result does not depend
+    on which s enumerated.  The result is aligned with ss.  G_s is
+    Gamma-invariant in each variable and symmetric, so cosh_translates walks
+    around the higher of the two reduced points, where its row count
+    (~ T / Im of the centre) is least.
     """
     t_start = max(8.0, 2.0 * cosh_dist(c1, c2))
     centre, other = fd_reduce(c1)[0], fd_reduce(c2)[0]
@@ -229,14 +257,19 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
                     f"tail target {target:g} needs cosh cutoff ~{needed:.3g} "
                     f"(~{int((n + 16) * needed / t_cut)} terms) at s = {s}; "
                     "loosen tail_target")
-            t_cut = min(needed * 1.5, t_cut * 16.0)
+            t_cut = min(needed * _OVERSHOOT, t_cut * _MAX_GROWTH)
+        i = _trimmed(s, chs, t_start, n, target)
+        if i < n:
+            t_cut = chs[i]
+            n = bisect_right(chs, t_cut, i, n)
+            tail = _tail_bound(s, t_cut, n)
         if n and chs[0] <= 1 + 1e-12:
             raise SingularityError("z1 and z2 are equivalent under the group",
                                    where=(c1, c2))
         kept = chs[:n]
         n_ord = _q_order(s)
         if n_ord is not None:
-            value = math.fsum([-2.0 * _q_int(n_ord, ch) for ch in kept])
+            value = -2.0 * _q_sum(n_ord, kept)
         else:
             with mp.workprec(53):
                 s_m = mp.mpf(s)
@@ -293,6 +326,26 @@ def G_k_m(k: int, m: int, z1, z2, ctx: PrecisionContext,
                        cosh_cutoff=math.inf, terms=len(hecke_cosets(m)))
 
 
+def _gk_args(ks, tail_target) -> tuple[list[float], float]:
+    if any(k not in (3, 5, 7) for k in ks):
+        raise ValueError(f"k must be odd in (3, 5, 7), got {tuple(ks)}")
+    target = DEFAULT_GK_TAIL if tail_target is None else float(tail_target)
+    return [float(k) for k in ks], target
+
+
+def _weighted_total(walks) -> list[GreensValue]:
+    """Sum of weight * part per s over walks, a list of (weight, parts)."""
+    weights = [w for w, _ in walks]
+    out = []
+    for parts in zip(*(parts for _, parts in walks)):
+        out.append(GreensValue(
+            value=math.fsum(w * p.value for w, p in zip(weights, parts)),
+            tail_bound=math.fsum(w * p.tail_bound for w, p in zip(weights, parts)),
+            cosh_cutoff=max(p.cosh_cutoff for p in parts),
+            terms=sum(p.terms for p in parts)))
+    return out
+
+
 def G_ks_m(ks, m: int, z1, z2, ctx: PrecisionContext,
            tail_target: float | None = None) -> list[GreensValue]:
     """G_k^m(z1, z2) for every k in ks (each in {3, 5, 7}), aligned with ks.
@@ -302,58 +355,56 @@ def G_ks_m(ks, m: int, z1, z2, ctx: PrecisionContext,
     for inequality checks.  Every coset gets an equal share of the tail
     budget.
     """
-    if any(k not in (3, 5, 7) for k in ks):
-        raise ValueError(f"k must be odd in (3, 5, 7), got {tuple(ks)}")
+    ss, target = _gk_args(ks, tail_target)
     cosets = hecke_cosets(m)
-    target = DEFAULT_GK_TAIL if tail_target is None else float(tail_target)
-    ss = [float(k) for k in ks]
     z1c = _as_complex(z1)
     share = target / len(cosets)
-    per_coset = [_lattice_sums(ss, z1c, _as_complex(coset_apply(coset, z2)), share)
-                 for coset in cosets.reps]
-    out = []
-    for parts in zip(*per_coset):
-        value = tail = 0.0
-        for part in parts:
-            value += part.value
-            tail += part.tail_bound
-        out.append(GreensValue(value=value, tail_bound=tail,
-                               cosh_cutoff=max(p.cosh_cutoff for p in parts),
-                               terms=sum(p.terms for p in parts)))
-    return out
+    return _weighted_total(
+        [(1, _lattice_sums(ss, z1c, _as_complex(coset_apply(coset, z2)), share))
+         for coset in cosets.reps])
 
 
-# ---------------------------------------------------------------------------
-# principal parts
+def class_pair_key(f1: QuadForm, f2: QuadForm) -> tuple[QuadForm, QuadForm]:
+    """The least of (f1, f2), (f2, f1) and their images under b -> -b.
+
+    f1 and f2 are reduced forms.  G_s(z1, z2) depends only on the two
+    classes, is symmetric, and is unchanged by z -> -conj z on both points
+    (an isometry normalising the group), which sends each class to its
+    inverse; so every pair with one key has one G_s.
+    """
+    g1, g2 = inverse(f1), inverse(f2)
+    return min((f1, f2), (f2, f1), (g1, g2), (g2, g1))
 
 
-@dataclass(frozen=True)
-class PrincipalPart:
-    """Principal part sum of c(m) q^(-m) of a weight 2-2k input form."""
+def class_pair_weights(pairs, m: int) -> dict[tuple[QuadForm, QuadForm], int]:
+    """Summed multiplicity per class_pair_key over every (pair, coset) walk.
 
-    k: int
-    coefficients: Mapping[int, int]
+    pairs carry exact CMPoints z1, z2 and a multiplicity (cmcycles.CyclePair);
+    the coset image of z2 is exact too (coset_apply), so the keys are exact.
+    """
+    cosets = hecke_cosets(m).reps
+    weights: dict[tuple[QuadForm, QuadForm], int] = {}
+    for pair in pairs:
+        f1 = reduce_form(pair.z1.form)
+        for coset in cosets:
+            key = class_pair_key(f1, reduce_form(coset_apply(coset, pair.z2).form))
+            weights[key] = weights.get(key, 0) + pair.multiplicity
+    return weights
 
-    def __post_init__(self):
-        if self.k < 1 or self.k % 2 == 0:
-            raise ValueError("k must be an odd positive integer")
-        if any(m < 1 for m in self.coefficients):
-            raise ValueError("principal part indices must be positive")
-        if not any(self.coefficients.values()):
-            raise ValueError("principal part must have a nonzero coefficient")
 
+def G_ks_m_cycle(ks, m: int, pairs, tail_target: float | None = None) -> list[GreensValue]:
+    """Sum over pairs of multiplicity * G_k^m(z1, z2), for each k in ks.
 
-def G_f(f: PrincipalPart, z1, z2, ctx: PrecisionContext,
-        tail_target: float | None = None):
-    """sum over m of c(m) m^(k-1) G_k^m(z1, z2)."""
-    total = 0
-    for m in sorted(f.coefficients):
-        c = f.coefficients[m]
-        if not c:
-            continue
-        part = G_k_m(f.k, m, z1, z2, ctx, tail_target=tail_target)
-        total += c * m ** (f.k - 1) * part.value
-    return total
+    One _lattice_sums walk per class_pair_weights key, in key order, at the
+    per-coset share of G_ks_m and weighted by the key's summed multiplicity,
+    so the tail is at most the summed multiplicity times tail_target, as
+    over separate pairs.  Values and tails are weighted sums, aligned with ks.
+    """
+    ss, target = _gk_args(ks, tail_target)
+    share = target / len(hecke_cosets(m))
+    return _weighted_total(
+        [(w, _lattice_sums(ss, cm_point(f1).approx(), cm_point(f2).approx(), share))
+         for (f1, f2), w in sorted(class_pair_weights(pairs, m).items())])
 
 
 # ---------------------------------------------------------------------------

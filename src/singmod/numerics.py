@@ -10,9 +10,12 @@ degree J per t-band (t >= 64, 16, 4, 2) and evaluated by Horner.  All terms
 are positive, so the remainder is at most a_(J+1) u^(J+1) / (1 - rho u)
 with rho the largest later term ratio (above 1 for small j once n >= 3);
 each band's J is the least one putting this below 2^-53 times the sum at
-the band's lower edge.  legendre_Q_closed evaluates the route at odd orders
-k - 1, k in {1, 3, 5, 7}, at the context precision.  Its oracle is
-legendre_Q_num, direct quadrature of the integral representation
+the band's lower edge, except the top band, whose degree is fixed at 4 and
+whose edge moves up from 64 until that degree suffices.  _q_sum adds Q_n
+over many arguments, the top band unrolled.  legendre_Q_closed evaluates
+the route at odd orders k - 1, k in {1, 3, 5, 7}, at the context
+precision.  Its oracle is legendre_Q_num, direct quadrature of the integral
+representation
 
     Q_{s-1}(t) = int_0^oo (t + sqrt(t^2-1) cosh v)^(-s) dv,  t > 1.
 
@@ -23,6 +26,7 @@ each retry from the bits the failed attempt lacked.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import mpmath as mp
@@ -94,8 +98,12 @@ def legendre_P(n: int, t):
     return p
 
 
-# lower edges of the t-bands of the float route; each band has its own degree
-_Q_BANDS = (64.0, 16.0, 4.0, 2.0)
+# the top t-band has this fixed degree; its lower edge starts here and
+# doubles until the degree suffices (64 for every n <= 20)
+_Q_TOP_DEGREE = 4
+_Q_TOP_EDGE = 64.0
+# lower edges of the other t-bands; each band has its own degree
+_Q_BANDS = (16.0, 4.0, 2.0)
 _Q_HORNER: dict[int, tuple[tuple[float, tuple[float, ...]], ...]] = {}
 
 
@@ -111,9 +119,11 @@ def _q_horner_bands(n: int) -> tuple[tuple[float, tuple[float, ...]], ...]:
 
     and the partial sum is at least a_0.  r_j > 1 exactly when
     j < (n^2 - n - 4)/4 (for n >= 3 the first ratios exceed 1), so rho is the
-    largest of 1 and the r_j with J < j below that crossing.  The degree of a
-    band is the least J with rho u < 1 and R_J <= 2^-53 a_0 at the band's
-    lower edge t0; since R_J falls with u, the bound holds on the whole band.
+    largest of 1 and the r_j with J < j below that crossing.  A degree J
+    fits a band when rho u < 1 and R_J <= 2^-53 a_0 at the band's lower edge
+    t0; since R_J falls with u, the bound then holds on the whole band.  The
+    top band has degree _Q_TOP_DEGREE and the least edge _Q_TOP_EDGE 2^i
+    that it fits; every other band takes the least J that fits.
     """
     bands = _Q_HORNER.get(n)
     if bands is not None:
@@ -126,17 +136,21 @@ def _q_horner_bands(n: int) -> tuple[tuple[float, tuple[float, ...]], ...]:
     for i in range(1, n + 1):
         a[0] *= i / (2.0 * i + 1.0)
     crossing = (n * n - n - 4) // 4 + 1
-    out = []
-    for t0 in _Q_BANDS:
+
+    def fits(J, t0):
+        while len(a) < J + 2:
+            a.append(a[-1] * ratio(len(a) - 1))
         u = 1.0 / (t0 * t0)
+        rho = max([1.0] + [ratio(j) for j in range(J + 1, crossing + 1)])
+        return rho * u < 1.0 and a[J + 1] * u ** (J + 1) / (1.0 - rho * u) <= 2.0 ** -53 * a[0]
+
+    top = _Q_TOP_EDGE
+    while not fits(_Q_TOP_DEGREE, top):
+        top *= 2.0
+    out = [(top, tuple(reversed(a[:_Q_TOP_DEGREE + 1])))]
+    for t0 in _Q_BANDS:
         J = 0
-        while True:
-            while len(a) < J + 2:
-                a.append(a[-1] * ratio(len(a) - 1))
-            rho = max([1.0] + [ratio(j) for j in range(J + 1, crossing + 1)])
-            if (rho * u < 1.0
-                    and a[J + 1] * u ** (J + 1) / (1.0 - rho * u) <= 2.0 ** -53 * a[0]):
-                break
+        while not fits(J, t0):
             J += 1
         out.append((t0, tuple(reversed(a[:J + 1]))))
     bands = _Q_HORNER[n] = tuple(out)
@@ -193,6 +207,22 @@ def _q_int(n: int, t):
     for j in range(1, n):
         q0, q1 = q1, ((2 * j + 1) * t * q1 - j * q0) / (j + 1)
     return q1
+
+
+def _q_sum(n: int, ts) -> float:
+    """fsum of _q_int(n, t) over the ascending floats ts.
+
+    The arguments in the top t-band run through its degree-4 Horner step
+    unrolled in one comprehension, the same arithmetic as _q_int; the rest
+    go through _q_int.
+    """
+    top, (c4, c3, c2, c1, c0) = _q_horner_bands(n)[0]
+    i = bisect_left(ts, top)
+    e = -(n + 1)
+    terms = [_q_int(n, t) for t in ts[:i]]
+    terms += [((((c4 * u + c3) * u + c2) * u + c1) * u + c0) * t ** e
+              for t in ts[i:] for u in (1.0 / (t * t),)]
+    return math.fsum(terms)
 
 
 def legendre_Q_closed(k: int, t, ctx: PrecisionContext):

@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 
 from .numerics import PrecisionContext, PrecisionError, legendre_Q_closed, mk_constant
 from .quadforms import Discriminant, QuadFormError
-from .cmcycles import (SingularCycleError, build_cycle, conjugate_orbits,
-                       cycle_norm_integer)
-from .greens import G_ks_m, SingularityError, TailBudgetError, tm_count
+from .cmcycles import SingularCycleError, build_cycle, cycle_norm_integer
+from .greens import G_ks_m_cycle, SingularityError, TailBudgetError, tm_count
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +229,20 @@ def verify_chain(d1, d2, m: int, ctx: PrecisionContext,
                  report: VerificationReport | None = None) -> list[ChainBound]:
     """2 log N >= m_k * (-G_k^m(Z(W))) for k in {3, 5, 7}.
 
-    -G_k^m over the cycle is summed from truncated lattice sums, all k of a
-    pair from one orbit enumeration per Hecke coset (G_ks_m), once per
-    conjugate_orbits orbit; the omitted tails are added on the right so the
-    inequality tested is an upper bound of the true one.
+    -G_k^m over the cycle is summed from truncated lattice sums by
+    G_ks_m_cycle: one walk per class-pair key of the (pair, Hecke coset)
+    walks, all k from one orbit enumeration, weighted by the key's summed
+    multiplicity.  The omitted tails are added on the right, so the
+    inequality tested is an upper bound of the true one as far as the tail
+    bound holds (measured, not proven; see greens._tail_bound).
     """
     base = report or verify_nonunit(d1, d2, m, ctx)
     if base.status != "ok":
         raise SingularityError(
             f"chain bound undefined: status {base.status} ({base.error})")
     cycle = build_cycle(base.d1, base.d2)
-    neg = [0.0] * len(ks)
-    for pair in conjugate_orbits(cycle.pairs):
-        parts = G_ks_m(ks, m, pair.z1, pair.z2, ctx, tail_target=tail_target)
-        for i, part in enumerate(parts):
-            neg[i] += pair.multiplicity * (-part.value + part.tail_bound)
+    totals = G_ks_m_cycle(ks, m, cycle.pairs, tail_target=tail_target)
+    neg = [-total.value + total.tail_bound for total in totals]
     out = []
     for k, neg_k in zip(ks, neg):
         mk = float(mk_constant(k))

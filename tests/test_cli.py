@@ -232,7 +232,7 @@ def test_norm_chain_tail_budget_exit_code(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise TailBudgetError("tail target out of reach")
 
-    monkeypatch.setattr(verify, "G_ks_m", unreachable)
+    monkeypatch.setattr(verify, "G_ks_m_cycle", unreachable)
     code, payload, err = run_json(capsys, "norm", "-3", "-4", "1", "--chain")
     assert code == 2
     assert "chain skipped" in err

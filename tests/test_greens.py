@@ -4,20 +4,26 @@ import types
 import mpmath as mp
 import pytest
 
-from singmod.numerics import PrecisionContext, legendre_Q_closed
-from singmod.quadforms import CMPoint
-from singmod.modular import j_eval, modpoly_eval, y1_distance
+from singmod import greens
+from singmod.numerics import PrecisionContext, _q_int, legendre_Q_closed
+from singmod.quadforms import CMPoint, cm_point, enumerate_reduced, inverse
+from singmod.modular import (coset_apply, cosh_translates, fd_reduce, hecke_cosets,
+                             j_eval, modpoly_eval, y1_distance)
+from singmod.cmcycles import build_cycle
+from singmod.verify import fundamental_discriminants
 from singmod.greens import (
     DEFAULT_GK_TAIL,
     G_1,
-    G_f,
     G_k_m,
     G_ks_m,
+    G_ks_m_cycle,
     G_s_sum,
-    PrincipalPart,
     SingularityError,
     TailBudgetError,
+    _lattice_sums,
     _q_decay_const,
+    class_pair_key,
+    class_pair_weights,
     cosh_dist,
     g_s,
     g_s_truncated,
@@ -148,6 +154,92 @@ def test_G_ks_m_matches_G_k_m_per_k():
         G_ks_m((1, 3), 2, Z1, Z2, CTX)
 
 
+def _fixed_cutoff_sums(z1: complex, z2: complex, t_cut: float):
+    """Term count and the k = 3, 5, 7 sums of one walk at a fixed cutoff."""
+    chs = sorted(cosh_translates(fd_reduce(z1)[0], fd_reduce(z2)[0], t_cut))
+    return len(chs), [math.fsum(-2.0 * _q_int(n, ch) for ch in chs) for n in (2, 4, 6)]
+
+
+@pytest.mark.parametrize("d1, d2, m", [(-23, -24, 4), (-20, -23, 2), (-4, -7, 3)])
+def test_class_pair_grouping_is_exact(monkeypatch, d1, d2, m):
+    # at one common cutoff, one weighted walk per key sums to exactly the
+    # walks over every (pair, coset); (-4, -7) is a single self-conjugate pair
+    pairs = build_cycle(d1, d2).pairs
+    cosets = hecke_cosets(m).reps
+    weights = class_pair_weights(pairs, m)
+    t_cut = 60.0
+    separate_terms, separate = 0, [[], [], []]
+    for pair in pairs:
+        for coset in cosets:
+            n, sums = _fixed_cutoff_sums(pair.z1.approx(),
+                                         coset_apply(coset, pair.z2).approx(), t_cut)
+            separate_terms += pair.multiplicity * n
+            for acc, v in zip(separate, sums):
+                acc.append(pair.multiplicity * v)
+    grouped_terms, grouped = 0, [[], [], []]
+    for (f1, f2), w in weights.items():
+        n, sums = _fixed_cutoff_sums(cm_point(f1).approx(), cm_point(f2).approx(), t_cut)
+        grouped_terms += w * n
+        for acc, v in zip(grouped, sums):
+            acc.append(w * v)
+    assert grouped_terms == separate_terms
+    for a, b in zip(grouped, separate):
+        assert math.fsum(a) == pytest.approx(math.fsum(b), rel=1e-13, abs=0.0)
+    assert sum(weights.values()) == sum(p.multiplicity for p in pairs) * len(cosets)
+
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _lattice_sums(*args)
+
+    monkeypatch.setattr(greens, "_lattice_sums", spy)
+    total = G_ks_m_cycle((3, 5, 7), m, pairs, tail_target=1e-3)
+    assert len(calls) == len(weights) < len(pairs) * len(cosets)
+    assert all(v.value < 0 and v.tail_bound <= 1e-3 * sum(weights.values()) / len(cosets)
+               for v in total)
+
+
+def test_class_pair_key_separates_classes():
+    # two pairs of classes share a key exactly when swap and b -> -b on both
+    # forms carry one to the other
+    forms = [f for d in (-23, -92, -207, -15, -60)
+             for f in enumerate_reduced(d).reduced_forms]
+    groups = {}
+    for f1 in forms:
+        for f2 in forms:
+            groups.setdefault(class_pair_key(f1, f2), set()).add((f1, f2))
+    for key, members in groups.items():
+        f1, f2 = key
+        g1, g2 = inverse(f1), inverse(f2)
+        assert members == {(f1, f2), (f2, f1), (g1, g2), (g2, g1)}
+
+
+def _chain_grid_keys(m: int):
+    ds = fundamental_discriminants(24)
+    keys = set()
+    for i, d1 in enumerate(ds):
+        for d2 in ds[i + 1:]:
+            if math.gcd(d1, d2) == 1:
+                keys |= set(class_pair_weights(build_cycle(d1, d2).pairs, m))
+    return sorted(keys)
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_trimmed_tail_honest_on_chain_grid_walks(m):
+    # every walk of the chain-bound grid (|d| <= 24, tail 1e-3): the claimed
+    # tail at the trimmed cutoff covers what a 400x tighter budget adds
+    share = 1e-3 / len(hecke_cosets(m))
+    for f1, f2 in _chain_grid_keys(m):
+        c1, c2 = cm_point(f1).approx(), cm_point(f2).approx()
+        got = _lattice_sums((3.0, 5.0), c1, c2, share)
+        deep = _lattice_sums((3.0, 5.0), c1, c2, share / 400)
+        for g, d in zip(got, deep):
+            assert g.cosh_cutoff >= max(8.0, 2.0 * cosh_dist(c1, c2))
+            assert g.tail_bound <= share
+            assert g.value - d.value <= g.tail_bound, (f1, f2, g, d)
+
+
 def test_q_decay_const_integer_route_matches_legenq():
     # integer s takes the float Q route; the general evaluator is the oracle
     for s in (3, 5, 7):
@@ -183,27 +275,6 @@ def test_eigenfunction_property():
             lap = -(y0 ** 2) * (fxx + fyy)
             expect = s * (1 - s) * f(x0, y0)
             assert abs(lap - expect) < 1e-6
-
-
-def test_principal_part_validation():
-    PrincipalPart(k=3, coefficients={1: 1})
-    with pytest.raises(ValueError):
-        PrincipalPart(k=2, coefficients={1: 1})
-    with pytest.raises(ValueError):
-        PrincipalPart(k=3, coefficients={0: 1})
-    with pytest.raises(ValueError):
-        PrincipalPart(k=3, coefficients={2: 0})
-
-
-def test_G_f_single_term_and_linearity():
-    # the combination weights each G_k^m by c(m) m^(k-1)
-    single = G_f(PrincipalPart(k=3, coefficients={2: 1}), Z1, Z2, CTX)
-    direct = G_k_m(3, 2, Z1, Z2, CTX)
-    assert single == pytest.approx(2 ** 2 * direct.value, abs=1e-12)
-    combo = G_f(PrincipalPart(k=3, coefficients={1: 2, 2: -3}), Z1, Z2, CTX)
-    g1 = G_k_m(3, 1, Z1, Z2, CTX)
-    assert combo == pytest.approx(
-        2 * 1 ** 2 * g1.value - 3 * 2 ** 2 * direct.value, abs=1e-9)
 
 
 def test_graph_distance_examples():

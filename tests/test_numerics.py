@@ -9,7 +9,9 @@ from singmod.numerics import (
     IntegerRecognitionError,
     PrecisionContext,
     PrecisionError,
+    _q_horner_bands,
     _q_int,
+    _q_sum,
     integer_recognize,
     legendre_P,
     legendre_Q_closed,
@@ -82,6 +84,40 @@ def test_Q_float_route_vs_quadrature():
             a = _q_int(n, t)
             b = legendre_Q_num(n + 1, t, oracle)
             assert abs(a - b) <= 1e-13 * abs(b)
+
+
+def test_q_sum_matches_fsum_of_q_int():
+    # the batched sum runs the top band unrolled; _q_int is its oracle,
+    # across every band edge, below t = 2 and far into the top band
+    rng = random.Random(7)
+    ts = [1.01, 1.5, 2.0 - 1e-9, 2.0, 3.0, 1e4, 1e6]
+    for edge in (4.0, 16.0, 64.0, 128.0):
+        ts += [edge - 1e-9, math.nextafter(edge, 0.0), edge, edge + 1e-9]
+    ts += [rng.uniform(1.001, 200.0) for _ in range(300)]
+    ts.sort()
+    for n in (0, 2, 4, 6, 30):
+        want = math.fsum(_q_int(n, t) for t in ts)
+        assert _q_sum(n, ts) == pytest.approx(want, rel=1e-15, abs=0.0)
+        top = [t for t in ts if t >= 64.0]
+        assert _q_sum(n, top) == pytest.approx(
+            math.fsum(_q_int(n, t) for t in top), rel=1e-15, abs=0.0)
+    assert _q_sum(2, []) == 0.0
+
+
+def test_q_top_band_has_fixed_degree():
+    # _q_sum unrolls the top band, so its degree is fixed for every order;
+    # its edge rises instead, and the remainder bound still holds there
+    oracle = PrecisionContext(series_tail_bound=1e-80)
+    for n in range(41):
+        bands = _q_horner_bands(n)
+        top, coeffs = bands[0]
+        assert len(coeffs) == 5
+        assert top >= 64.0 and top > bands[1][0]
+    assert _q_horner_bands(20)[0][0] == 64.0
+    assert _q_horner_bands(30)[0][0] == 128.0
+    for t in (128.0, 300.0):
+        assert _q_int(30, t) == pytest.approx(
+            float(legendre_Q_num(31, t, oracle)), rel=1e-13)
 
 
 def test_Q_positive_decreasing():

@@ -208,7 +208,7 @@ def _unreachable_tail(*args, **kwargs):
 
 
 def test_sweep_chain_failure_is_an_error(monkeypatch):
-    monkeypatch.setattr(verify, "G_ks_m", _unreachable_tail)
+    monkeypatch.setattr(verify, "G_ks_m_cycle", _unreachable_tail)
     # every instance reaches the chain; none aborts the sweep or passes
     reports = sweep([-3, -4], [-7, -8], [1], CTX, chain=True)
     assert reports and all(r.status == "error" for r in reports)
