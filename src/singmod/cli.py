@@ -7,7 +7,12 @@ Exit code contract (scientifically meaningful, do not conflate 1 and 2):
   1  an assertion failed, i.e. a numerical counterexample to a claimed bound
   2  computational failure (precision exhausted, tail budget, bad input)
 
-A sweep with both counterexamples and failed instances exits 1.
+A sweep with both counterexamples and failed instances exits 1.  norm and
+sweep run verify.verify_instance, which records a failed instance in its
+report, and take their exit code from the summarize() tally of the reports.
+Every exception that means exit 2 (PrecisionError, TailBudgetError,
+ValueError and its subclasses QuadFormError, SingularityError) is mapped in
+main alone; the subcommands catch nothing.
 
 Big integers are serialized as decimal strings in JSON output so results
 survive any JSON parser.  Point arguments accept three spellings: a negative
@@ -26,13 +31,7 @@ import mpmath as mp
 
 from . import cache as diskcache
 from .numerics import PrecisionContext, PrecisionError
-from .quadforms import (
-    QuadForm,
-    QuadFormError,
-    cm_point,
-    enumerate_reduced,
-    reduce_form,
-)
+from .quadforms import QuadForm, cm_point, enumerate_reduced, reduce_form
 from .modular import (
     classpoly,
     coset_apply,
@@ -40,21 +39,13 @@ from .modular import (
     j_eval,
     modpoly_eval,
 )
-from .greens import (
-    G_1,
-    G_k_m,
-    SingularityError,
-    TailBudgetError,
-)
+from .greens import G_1, G_k_m, TailBudgetError
 from .cmcycles import build_cycle
 from .verify import (
-    check_epsilons,
     fundamental_discriminants,
     summarize,
     sweep,
-    verify_chain,
-    verify_lower_bound,
-    verify_nonunit,
+    verify_instance,
 )
 
 EXIT_OK = 0
@@ -122,19 +113,13 @@ def _poly_text(coeffs) -> str:
 def cmd_classpoly(args) -> int:
     d = args.d
     ctx = _context(args)
-    cached = None
+    coeffs = None
     if args.cache_dir:
-        cached = diskcache.load_ints(args.cache_dir, f"classpoly:{d}")
-    try:
-        if cached is not None:
-            coeffs = cached
-        else:
-            coeffs = classpoly(d, ctx)
-            if args.cache_dir:
-                diskcache.store_ints(args.cache_dir, f"classpoly:{d}", coeffs)
-    except PrecisionError as err:
-        print(f"precision failure: {err} (residual {err.residual})", file=sys.stderr)
-        return EXIT_COMPUTE
+        coeffs = diskcache.load_ints(args.cache_dir, f"classpoly:{d}")
+    if coeffs is None:
+        coeffs = classpoly(d, ctx)
+        if args.cache_dir:
+            diskcache.store_ints(args.cache_dir, f"classpoly:{d}", coeffs)
     payload = {"d": d, "degree": len(coeffs) - 1,
                "coeffs": [str(c) for c in coeffs]}
     _emit(args, payload, _poly_text(coeffs))
@@ -177,13 +162,7 @@ def cmd_cmpoints(args) -> int:
 
 def cmd_modpoly_eval(args) -> int:
     ctx = _context(args)
-    try:
-        z1 = parse_point(args.z1)
-        z2 = parse_point(args.z2)
-        value = modpoly_eval(args.m, z1, z2, ctx)
-    except (ValueError, QuadFormError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_COMPUTE
+    value = modpoly_eval(args.m, parse_point(args.z1), parse_point(args.z2), ctx)
     payload = {"m": args.m, "z1": args.z1, "z2": args.z2,
                "zero": value.is_zero,
                "zero_cosets": [list(c) for c in value.zero_cosets],
@@ -253,88 +232,75 @@ def _report_text(rep) -> str:
     return "\n".join(lines)
 
 
+def _exit_code(stats: dict) -> int:
+    """Exit code of a summarize() tally: counterexamples outrank failures."""
+    if stats["assert_failures"]:
+        return EXIT_ASSERT
+    return EXIT_COMPUTE if stats["error"] else EXIT_OK
+
+
 def cmd_norm(args) -> int:
-    check_epsilons(args.epsilon or ())
-    ctx = _context(args)
-    rep = verify_nonunit(args.d1, args.d2, args.m, ctx, factor=args.factor)
-    if rep.status == "ok":
-        for eps in args.epsilon or []:
-            verify_lower_bound(args.d1, args.d2, args.m, eps, ctx, report=rep)
-        if args.chain:
-            try:
-                verify_chain(args.d1, args.d2, args.m, ctx, report=rep)
-            except (SingularityError, TailBudgetError) as err:
-                print(f"chain skipped: {err}", file=sys.stderr)
-                rep.status = "error"
-                rep.error = f"chain: {type(err).__name__}: {err}"
+    rep = verify_instance(args.d1, args.d2, args.m, _context(args),
+                          epsilons=args.epsilon or (), chain=args.chain,
+                          factor=args.factor)
+    if rep.status == "error" and rep.error.startswith("chain: "):
+        print(f"chain skipped: {rep.error.removeprefix('chain: ')}", file=sys.stderr)
     _emit(args, _report_dict(rep), _report_text(rep))
-    if rep.status == "zero":
-        return EXIT_OK
-    if rep.status != "ok":
-        return EXIT_COMPUTE
-    return EXIT_OK if rep.all_passed else EXIT_ASSERT
+    return _exit_code(summarize([rep]))
 
 
 def cmd_greens(args) -> int:
     ctx = _context(args)
-    if args.k not in (1, 3, 5, 7):
-        print("error: --k must be odd in {1, 3, 5, 7}", file=sys.stderr)
-        return EXIT_COMPUTE
-    try:
-        if args.cycle:
-            d1, d2 = args.cycle
-            cycle = build_cycle(d1, d2)
-            total = 0.0
+    if args.cycle:
+        d1, d2 = args.cycle
+        cycle = build_cycle(d1, d2)
+        total = 0.0
+        tail = 0.0
+        rows = []
+        for pair in cycle.pairs:
+            part = G_k_m(args.k, args.m, pair.z1, pair.z2, ctx,
+                         tail_target=args.tail)
+            rows.append({"pair": list(pair.key),
+                         "multiplicity": pair.multiplicity,
+                         "value": float(part.value),
+                         "tail_bound": part.tail_bound})
+            total += pair.multiplicity * float(part.value)
+            tail += pair.multiplicity * part.tail_bound
+        payload = {"k": args.k, "m": args.m, "d1": d1, "d2": d2,
+                   "value": total, "tail_bound": tail, "pairs": rows}
+        text = "\n".join(
+            [f"G_{args.k}^{args.m}(Z({d1},{d2})) = {total:.9f} "
+             f"(tail bound {tail:.2e})"] +
+            [f"  pair {r['pair']} x{r['multiplicity']}: {r['value']:.9f}"
+             for r in rows])
+    else:
+        z1 = parse_point(args.z1)
+        z2 = parse_point(args.z2)
+        rows = []
+        if args.k == 1:
+            for coset in hecke_cosets(args.m).reps:
+                w = coset_apply(coset, z2)
+                val = float(G_1(z1, w, ctx))
+                rows.append({"coset": list(coset), "value": val})
+            total = sum(r["value"] for r in rows)
             tail = 0.0
-            rows = []
-            for pair in cycle.pairs:
-                part = G_k_m(args.k, args.m, pair.z1, pair.z2, ctx,
-                             tail_target=args.tail)
-                rows.append({"pair": list(pair.key),
-                             "multiplicity": pair.multiplicity,
-                             "value": float(part.value),
-                             "tail_bound": part.tail_bound})
-                total += pair.multiplicity * float(part.value)
-                tail += pair.multiplicity * part.tail_bound
-            payload = {"k": args.k, "m": args.m, "d1": d1, "d2": d2,
-                       "value": total, "tail_bound": tail, "pairs": rows}
-            text = "\n".join(
-                [f"G_{args.k}^{args.m}(Z({d1},{d2})) = {total:.9f} "
-                 f"(tail bound {tail:.2e})"] +
-                [f"  pair {r['pair']} x{r['multiplicity']}: {r['value']:.9f}"
-                 for r in rows])
         else:
-            z1 = parse_point(args.z1)
-            z2 = parse_point(args.z2)
-            rows = []
-            if args.k == 1:
-                for coset in hecke_cosets(args.m).reps:
-                    w = coset_apply(coset, z2)
-                    val = float(G_1(z1, w, ctx))
-                    rows.append({"coset": list(coset), "value": val})
-                total = sum(r["value"] for r in rows)
-                tail = 0.0
-            else:
-                part = G_k_m(args.k, args.m, z1, z2, ctx, tail_target=args.tail)
-                total, tail = float(part.value), part.tail_bound
-                rows.append({"coset": "all", "value": total,
-                             "tail_bound": part.tail_bound,
-                             "terms": part.terms})
-            payload = {"k": args.k, "m": args.m, "value": total,
-                       "tail_bound": tail, "per_coset": rows}
-            text = "\n".join(
-                [f"G_{args.k}^{args.m}(z1, z2) = {total:.9f} "
-                 f"(tail bound {tail:.2e})"] +
-                [f"  {r}" for r in rows])
-    except (SingularityError, TailBudgetError, ValueError, QuadFormError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_COMPUTE
+            part = G_k_m(args.k, args.m, z1, z2, ctx, tail_target=args.tail)
+            total, tail = float(part.value), part.tail_bound
+            rows.append({"coset": "all", "value": total,
+                         "tail_bound": part.tail_bound,
+                         "terms": part.terms})
+        payload = {"k": args.k, "m": args.m, "value": total,
+                   "tail_bound": tail, "per_coset": rows}
+        text = "\n".join(
+            [f"G_{args.k}^{args.m}(z1, z2) = {total:.9f} "
+             f"(tail bound {tail:.2e})"] +
+            [f"  {r}" for r in rows])
     _emit(args, payload, text)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    check_epsilons(args.epsilon or ())
     ctx = _context(args)
     if args.coprime_fundamental:
         values = fundamental_discriminants(args.dmax)
@@ -355,9 +321,7 @@ def cmd_sweep(args) -> int:
         print(text)
     else:
         _emit(args, payload, text)
-    if stats["assert_failures"]:
-        return EXIT_ASSERT
-    return EXIT_COMPUTE if stats["error"] else EXIT_OK
+    return _exit_code(stats)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +407,10 @@ def main(argv=None) -> int:
     except PrecisionError as err:
         print(f"precision failure: {err}", file=sys.stderr)
         return EXIT_COMPUTE
-    except (QuadFormError, ValueError) as err:
+    except TailBudgetError as err:
+        print(f"tail budget: {err}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except ValueError as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_COMPUTE
     return code

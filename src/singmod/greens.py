@@ -232,10 +232,11 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
     around the higher of the two reduced points, where its row count
     (~ T / Im of the centre) is least.
     """
-    t_start = max(8.0, 2.0 * cosh_dist(c1, c2))
     centre, other = fd_reduce(c1)[0], fd_reduce(c2)[0]
     if other.imag > centre.imag:
         centre, other = other, centre
+    # from the reduced points, so the floor does not depend on representatives
+    t_start = max(8.0, 2.0 * cosh_dist(centre, other))
     t_enum = 0.0
     chs: list[float] = []
     out = {}

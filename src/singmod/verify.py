@@ -23,10 +23,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from .numerics import PrecisionContext, PrecisionError, legendre_Q_closed, mk_constant
 from .quadforms import Discriminant, QuadFormError
-from .cmcycles import SingularCycleError, build_cycle, cycle_norm_integer
+from .cmcycles import SingularCycleError, build_cycle, cycle_case, cycle_norm_integer
 from .greens import G_ks_m_cycle, SingularityError, TailBudgetError, tm_count
 
 
@@ -254,6 +255,32 @@ def verify_chain(d1, d2, m: int, ctx: PrecisionContext,
     return out
 
 
+def verify_instance(d1, d2, m: int, ctx: PrecisionContext, epsilons=(),
+                    chain: bool = False, factor: bool = False) -> VerificationReport:
+    """verify_nonunit plus each requested epsilon and chain bound.
+
+    A non-positive epsilon raises ValueError before any work.  A requested
+    bound that cannot be checked turns the report into status "error", its
+    message prefixed "epsilon:" or "chain:"; nothing is raised.  elapsed
+    times verify_nonunit only.
+    """
+    check_epsilons(epsilons)
+    rep = verify_nonunit(d1, d2, m, ctx, factor=factor)
+    if rep.status != "ok":
+        return rep
+    stage = "epsilon"
+    try:
+        for eps in epsilons:
+            verify_lower_bound(d1, d2, m, eps, ctx, report=rep)
+        stage = "chain"
+        if chain:
+            verify_chain(d1, d2, m, ctx, report=rep)
+    except (SingularityError, PrecisionError, TailBudgetError) as err:
+        rep.status = "error"
+        rep.error = f"{stage}: {type(err).__name__}: {err}"
+    return rep
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -268,22 +295,6 @@ def fundamental_discriminants(limit: int) -> list[int]:
         if disc.is_fundamental:
             out.append(d)
     return out
-
-
-def _sweep_instance(task) -> VerificationReport:
-    d1, d2, m, ctx, epsilons, chain, factor = task
-    rep = verify_nonunit(d1, d2, m, ctx, factor=factor)
-    if rep.status == "ok":
-        for eps in epsilons:
-            verify_lower_bound(d1, d2, m, eps, ctx, report=rep)
-        if chain:
-            try:
-                verify_chain(d1, d2, m, ctx, report=rep)
-            except (SingularityError, PrecisionError, TailBudgetError) as err:
-                # the chain was asked for and could not be checked
-                rep.status = "error"
-                rep.error = f"chain: {type(err).__name__}: {err}"
-    return rep
 
 
 def sweep_instances(d1_values, d2_values, m_values, policy: str = "exact"):
@@ -302,12 +313,11 @@ def sweep_instances(d1_values, d2_values, m_values, policy: str = "exact"):
             if key in seen:
                 continue
             seen.add(key)
-            coprime = math.gcd(-d1, -d2) == 1
             try:
-                case_small = Discriminant.of(d1).d_K == Discriminant.of(d2).d_K
+                kind = cycle_case(d1, d2)
             except QuadFormError:
                 continue
-            if policy == "exact" and not (coprime or case_small):
+            if policy == "exact" and kind == "big" and math.gcd(-d1, -d2) > 1:
                 continue
             for m in m_values:
                 out.append((d1, d2, m))
@@ -317,7 +327,7 @@ def sweep_instances(d1_values, d2_values, m_values, policy: str = "exact"):
 def sweep(d1_values, d2_values, m_values, ctx: PrecisionContext,
           policy: str = "exact", epsilons=(), chain: bool = False,
           factor: bool = False, workers: int = 1) -> list[VerificationReport]:
-    """Run verify_nonunit (plus optional bound checks) over a grid.
+    """verify_instance over a grid.
 
     An epsilon that is not positive raises ValueError before any instance
     runs; per-instance errors are recorded in the report, never raised.  With
@@ -325,13 +335,14 @@ def sweep(d1_values, d2_values, m_values, ctx: PrecisionContext,
     grid order either way.
     """
     check_epsilons(epsilons)
-    tasks = [(d1, d2, m, ctx, tuple(epsilons), chain, factor)
-             for d1, d2, m in sweep_instances(d1_values, d2_values, m_values, policy)]
-    if workers <= 1 or len(tasks) < 2:
-        return [_sweep_instance(t) for t in tasks]
+    grid = sweep_instances(d1_values, d2_values, m_values, policy)
+    run = partial(verify_instance, ctx=ctx, epsilons=tuple(epsilons),
+                  chain=chain, factor=factor)
+    if workers <= 1 or len(grid) < 2:
+        return [run(*task) for task in grid]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_instance, tasks))
+        return list(pool.map(run, *zip(*grid)))
 
 
 def summarize(reports) -> dict:

@@ -7,6 +7,7 @@ from singmod import cache as diskcache
 from singmod import cli, verify
 from singmod.cli import main, parse_point
 from singmod.greens import TailBudgetError
+from singmod.numerics import PrecisionContext, PrecisionError
 from singmod.quadforms import CMPoint
 from singmod.verify import VerificationReport
 
@@ -183,6 +184,14 @@ def test_greens_argument_validation(capsys):
     assert code == 2 and err
 
 
+def test_greens_tail_budget_exits_2(capsys):
+    # TailBudgetError reaches exit 2 through main, with nothing on stdout
+    code, out, err = run(capsys, "greens", "--k", "3", "--z1", "i", "--z2", "2i",
+                         "--tail", "1e-30")
+    assert code == 2 and out == ""
+    assert err.startswith("tail budget:")
+
+
 def test_sweep_small_grid(capsys):
     code, payload, _ = run_json(
         capsys, "sweep", "--dmax", "8", "--mmax", "2",
@@ -237,3 +246,28 @@ def test_norm_chain_tail_budget_exit_code(capsys, monkeypatch):
     assert code == 2
     assert "chain skipped" in err
     assert payload["status"] == "error" and "TailBudgetError" in payload["error"]
+
+
+def test_norm_chain_precision_failure_reports_json(capsys, monkeypatch):
+    def lost(*args, **kwargs):
+        raise PrecisionError("did not stabilize")
+
+    monkeypatch.setattr(verify, "G_ks_m_cycle", lost)
+    code, payload, err = run_json(capsys, "norm", "-3", "-4", "1", "--chain")
+    assert code == 2
+    assert "chain skipped" in err
+    assert payload["status"] == "error"
+    assert payload["error"].startswith("chain: PrecisionError")
+
+
+@pytest.mark.parametrize("d1, d2, m", [(-4, -7, 1), (-4, -4, 2), (-15, -20, 1)])
+def test_norm_matches_its_sweep_row(capsys, d1, d2, m):
+    # ok, legal zero and diagnostic: one pipeline, one report
+    flags = ("--factor", "--epsilon", "0.5", "--chain")
+    code, payload, _ = run_json(capsys, "norm", str(d1), str(d2), str(m), *flags)
+    [rep] = verify.sweep([d1], [d2], [m], PrecisionContext(), policy="all",
+                         epsilons=(0.5,), chain=True, factor=True)
+    row = cli._report_dict(rep)
+    del payload["elapsed"], row["elapsed"]
+    assert payload == row
+    assert code == cli._exit_code(verify.summarize([rep]))

@@ -92,6 +92,17 @@ def test_G_s_sum_symmetric_from_either_point():
         assert c.value == pytest.approx(a.value, abs=a.tail_bound + c.tail_bound)
 
 
+def test_G_s_sum_cutoff_independent_of_representative():
+    # the cutoff floor is taken from the reduced points, so a far
+    # representative of the same orbit walks the same terms
+    z = -0.3 + 1.5j
+    plain = G_s_sum(5, 0.1 + 1.2j, z, CTX, tail_target=0.1)
+    moved = G_s_sum(5, 0.1 + 1.2j, (7 * z + 3) / (2 * z + 1), CTX, tail_target=0.1)
+    assert moved.cosh_cutoff == plain.cosh_cutoff
+    assert moved.terms == plain.terms
+    assert moved.value == pytest.approx(plain.value, abs=1e-12)
+
+
 def test_G_s_sum_tail_honest_under_doubling():
     coarse = G_s_sum(3, Z1, Z2, CTX, tail_target=1e-4)
     fine = G_s_sum(3, Z1, Z2, CTX, tail_target=1e-8)

@@ -5,7 +5,7 @@ import pytest
 from singmod import verify
 from singmod.cmcycles import build_cycle
 from singmod.greens import G_ks_m, TailBudgetError
-from singmod.numerics import PrecisionContext
+from singmod.numerics import PrecisionContext, PrecisionError
 from singmod.verify import (
     Factorization,
     factor_norm,
@@ -215,3 +215,13 @@ def test_sweep_chain_failure_is_an_error(monkeypatch):
     assert all("TailBudgetError" in r.error for r in reports)
     assert not any(r.all_passed for r in reports)
     assert summarize(reports)["error"] == len(reports)
+
+
+def test_sweep_epsilon_failure_is_an_error(monkeypatch):
+    def lost(*args, **kwargs):
+        raise PrecisionError("did not stabilize")
+
+    monkeypatch.setattr(verify, "tm_count", lost)
+    reports = sweep([-3, -4], [-7, -8], [1], CTX, epsilons=(0.5,))
+    assert reports and all(r.status == "error" for r in reports)
+    assert all(r.error.startswith("epsilon: PrecisionError") for r in reports)
