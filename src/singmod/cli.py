@@ -30,9 +30,10 @@ import sys
 import mpmath as mp
 
 from . import cache as diskcache
-from .numerics import PrecisionContext, PrecisionError
+from .numerics import GUARD_BITS, PrecisionContext, PrecisionError
 from .quadforms import QuadForm, cm_point, enumerate_reduced, reduce_form
 from .modular import (
+    JValue,
     classpoly,
     coset_apply,
     hecke_cosets,
@@ -137,7 +138,9 @@ def cmd_cmpoints(args) -> int:
                  "point": f"(-({form.b}) + sqrt({d}))/{2 * form.a}",
                  "approx": [z.approx().real, z.approx().imag]}
         if args.j:
-            value = j_eval(z, ctx)
+            # at the context's scale, whatever finer value the point cache holds
+            scale = ctx.mantissa_bits + GUARD_BITS
+            value = JValue.of(*j_eval(z, ctx).at_scale(scale), scale)
             # a part inside the certified error is shown as 0
             re = 0 if abs(value.re) <= value.err else value.real
             im = 0 if abs(value.im) <= value.err else value.imag

@@ -17,11 +17,15 @@ whether d1*d2 is a perfect square:
     projection maps, plus the complex-conjugate branch, which inverts both
     classes.
 
-Norms are assembled as products of per-pair modular values and certified
-by recognize_with_retries from the context's precision up, which sizes any
-retry.  A big cycle's product is n0^4, where n0 is the product over the
-grid at multiplicity 1 and is itself an integer (see cycle_norm_integer),
-so only n0 is certified, at a quarter of the bits.
+Norms are products of per-pair modular values, multiplied as mpfs with a
+relative error bound that counts every rounding (cycle_log_norm), and
+certified by recognize_with_retries.  The first pass is sized from exact
+data: log|j(z)| is about pi sqrt|d| / a at the reduced form (a, b, c) of z,
+so the reduced forms of the pairs and their Hecke images give the size of
+the product before any j-value is computed; a retry is only a fallback.  A
+big cycle's product is n0^4, where n0 is the product over the grid at
+multiplicity 1 and is itself an integer (see cycle_norm_integer), so only
+n0 is certified, at a quarter of the bits.
 Inverting both classes sends (z1, z2) to (-conj z1, -conj z2), where |phi_m|
 is the same (phi_m has integer coefficients, j(-conj z) = conj j(z)), so
 values are computed once per such orbit (conjugate_orbits).  Chain sums
@@ -44,8 +48,9 @@ from .quadforms import (
     enumerate_reduced,
     inverse,
     project_class,
+    reduce_form,
 )
-from .modular import modpoly_eval
+from .modular import coset_apply, hecke_cosets, modpoly_eval
 
 
 class CycleError(ValueError):
@@ -182,6 +187,12 @@ def build_cycle(d1, d2) -> CMCycle:
     return big_cm_cycle(d1, d2)
 
 
+def _inverse_key(pair: CyclePair) -> tuple:
+    """The key of the pair of inverse classes (C1^-1, C2^-1)."""
+    f1, f2 = inverse(pair.z1.form), inverse(pair.z2.form)
+    return (f1.a, f1.b, f2.a, f2.b)
+
+
 def conjugate_orbits(pairs) -> list[CyclePair]:
     """One pair per orbit of (C1, C2) -> (C1^-1, C2^-1), sorted by key: the
     pair of smaller key, with the orbit's summed multiplicity.  The first
@@ -189,8 +200,7 @@ def conjugate_orbits(pairs) -> list[CyclePair]:
     the same pair as over the unfolded cycle."""
     orbits: dict[tuple, CyclePair] = {}
     for pair in sorted(pairs, key=lambda p: p.key):
-        f1, f2 = inverse(pair.z1.form), inverse(pair.z2.form)
-        twin = orbits.get((f1.a, f1.b, f2.a, f2.b))
+        twin = orbits.get(_inverse_key(pair))
         if twin is None:
             orbits[pair.key] = pair
         else:
@@ -199,48 +209,116 @@ def conjugate_orbits(pairs) -> list[CyclePair]:
     return list(orbits.values())
 
 
+def _log_j_size(z: CMPoint) -> float:
+    """pi sqrt|d| / a for the reduced form (a, b, c) of z: this is 2 pi Im z
+    at the reduced point, so |j(z)| is about e to this power."""
+    return math.pi * math.sqrt(-z.d) / reduce_form(z.form).a
+
+
+def _norm_bits_estimate(cycle: CMCycle, m: int) -> int:
+    """About log2 of the cycle product of |phi_m|, from reduced forms alone.
+
+    Each factor j(z1) - j(M z2) has a log size of about the larger of
+    _log_j_size at z1 and at w = M z2 (coset_apply); the estimate sums this
+    over pairs, with multiplicity, and Hecke cosets.  No j-value is
+    computed.
+    """
+    cosets = hecke_cosets(m).reps
+    images: dict[CMPoint, list[float]] = {}
+    total = 0.0
+    for pair in cycle.pairs:
+        sizes = images.get(pair.z2)
+        if sizes is None:
+            sizes = images[pair.z2] = [_log_j_size(coset_apply(c, pair.z2))
+                                       for c in cosets]
+        near = _log_j_size(pair.z1)
+        total += pair.multiplicity * sum(max(near, size) for size in sizes)
+    return math.ceil(total / math.log(2))
+
+
+# error-bound arithmetic: 53 bits, rounded up
+_UP = {"prec": 53, "rounding": "u"}
+
+
 @dataclass(frozen=True)
 class CycleLogNorm:
-    """Sum of multiplicity * log|phi_m| over the cycle, with an error bound.
+    """The cycle product of |phi_m| as an mpf, with its logarithm on demand.
 
-    error_bound is an mpf bound on |value - true log|, so it does not
-    underflow at thousands of bits.
+    The true product lies within product * rel_error of product; rel_error
+    is an mpf rounded up, so it does not underflow at thousands of bits.
+    prec is the working precision the product was formed at; value, the
+    natural log, is taken there, and error_bound bounds |value - true log|.
     """
 
-    value: mp.mpf
-    error_bound: mp.mpf
+    product: mp.mpf
+    rel_error: mp.mpf
+    prec: int
+
+    @property
+    def value(self):
+        with mp.workprec(self.prec):
+            return mp.log(self.product)
+
+    @property
+    def error_bound(self):
+        """|log(1 + t)| <= rel / (1 - rel) for |t| <= rel < 1, plus two ulps
+        for the rounding of the log."""
+        rel = self.rel_error
+        if not rel < 1:
+            return mp.inf
+        log_err = mp.fdiv(rel, mp.fsub(1, rel, prec=53, rounding="d"), **_UP)
+        return mp.fadd(log_err, mp.fmul(abs(self.value), mp.ldexp(1, 1 - self.prec),
+                                        **_UP), **_UP)
 
     def __float__(self):
         return float(self.value)
 
 
 def cycle_log_norm(cycle: CMCycle, m: int, ctx: PrecisionContext) -> CycleLogNorm:
-    """Natural log of the cycle product of |phi_m(j(z1), j(z2))|.
+    """The cycle product of |phi_m(j(z1), j(z2))|, with a relative error bound.
+
+    One value v per conjugate orbit (conjugate_orbits).  A self-conjugate
+    orbit (both classes their own inverse) has a real value, so it
+    contributes |Re v| once per unit of multiplicity; a folded pair
+    contributes |v|^2 = Re(v)^2 + Im(v)^2 once per two, its multiplicity
+    being even (a pair and its inverse pair occur equally often).  If v has
+    relative error at most r, |Re v| is within r of the true factor and
+    |v|^2 within (1 + r)^2 - 1; each mpf operation adds a relative rounding
+    of at most u = 2^(1 - prec).  With S the sum of all these r's and u's,
+    the product's relative error is at most prod (1 + r_i) - 1 <= e^S - 1
+    <= S (1 + S) for S <= 1.
 
     Raises SingularCycleError the moment a factor is numerically zero; the
-    iteration order is fixed (conjugate_orbits, sorted by form key) so sums
-    are bit-stable.  A value with relative error e < 1 has log error at most
-    e / (1 - e); the rounding of each log and of the running sum is added
-    on top.
+    iteration order is fixed (conjugate_orbits, sorted by form key) so the
+    product is bit-stable.
     """
     with ctx.workprec():
-        ulp = mp.mpf(2) ** (1 - mp.mp.prec)
-        total = mp.mpf(0)
-        err = mp.mpf(0)
+        prec = mp.mp.prec
+        u = mp.ldexp(1, 1 - prec)
+        product = mp.mpf(1)
+        budget = mp.mpf(0)
         for pair in conjugate_orbits(cycle.pairs):
             v = modpoly_eval(m, pair.z1, pair.z2, ctx)
             if v.is_zero:
                 raise SingularCycleError(
                     f"phi_{m} vanishes at cycle pair {pair.key}",
                     pair=pair, zero_cosets=v.zero_cosets)
-            log_abs = v.log_abs()
-            total += pair.multiplicity * log_abs
-            log_err = (v.rel_error / (1 - v.rel_error) if v.rel_error < 1
-                       else mp.inf)
-            # plus the rounding of the log and of the running sum
-            err += (pair.multiplicity * (log_err + abs(log_abs) * ulp)
-                    + abs(total) * ulp)
-        return CycleLogNorm(value=total, error_bound=err)
+            if _inverse_key(pair) == pair.key:
+                factor, count = abs(v.value.real), pair.multiplicity
+                share = mp.fadd(v.rel_error, u, **_UP)
+            elif pair.multiplicity % 2 == 0:
+                re, im = v.value.real, v.value.imag
+                factor, count = re * re + im * im, pair.multiplicity // 2
+                # 2 r for |v|^2, 2 u for forming it, u for the multiplication
+                share = mp.fadd(2 * v.rel_error, 3 * u, **_UP)
+            else:
+                raise CycleError(
+                    f"pair {pair.key} and its inverse pair differ in multiplicity")
+            for _ in range(count):
+                product *= factor
+            budget = mp.fadd(budget, mp.fmul(count, share, **_UP), **_UP)
+        rel = mp.fmul(budget, mp.fadd(1, budget, **_UP), **_UP) if budget <= 1 else mp.inf
+        return CycleLogNorm(product=product, rel_error=rel, prec=prec)
 
 
 def cycle_norm_integer(cycle: CMCycle, m: int, ctx: PrecisionContext) -> int:
@@ -257,9 +335,14 @@ def cycle_norm_integer(cycle: CMCycle, m: int, ctx: PrecisionContext) -> int:
     grid runs over all roots of H_d1, resp. H_d2, and any sigma in
     Gal(Qbar/Q) permutes the grid.  The grid product is therefore rational,
     and it is an algebraic integer because phi_m lies in Z[X, Y] and
-    j-values are algebraic integers.  So n0 is certified at multiplicity 1,
-    from ctx.mantissa_bits up (recognize_with_retries sizes any retry from
-    the shortfall), and n0^4 is returned exactly.
+    j-values are algebraic integers.  So n0 is certified at multiplicity 1
+    and n0^4 is returned exactly.
+
+    The product x from cycle_log_norm is recognized with err = x rel_error.
+    The first pass runs at the larger of ctx.mantissa_bits and
+    _norm_bits_estimate + 64 bits, enough for the whole integer part;
+    recognize_with_retries sizes a retry from the shortfall should the
+    estimate fall short.
     """
     power = 1
     if cycle.kind != "small":
@@ -267,12 +350,10 @@ def cycle_norm_integer(cycle: CMCycle, m: int, ctx: PrecisionContext) -> int:
         cycle = replace(
             cycle, pairs=tuple(CyclePair(p.z1, p.z2, 1) for p in cycle.pairs),
             group_order=cycle.group_order // BIG_MULTIPLICITY)
+    start = ctx.with_bits(max(ctx.mantissa_bits, _norm_bits_estimate(cycle, m) + 64))
 
     def compute(current):
-        log_norm = cycle_log_norm(cycle, m, current)
-        with current.workprec():
-            value = mp.exp(log_norm.value)
-            # |e^(L + t) - e^L| <= e^L (e^|t| - 1) for |t| <= error_bound
-            return [(value, value * mp.expm1(log_norm.error_bound))]
+        norm = cycle_log_norm(cycle, m, current)
+        return [(norm.product, mp.fmul(norm.product, norm.rel_error, **_UP))]
 
-    return recognize_with_retries(compute, ctx)[0] ** power
+    return recognize_with_retries(compute, start)[0] ** power

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from operator import mul
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, to_fixed
@@ -41,6 +42,8 @@ _FOUR_PI = 4 * math.pi
 
 _jcoeff_lock = threading.Lock()
 _jcoeffs: list[int] = []  # c_{-1}, c_0, c_1, ... with c_{-1} = 1, c_0 = 744
+# Delta/q, E_4 and E_8, as long as _jcoeffs; see _extend_jcoeffs
+_jseries: tuple[list[int], list[int], list[int]] = ([], [], [])
 
 _jvalue_lock = threading.Lock()
 # reduced (a, b, d) -> (prec, j at the scale 2^-prec), serving any prec up
@@ -48,54 +51,64 @@ _jvalue_lock = threading.Lock()
 _jvalue_cache: dict[tuple[int, int, int], tuple[int, JValue]] = {}
 
 
-def _series_mul(a: list[int], b: list[int], n: int) -> list[int]:
-    out = [0] * n
-    for i, ai in enumerate(a[:n]):
-        if ai:
-            top = n - i
-            for j, bj in enumerate(b[:top]):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
+def _divisor_power_sum(n: int, k: int) -> int:
+    """Sum of d^k over the divisors d of n >= 1."""
+    total, a = 0, 1
+    while a * a <= n:
+        if n % a == 0:
+            b = n // a
+            total += a ** k + (b ** k if b != a else 0)
+        a += 1
+    return total
+
+
+def _extend_jcoeffs(coeffs: list[int], series: tuple[list[int], list[int], list[int]],
+                    count: int) -> None:
+    """Grow coeffs, the q-expansion of j q, to count terms in place.
+
+    series holds Delta/q, E_4 and E_8 = E_4^2 (M_8 is one-dimensional) to as
+    many terms as coeffs, and grows with it; only the new index of each
+    series is computed per step.  Delta/q = (eta^3)^8 with eta^3 = sum_k
+    (-1)^k (2k + 1) q^(k (k + 1) / 2), by the power recurrence: f = g^8 with
+    g_0 = 1 has n f_n = sum_{i=1..n} (9 i - n) g_i f_(n-i) (from
+    g f' = 8 g' f), and g is sparse.  E_4^3 = E_4 E_8 is one convolution,
+    and j q = E_4^3 / (Delta/q) is exact division, as Delta/q starts with 1.
+    """
+    delta, e4, e8 = series
+    for n in range(len(coeffs), count):
+        if n == 0:
+            delta_n = e4_n = e8_n = c_n = 1
+        else:
+            acc, k, i = 0, 1, 1
+            while i <= n:
+                acc += (9 * i - n) * (-1) ** k * (2 * k + 1) * delta[n - i]
+                k += 1
+                i = k * (k + 1) // 2
+            delta_n = acc // n
+            e4_n = 240 * _divisor_power_sum(n, 3)
+            e8_n = 480 * _divisor_power_sum(n, 7)
+            e4_cubed = (e4_n + e8_n
+                        + sum(map(mul, e4[1:n], reversed(e8[1:n]))))
+            c_n = e4_cubed - delta_n - sum(map(mul, coeffs[1:n], reversed(delta[1:n])))
+        delta.append(delta_n)
+        e4.append(e4_n)
+        e8.append(e8_n)
+        coeffs.append(c_n)
 
 
 def _compute_jcoeffs(count: int) -> list[int]:
-    """First `count` coefficients of j = 1/q + 744 + 196884 q + ..."""
-    n = count + 1
-    eta3 = [0] * n
-    k = 0
-    while k * (k + 1) // 2 < n:
-        eta3[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
-        k += 1
-    delta_over_q = _series_mul(eta3, eta3, n)
-    delta_over_q = _series_mul(delta_over_q, delta_over_q, n)
-    delta_over_q = _series_mul(delta_over_q, delta_over_q, n)
-
-    sigma3 = [0] * n
-    for a in range(1, n):
-        cube = a * a * a
-        for mult in range(a, n, a):
-            sigma3[mult] += cube
-    e4 = [1] + [240 * sigma3[m] for m in range(1, n)]
-    e4_cubed = _series_mul(_series_mul(e4, e4, n), e4, n)
-
-    # j*q = E4^3 / (Delta/q), exact division since Delta/q starts with 1
-    coeffs = [0] * n
-    for i in range(n):
-        acc = e4_cubed[i]
-        for m in range(i):
-            acc -= coeffs[m] * delta_over_q[i - m]
-        coeffs[i] = acc
-    return coeffs[:count]
+    """First `count` coefficients of j = 1/q + 744 + 196884 q + ..., afresh."""
+    coeffs: list[int] = []
+    _extend_jcoeffs(coeffs, ([], [], []), count)
+    return coeffs
 
 
 def j_q_coefficients(count: int) -> list[int]:
-    """Coefficients c_{-1}..c_{count-2} of the j q-expansion (cached)."""
+    """Coefficients c_{-1}..c_{count-2} of the j q-expansion (cached, and
+    extended by the missing indices only)."""
     with _jcoeff_lock:
         if len(_jcoeffs) < count:
-            fresh = _compute_jcoeffs(max(count, 2 * len(_jcoeffs), 64))
-            del _jcoeffs[:]
-            _jcoeffs.extend(fresh)
+            _extend_jcoeffs(_jcoeffs, _jseries, count)
         return _jcoeffs[:count]
 
 

@@ -21,6 +21,7 @@ but no norm assertion.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -67,21 +68,32 @@ def factor_norm(n: int, trial_bound: int = 10 ** 6) -> Factorization:
     every smaller prime has been divided out; otherwise it is returned as
     the cofactor, which may itself be prime.  A cofactor is legal output: the
     non-unit verdict never depends on completing the factorization.
+
+    While n is a perfect square r^2 it is replaced by r, and the exponents
+    and cofactor found for the last root are raised back by the same power,
+    so a big-cycle norm n0^4 is divided through n0 alone.  The result is
+    that of dividing n itself: a prime leftover of the root counts as a
+    factor only up to trial_bound, as far as n's own loop reaches.
     """
     if n < 2:
         raise ValueError("factor_norm expects n >= 2")
+    rest, power = n, 1
+    root = math.isqrt(rest)
+    while root * root == rest:
+        rest, power = root, 2 * power
+        root = math.isqrt(rest)
     factors: dict[int, int] = {}
-    rest = n
     p = 2
     while p * p <= rest and p <= trial_bound:
         while rest % p == 0:
-            factors[p] = factors.get(p, 0) + 1
+            factors[p] = factors.get(p, 0) + power
             rest //= p
         p += 1 if p == 2 else 2
-    if 1 < rest < p * p:
-        factors[rest] = 1
+    if 1 < rest < p * p and (power == 1 or rest <= trial_bound):
+        factors[rest] = power
         rest = 1
-    out = Factorization(factors=tuple(sorted(factors.items())), cofactor=rest)
+    out = Factorization(factors=tuple(sorted(factors.items())),
+                        cofactor=rest ** power)
     assert out.reassemble() == n
     return out
 
@@ -331,8 +343,9 @@ def sweep(d1_values, d2_values, m_values, ctx: PrecisionContext,
 
     An epsilon that is not positive raises ValueError before any instance
     runs; per-instance errors are recorded in the report, never raised.  With
-    workers > 1 instances run in a process pool; the report order is the
-    grid order either way.
+    workers > 1 instances run in a process pool of at most min(workers,
+    instances, CPUs) processes; the report order is the grid order either
+    way.
     """
     check_epsilons(epsilons)
     grid = sweep_instances(d1_values, d2_values, m_values, policy)
@@ -341,7 +354,9 @@ def sweep(d1_values, d2_values, m_values, ctx: PrecisionContext,
     if workers <= 1 or len(grid) < 2:
         return [run(*task) for task in grid]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the pool forks all its workers at once: no more than can be busy
+    cap = min(workers, len(grid), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=cap) as pool:
         return list(pool.map(run, *zip(*grid)))
 
 

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from singmod import cache as diskcache
-from singmod import cli, verify
+from singmod import cli, modular, verify
 from singmod.cli import main, parse_point
 from singmod.greens import TailBudgetError
 from singmod.numerics import PrecisionContext, PrecisionError
@@ -77,6 +77,16 @@ def test_cmpoints(capsys):
     assert payload["h"] == 3 and payload["d_K"] == -23
     assert len(payload["points"]) == 3
     assert all("j" in p for p in payload["points"])
+
+
+def test_cmpoints_reports_at_the_context_precision(capsys):
+    # a finer j-value that earlier work left in the point cache does not
+    # change the scale of the reported error
+    modular.j_eval(CMPoint(2, 1, -23), PrecisionContext(mantissa_bits=1100))
+    code, payload, _ = run_json(capsys, "cmpoints", "-23", "--j")
+    assert code == 0
+    errors = [float(p["j_error"]) for p in payload["points"]]
+    assert all(1e-90 < e < 1e-70 for e in errors), errors
 
 
 def test_cmpoints_j_inside_its_error_is_zero(capsys):

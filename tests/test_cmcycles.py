@@ -4,10 +4,11 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from singmod import cmcycles
+from singmod import cmcycles, modular
 from singmod.numerics import PrecisionContext
 from singmod.quadforms import enumerate_reduced, inverse
-from singmod.modular import classpoly
+from singmod.modular import classpoly, hecke_cosets
+from singmod.verify import fundamental_discriminants, sweep_instances
 from singmod.cmcycles import (
     CMCycle,
     CycleError,
@@ -151,10 +152,10 @@ def test_norm_stable_under_doubling():
     assert a == b and a > 1
 
 
-@pytest.mark.parametrize("d1, d2, m, passes", [(-3, -4, 1, 1), (-23, -24, 4, 2)])
-def test_norm_certified_without_a_probe_pass(monkeypatch, d1, d2, m, passes):
-    # a small norm passes at the context precision; a large one fails there
-    # once and the retry is sized from the shortfall
+@pytest.mark.parametrize("d1, d2, m", [(-3, -4, 1), (-23, -24, 4)])
+def test_norm_certified_without_a_probe_pass(monkeypatch, d1, d2, m):
+    # one pass, no retry: a small norm at the context precision, a large one
+    # at the precision estimated from its reduced forms, close to its size
     bits = []
     inner = cmcycles.cycle_log_norm
 
@@ -165,9 +166,80 @@ def test_norm_certified_without_a_probe_pass(monkeypatch, d1, d2, m, passes):
     monkeypatch.setattr(cmcycles, "cycle_log_norm", spy)
     cyc = build_cycle(d1, d2)
     n = cycle_norm_integer(cyc, m, CTX)
-    assert len(bits) == passes and bits[0] == CTX.mantissa_bits
+    n0_bits = math.isqrt(math.isqrt(n)).bit_length()
+    assert len(bits) == 1
+    if n0_bits + 80 <= CTX.mantissa_bits:
+        assert bits == [CTX.mantissa_bits]
+    else:
+        assert CTX.mantissa_bits < bits[0] <= n0_bits + 80
     monkeypatch.undo()
     assert n == cycle_norm_integer(cyc, m, CTX.with_bits(2048))
+
+
+def _norm_grid():
+    ds = fundamental_discriminants(24)
+    return [(d1, d2, m) for i, d1 in enumerate(ds) for d2 in ds[i + 1:]
+            if math.gcd(d1, d2) == 1 for m in range(1, 5)]
+
+
+def _sweep_grid():
+    ds = fundamental_discriminants(31)
+    return sweep_instances(ds, ds, range(1, 4))
+
+
+@pytest.mark.parametrize("grid", [_norm_grid, _sweep_grid])
+def test_grid_norms_certified_in_one_pass(monkeypatch, grid):
+    # every non-zero norm takes one cycle_log_norm pass, at no more than its
+    # own size plus 80 bits (or the context's precision); sizing the pass
+    # evaluates no j-value, so j_eval runs exactly 1 + sigma(m) times per
+    # modpoly_eval
+    passes, calls = [], {"j_eval": 0, "expected": 0}
+    inner_log, inner_poly, inner_j = (cmcycles.cycle_log_norm, cmcycles.modpoly_eval,
+                                      modular.j_eval)
+
+    def log_spy(cycle, order, ctx):
+        passes.append(ctx.mantissa_bits)
+        return inner_log(cycle, order, ctx)
+
+    def poly_spy(order, z1, z2, ctx):
+        calls["expected"] += 1 + len(hecke_cosets(order))
+        return inner_poly(order, z1, z2, ctx)
+
+    def j_spy(z, ctx):
+        calls["j_eval"] += 1
+        return inner_j(z, ctx)
+
+    monkeypatch.setattr(cmcycles, "cycle_log_norm", log_spy)
+    monkeypatch.setattr(cmcycles, "modpoly_eval", poly_spy)
+    monkeypatch.setattr(modular, "j_eval", j_spy)
+    instances = grid()
+    assert len(instances) == {_norm_grid: 140, _sweep_grid: 168}[grid]
+    certified = 0
+    for d1, d2, m in instances:
+        passes.clear()
+        cycle = build_cycle(d1, d2)
+        try:
+            n = cycle_norm_integer(cycle, m, CTX)
+        except SingularCycleError:
+            continue
+        n0 = n if cycle.kind == "small" else math.isqrt(math.isqrt(n))
+        assert len(passes) == 1, (d1, d2, m, passes)
+        assert passes[0] <= max(CTX.mantissa_bits, n0.bit_length() + 80), (d1, d2, m)
+        certified += 1
+    assert certified > 100
+    assert calls["j_eval"] == calls["expected"] > 0
+
+
+def test_cycle_product_within_its_error_bound():
+    # at a precision far below the norm's size the product is not an
+    # integer, and the bound must still cover its distance to the exact norm
+    for cyc, m in [(big_cm_cycle(-15, -23), 2), (big_cm_cycle(-7, -8), 3),
+                   (small_cm_cycle(-15, -60), 1), (small_cm_cycle(-3, -12), 1)]:
+        n = cycle_norm_integer(cyc, m, CTX)
+        norm = cycle_log_norm(cyc, m, CTX.with_bits(80))
+        with mp.workprec(2 * n.bit_length() + 64):
+            assert abs(norm.product - n) <= norm.product * norm.rel_error
+        assert 0 < norm.rel_error < mp.mpf(2) ** -80
 
 
 def test_log_norm_consistent_with_integer():

@@ -43,6 +43,41 @@ def test_j_coefficients_known_prefix():
                                    20245856256]
 
 
+def _series_jcoeffs(count):
+    """Oracle: E_4^3 / (Delta/q) by dense products of truncated series."""
+    def mul(a, b):
+        return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(count)]
+
+    eta3 = [0] * count
+    k = 0
+    while k * (k + 1) // 2 < count:
+        eta3[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+        k += 1
+    delta = mul(eta3, eta3)
+    delta = mul(delta, delta)
+    delta = mul(delta, delta)
+    e4 = [1] + [240 * sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
+                for n in range(1, count)]
+    num = mul(mul(e4, e4), e4)
+    out = []
+    for n in range(count):
+        out.append(num[n] - sum(out[i] * delta[n - i] for i in range(n)))
+    return out
+
+
+def test_j_coefficients_grow_in_place(monkeypatch):
+    # a table grown in steps equals a fresh one and the series oracle
+    monkeypatch.setattr(modular, "_jcoeffs", [])
+    monkeypatch.setattr(modular, "_jseries", ([], [], []))
+    table = modular._jcoeffs
+    for count in (1, 5, 64, 65, 130, 240):
+        grown = j_q_coefficients(count)
+        assert len(table) == count
+        assert all(len(series) == count for series in modular._jseries)
+    assert grown == modular._compute_jcoeffs(240) == _series_jcoeffs(240)
+    assert j_q_coefficients(100) == grown[:100] and len(table) == 240
+
+
 def test_j_special_values():
     tol = mp.mpf(10) ** -60
     assert abs(j_eval(CMPoint(1, 1, -3), CTX)) < tol

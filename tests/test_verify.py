@@ -60,6 +60,30 @@ def test_factor_norm_trial_division_rule():
     assert "unfactored" in str(factor_norm(2 ** 61 - 1))
 
 
+def _direct_trial_division(n, bound):
+    """Trial division of n itself, with factor_norm's leftover rule."""
+    factors, rest, p = {}, n, 2
+    while p * p <= rest and p <= bound:
+        while rest % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            rest //= p
+        p += 1 if p == 2 else 2
+    if 1 < rest < p * p:
+        factors[rest] = 1
+        rest = 1
+    return tuple(sorted(factors.items())), rest
+
+
+@pytest.mark.parametrize("root", [2, 12, 997, 1009, 2 * 1009, 1009 * 1013, 5103,
+                                  2 ** 31 - 1])
+def test_factor_norm_of_a_square_divides_the_root(root):
+    # a square is divided through its root, with the same result as
+    # dividing the square itself
+    for power in (2, 4):
+        f = factor_norm(root ** power, trial_bound=1000)
+        assert (f.factors, f.cofactor) == _direct_trial_division(root ** power, 1000)
+
+
 def test_verify_nonunit_basic():
     rep = verify_nonunit(-3, -4, 1, CTX)
     assert rep.status == "ok"
@@ -201,6 +225,37 @@ def test_sweep_parallel_matches_serial():
     parallel = sweep(*grid, CTX, workers=2)
     assert [(r.d1, r.d2, r.m, r.status, r.norm) for r in serial] == \
         [(r.d1, r.d2, r.m, r.status, r.norm) for r in parallel]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("cpus, expect", [(64, 3), (2, 2), (None, 1)])
+def test_sweep_pool_is_capped(monkeypatch, cpus, expect):
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    _RecordingPool.sizes = []
+    grid = ([-3, -4], [-3, -4], [1])
+    assert len(sweep_instances(*grid)) == 3
+    reports = sweep(*grid, CTX, workers=500)
+    assert _RecordingPool.sizes == [expect]
+    assert [r.status for r in reports] == [r.status for r in sweep(*grid, CTX)]
 
 
 def _unreachable_tail(*args, **kwargs):
