@@ -24,7 +24,6 @@ from .quadforms import (
     reduce_form,
 )
 from .modular import (
-    HeckeCosetSet,
     classpoly,
     fd_reduce,
     hecke_cosets,
@@ -33,11 +32,8 @@ from .modular import (
     y1_distance,
 )
 from .greens import (
-    G_1,
     G_k_m,
-    G_ks_m,
     G_s_sum,
-    GraphProximity,
     SingularityError,
     TailBudgetError,
     cosh_dist,

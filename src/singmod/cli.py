@@ -40,7 +40,7 @@ from .modular import (
     j_eval,
     modpoly_eval,
 )
-from .greens import G_1, G_k_m, TailBudgetError
+from .greens import G_k_m, TailBudgetError
 from .cmcycles import build_cycle
 from .verify import (
     fundamental_discriminants,
@@ -74,10 +74,7 @@ def parse_point(text: str):
 
 
 def _context(args) -> PrecisionContext:
-    return PrecisionContext(
-        mantissa_bits=args.precision_bits,
-        integer_tolerance=args.tolerance,
-    )
+    return PrecisionContext(mantissa_bits=args.precision_bits)
 
 
 def _emit(args, payload, text: str):
@@ -281,10 +278,9 @@ def cmd_greens(args) -> int:
         z2 = parse_point(args.z2)
         rows = []
         if args.k == 1:
-            for coset in hecke_cosets(args.m).reps:
-                w = coset_apply(coset, z2)
-                val = float(G_1(z1, w, ctx))
-                rows.append({"coset": list(coset), "value": val})
+            for coset in hecke_cosets(args.m):
+                part = G_k_m(1, 1, z1, coset_apply(coset, z2), ctx)
+                rows.append({"coset": list(coset), "value": float(part.value)})
             total = sum(r["value"] for r in rows)
             tail = 0.0
         else:
@@ -334,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision-bits", type=int, default=256,
                         help="working mantissa bits (default 256)")
-    common.add_argument("--tolerance", type=float, default=1e-9,
-                        help="integer recognition tolerance (default 1e-9)")
     common.add_argument("--json", action="store_true", help="JSON output")
     common.add_argument("--out", type=str, default=None,
                         help="write output to this path instead of stdout")

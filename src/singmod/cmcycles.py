@@ -223,7 +223,7 @@ def _norm_bits_estimate(cycle: CMCycle, m: int) -> int:
     over pairs, with multiplicity, and Hecke cosets.  No j-value is
     computed.
     """
-    cosets = hecke_cosets(m).reps
+    cosets = hecke_cosets(m)
     images: dict[CMPoint, list[float]] = {}
     total = 0.0
     for pair in cycle.pairs:

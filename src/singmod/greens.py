@@ -11,14 +11,18 @@ bound: the orbit-point count up to cosh-distance T grows linearly in T, the
 kernel decays like t^(-s), so the tail is O(T^(1-s)).  The count slope is
 calibrated on the enumerated terms and doubled; the suite checks the bound
 against sums with a far smaller budget, but it is not proven.  Very small
-budgets are refused (TailBudgetError) instead of looping forever.  One
-orbit enumeration serves every s asked for (k = 3, 5, 7 together); each s
-runs its own cutoff loop over the one sorted list, then trims its cutoff
-back to the least enumerated distance the tail bound accepts.  A cycle's
-G_k^m (G_ks_m_cycle) walks once per class-pair key (class_pair_key).  At
-integer s the kernel and the tail constant are numerics._q_int, the one
-integer-order Legendre-Q route, batched by numerics._q_sum; mpmath's legenq
-serves non-integer s only.
+budgets are refused (TailBudgetError) instead of looping forever, and one
+that is not positive at once (ValueError).  Lattice sums take integer
+s >= 2 only; the bounds use k = 3, 5, 7 (Gross-Kohnen-Zagier).  One orbit
+enumeration serves every s asked for (k = 3, 5, 7 together); each s runs its
+own cutoff loop over the one sorted list, then trims its cutoff back to the
+least enumerated distance the tail bound accepts.  G_k_m is the one
+point-pair entry for G_k^m: k = 1 is the modular-polynomial logarithm, and
+k = 3, 5, 7 one walk per Hecke coset.  A cycle's G_k^m (G_ks_m_cycle) walks
+once per class-pair key (class_pair_key), every k from one enumeration.  The
+lattice kernel and tail constant are numerics._q_int, the one integer-order
+Legendre-Q route, batched by numerics._q_sum; mpmath's legenq serves the
+point-pair kernel (q_kernel, g_s, g_s_truncated) at non-integer s only.
 
 For Laplacian eigenfunction checks use gamma_orbit + g_s_truncated: every
 single gamma-term is an exact eigenfunction in z1, so a truncated sum over a
@@ -125,17 +129,11 @@ class GreensValue:
         return float(self.value)
 
 
-def _q_decay_const(s: float, t_cut: float) -> float:
+def _q_decay_const(s: int, t_cut: float) -> float:
     """q with Q_{s-1}(t) <= q * t^(-s) for t >= t_cut (asymptotically sharp)."""
     # limit of t^s Q_{s-1}(t) is sqrt(pi) Gamma(s) / (Gamma(s+1/2) 2^s)
     c_inf = math.sqrt(math.pi) * math.gamma(s) / (math.gamma(s + 0.5) * 2.0 ** s)
-    n = _q_order(s)
-    if n is not None:
-        q_cut = _q_int(n, float(t_cut))
-    else:
-        with mp.workprec(53):
-            q_cut = float(mp.legenq(s - 1, 0, mp.mpf(t_cut), type=3).real)
-    return 2.0 * max(c_inf, q_cut * t_cut ** s)
+    return 2.0 * max(c_inf, _q_int(s - 1, float(t_cut)) * t_cut ** s)
 
 
 def _as_complex(z) -> complex:
@@ -174,7 +172,7 @@ def g_s_truncated(s, z1, z2, gammas: Iterable[tuple[int, int, int, int]],
         return total
 
 
-def _tail_bound(s: float, t_cut: float, n_terms: int) -> float:
+def _tail_bound(s: int, t_cut: float, n_terms: int) -> float:
     """Bound on the omitted |g_s| mass beyond cosh-distance t_cut.
 
     Orbit points up to cosh-distance T number about C*T; the slope C is
@@ -194,7 +192,7 @@ _OVERSHOOT = 1.15
 _MAX_GROWTH = 64.0
 
 
-def _trimmed(s: float, chs: list[float], t_start: float, n: int, target: float) -> int:
+def _trimmed(s: int, chs: list[float], t_start: float, n: int, target: float) -> int:
     """Index in the sorted chs of the least distance T > t_start with
     _tail_bound(s, T, terms up to T) <= target, by bisection; n when none.
 
@@ -214,11 +212,13 @@ def _trimmed(s: float, chs: list[float], t_start: float, n: int, target: float) 
 
 
 def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensValue]:
-    """Sums of g_s(c1, gamma c2) over the modular group for each s in ss.
+    """Sums of g_s(c1, gamma c2) over the modular group for each integer
+    s >= 2 in ss.
 
-    Each s has its own cutoff loop: the cosh cutoff grows until the tail
-    bound drops below target; since the decay is only T^(1-s), unreachable
-    budgets raise TailBudgetError instead of spinning.  All s share one
+    target must be positive (ValueError otherwise; a NaN would never stop
+    the cutoff loop).  Each s has its own cutoff loop: the cosh cutoff grows
+    until the tail bound drops below target; since the decay is only
+    T^(1-s), unreachable budgets raise TailBudgetError instead of spinning.  All s share one
     orbit enumeration, kept as a sorted list of cosh distances; a loop counts
     its terms by bisection and enumerates again only when it needs a cutoff
     above the enumerated one.  Processing s in ascending order lets the
@@ -232,6 +232,8 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
     around the higher of the two reduced points, where its row count
     (~ T / Im of the centre) is least.
     """
+    if not target > 0:
+        raise ValueError(f"tail target must be positive, got {target}")
     centre, other = fd_reduce(c1)[0], fd_reduce(c2)[0]
     if other.imag > centre.imag:
         centre, other = other, centre
@@ -267,16 +269,7 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
         if n and chs[0] <= 1 + 1e-12:
             raise SingularityError("z1 and z2 are equivalent under the group",
                                    where=(c1, c2))
-        kept = chs[:n]
-        n_ord = _q_order(s)
-        if n_ord is not None:
-            value = -2.0 * _q_sum(n_ord, kept)
-        else:
-            with mp.workprec(53):
-                s_m = mp.mpf(s)
-                value = math.fsum(
-                    -2.0 * float(mp.legenq(s_m - 1, 0, mp.mpf(ch), type=3).real)
-                    for ch in kept)
+        value = -2.0 * _q_sum(s - 1, chs[:n])
         out[s] = GreensValue(value=value, tail_bound=tail, cosh_cutoff=t_cut, terms=n)
     return [out[s] for s in ss]
 
@@ -284,22 +277,13 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
 def G_s_sum(s, z1, z2, ctx: PrecisionContext, tail_target: float | None = None) -> GreensValue:
     """G_s(z1, z2) = sum over the full modular group of g_s(z1, gamma z2).
 
-    Requires s > 1 strictly (the sum diverges at s = 1).  The tail budget
+    Requires an integer s >= 2 (the sum diverges at s = 1).  The tail budget
     defaults to the context series_tail_bound; see _lattice_sums.
     """
-    s = float(s)
-    if not s > 1:
-        raise ValueError("G_s_sum requires s > 1; the series diverges at s = 1")
+    if not (float(s).is_integer() and s >= 2):
+        raise ValueError(f"G_s_sum requires an integer s >= 2, got {s}")
     target = ctx.series_tail_bound if tail_target is None else float(tail_target)
-    return _lattice_sums((s,), _as_complex(z1), _as_complex(z2), target)[0]
-
-
-def G_1(z1, z2, ctx: PrecisionContext):
-    """G_1(z1, z2) = 2 log |j(z1) - j(z2)|; singular at equal j-values."""
-    v = modpoly_eval(1, z1, z2, ctx)
-    if v.is_zero:
-        raise SingularityError("j(z1) = j(z2); G_1 is singular", where=(z1, z2))
-    return 2 * v.log_abs()
+    return _lattice_sums((int(s),), _as_complex(z1), _as_complex(z2), target)[0]
 
 
 # default absolute tail budget for the k >= 3 averaged sums; the T^(1-k)
@@ -311,27 +295,34 @@ def G_k_m(k: int, m: int, z1, z2, ctx: PrecisionContext,
           tail_target: float | None = None) -> GreensValue:
     """Hecke-averaged Green's function: sum of G_k(z1, coset z2) over cosets.
 
-    k = 1 routes through the modular-polynomial logarithm (exact high
-    precision path); k in {3, 5, 7} is G_ks_m for that one k.
+    k = 1 is 2 log |phi_m(j(z1), j(z2))| by modpoly_eval, the exact high
+    precision path (at m = 1, G_1 = 2 log |j(z1) - j(z2)|).  For k in
+    {3, 5, 7} each Hecke coset contributes one lattice sum (_lattice_sums)
+    at an equal share of the tail budget, summed in double precision, which
+    is ample for inequality checks.
     """
     if k not in (1, 3, 5, 7):
         raise ValueError(f"k must be odd in (1, 3, 5, 7), got {k}")
-    if k != 1:
-        return G_ks_m((k,), m, z1, z2, ctx, tail_target=tail_target)[0]
-    v = modpoly_eval(m, z1, z2, ctx)
-    if v.is_zero:
-        raise SingularityError(
-            "modular polynomial vanishes; G_1^m is singular",
-            where=v.zero_cosets[0])
-    return GreensValue(value=2 * v.log_abs(), tail_bound=2.0 * float(v.rel_error),
-                       cosh_cutoff=math.inf, terms=len(hecke_cosets(m)))
+    cosets = hecke_cosets(m)
+    if k == 1:
+        v = modpoly_eval(m, z1, z2, ctx)
+        if v.is_zero:
+            raise SingularityError(
+                "modular polynomial vanishes; G_1^m is singular",
+                where=v.zero_cosets[0])
+        return GreensValue(value=2 * v.log_abs(), tail_bound=2.0 * float(v.rel_error),
+                           cosh_cutoff=math.inf, terms=len(cosets))
+    share = _coset_share(tail_target, m)
+    z1c = _as_complex(z1)
+    return _weighted_total(
+        [(1, _lattice_sums((k,), z1c, _as_complex(coset_apply(coset, z2)), share))
+         for coset in cosets])[0]
 
 
-def _gk_args(ks, tail_target) -> tuple[list[float], float]:
-    if any(k not in (3, 5, 7) for k in ks):
-        raise ValueError(f"k must be odd in (3, 5, 7), got {tuple(ks)}")
+def _coset_share(tail_target, m: int) -> float:
+    """Each Hecke coset's equal share of the tail budget."""
     target = DEFAULT_GK_TAIL if tail_target is None else float(tail_target)
-    return [float(k) for k in ks], target
+    return target / len(hecke_cosets(m))
 
 
 def _weighted_total(walks) -> list[GreensValue]:
@@ -345,24 +336,6 @@ def _weighted_total(walks) -> list[GreensValue]:
             cosh_cutoff=max(p.cosh_cutoff for p in parts),
             terms=sum(p.terms for p in parts)))
     return out
-
-
-def G_ks_m(ks, m: int, z1, z2, ctx: PrecisionContext,
-           tail_target: float | None = None) -> list[GreensValue]:
-    """G_k^m(z1, z2) for every k in ks (each in {3, 5, 7}), aligned with ks.
-
-    Each Hecke coset contributes one lattice sum per k, all from one orbit
-    enumeration (_lattice_sums), summed in double precision, which is ample
-    for inequality checks.  Every coset gets an equal share of the tail
-    budget.
-    """
-    ss, target = _gk_args(ks, tail_target)
-    cosets = hecke_cosets(m)
-    z1c = _as_complex(z1)
-    share = target / len(cosets)
-    return _weighted_total(
-        [(1, _lattice_sums(ss, z1c, _as_complex(coset_apply(coset, z2)), share))
-         for coset in cosets.reps])
 
 
 def class_pair_key(f1: QuadForm, f2: QuadForm) -> tuple[QuadForm, QuadForm]:
@@ -383,7 +356,7 @@ def class_pair_weights(pairs, m: int) -> dict[tuple[QuadForm, QuadForm], int]:
     pairs carry exact CMPoints z1, z2 and a multiplicity (cmcycles.CyclePair);
     the coset image of z2 is exact too (coset_apply), so the keys are exact.
     """
-    cosets = hecke_cosets(m).reps
+    cosets = hecke_cosets(m)
     weights: dict[tuple[QuadForm, QuadForm], int] = {}
     for pair in pairs:
         f1 = reduce_form(pair.z1.form)
@@ -397,14 +370,15 @@ def G_ks_m_cycle(ks, m: int, pairs, tail_target: float | None = None) -> list[Gr
     """Sum over pairs of multiplicity * G_k^m(z1, z2), for each k in ks.
 
     One _lattice_sums walk per class_pair_weights key, in key order, at the
-    per-coset share of G_ks_m and weighted by the key's summed multiplicity,
+    per-coset share of G_k_m and weighted by the key's summed multiplicity,
     so the tail is at most the summed multiplicity times tail_target, as
     over separate pairs.  Values and tails are weighted sums, aligned with ks.
     """
-    ss, target = _gk_args(ks, tail_target)
-    share = target / len(hecke_cosets(m))
+    if any(k not in (3, 5, 7) for k in ks):
+        raise ValueError(f"k must be odd in (3, 5, 7), got {tuple(ks)}")
+    share = _coset_share(tail_target, m)
     return _weighted_total(
-        [(w, _lattice_sums(ss, cm_point(f1).approx(), cm_point(f2).approx(), share))
+        [(w, _lattice_sums(ks, cm_point(f1).approx(), cm_point(f2).approx(), share))
          for (f1, f2), w in sorted(class_pair_weights(pairs, m).items())])
 
 
@@ -420,26 +394,11 @@ def graph_distance(m: int, z1, z2) -> float:
     midpoint and equals d(z1, gamma' z2)^2 / 2, so the graph distance is the
     orbit distance divided by sqrt(2), minimized over the Hecke cosets.
     """
-    best = math.inf
-    for coset in hecke_cosets(m).reps:
-        w = coset_apply(coset, z2)
-        dist = y1_distance(z1, w)
-        if dist < best:
-            best = dist
-    return best / _SQRT2
+    return min(y1_distance(z1, coset_apply(coset, z2))
+               for coset in hecke_cosets(m)) / _SQRT2
 
 
-@dataclass(frozen=True)
-class GraphProximity:
-    """Per-pair distances of a cycle to the degree-m Hecke graph."""
-
-    m: int
-    epsilon: float
-    distances: tuple[float, ...]
-    count: int
-
-
-def tm_count(cycle, m: int, epsilon: float) -> GraphProximity:
+def tm_count(cycle, m: int, epsilon: float) -> int:
     """Count cycle points (with multiplicity) within epsilon of the graph.
 
     cycle is any object with .pairs, an iterable of entries carrying z1, z2
@@ -447,12 +406,5 @@ def tm_count(cycle, m: int, epsilon: float) -> GraphProximity:
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    distances = []
-    count = 0
-    for entry in cycle.pairs:
-        dist = graph_distance(m, entry.z1, entry.z2)
-        distances.append(dist)
-        if dist < epsilon:
-            count += entry.multiplicity
-    return GraphProximity(m=m, epsilon=float(epsilon),
-                          distances=tuple(distances), count=count)
+    return sum(entry.multiplicity for entry in cycle.pairs
+               if graph_distance(m, entry.z1, entry.z2) < epsilon)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 
 import mpmath as mp
@@ -284,28 +285,13 @@ def j_eval(z, ctx: PrecisionContext) -> JValue:
         return _j_series(mp.exp(arg), mp.exp(-arg), lam, prec, ctx)
 
 
-@dataclass(frozen=True)
-class HeckeCosetSet:
-    """Upper-triangular representatives (a, b, d): a d = m, 0 <= b < d."""
-
-    m: int
-    reps: tuple[tuple[int, int, int], ...]
-
-    def __len__(self):
-        return len(self.reps)
-
-
-def hecke_cosets(m: int) -> HeckeCosetSet:
+@lru_cache(maxsize=None)
+def hecke_cosets(m: int) -> tuple[tuple[int, int, int], ...]:
+    """Upper-triangular coset representatives (a, b, d): a d = m, 0 <= b < d."""
     if m < 1:
         raise ValueError("m must be a positive integer")
-    reps = []
-    for a in range(1, m + 1):
-        if m % a:
-            continue
-        d = m // a
-        for b in range(d):
-            reps.append((a, b, d))
-    return HeckeCosetSet(m=m, reps=tuple(reps))
+    return tuple((a, b, m // a) for a in range(1, m + 1) if m % a == 0
+                 for b in range(m // a))
 
 
 def coset_apply(coset: tuple[int, int, int], z):
@@ -368,7 +354,7 @@ def modpoly_eval(m: int, z1, z2, ctx: PrecisionContext) -> ModPolyValue:
     re, im, shift = 1, 0, 0
     top = low = 1
     zero_cosets = []
-    for coset in hecke_cosets(m).reps:
+    for coset in hecke_cosets(m):
         rew, imw, errw = j_eval(coset_apply(coset, z2), ctx).at_scale(prec)
         fr, fi, e = re1 - rew, im1 - imw, err1 + errw
         norm = fr * fr + fi * fi

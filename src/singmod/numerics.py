@@ -2,9 +2,10 @@
 
 Everything downstream (j-values, lattice sums, norm products) runs on mpmath
 at a precision carried by a PrecisionContext.  The Legendre function of the
-second kind at integer order n has one route, _q_int: the upward three-term
-recurrence from Q_0(t) = artanh(1/t); for double-precision arguments, the
-backward (Miller) recurrence below t = 2 away from t = 1, and at t >= 2 the
+second kind at integer order n has one route, _q_int: in mpf, the upward
+three-term recurrence from Q_0(t) = artanh(1/t) with guard bits for its
+cancellation; for double-precision arguments, that recurrence near t = 1,
+the backward (Miller) recurrence elsewhere below t = 2, and at t >= 2 the
 descending series t^(-(n+1)) sum_j a_j u^j in u = 1/t^2, cut at a fixed
 degree J per t-band (t >= 64, 16, 4, 2) and evaluated by Horner.  All terms
 are positive, so the remainder is at most a_(J+1) u^(J+1) / (1 - rho u)
@@ -20,7 +21,8 @@ representation
     Q_{s-1}(t) = int_0^oo (t + sqrt(t^2-1) cosh v)^(-s) dv,  t > 1.
 
 Integers are certified by one loop, recognize_with_retries, which sizes
-each retry from the bits the failed attempt lacked.
+each retry from the bits the failed attempt lacked, against the fixed
+tolerance INTEGER_TOLERANCE.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ import mpmath as mp
 GUARD_BITS = 16
 # retries recognize_with_retries makes before giving up
 MAX_RETRIES = 4
+# integer_recognize's window: at most this distance to the nearest integer,
+# scaled by sqrt(|x|) for large x and never above 1/2
+INTEGER_TOLERANCE = 1e-9
 
 
 class PrecisionError(Exception):
@@ -56,23 +61,18 @@ class IntegerRecognitionError(PrecisionError):
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision plus the policy for recognizing exact integers.
+    """Working precision and truncation budget.
 
     mantissa_bits      -- mpmath working mantissa (>= 64)
-    integer_tolerance  -- max distance to the nearest integer, scaled by
-                          sqrt(|x|) for large x and never above 1/2
     series_tail_bound  -- absolute truncation budget per series/integral
     """
 
     mantissa_bits: int = 256
-    integer_tolerance: float = 1e-9
     series_tail_bound: float = 1e-30
 
     def __post_init__(self):
         if self.mantissa_bits < 64:
             raise ValueError("mantissa_bits must be >= 64")
-        if not (0.0 < self.integer_tolerance < 0.5):
-            raise ValueError("integer_tolerance must lie in (0, 0.5)")
         if self.series_tail_bound <= 0.0:
             raise ValueError("series_tail_bound must be positive")
 
@@ -182,25 +182,33 @@ def _q_int(n: int, t):
     per t-band and evaluated by Horner (see _q_horner_bands for the
     remainder bound, at most 2^-53 relative); below, the upward recurrence
     stays where (2n + 1) xi <= 2, near t = 1, and _q_backward runs elsewhere.
-    The mpf path keeps the upward recurrence, whose bit loss is negligible
-    against the extended mantissa at the moderate t reached there.
+    The mpf path keeps the upward recurrence and works with (2n + 1) (mag(t)
+    + 1) extra bits, mag(t) >= log2 t, which covers its loss of about
+    (2n + 1) xi / ln 2 bits since xi < ln 2t.  That loss exceeds a 272-bit
+    mantissa for Q_2 from t ~ 2e16 on, which epsilon ~ 27 reaches in
+    verify.verify_lower_bound.
     """
-    if not isinstance(t, mp.mpf):
-        if t >= 2.0:
-            for t0, coeffs in _Q_HORNER.get(n) or _q_horner_bands(n):
-                if t >= t0:
-                    break
-            u = 1.0 / (t * t)
-            p = 0.0
-            for a in coeffs:
-                p = p * u + a
-            return p * t ** -(n + 1)
-        q0 = math.log((t + 1) / (t - 1)) / 2
-        xi = math.acosh(t)
-        if n and (2 * n + 1) * xi > 2.0:
-            return _q_backward(n, t, xi, q0)
-    else:
-        q0 = mp.log((t + 1) / (t - 1)) / 2
+    if isinstance(t, mp.mpf):
+        with mp.extraprec((2 * n + 1) * (mp.mag(t) + 1)):
+            return _q_up(n, t, mp.log((t + 1) / (t - 1)) / 2)
+    if t >= 2.0:
+        for t0, coeffs in _Q_HORNER.get(n) or _q_horner_bands(n):
+            if t >= t0:
+                break
+        u = 1.0 / (t * t)
+        p = 0.0
+        for a in coeffs:
+            p = p * u + a
+        return p * t ** -(n + 1)
+    q0 = math.log((t + 1) / (t - 1)) / 2
+    xi = math.acosh(t)
+    if n and (2 * n + 1) * xi > 2.0:
+        return _q_backward(n, t, xi, q0)
+    return _q_up(n, t, q0)
+
+
+def _q_up(n: int, t, q0):
+    """Q_n(t) by the upward three-term recurrence from q0 = Q_0(t)."""
     if n == 0:
         return q0
     q1 = t * q0 - 1
@@ -229,8 +237,9 @@ def legendre_Q_closed(k: int, t, ctx: PrecisionContext):
     """Q_{k-1}(t) for odd k in {1,3,5,7} by the integer-order route _q_int."""
     if k not in (1, 3, 5, 7):
         raise ValueError(f"closed form requires k in (1, 3, 5, 7), got {k}")
-    if not t > 1:
-        raise ValueError("Q_{k-1} has a logarithmic singularity at t = 1; need t > 1")
+    if not 1 < t < math.inf:
+        raise ValueError("Q_{k-1} has a logarithmic singularity at t = 1; "
+                         "need finite t > 1")
     with ctx.workprec():
         return _q_int(k - 1, mp.mpf(t))
 
@@ -285,7 +294,7 @@ def integer_recognize(x, ctx: PrecisionContext, err=0) -> int:
     n is accepted only if
 
         |x - n| + err + |x| 2^-mantissa_bits
-            < min(integer_tolerance * max(1, sqrt|x|), 1/2),
+            < min(INTEGER_TOLERANCE * max(1, sqrt|x|), 1/2),
 
     where the middle term covers the rounding of x itself.  The 1/2 cap is
     the certificate: if X is an integer, |X - n| < 1/2 forces X = n.  The
@@ -299,7 +308,7 @@ def integer_recognize(x, ctx: PrecisionContext, err=0) -> int:
         residual = abs(x - n)
         budget = residual + mp.mpf(err) + abs(x) * mp.mpf(2) ** (-ctx.mantissa_bits)
         threshold = min(
-            mp.mpf(ctx.integer_tolerance) * max(mp.mpf(1), mp.sqrt(abs(x))),
+            mp.mpf(INTEGER_TOLERANCE) * max(mp.mpf(1), mp.sqrt(abs(x))),
             mp.mpf(0.5))
         if budget < threshold:
             return n

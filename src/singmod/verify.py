@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 
-from .numerics import PrecisionContext, PrecisionError, legendre_Q_closed, mk_constant
+from .numerics import PrecisionContext, PrecisionError, _q_int, mk_constant
 from .quadforms import Discriminant, QuadFormError
 from .cmcycles import SingularCycleError, build_cycle, cycle_case, cycle_norm_integer
 from .greens import G_ks_m_cycle, SingularityError, TailBudgetError, tm_count
@@ -207,9 +207,9 @@ def isogeny_witness(d1, d2, m: int, ctx: PrecisionContext) -> int | None:
 
 
 def check_epsilons(epsilons) -> None:
-    """Raise ValueError unless every epsilon is positive."""
-    if not all(eps > 0 for eps in epsilons):
-        raise ValueError("epsilon must be positive")
+    """Raise ValueError unless every epsilon is positive and finite."""
+    if not all(0 < eps < math.inf for eps in epsilons):
+        raise ValueError("epsilon must be positive and finite")
 
 
 def verify_lower_bound(d1, d2, m: int, epsilon: float,
@@ -218,7 +218,10 @@ def verify_lower_bound(d1, d2, m: int, epsilon: float,
     """log N >= 2 * |Z(W) cap T_{m,eps}| * Q_2(cosh(sqrt(2) eps)).
 
     The right side counts cycle points within epsilon of the degree-m Hecke
-    graph and weights them by the k = 3 kernel at the rescaled distance.
+    graph and weights them by the k = 3 kernel at the rescaled distance,
+    Q_2 in float by numerics._q_int.  Where cosh overflows, Q_2 < t^-3 lies
+    below every float and rounds to 0; an epsilon so small that the cosh
+    rounds to 1 raises SingularityError.
     """
     check_epsilons((epsilon,))
     base = report or verify_nonunit(d1, d2, m, ctx)
@@ -226,11 +229,17 @@ def verify_lower_bound(d1, d2, m: int, epsilon: float,
         raise SingularityError(
             f"lower bound undefined: status {base.status} ({base.error})")
     cycle = build_cycle(base.d1, base.d2)
-    prox = tm_count(cycle, m, epsilon)
-    q2 = float(legendre_Q_closed(3, math.cosh(math.sqrt(2.0) * epsilon), ctx))
-    rhs = 2.0 * prox.count * q2
+    count = tm_count(cycle, m, epsilon)
+    try:
+        t = math.cosh(math.sqrt(2.0) * epsilon)
+    except OverflowError:
+        t = math.inf
+    if not t > 1:
+        raise SingularityError(
+            f"epsilon {epsilon:g} is too small: cosh(sqrt(2) epsilon) rounds to 1")
+    rhs = 2.0 * count * _q_int(2, t)
     lhs = base.log_norm
-    out = EpsilonBound(epsilon=float(epsilon), count=prox.count,
+    out = EpsilonBound(epsilon=float(epsilon), count=count,
                        rhs=rhs, lhs=lhs, passed=lhs >= rhs)
     if report is not None:
         report.epsilon_bounds.append(out)

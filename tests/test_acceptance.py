@@ -250,7 +250,7 @@ def test_criterion_7_special_functions():
 def _brute_graph_distance(m, z1, z2):
     """Distance to the degree-m correspondence by direct 2-D minimization."""
     best = math.inf
-    for a, b, d in hecke_cosets(m).reps:
+    for a, b, d in hecke_cosets(m):
         def objective(xy):
             z = complex(xy[0], math.exp(xy[1]))  # log-height keeps y > 0
             w = (a * z + b) / d

@@ -194,6 +194,30 @@ def test_greens_argument_validation(capsys):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize("tail", ["nan", "0", "-1"])
+def test_greens_bad_tail_exits_2(capsys, tail):
+    # a NaN tail would never stop the cutoff loop, and zero or negative
+    # ones reach a division or a comparison that makes no sense
+    for where in (["--z1", "i", "--z2", "2i"], ["--cycle", "-3", "-4"]):
+        code, out, err = run(capsys, "greens", "--k", "3", *where, "--tail", tail)
+        assert code == 2 and out == ""
+        assert "tail target must be positive" in err
+
+
+def test_norm_large_and_non_finite_epsilon(capsys):
+    # Q_2(cosh(sqrt(2) eps)) is tiny here, so the bound passes
+    for eps in ("70.5", "100", "1e308"):
+        code, payload, _ = run_json(capsys, "norm", "-3", "-4", "1", "--epsilon", eps)
+        assert code == 0
+        (bound,) = payload["epsilon_bounds"]
+        assert bound["passed"] and 0.0 <= bound["rhs"] < 1e-100
+    for eps in ("inf", "nan"):
+        code, out, err = run(capsys, "norm", "-3", "-4", "1", "--epsilon", eps)
+        assert code == 2 and "positive and finite" in err
+    code, out, _ = run(capsys, "norm", "-3", "-4", "1", "--epsilon", "1e-12")
+    assert code == 2 and "too small" in out
+
+
 def test_greens_tail_budget_exits_2(capsys):
     # TailBudgetError reaches exit 2 through main, with nothing on stdout
     code, out, err = run(capsys, "greens", "--k", "3", "--z1", "i", "--z2", "2i",

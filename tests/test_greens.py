@@ -13,9 +13,7 @@ from singmod.cmcycles import build_cycle
 from singmod.verify import fundamental_discriminants
 from singmod.greens import (
     DEFAULT_GK_TAIL,
-    G_1,
     G_k_m,
-    G_ks_m,
     G_ks_m_cycle,
     G_s_sum,
     SingularityError,
@@ -112,19 +110,34 @@ def test_G_s_sum_tail_honest_under_doubling():
 
 
 def test_G_s_sum_refusals():
-    with pytest.raises(ValueError):
-        G_s_sum(1.0, Z1, Z2, CTX)
+    # lattice sums take integer s >= 2 only
+    for s in (1.0, 1.5, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            G_s_sum(s, Z1, Z2, CTX)
     with pytest.raises(TailBudgetError):
-        G_s_sum(1.2, Z1, Z2, CTX, tail_target=1e-25)
+        G_s_sum(2, Z1, Z2, CTX, tail_target=1e-25)
     with pytest.raises(SingularityError):
         G_s_sum(3, 1j, 1j + 1, CTX, tail_target=1e-4)
 
 
 def test_G_1_is_log_j_difference():
     expect = 2 * mp.log(abs(j_eval(Z1, CTX) - j_eval(Z2, CTX)))
-    assert float(G_1(Z1, Z2, CTX)) == pytest.approx(float(expect), rel=1e-12)
+    assert float(G_k_m(1, 1, Z1, Z2, CTX).value) == pytest.approx(float(expect), rel=1e-12)
     with pytest.raises(SingularityError):
-        G_1(1j, -1 / 1j, CTX)
+        G_k_m(1, 1, 1j, -1 / 1j, CTX)
+
+
+@pytest.mark.parametrize("target", [math.nan, 0.0, -1.0])
+def test_bad_tail_targets_are_refused(target):
+    # a NaN budget never stops the cutoff loop; zero or negative ones divide
+    # by zero or compare nonsense, so every entry refuses them first
+    pairs = build_cycle(-3, -4).pairs
+    for call in (lambda: G_s_sum(3, Z1, Z2, CTX, tail_target=target),
+                 lambda: G_k_m(3, 2, Z1, Z2, CTX, tail_target=target),
+                 lambda: G_ks_m_cycle((3, 5, 7), 1, pairs, tail_target=target),
+                 lambda: _lattice_sums((3,), Z1, Z2, target)):
+        with pytest.raises(ValueError, match="tail target must be positive"):
+            call()
 
 
 def test_G_k_m_k1_matches_modpoly_log():
@@ -151,18 +164,22 @@ def test_G_k_m_symmetry():
             b.value, abs=2 * (a.tail_bound + b.tail_bound))
 
 
-def test_G_ks_m_matches_G_k_m_per_k():
-    # one shared orbit enumeration per coset gives each k exactly its own sum
+def test_G_k_m_matches_shared_walk_per_k():
+    # one shared orbit enumeration per coset gives each k exactly its own
+    # sum, which G_ks_m_cycle relies on
     for m in (1, 2, 4):
-        shared = G_ks_m((3, 5, 7), m, Z1, Z2, CTX, tail_target=1e-4)
-        for k, got in zip((3, 5, 7), shared):
+        share = 1e-4 / len(hecke_cosets(m))
+        walks = [_lattice_sums((3, 5, 7), Z1, coset_apply(c, Z2), share)
+                 for c in hecke_cosets(m)]
+        for i, k in enumerate((3, 5, 7)):
             alone = G_k_m(k, m, Z1, Z2, CTX, tail_target=1e-4)
-            assert got.value == alone.value
-            assert got.tail_bound == alone.tail_bound
-            assert got.cosh_cutoff == alone.cosh_cutoff
-            assert got.terms == alone.terms
+            parts = [walk[i] for walk in walks]
+            assert alone.value == math.fsum(p.value for p in parts)
+            assert alone.tail_bound == math.fsum(p.tail_bound for p in parts)
+            assert alone.cosh_cutoff == max(p.cosh_cutoff for p in parts)
+            assert alone.terms == sum(p.terms for p in parts)
     with pytest.raises(ValueError):
-        G_ks_m((1, 3), 2, Z1, Z2, CTX)
+        G_ks_m_cycle((1, 3), 2, build_cycle(-3, -4).pairs)
 
 
 def _fixed_cutoff_sums(z1: complex, z2: complex, t_cut: float):
@@ -176,7 +193,7 @@ def test_class_pair_grouping_is_exact(monkeypatch, d1, d2, m):
     # at one common cutoff, one weighted walk per key sums to exactly the
     # walks over every (pair, coset); (-4, -7) is a single self-conjugate pair
     pairs = build_cycle(d1, d2).pairs
-    cosets = hecke_cosets(m).reps
+    cosets = hecke_cosets(m)
     weights = class_pair_weights(pairs, m)
     t_cut = 60.0
     separate_terms, separate = 0, [[], [], []]
@@ -243,8 +260,8 @@ def test_trimmed_tail_honest_on_chain_grid_walks(m):
     share = 1e-3 / len(hecke_cosets(m))
     for f1, f2 in _chain_grid_keys(m):
         c1, c2 = cm_point(f1).approx(), cm_point(f2).approx()
-        got = _lattice_sums((3.0, 5.0), c1, c2, share)
-        deep = _lattice_sums((3.0, 5.0), c1, c2, share / 400)
+        got = _lattice_sums((3, 5), c1, c2, share)
+        deep = _lattice_sums((3, 5), c1, c2, share / 400)
         for g, d in zip(got, deep):
             assert g.cosh_cutoff >= max(8.0, 2.0 * cosh_dist(c1, c2))
             assert g.tail_bound <= share
@@ -259,7 +276,7 @@ def test_q_decay_const_integer_route_matches_legenq():
             with mp.workprec(53):
                 q = float(mp.legenq(s - 1, 0, mp.mpf(t), type=3).real)
             expect = 2.0 * max(c_inf, q * t ** s)
-            assert _q_decay_const(float(s), t) == pytest.approx(expect, rel=1e-12)
+            assert _q_decay_const(s, t) == pytest.approx(expect, rel=1e-12)
 
 
 def test_G_k_m_singular_on_graph():
@@ -317,11 +334,8 @@ def test_tm_count():
         (1j, 2j, 4),          # exactly on the degree-2 graph
         (Z1, Z2, 4),          # generic, well away from it
     ])
-    near = tm_count(cycle, 2, 1e-6)
-    assert near.count == 4
-    assert near.distances[0] == pytest.approx(0.0, abs=1e-9)
-    everything = tm_count(cycle, 2, 100.0)
-    assert everything.count == 8
+    assert tm_count(cycle, 2, 1e-6) == 4
+    assert tm_count(cycle, 2, 100.0) == 8
     with pytest.raises(ValueError):
         tm_count(cycle, 2, 0.0)
 
@@ -332,5 +346,5 @@ def test_tm_count_threshold():
     dist = graph_distance(1, CMPoint(1, 0, -4), zeta)
     assert dist > 0
     cycle = make_cycle([(CMPoint(1, 0, -4), zeta, 4)])
-    assert tm_count(cycle, 1, dist * 0.9).count == 0
-    assert tm_count(cycle, 1, dist * 1.1).count == 4
+    assert tm_count(cycle, 1, dist * 0.9) == 0
+    assert tm_count(cycle, 1, dist * 1.1) == 4

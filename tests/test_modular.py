@@ -102,7 +102,7 @@ def points_met_by_modpoly(dmax, mmax):
         for form in enumerate_reduced(d).reduced_forms:
             z = cm_point(form)
             for m in range(1, mmax + 1):
-                for coset in hecke_cosets(m).reps:
+                for coset in hecke_cosets(m):
                     w = coset_apply(coset, z)
                     red = reduce_form(w.form)
                     points[red.a, red.b, w.d] = CMPoint(red.a, red.b, w.d)
@@ -202,8 +202,9 @@ def test_fd_reduce_terminates_on_the_unit_arc():
 
 
 def test_hecke_cosets():
-    assert hecke_cosets(1).reps == ((1, 0, 1),)
-    assert set(hecke_cosets(2).reps) == {(1, 0, 2), (1, 1, 2), (2, 0, 1)}
+    assert hecke_cosets(1) == ((1, 0, 1),)
+    assert set(hecke_cosets(2)) == {(1, 0, 2), (1, 1, 2), (2, 0, 1)}
+    assert hecke_cosets(6) is hecke_cosets(6)  # built once per m
     assert len(hecke_cosets(6)) == 12
     for m in range(1, 201):
         assert len(hecke_cosets(m)) == sigma1(m)
@@ -294,7 +295,7 @@ def test_modpoly_integer_product_against_an_oracle():
                         j1 = exact_j(z1.mpc(mp))
                         exact = mp.fprod(
                             j1 - exact_j(coset_apply(c, z2).mpc(mp))
-                            for c in hecke_cosets(m).reps)
+                            for c in hecke_cosets(m))
                         assert abs(v.value - exact) <= v.rel_error * abs(exact)
                     checked += 1
     assert checked > 250

@@ -27,8 +27,6 @@ def test_context_validation():
     with pytest.raises(ValueError):
         PrecisionContext(mantissa_bits=32)
     with pytest.raises(ValueError):
-        PrecisionContext(integer_tolerance=0.7)
-    with pytest.raises(ValueError):
         PrecisionContext(series_tail_bound=0.0)
     assert CTX.doubled().mantissa_bits == 512
     assert CTX.with_bits(1000).mantissa_bits == 1000
@@ -57,6 +55,21 @@ def test_Q_closed_examples():
         legendre_Q_closed(2, 3.0, CTX)
     with pytest.raises(ValueError):
         legendre_Q_closed(3, 1.0, CTX)
+    with pytest.raises(ValueError):
+        legendre_Q_closed(3, math.inf, CTX)
+
+
+def test_Q_closed_at_large_t_matches_float_route():
+    # the upward mpf recurrence loses about (2n + 1) arccosh(t) / ln 2 bits,
+    # more than the whole mantissa here; with no guard bits for them Q_2 at
+    # t = cosh(40 sqrt 2) ~ 2e24 comes out near -2e-34
+    for eps in (30.0, 40.0, 70.5, 100.0):
+        t = math.cosh(math.sqrt(2.0) * eps)
+        for k in (1, 3, 5, 7):
+            a = legendre_Q_closed(k, t, CTX)
+            b = _q_int(k - 1, t)
+            assert a > 0
+            assert float(a) == pytest.approx(b, rel=1e-13)
 
 
 def test_Q_closed_vs_quadrature():

@@ -4,8 +4,8 @@ import pytest
 
 from singmod import verify
 from singmod.cmcycles import build_cycle
-from singmod.greens import G_ks_m, TailBudgetError
-from singmod.numerics import PrecisionContext, PrecisionError
+from singmod.greens import G_k_m, TailBudgetError
+from singmod.numerics import PrecisionContext, PrecisionError, _q_int
 from singmod.verify import (
     Factorization,
     factor_norm,
@@ -148,6 +148,28 @@ def test_verify_lower_bound():
         verify_lower_bound(-3, -4, 1, 0.0, CTX)
 
 
+def test_verify_lower_bound_at_large_epsilon():
+    # Q_2(cosh(sqrt(2) eps)) is tiny and positive here, far below what an
+    # mpf upward recurrence without guard bits returns (1e-47 at eps = 30,
+    # negative at eps = 40)
+    rep = verify_nonunit(-3, -4, 1, CTX)
+    for eps in (30.0, 40.0, 70.5, 100.0):
+        out = verify_lower_bound(-3, -4, 1, eps, CTX, report=rep)
+        q2 = _q_int(2, math.cosh(math.sqrt(2.0) * eps))
+        assert 0.0 < q2 < 1e-55
+        assert out.rhs == 2.0 * out.count * q2 and out.count == 4
+        assert out.passed
+    # cosh overflows: Q_2 < t^-3 is below every float
+    huge = verify_lower_bound(-3, -4, 1, 1e308, CTX, report=rep)
+    assert huge.rhs == 0.0 and huge.passed
+    for eps in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            verify_lower_bound(-3, -4, 1, eps, CTX, report=rep)
+    # cosh(sqrt(2) eps) rounds to 1: refused, not a traceback or a pass
+    with pytest.raises(ValueError, match="too small"):
+        verify_lower_bound(-3, -4, 1, 1e-12, CTX, report=rep)
+
+
 def test_verify_chain():
     rep = verify_nonunit(-3, -4, 2, CTX)
     bounds = verify_chain(-3, -4, 2, CTX, tail_target=1e-4, report=rep)
@@ -168,8 +190,8 @@ def test_verify_chain_folding_matches_every_pair():
     neg = [0.0, 0.0, 0.0]
     slack = [0.0, 0.0, 0.0]
     for pair in build_cycle(d1, d2).pairs:
-        for i, part in enumerate(G_ks_m((3, 5, 7), m, pair.z1, pair.z2, CTX,
-                                        tail_target=tail)):
+        for i, k in enumerate((3, 5, 7)):
+            part = G_k_m(k, m, pair.z1, pair.z2, CTX, tail_target=tail)
             neg[i] += pair.multiplicity * (-part.value + part.tail_bound)
             slack[i] += pair.multiplicity * part.tail_bound
     for b, want, tol in zip(bounds, neg, slack):
