@@ -333,10 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="JSON output")
     common.add_argument("--out", type=str, default=None,
                         help="write output to this path instead of stdout")
-    common.add_argument("--cache-dir", type=str, default=None,
-                        help="directory for the class polynomial cache")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker processes for sweeps (default 1)")
     parser = argparse.ArgumentParser(
         prog="singmod",
         description="Exact norms and Green's-function bounds for modular "
@@ -346,6 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classpoly", parents=[common],
                        help="class polynomial of a discriminant")
     p.add_argument("d", type=int)
+    p.add_argument("--cache-dir", type=str, default=None,
+                   help="directory for the class polynomial cache")
     p.set_defaults(func=cmd_classpoly)
 
     p = sub.add_parser("cmpoints", parents=[common], help="reduced forms and CM points of a discriminant")
@@ -390,6 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, action="append")
     p.add_argument("--chain", action="store_true")
     p.add_argument("--factor", action="store_true")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes (default 1)")
+    p.add_argument("--cache-dir", type=str, default=None,
+                   help="accepted and ignored: sweep reads no cache")
     p.set_defaults(func=cmd_sweep)
     return parser
 
@@ -398,6 +400,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "greens" and not args.cycle and not (args.z1 and args.z2):
         print("error: greens needs --cycle or both --z1/--z2", file=sys.stderr)
+        return EXIT_COMPUTE
+    if args.command == "greens" and args.cycle and (args.z1 or args.z2):
+        print("error: greens takes --cycle or --z1/--z2, not both", file=sys.stderr)
         return EXIT_COMPUTE
     try:
         code = args.func(args)

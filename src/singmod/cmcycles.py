@@ -46,11 +46,12 @@ from .quadforms import (
     QuadForm,
     cm_point,
     enumerate_reduced,
+    hecke_image,
     inverse,
     project_class,
     reduce_form,
 )
-from .modular import coset_apply, hecke_cosets, modpoly_eval
+from .modular import hecke_cosets, log_j_size, modpoly_eval
 
 
 class CycleError(ValueError):
@@ -150,9 +151,12 @@ def common_order_discriminant(d1, d2) -> int:
 def small_cm_cycle(d1, d2) -> CMCycle:
     """Orbit of the principal pair under Cl(d') plus the conjugate branch.
 
-    sigma acts on coordinate i through the projection Cl(d') -> Cl(d_i); the
-    conjugate branch replaces both classes by their inverses.  Coinciding
-    pairs are merged with summed multiplicities; group_order stays 2 h(d').
+    sigma acts on coordinate i through the projection Cl(d') -> Cl(d_i)
+    (project_class), which is the ascending isogeny of degree f'/f_i: the
+    CM point of sigma maps to the one image of determinant f'/f_i that has
+    discriminant d_i.  The conjugate branch replaces both classes by their
+    inverses.  Coinciding pairs are merged with summed multiplicities;
+    group_order stays 2 h(d').
     """
     d1 = _as_disc(d1)
     d2 = _as_disc(d2)
@@ -209,19 +213,13 @@ def conjugate_orbits(pairs) -> list[CyclePair]:
     return list(orbits.values())
 
 
-def _log_j_size(z: CMPoint) -> float:
-    """pi sqrt|d| / a for the reduced form (a, b, c) of z: this is 2 pi Im z
-    at the reduced point, so |j(z)| is about e to this power."""
-    return math.pi * math.sqrt(-z.d) / reduce_form(z.form).a
-
-
 def _norm_bits_estimate(cycle: CMCycle, m: int) -> int:
     """About log2 of the cycle product of |phi_m|, from reduced forms alone.
 
     Each factor j(z1) - j(M z2) has a log size of about the larger of
-    _log_j_size at z1 and at w = M z2 (coset_apply); the estimate sums this
-    over pairs, with multiplicity, and Hecke cosets.  No j-value is
-    computed.
+    log_j_size at the reduced forms of z1 and of w = M z2 (hecke_image); the
+    estimate sums this over pairs, with multiplicity, and Hecke cosets.  No
+    j-value is computed.
     """
     cosets = hecke_cosets(m)
     images: dict[CMPoint, list[float]] = {}
@@ -229,9 +227,10 @@ def _norm_bits_estimate(cycle: CMCycle, m: int) -> int:
     for pair in cycle.pairs:
         sizes = images.get(pair.z2)
         if sizes is None:
-            sizes = images[pair.z2] = [_log_j_size(coset_apply(c, pair.z2))
-                                       for c in cosets]
-        near = _log_j_size(pair.z1)
+            sizes = images[pair.z2] = [
+                log_j_size(reduce_form(hecke_image(pair.z2.form, c)))
+                for c in cosets]
+        near = log_j_size(reduce_form(pair.z1.form))
         total += pair.multiplicity * sum(max(near, size) for size in sizes)
     return math.ceil(total / math.log(2))
 

@@ -40,7 +40,7 @@ from typing import Iterable
 import mpmath as mp
 
 from .numerics import PrecisionContext, _q_int, _q_sum
-from .quadforms import CMPoint, QuadForm, cm_point, inverse, reduce_form
+from .quadforms import CMPoint, QuadForm, cm_point, hecke_image, inverse, reduce_form
 from .modular import (
     cosh_dist,
     cosh_translates,
@@ -354,14 +354,14 @@ def class_pair_weights(pairs, m: int) -> dict[tuple[QuadForm, QuadForm], int]:
     """Summed multiplicity per class_pair_key over every (pair, coset) walk.
 
     pairs carry exact CMPoints z1, z2 and a multiplicity (cmcycles.CyclePair);
-    the coset image of z2 is exact too (coset_apply), so the keys are exact.
+    the coset image of z2 is exact too (hecke_image), so the keys are exact.
     """
     cosets = hecke_cosets(m)
     weights: dict[tuple[QuadForm, QuadForm], int] = {}
     for pair in pairs:
         f1 = reduce_form(pair.z1.form)
         for coset in cosets:
-            key = class_pair_key(f1, reduce_form(coset_apply(coset, pair.z2).form))
+            key = class_pair_key(f1, reduce_form(hecke_image(pair.z2.form, coset)))
             weights[key] = weights.get(key, 0) + pair.multiplicity
     return weights
 

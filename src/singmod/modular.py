@@ -37,7 +37,14 @@ from .numerics import (
     recognize_with_retries,
     arccosh,
 )
-from .quadforms import CMPoint, cm_point, enumerate_reduced, reduce_form
+from .quadforms import (
+    CMPoint,
+    QuadForm,
+    cm_point,
+    enumerate_reduced,
+    hecke_image,
+    reduce_form,
+)
 
 _FOUR_PI = 4 * math.pi
 
@@ -249,6 +256,12 @@ def _j_series(q, q_inv, lam: float, scale: int, ctx: PrecisionContext) -> JValue
     return JValue.of(re, im, _J_ERROR_UNITS, scale)
 
 
+def log_j_size(form: QuadForm) -> float:
+    """pi sqrt|d| / a for a reduced form (a, b, c): 2 pi Im z at its point z,
+    so |j(z)| is about e to this power."""
+    return math.pi * math.sqrt(-form.disc) / form.a
+
+
 def j_eval(z, ctx: PrecisionContext) -> JValue:
     """j(z) as a JValue at the scale 2^-(ctx.mantissa_bits + GUARD_BITS).
 
@@ -268,7 +281,7 @@ def j_eval(z, ctx: PrecisionContext) -> JValue:
         with _jvalue_lock:
             if _jvalue_cache.get(key, (0,))[0] >= prec:
                 return _jvalue_cache[key][1]
-        lam = math.pi * math.sqrt(-z.d) / red.a
+        lam = log_j_size(red)
         with mp.workprec(_inverse_q_bits(lam, prec)):
             phase = mp.expjpi(mp.mpf(-red.b) / red.a)
             size = mp.exp(-mp.pi * mp.sqrt(-z.d) / red.a)
@@ -295,23 +308,11 @@ def hecke_cosets(m: int) -> tuple[tuple[int, int, int], ...]:
 
 
 def coset_apply(coset: tuple[int, int, int], z):
-    """(a z + b) / d, exactly for CMPoints, numerically otherwise."""
-    a, b, d = coset
+    """(a z + b) / d, exactly for CMPoints (hecke_image), numerically otherwise."""
     if isinstance(z, CMPoint):
-        # z root of A z^2 + B z + C; w = (a z + b)/d is a root of the integral
-        # form (A d^2, (B a - 2 A b) d, A b^2 - B b d ... ) -- derived by
-        # substituting z = (d w - b)/a into the quadratic of z.
-        form = z.form
-        aa, bb, cc = form.a, form.b, form.c
-        # substitute z = (d w - b)/a: aa (d w - b)^2 + bb a (d w - b) + cc a^2 = 0
-        a2 = aa * d * d
-        b2 = (-2 * aa * b + bb * a) * d
-        c2 = aa * b * b - bb * a * b + cc * a * a
-        g = math.gcd(math.gcd(a2, abs(b2)), abs(c2)) if c2 else math.gcd(a2, abs(b2))
-        if g > 1:
-            a2, b2, c2 = a2 // g, b2 // g, c2 // g
-        w = CMPoint(a2, b2, b2 * b2 - 4 * a2 * c2)
-        return w
+        w = hecke_image(z.form, coset)
+        return CMPoint(w.a, w.b, w.disc)
+    a, b, d = coset
     return (a * z + b) / d
 
 
@@ -416,8 +417,7 @@ def classpoly(d: int, ctx: PrecisionContext) -> list[int]:
     sizes the retry if that falls short.
     """
     group = enumerate_reduced(d)
-    estimate = int(sum(math.pi * math.sqrt(-d) / form.a
-                       for form in group.reduced_forms) / math.log(2)) + 64
+    estimate = int(sum(map(log_j_size, group.reduced_forms)) / math.log(2)) + 64
 
     def compute(current):
         scale = current.mantissa_bits + GUARD_BITS

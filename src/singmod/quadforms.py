@@ -1,10 +1,12 @@
 """Binary quadratic forms, class groups of imaginary quadratic orders, CM points.
 
 Forms (a, b, c) with b^2 - 4ac = d < 0, a > 0 are the canonical class
-representation throughout; ideals only appear inside the projection map
-between class groups of nested orders, where the extension ideal is
-computed as an explicit Z-module.  Non-maximal orders are first-class:
-reduction, composition and enumeration work for every valid discriminant.
+representation throughout, and both class-group maps are integer formulas
+on forms: composition is Dirichlet composition, and the projection between
+class groups of nested orders is the ascending isogeny, the one Hecke
+image of the right discriminant (hecke_image, which also moves CM points
+in modular.coset_apply).  Non-maximal orders are first-class: reduction,
+composition and enumeration work for every valid discriminant.
 """
 
 from __future__ import annotations
@@ -94,9 +96,6 @@ class QuadForm:
             return False
         return True
 
-    def __call__(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
-
     def __str__(self):
         return f"({self.a},{self.b},{self.c})"
 
@@ -123,10 +122,6 @@ class CMPoint:
     def mpc(self, mp_module):
         """Exact point evaluated at the caller's current mpmath precision."""
         return mp_module.mpc(-self.b, mp_module.sqrt(-self.d)) / (2 * self.a)
-
-    def conjugate_negated(self) -> "CMPoint":
-        # -conj(z) corresponds to the inverse class
-        return CMPoint(self.a, -self.b, self.d)
 
 
 def reduce_form(form: QuadForm) -> QuadForm:
@@ -159,12 +154,12 @@ def identity_form(d: int) -> QuadForm:
 
 
 def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
-    """Reduced Gauss composite, computed by multiplying the associated ideals.
+    """Reduced Dirichlet composite (Cox, Primes of the form x^2 + ny^2, 3.A).
 
-    Each primitive form (a, b, c) corresponds to the proper O_d-ideal
-    [a, (-b + sqrt(d))/2]; the product ideal is assembled as a Z-module from
-    the four pairwise generator products and converted back to a form.  This
-    route handles every discriminant (odd, even, non-fundamental) uniformly.
+    With e = gcd(a1, a2, (b1 + b2)/2) = alpha a1 + beta a2 + gamma (b1 + b2)/2,
+    the composite is (a1 a2 / e^2, B, .) with
+    B = (alpha a1 b2 + beta a2 b1 + gamma (b1 b2 + d)/2) / e, for every
+    discriminant (odd, even, non-fundamental).
     """
     d = f1.disc
     if d != f2.disc:
@@ -173,18 +168,11 @@ def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
         raise QuadFormError("composition requires primitive forms")
     a1, b1 = f1.a, f1.b
     a2, b2 = f2.a, f2.b
-    # elements written (x + y sqrt(d)) / 2; ideal generators are 2a and -b+sqrt(d)
-    rows = [
-        (2 * a1 * a2, 0),
-        (-a1 * b2, a1),
-        (-a2 * b1, a2),
-        ((b1 * b2 + d) // 2, -(b1 + b2) // 2),
-    ]
-    x1, (x2, y2) = _module_hnf(rows)
-    a3 = x1 // (2 * y2)
-    b3 = -x2 // y2
-    c3 = (b3 * b3 - d) // (4 * a3)
-    return reduce_form(QuadForm(a3, b3, c3))
+    g, p, q = _xgcd(a1, a2)
+    e, r, gamma = _xgcd(g, (b1 + b2) // 2)
+    a3 = a1 * a2 // (e * e)
+    b3 = (r * p * a1 * b2 + r * q * a2 * b1 + gamma * ((b1 * b2 + d) // 2)) // e
+    return reduce_form(QuadForm(a3, b3, (b3 * b3 - d) // (4 * a3)))
 
 
 def inverse(form: QuadForm) -> QuadForm:
@@ -241,74 +229,32 @@ def cm_point(form: QuadForm) -> CMPoint:
     return CMPoint(form.a, form.b, form.disc)
 
 
-def _coprime_representative(form: QuadForm, modulus: int) -> QuadForm:
-    """An equivalent form whose leading coefficient is coprime to modulus."""
-    if modulus == 1 or math.gcd(form.a, modulus) == 1:
-        return form
-    bound = 1
-    while bound < 64:
-        for x in range(-bound, bound + 1):
-            for y in range(-bound, bound + 1):
-                if math.gcd(x, y) != 1:
-                    continue
-                value = form(x, y)
-                if value > 0 and math.gcd(value, modulus) == 1:
-                    # extend (x, y) to a unimodular substitution
-                    g, u, v = _xgcd(x, y)
-                    assert g == 1
-                    # matrix [[x, -v], [y, u]] has det x*u + y*v = 1
-                    p, q, r, s = x, -v, y, u
-                    a2 = form(p, r)
-                    c2 = form(q, s)
-                    b2 = 2 * (form.a * p * q + form.c * r * s) + form.b * (p * s + q * r)
-                    out = QuadForm(a2, b2, c2)
-                    assert out.disc == form.disc
-                    return out
-        bound *= 2
-    raise QuadFormError(
-        f"no representative of {form} with leading coefficient coprime to {modulus}"
-    )
+def hecke_image(form: QuadForm, coset: tuple[int, int, int]) -> QuadForm:
+    """The primitive form of w = (a z + b) / d, z the root of form.
 
-
-def _module_hnf(rows: list[tuple[int, int]]) -> tuple[int, tuple[int, int]]:
-    """Two-row HNF basis of the Z-module spanned by (x, y) vectors.
-
-    Returns (x1, (x2, y2)) meaning basis {(x1, 0), (x2, y2)} with x1, y2 > 0.
+    Substituting z = (d w - b) / a into A z^2 + B z + C = 0 gives the
+    integral form below; its primitive part is returned, unreduced.
     """
-    xg, yg = 0, 0
-    leftovers = []
-    for x, y in rows:
-        if y == 0:
-            leftovers.append(x)
-            continue
-        if yg == 0:
-            xg, yg = x, y
-            continue
-        g, u, v = _xgcd(yg, y)
-        # (yg/g)*(x,y) - (y/g)*(xg,yg) kills the y component
-        leftovers.append((yg // g) * x - (y // g) * xg)
-        xg, yg = u * xg + v * x, g
-    if yg < 0:
-        xg, yg = -xg, -yg
-    if yg == 0:
-        raise QuadFormError("degenerate module in projection")
-    x1 = 0
-    for x in leftovers:
-        x1 = math.gcd(x1, abs(x))
-    if x1 == 0:
-        raise QuadFormError("degenerate module in projection")
-    xg %= x1
-    return x1, (xg, yg)
+    a, b, d = coset
+    aa, bb, cc = form.a, form.b, form.c
+    a2 = aa * d * d
+    b2 = (bb * a - 2 * aa * b) * d
+    c2 = aa * b * b - bb * a * b + cc * a * a
+    g = math.gcd(a2, b2, c2)
+    return QuadForm(a2 // g, b2 // g, c2 // g)
 
 
 def project_class(form: QuadForm, target: Discriminant) -> QuadForm:
     """Project a class of discriminant d' to the class group of d_i | d'.
 
     Both orders share the fundamental discriminant and the target conductor
-    divides the source conductor.  The class is moved to a representative
-    whose leading coefficient is prime to the source conductor, the ideal is
-    extended to the bigger order as an explicit Z-module, and the module is
-    converted back to a reduced form.  The map is a group homomorphism.
+    divides the source conductor; let g = f' / f_i.  The map is the
+    ascending isogeny of degree g: among the images of the class under the
+    determinant-g cosets (a, b, g / a), which up to scaling are the
+    lattices containing the class's lattice I with index g, exactly one has
+    discriminant d_i.  It is unique because every O_(d_i)-lattice that
+    contains I contains I O_(d_i), which already has index g.  The map is
+    a group homomorphism.
     """
     source = Discriminant.of(form.disc)
     if source.d_K != target.d_K:
@@ -319,27 +265,7 @@ def project_class(form: QuadForm, target: Discriminant) -> QuadForm:
         raise QuadFormError(
             f"target conductor {target.f} does not divide source conductor {source.f}"
         )
-    if source.d == target.d:
-        return reduce_form(form)
-    rep = _coprime_representative(reduce_form(form), source.f)
-    a, b = rep.a, rep.b
     g = source.f // target.f
-    di = target.d
-    # Z-module of the extension ideal, elements written (x + y sqrt(di)) / 2.
-    # Generators: a, a*omega, beta, beta*omega with omega = (di + sqrt(di))/2
-    # and beta = (-b + g sqrt(di)) / 2.
-    rows = [
-        (2 * a, 0),
-        (a * di, a),
-        (-b, g),
-        ((g - b) * di // 2, (g * di - b) // 2),
-    ]
-    x1, (x2, y2) = _module_hnf(rows)
-    if x1 % (2 * y2) != 0 or x2 % y2 != 0:
-        raise QuadFormError("projected module is not a proper ideal of the target order")
-    a_new = x1 // (2 * y2)
-    b_new = -x2 // y2
-    if (b_new * b_new - di) % (4 * a_new) != 0:
-        raise QuadFormError("projected form has wrong discriminant")
-    c_new = (b_new * b_new - di) // (4 * a_new)
-    return reduce_form(QuadForm(a_new, b_new, c_new))
+    images = (hecke_image(form, (a, b, g // a))
+              for a in range(1, g + 1) if g % a == 0 for b in range(g // a))
+    return reduce_form(next(image for image in images if image.disc == target.d))

@@ -192,6 +192,32 @@ def test_greens_argument_validation(capsys):
     assert code == 2 and err
     code, _, err = run(capsys, "greens", "--k", "2", "--z1", "i", "--z2", "2i")
     assert code == 2 and err
+    # --cycle would otherwise run and drop the explicit points in silence
+    for points in (["--z1", "i", "--z2", "2i"], ["--z1", "i"], ["--z2", "2i"]):
+        code, out, err = run(capsys, "greens", "--k", "3", "--cycle", "-3", "-4",
+                             *points)
+        assert code == 2 and "not both" in err and not out
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "-3", "-4", "1"],
+    ["classpoly", "-23"],
+    ["cmpoints", "-4"],
+    ["modpoly-eval", "2", "-4", "-4"],
+    ["greens", "--k", "3", "--z1", "i", "--z2", "2i"],
+])
+def test_flags_only_where_read(capsys, tmp_path, argv):
+    # --threads is read by sweep alone, --cache-dir by classpoly (and
+    # accepted by sweep); every other subcommand refuses them as argparse does
+    flags = [["--threads", "2"]]
+    if argv[0] != "classpoly":
+        flags.append(["--cache-dir", str(tmp_path)])
+    for flag in flags:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("tail", ["nan", "0", "-1"])
@@ -252,11 +278,12 @@ def test_out_file(capsys, tmp_path):
     assert payload["coeffs"] == ["-1728", "1"]
 
 
-def test_sweep_threads(capsys):
+def test_sweep_threads(capsys, tmp_path):
     code, serial, _ = run_json(capsys, "sweep", "--dmax", "4", "--mmax", "2")
+    # the flags as the benchmark passes them; sweep reads no cache
     code2, parallel, _ = run_json(capsys, "sweep", "--dmax", "4", "--mmax", "2",
-                                  "--threads", "2")
-    assert code == code2 == 0
+                                  "--threads", "2", "--cache-dir", str(tmp_path))
+    assert code == code2 == 0 and os.listdir(tmp_path) == []
     strip = lambda p: [{k: v for k, v in r.items() if k != "elapsed"}
                        for r in p["reports"]]
     assert strip(serial) == strip(parallel)

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from singmod.modular import hecke_cosets, modpoly_eval
+from singmod.numerics import PrecisionContext
 from singmod.quadforms import (
     CMPoint,
     Discriminant,
@@ -11,11 +13,14 @@ from singmod.quadforms import (
     cm_point,
     compose,
     enumerate_reduced,
+    hecke_image,
     identity_form,
     inverse,
     project_class,
     reduce_form,
 )
+
+CTX = PrecisionContext()
 
 
 def valid_discs(limit):
@@ -133,15 +138,7 @@ def test_cm_points_in_fundamental_domain():
             assert abs(z) >= 1 - 1e-12
 
 
-def test_conjugate_negated_is_inverse_class():
-    for d in (-23, -47):
-        for form in enumerate_reduced(d).reduced_forms:
-            z = cm_point(form)
-            w = z.conjugate_negated()
-            assert reduce_form(w.form) == inverse(form)
-
-
-def test_project_class_homomorphism():
+def projection_cases():
     cases = []
     for dp in valid_discs(200):
         src = Discriminant.of(dp)
@@ -152,7 +149,11 @@ def test_project_class_homomorphism():
                 continue
             cases.append((dp, Discriminant.of(f_t * f_t * src.d_K)))
     assert cases
-    for dp, target in cases:
+    return cases
+
+
+def test_project_class_homomorphism():
+    for dp, target in projection_cases():
         gp = enumerate_reduced(dp)
         imgs = {f: project_class(f, target) for f in gp.reduced_forms}
         assert imgs[gp.identity] == enumerate_reduced(target.d).identity
@@ -162,12 +163,77 @@ def test_project_class_homomorphism():
                     reduce_form(compose(imgs[f], imgs[g]))
 
 
+# the last three have h(d_i) > 1, so the projection picks among classes
+SURJECTIVE_CASES = [(-36, -4), (-108, -12), (-108, -27), (-48, -12), (-75, -3),
+                    (-207, -23), (-135, -15), (-80, -20)]
+
+
 def test_project_class_surjective():
-    for dp, di in [(-36, -4), (-108, -12), (-108, -27), (-48, -12), (-75, -3)]:
+    for dp, di in SURJECTIVE_CASES:
         target = Discriminant.of(di)
         image = {project_class(f, target)
                  for f in enumerate_reduced(dp).reduced_forms}
         assert image == set(enumerate_reduced(di).reduced_forms)
+
+
+def test_one_hecke_image_of_the_target_discriminant():
+    # the ascending isogeny is the only determinant-g image landing in
+    # Cl(d_i); counted over hecke_cosets, without project_class
+    for dp, target in projection_cases():
+        g = Discriminant.of(dp).f // target.f
+        for form in enumerate_reduced(dp).reduced_forms:
+            hits = [c for c in hecke_cosets(g)
+                    if hecke_image(form, c).disc == target.d]
+            assert len(hits) == 1, (form, target.d)
+
+
+def test_projection_is_the_isogeny_zero_of_phi_g():
+    # phi_g(j(sigma), j(tau)) = 0 exactly when tau is the projection of
+    # sigma: the two CM curves are g-isogenous (exact integer zero test)
+    checks = 0
+    for dp, di in SURJECTIVE_CASES:
+        target = Discriminant.of(di)
+        g = Discriminant.of(dp).f // target.f
+        for sigma in enumerate_reduced(dp).reduced_forms:
+            image = project_class(sigma, target)
+            for tau in enumerate_reduced(di).reduced_forms:
+                value = modpoly_eval(g, cm_point(sigma), cm_point(tau), CTX)
+                assert value.is_zero == (tau == image), (sigma, tau)
+                checks += 1
+    assert checks == 50
+
+
+def represented(form, n):
+    """Whether the reduced form represents n, by brute force: a x^2 + b x y +
+    c y^2 >= |d| y^2 / (4a) and >= |d| x^2 / (4c) bound the search."""
+    a, b, c, d = form.a, form.b, form.c, -form.disc
+    xmax = math.isqrt(4 * c * n // d) + 1
+    ymax = math.isqrt(4 * a * n // d) + 1
+    return any(a * x * x + b * x * y + c * y * y == n
+               for x in range(-xmax, xmax + 1) for y in range(-ymax, ymax + 1))
+
+
+def test_compose_represents_products():
+    # f1 represents n1 and f2 represents n2, coprime to each other and to d:
+    # then f1 f2 represents n1 n2 (the composition identity), checked on
+    # values the forms take at small (x, y) by brute force
+    checks = 0
+    for d in (-23, -20, -47, -56, -71, -84, -108, -231):
+        forms = enumerate_reduced(d).reduced_forms
+        values = {}
+        for f in forms:
+            taken = {f.a * x * x + f.b * x * y + f.c * y * y
+                     for x in range(-4, 5) for y in range(-4, 5)}
+            values[f] = sorted(n for n in taken if math.gcd(n, d) == 1)[:5]
+        for f1 in forms:
+            for f2 in forms:
+                composite = compose(f1, f2)
+                for n1 in values[f1]:
+                    for n2 in values[f2]:
+                        if math.gcd(n1, n2) == 1:
+                            assert represented(composite, n1 * n2), (f1, f2, n1, n2)
+                            checks += 1
+    assert checks > 1000
 
 
 def test_project_class_rejects_incompatible():
@@ -181,4 +247,3 @@ def test_cmpoint_metadata():
     z = CMPoint(2, 1, -23)
     assert z.form == QuadForm(2, 1, 3)
     assert z.discriminant == -23
-    assert z.conjugate_negated() == CMPoint(2, -1, -23)
