@@ -12,11 +12,9 @@ from .numerics import (
 )
 from .quadforms import (
     ClassGroup,
-    CMPoint,
     Discriminant,
     QuadForm,
     QuadFormError,
-    cm_point,
     compose,
     enumerate_reduced,
     inverse,

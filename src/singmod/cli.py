@@ -31,7 +31,7 @@ import mpmath as mp
 
 from . import cache as diskcache
 from .numerics import GUARD_BITS, PrecisionContext, PrecisionError
-from .quadforms import QuadForm, cm_point, enumerate_reduced, reduce_form
+from .quadforms import QuadForm, enumerate_reduced, reduce_form
 from .modular import (
     JValue,
     classpoly,
@@ -55,15 +55,14 @@ EXIT_COMPUTE = 2
 
 
 def parse_point(text: str):
-    """Discriminant, form triple or complex number -> CMPoint or complex."""
+    """Discriminant, form triple or complex number -> reduced form (a CM
+    point) or complex."""
     text = text.strip()
     if re.fullmatch(r"-\d+", text):
-        d = int(text)
-        group = enumerate_reduced(d)
-        return cm_point(group.identity)
+        return enumerate_reduced(int(text)).identity
     if re.fullmatch(r"-?\d+\s*,\s*-?\d+\s*,\s*-?\d+", text):
         a, b, c = (int(s) for s in text.split(","))
-        return cm_point(reduce_form(QuadForm(a, b, c)))
+        return reduce_form(QuadForm(a, b, c))
     # complex: accept i as the imaginary unit, with or without a coefficient
     expr = text.replace(" ", "").replace("I", "i")
     expr = re.sub(r"(?<![\d.])i", "1j", expr).replace("i", "j")
@@ -130,14 +129,14 @@ def cmd_cmpoints(args) -> int:
     ctx = _context(args)
     rows = []
     for form in group.reduced_forms:
-        z = cm_point(form)
+        z = form.approx()
         entry = {"form": [form.a, form.b, form.c],
                  "point": f"(-({form.b}) + sqrt({d}))/{2 * form.a}",
-                 "approx": [z.approx().real, z.approx().imag]}
+                 "approx": [z.real, z.imag]}
         if args.j:
             # at the context's scale, whatever finer value the point cache holds
             scale = ctx.mantissa_bits + GUARD_BITS
-            value = JValue.of(*j_eval(z, ctx).at_scale(scale), scale)
+            value = JValue.of(*j_eval(form, ctx).at_scale(scale), scale)
             # a part inside the certified error is shown as 0
             re = 0 if abs(value.re) <= value.err else value.real
             im = 0 if abs(value.im) <= value.err else value.imag

@@ -41,10 +41,8 @@ import mpmath as mp
 
 from .numerics import PrecisionContext, recognize_with_retries
 from .quadforms import (
-    CMPoint,
     Discriminant,
     QuadForm,
-    cm_point,
     enumerate_reduced,
     hecke_image,
     inverse,
@@ -69,8 +67,10 @@ class SingularCycleError(CycleError):
 
 @dataclass(frozen=True)
 class CyclePair:
-    z1: CMPoint
-    z2: CMPoint
+    """A pair of CM points, each its reduced form, with a multiplicity."""
+
+    z1: QuadForm
+    z2: QuadForm
     multiplicity: int
 
     @property
@@ -129,7 +129,7 @@ def big_cm_cycle(d1, d2) -> CMCycle:
     g1 = enumerate_reduced(d1.d)
     g2 = enumerate_reduced(d2.d)
     pairs = tuple(
-        CyclePair(cm_point(fa), cm_point(fb), BIG_MULTIPLICITY)
+        CyclePair(fa, fb, BIG_MULTIPLICITY)
         for fa in g1.reduced_forms
         for fb in g2.reduced_forms
     )
@@ -168,7 +168,7 @@ def small_cm_cycle(d1, d2) -> CMCycle:
     counts: dict[tuple, CyclePair] = {}
 
     def add(f1: QuadForm, f2: QuadForm):
-        pair = CyclePair(cm_point(f1), cm_point(f2), 1)
+        pair = CyclePair(f1, f2, 1)
         prev = counts.get(pair.key)
         if prev is not None:
             pair = CyclePair(prev.z1, prev.z2, prev.multiplicity + 1)
@@ -193,7 +193,7 @@ def build_cycle(d1, d2) -> CMCycle:
 
 def _inverse_key(pair: CyclePair) -> tuple:
     """The key of the pair of inverse classes (C1^-1, C2^-1)."""
-    f1, f2 = inverse(pair.z1.form), inverse(pair.z2.form)
+    f1, f2 = inverse(pair.z1), inverse(pair.z2)
     return (f1.a, f1.b, f2.a, f2.b)
 
 
@@ -222,15 +222,15 @@ def _norm_bits_estimate(cycle: CMCycle, m: int) -> int:
     j-value is computed.
     """
     cosets = hecke_cosets(m)
-    images: dict[CMPoint, list[float]] = {}
+    images: dict[QuadForm, list[float]] = {}
     total = 0.0
     for pair in cycle.pairs:
         sizes = images.get(pair.z2)
         if sizes is None:
             sizes = images[pair.z2] = [
-                log_j_size(reduce_form(hecke_image(pair.z2.form, c)))
+                log_j_size(reduce_form(hecke_image(pair.z2, c)))
                 for c in cosets]
-        near = log_j_size(reduce_form(pair.z1.form))
+        near = log_j_size(pair.z1)
         total += pair.multiplicity * sum(max(near, size) for size in sizes)
     return math.ceil(total / math.log(2))
 

@@ -40,8 +40,9 @@ from typing import Iterable
 import mpmath as mp
 
 from .numerics import PrecisionContext, _q_int, _q_sum
-from .quadforms import CMPoint, QuadForm, cm_point, hecke_image, inverse, reduce_form
+from .quadforms import QuadForm, hecke_image, inverse, reduce_form
 from .modular import (
+    as_complex,
     cosh_dist,
     cosh_translates,
     coset_apply,
@@ -97,9 +98,9 @@ def q_kernel(s, t, ctx: PrecisionContext):
 def g_s(s, z1, z2, ctx: PrecisionContext | None = None):
     """g_s(z1, z2) = -2 Q_{s-1}(cosh d(z1, z2)); negative off the diagonal."""
     ctx = ctx or PrecisionContext()
-    if isinstance(z1, CMPoint):
+    if isinstance(z1, QuadForm):
         z1 = z1.mpc(mp)
-    if isinstance(z2, CMPoint):
+    if isinstance(z2, QuadForm):
         z2 = z2.mpc(mp)
     t = cosh_dist(z1, z2)
     if t <= 1 + 1e-14:
@@ -136,15 +137,9 @@ def _q_decay_const(s: int, t_cut: float) -> float:
     return 2.0 * max(c_inf, _q_int(s - 1, float(t_cut)) * t_cut ** s)
 
 
-def _as_complex(z) -> complex:
-    if isinstance(z, CMPoint):
-        return z.approx()
-    return complex(z)
-
-
 def gamma_orbit(z1, z2, cosh_cut: float) -> tuple[tuple[int, int, int, int], ...]:
     """Group elements gamma with cosh d(z1, gamma z2) <= cosh_cut."""
-    out = gamma_translates(_as_complex(z1), _as_complex(z2), cosh_cut)
+    out = gamma_translates(as_complex(z1), as_complex(z2), cosh_cut)
     return tuple(g for g, _ in out)
 
 
@@ -157,8 +152,8 @@ def g_s_truncated(s, z1, z2, gammas: Iterable[tuple[int, int, int, int]],
     object for finite-difference eigenvalue checks.
     """
     with ctx.workprec():
-        w1 = z1.mpc(mp) if isinstance(z1, CMPoint) else mp.mpc(z1)
-        w2 = z2.mpc(mp) if isinstance(z2, CMPoint) else mp.mpc(z2)
+        w1 = z1.mpc(mp) if isinstance(z1, QuadForm) else mp.mpc(z1)
+        w2 = z2.mpc(mp) if isinstance(z2, QuadForm) else mp.mpc(z2)
         s_m = mp.mpf(s)
         n = _q_order(s)
         total = mp.mpf(0)
@@ -283,7 +278,7 @@ def G_s_sum(s, z1, z2, ctx: PrecisionContext, tail_target: float | None = None) 
     if not (float(s).is_integer() and s >= 2):
         raise ValueError(f"G_s_sum requires an integer s >= 2, got {s}")
     target = ctx.series_tail_bound if tail_target is None else float(tail_target)
-    return _lattice_sums((int(s),), _as_complex(z1), _as_complex(z2), target)[0]
+    return _lattice_sums((int(s),), as_complex(z1), as_complex(z2), target)[0]
 
 
 # default absolute tail budget for the k >= 3 averaged sums; the T^(1-k)
@@ -313,9 +308,9 @@ def G_k_m(k: int, m: int, z1, z2, ctx: PrecisionContext,
         return GreensValue(value=2 * v.log_abs(), tail_bound=2.0 * float(v.rel_error),
                            cosh_cutoff=math.inf, terms=len(cosets))
     share = _coset_share(tail_target, m)
-    z1c = _as_complex(z1)
+    z1c = as_complex(z1)
     return _weighted_total(
-        [(1, _lattice_sums((k,), z1c, _as_complex(coset_apply(coset, z2)), share))
+        [(1, _lattice_sums((k,), z1c, as_complex(coset_apply(coset, z2)), share))
          for coset in cosets])[0]
 
 
@@ -353,15 +348,15 @@ def class_pair_key(f1: QuadForm, f2: QuadForm) -> tuple[QuadForm, QuadForm]:
 def class_pair_weights(pairs, m: int) -> dict[tuple[QuadForm, QuadForm], int]:
     """Summed multiplicity per class_pair_key over every (pair, coset) walk.
 
-    pairs carry exact CMPoints z1, z2 and a multiplicity (cmcycles.CyclePair);
-    the coset image of z2 is exact too (hecke_image), so the keys are exact.
+    pairs carry reduced forms z1, z2 (CM points) and a multiplicity
+    (cmcycles.CyclePair); the coset image of z2 is exact too (hecke_image),
+    so the keys are exact.
     """
     cosets = hecke_cosets(m)
     weights: dict[tuple[QuadForm, QuadForm], int] = {}
     for pair in pairs:
-        f1 = reduce_form(pair.z1.form)
         for coset in cosets:
-            key = class_pair_key(f1, reduce_form(hecke_image(pair.z2.form, coset)))
+            key = class_pair_key(pair.z1, reduce_form(hecke_image(pair.z2, coset)))
             weights[key] = weights.get(key, 0) + pair.multiplicity
     return weights
 
@@ -378,7 +373,7 @@ def G_ks_m_cycle(ks, m: int, pairs, tail_target: float | None = None) -> list[Gr
         raise ValueError(f"k must be odd in (3, 5, 7), got {tuple(ks)}")
     share = _coset_share(tail_target, m)
     return _weighted_total(
-        [(w, _lattice_sums(ks, cm_point(f1).approx(), cm_point(f2).approx(), share))
+        [(w, _lattice_sums(ks, f1.approx(), f2.approx(), share))
          for (f1, f2), w in sorted(class_pair_weights(pairs, m).items())])
 
 

@@ -8,8 +8,10 @@ eta^3 series; they are computed once and extended on demand.  The series
 runs in Python integers at the fixed binary scale 2^-P, P the working
 precision, and every value carries an absolute error bound in units of
 2^-P (JValue); mpmath only supplies q and 1/q.  modpoly_eval and classpoly
-multiply these integers exactly, so their zero tests and coefficient
-bounds are integer inequalities that hold at j = 0 as well.
+multiply these integers exactly, so their error bounds are integer
+inequalities that hold at j = 0 as well.  A CM point is its reduced form
+(quadforms.QuadForm); at two CM points modpoly_eval decides its zeros by
+comparing reduced forms, not by a numeric test.
 
 Coset convention: Gamma_m is ALL integer matrices of determinant m,
 imprimitive ones included, so that the scalar matrix sqrt(m) I sits in
@@ -37,14 +39,7 @@ from .numerics import (
     recognize_with_retries,
     arccosh,
 )
-from .quadforms import (
-    CMPoint,
-    QuadForm,
-    cm_point,
-    enumerate_reduced,
-    hecke_image,
-    reduce_form,
-)
+from .quadforms import QuadForm, enumerate_reduced, hecke_image, reduce_form
 
 _FOUR_PI = 4 * math.pi
 
@@ -54,9 +49,9 @@ _jcoeffs: list[int] = []  # c_{-1}, c_0, c_1, ... with c_{-1} = 1, c_0 = 744
 _jseries: tuple[list[int], list[int], list[int]] = ([], [], [])
 
 _jvalue_lock = threading.Lock()
-# reduced (a, b, d) -> (prec, j at the scale 2^-prec), serving any prec up
-# to its own
-_jvalue_cache: dict[tuple[int, int, int], tuple[int, JValue]] = {}
+# reduced form -> (prec, j at the scale 2^-prec), serving any prec up to its
+# own
+_jvalue_cache: dict[QuadForm, tuple[int, JValue]] = {}
 
 
 def _divisor_power_sum(n: int, k: int) -> int:
@@ -265,30 +260,28 @@ def log_j_size(form: QuadForm) -> float:
 def j_eval(z, ctx: PrecisionContext) -> JValue:
     """j(z) as a JValue at the scale 2^-(ctx.mantissa_bits + GUARD_BITS).
 
-    A CMPoint takes the exact path: reduced to its form's reduced
-    representative, with q = e^(-pi sqrt|d| / a) e^(-i pi b / a) (real,
-    with no rounded phase, when b/a is an integer), cached per point at the
-    finest scale asked so far and served to any coarser request.  The
-    error bound err 2^-scale is absolute (see _j_series), so it holds at
-    j = 0 too.  Any other upper-half-plane number is reduced to F by
+    A form (a CM point) takes the exact path: reduced to (a, b, c), with
+    q = e^(-pi sqrt|d| / a) e^(-i pi b / a) (real, with no rounded phase,
+    when b/a is an integer), cached per reduced form at the finest scale
+    asked so far and served to any coarser request.  The error bound
+    err 2^-scale is absolute (see _j_series), so it holds at j = 0 too.  Any other upper-half-plane number is reduced to F by
     fd_reduce first; its bound covers the series at the reduced point,
     which is taken as exact.
     """
     prec = ctx.mantissa_bits + GUARD_BITS
-    if isinstance(z, CMPoint):
-        red = reduce_form(z.form)
-        key = (red.a, red.b, z.d)
+    if isinstance(z, QuadForm):
+        red = reduce_form(z)
         with _jvalue_lock:
-            if _jvalue_cache.get(key, (0,))[0] >= prec:
-                return _jvalue_cache[key][1]
+            if _jvalue_cache.get(red, (0,))[0] >= prec:
+                return _jvalue_cache[red][1]
         lam = log_j_size(red)
         with mp.workprec(_inverse_q_bits(lam, prec)):
             phase = mp.expjpi(mp.mpf(-red.b) / red.a)
-            size = mp.exp(-mp.pi * mp.sqrt(-z.d) / red.a)
+            size = mp.exp(-mp.pi * mp.sqrt(-red.disc) / red.a)
             value = _j_series(size * phase, mp.conj(phase) / size, lam, prec, ctx)
         with _jvalue_lock:
-            if _jvalue_cache.get(key, (0,))[0] < prec:
-                _jvalue_cache[key] = (prec, value)
+            if _jvalue_cache.get(red, (0,))[0] < prec:
+                _jvalue_cache[red] = (prec, value)
         return value
     lam = 2 * math.pi * fd_reduce(complex(z))[0].imag
     with mp.workprec(_inverse_q_bits(lam + 1, prec)):
@@ -308,10 +301,10 @@ def hecke_cosets(m: int) -> tuple[tuple[int, int, int], ...]:
 
 
 def coset_apply(coset: tuple[int, int, int], z):
-    """(a z + b) / d, exactly for CMPoints (hecke_image), numerically otherwise."""
-    if isinstance(z, CMPoint):
-        w = hecke_image(z.form, coset)
-        return CMPoint(w.a, w.b, w.disc)
+    """(a z + b) / d: for a form (a CM point) its primitive image form,
+    unreduced (hecke_image); numerically otherwise."""
+    if isinstance(z, QuadForm):
+        return hecke_image(z, coset)
     a, b, d = coset
     return (a * z + b) / d
 
@@ -338,34 +331,49 @@ class ModPolyValue:
         return mp.log(abs(self.value))
 
 
+def _same_point(f: QuadForm, w: QuadForm) -> bool:
+    """Whether the roots of the form f and of the primitive form w are one
+    point of Y(1): the primitive part of f reduces to the form w reduces to."""
+    g = f.content
+    return reduce_form(QuadForm(f.a // g, f.b // g, f.c // g)) == reduce_form(w)
+
+
 def modpoly_eval(m: int, z1, z2, ctx: PrecisionContext) -> ModPolyValue:
     """Product over Hecke cosets of (j(z1) - j((a z2 + b)/d)), in integers.
 
     Every j-value is read at the scale 2^-prec, prec = ctx.mantissa_bits +
     GUARD_BITS, so each factor is a Gaussian integer f over 2^prec, within
-    e = err1 + errw units of the true factor.  A factor is flagged zero when
-    |f|^2 <= e^2, an exact integer comparison; the others are multiplied
-    exactly.  With L = isqrt(|f|^2) <= |f|, a kept factor has relative error
-    at most e / (L - e), so the product is within prod L / prod (L - e) - 1
-    of the true one; rounding it to an mpc at prec bits adds at most
-    2^-prec (1 + that).  rel_error is the sum, rounded up.
+    e = err1 + errw units of the true factor.  A factor with |f|^2 > e^2,
+    an exact integer comparison, is non-zero.  Otherwise, when z1 and z2 are
+    both forms (CM points), it is zero exactly when z1 and the coset image w
+    of z2 are one point of Y(1) (_same_point), as j is injective on Y(1);
+    for other points it is flagged zero, which |f|^2 <= e^2 suggests but
+    does not prove.  The other factors are multiplied exactly.  With
+    L = isqrt(|f|^2) <= |f|, a kept factor has relative error at most
+    e / (L - e), so the product is within prod L / prod (L - e) - 1 of the
+    true one; rounding it to an mpc at prec bits adds at most
+    2^-prec (1 + that).  rel_error is the sum, rounded up; it is inf when a
+    kept factor has L <= e, a non-zero factor the precision does not
+    resolve.
     """
     prec = ctx.mantissa_bits + GUARD_BITS
     re1, im1, err1 = j_eval(z1, ctx).at_scale(prec)
+    exact = isinstance(z1, QuadForm) and isinstance(z2, QuadForm)
     re, im, shift = 1, 0, 0
     top = low = 1
     zero_cosets = []
     for coset in hecke_cosets(m):
-        rew, imw, errw = j_eval(coset_apply(coset, z2), ctx).at_scale(prec)
+        w = coset_apply(coset, z2)
+        rew, imw, errw = j_eval(w, ctx).at_scale(prec)
         fr, fi, e = re1 - rew, im1 - imw, err1 + errw
         norm = fr * fr + fi * fi
-        if norm <= e * e:
+        if norm <= e * e and (not exact or _same_point(z1, w)):
             zero_cosets.append(coset)
             continue
         re, im, shift = re * fr - im * fi, re * fi + im * fr, shift + prec
         size = math.isqrt(norm)
         top *= size
-        low *= size - e
+        low *= max(size - e, 0)
     with mp.workprec(prec):
         value = mp.mpc(mp.mpf((re, -shift)), mp.mpf((im, -shift)))
         rel_error = (mp.fdiv(((top - low) << prec) + 2 * top, low << prec,
@@ -423,7 +431,7 @@ def classpoly(d: int, ctx: PrecisionContext) -> list[int]:
         scale = current.mantissa_bits + GUARD_BITS
         re, im, far, err = [1 << scale], [0], [1 << scale], [0]
         for form in group.reduced_forms:
-            r, i, e = j_eval(cm_point(form), current).at_scale(scale)
+            r, i, e = j_eval(form, current).at_scale(scale)
             size = math.isqrt(r * r + i * i) + 1
             re, im = _times_root(re, im, r, i, scale)
             err = [x - ((-e * y) >> scale) + 2
@@ -528,10 +536,12 @@ def y1_cosh_distance(z1: complex, z2: complex) -> float:
     return min([best] + cosh_translates(z1, z2, best + 1e-12))
 
 
+def as_complex(z) -> complex:
+    """A form's root (its CM point) or any upper-half-plane number, as a
+    Python complex."""
+    return z.approx() if isinstance(z, QuadForm) else complex(z)
+
+
 def y1_distance(z1, z2) -> float:
     """min over gamma in Gamma of the hyperbolic distance d(z1, gamma z2)."""
-    if isinstance(z1, CMPoint):
-        z1 = z1.approx()
-    if isinstance(z2, CMPoint):
-        z2 = z2.approx()
-    return arccosh(y1_cosh_distance(complex(z1), complex(z2)))
+    return arccosh(y1_cosh_distance(as_complex(z1), as_complex(z2)))

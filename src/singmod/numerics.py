@@ -76,9 +76,6 @@ class PrecisionContext:
         if self.series_tail_bound <= 0.0:
             raise ValueError("series_tail_bound must be positive")
 
-    def doubled(self) -> "PrecisionContext":
-        return replace(self, mantissa_bits=2 * self.mantissa_bits)
-
     def with_bits(self, bits: int) -> "PrecisionContext":
         return replace(self, mantissa_bits=max(int(bits), 64))
 

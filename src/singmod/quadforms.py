@@ -1,7 +1,9 @@
 """Binary quadratic forms, class groups of imaginary quadratic orders, CM points.
 
 Forms (a, b, c) with b^2 - 4ac = d < 0, a > 0 are the canonical class
-representation throughout, and both class-group maps are integer formulas
+representation throughout, and a CM point is its reduced form: the root
+z = (-b + i sqrt|d|) / (2a) of a reduced form lies in the fundamental
+domain (approx, mpc).  Both class-group maps are integer formulas
 on forms: composition is Dirichlet composition, and the projection between
 class groups of nested orders is the ascending isogeny, the one Hecke
 image of the right discriminant (hecke_image, which also moves CM points
@@ -46,14 +48,11 @@ class Discriminant:
             raise QuadFormError(f"discriminant must be negative, got {d}")
         if d % 4 not in (0, 1):
             raise QuadFormError(f"discriminant must be 0 or 1 mod 4, got {d}")
-        n = -d
-        square = 1
-        rest = n
+        rest = -d
         p = 2
         while p * p <= rest:
             while rest % (p * p) == 0:
                 rest //= p * p
-                square *= p
             p += 1
         d0 = -rest  # squarefree part, negative
         if d0 % 4 == 1:
@@ -87,41 +86,16 @@ class QuadForm:
     def is_primitive(self) -> bool:
         return self.content == 1
 
-    @property
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        if not (abs(b) <= a <= c):
-            return False
-        if (abs(b) == a or a == c) and b < 0:
-            return False
-        return True
+    def approx(self) -> complex:
+        """The root z = (-b + i sqrt|d|) / (2a) in the upper half plane."""
+        return complex(-self.b, math.sqrt(-self.disc)) / (2 * self.a)
+
+    def mpc(self, mp_module):
+        """The root z at the caller's current mpmath precision."""
+        return mp_module.mpc(-self.b, mp_module.sqrt(-self.disc)) / (2 * self.a)
 
     def __str__(self):
         return f"({self.a},{self.b},{self.c})"
-
-
-@dataclass(frozen=True)
-class CMPoint:
-    """z = (-b + i sqrt(|d|)) / (2a), stored exactly via its form."""
-
-    a: int
-    b: int
-    d: int  # b^2 - 4ac, negative
-
-    @property
-    def form(self) -> QuadForm:
-        return QuadForm(self.a, self.b, (self.b * self.b - self.d) // (4 * self.a))
-
-    @property
-    def discriminant(self) -> int:
-        return self.d
-
-    def approx(self) -> complex:
-        return complex(-self.b, math.sqrt(-self.d)) / (2 * self.a)
-
-    def mpc(self, mp_module):
-        """Exact point evaluated at the caller's current mpmath precision."""
-        return mp_module.mpc(-self.b, mp_module.sqrt(-self.d)) / (2 * self.a)
 
 
 def reduce_form(form: QuadForm) -> QuadForm:
@@ -220,13 +194,6 @@ def enumerate_reduced(d: int) -> ClassGroup:
         reduced_forms=tuple(forms),
         identity_index=forms.index(ident),
     )
-
-
-def cm_point(form: QuadForm) -> CMPoint:
-    """The upper-half-plane point of a reduced form; lies in the fundamental domain."""
-    if not form.is_reduced:
-        raise QuadFormError(f"cm_point expects a reduced form, got {form}")
-    return CMPoint(form.a, form.b, form.disc)
 
 
 def hecke_image(form: QuadForm, coset: tuple[int, int, int]) -> QuadForm:

@@ -152,10 +152,6 @@ class VerificationReport:
         return all(checks)
 
 
-def _base_report(d1: int, d2: int, m: int) -> VerificationReport:
-    return VerificationReport(d1=int(d1), d2=int(d2), m=int(m))
-
-
 def verify_nonunit(d1, d2, m: int, ctx: PrecisionContext,
                    factor: bool = False) -> VerificationReport:
     """Exact norm of the cycle product and the N >= 2 check.
@@ -164,7 +160,7 @@ def verify_nonunit(d1, d2, m: int, ctx: PrecisionContext,
     diagnostic mode (big cycle, gcd > 1) the product is computed but the
     non-unit claim is not asserted.
     """
-    rep = _base_report(int(d1), int(d2), m)
+    rep = VerificationReport(d1=int(d1), d2=int(d2), m=int(m))
     t0 = time.monotonic()
     try:
         cycle = build_cycle(rep.d1, rep.d2)

@@ -21,7 +21,7 @@ from singmod.numerics import (
     legendre_Q_num,
     mk_constant,
 )
-from singmod.quadforms import cm_point, compose, enumerate_reduced, inverse
+from singmod.quadforms import compose, enumerate_reduced, inverse
 from singmod.modular import classpoly, coset_apply, hecke_cosets, j_eval, y1_distance
 from singmod.cmcycles import big_cm_cycle, cycle_log_norm, cycle_norm_integer
 from singmod.greens import G_k_m, gamma_orbit, g_s_truncated, graph_distance
@@ -112,7 +112,7 @@ def test_criterion_2_class_polynomials():
         with CTX.workprec():
             raw = [mp.mpc(1)]
             for form in enumerate_reduced(d).reduced_forms:
-                root = j_eval(cm_point(form), CTX)
+                root = j_eval(form, CTX)
                 raw = [mp.mpc(0)] + raw
                 for i in range(len(raw) - 1):
                     raw[i] -= root * raw[i + 1]
@@ -131,7 +131,7 @@ def test_criterion_3_exact_norms(d1, d2, expected):
     t0 = time.monotonic()
     cycle = big_cm_cycle(d1, d2)
     assert cycle_norm_integer(cycle, 1, CTX) == expected
-    assert cycle_norm_integer(cycle, 1, CTX.doubled()) == expected
+    assert cycle_norm_integer(cycle, 1, CTX.with_bits(2 * CTX.mantissa_bits)) == expected
     assert time.monotonic() - t0 < 10.0
 
 

@@ -8,7 +8,7 @@ from singmod import cli, modular, verify
 from singmod.cli import main, parse_point
 from singmod.greens import TailBudgetError
 from singmod.numerics import PrecisionContext, PrecisionError
-from singmod.quadforms import CMPoint
+from singmod.quadforms import QuadForm
 from singmod.verify import VerificationReport
 
 
@@ -24,9 +24,12 @@ def run_json(capsys, *argv):
 
 
 def test_parse_point_spellings():
-    assert parse_point("-4") == CMPoint(1, 0, -4)
-    assert parse_point("2,1,3") == CMPoint(2, 1, -23)
-    assert parse_point("6,1,1") == CMPoint(1, 1, -23)  # reduced first
+    assert parse_point("-4") == QuadForm(1, 0, 1)
+    assert parse_point("2,1,3") == QuadForm(2, 1, 3)
+    assert parse_point("6,1,1") == QuadForm(1, 1, 6)  # reduced first
+    # both spellings of the principal class of -23 share one j-value
+    ctx = PrecisionContext()
+    assert modular.j_eval(parse_point("6,1,1"), ctx) is modular.j_eval(parse_point("-23"), ctx)
     z = parse_point("0.3+1.1i")
     assert z == pytest.approx(0.3 + 1.1j)
     assert parse_point("2i") == pytest.approx(2j)
@@ -82,7 +85,7 @@ def test_cmpoints(capsys):
 def test_cmpoints_reports_at_the_context_precision(capsys):
     # a finer j-value that earlier work left in the point cache does not
     # change the scale of the reported error
-    modular.j_eval(CMPoint(2, 1, -23), PrecisionContext(mantissa_bits=1100))
+    modular.j_eval(QuadForm(2, 1, 3), PrecisionContext(mantissa_bits=1100))
     code, payload, _ = run_json(capsys, "cmpoints", "-23", "--j")
     assert code == 0
     errors = [float(p["j_error"]) for p in payload["points"]]

@@ -6,7 +6,7 @@ import pytest
 
 from singmod import greens
 from singmod.numerics import PrecisionContext, _q_int, legendre_Q_closed
-from singmod.quadforms import CMPoint, cm_point, enumerate_reduced, inverse
+from singmod.quadforms import QuadForm, enumerate_reduced, inverse
 from singmod.modular import (coset_apply, cosh_translates, fd_reduce, hecke_cosets,
                              j_eval, modpoly_eval, y1_distance)
 from singmod.cmcycles import build_cycle
@@ -206,7 +206,7 @@ def test_class_pair_grouping_is_exact(monkeypatch, d1, d2, m):
                 acc.append(pair.multiplicity * v)
     grouped_terms, grouped = 0, [[], [], []]
     for (f1, f2), w in weights.items():
-        n, sums = _fixed_cutoff_sums(cm_point(f1).approx(), cm_point(f2).approx(), t_cut)
+        n, sums = _fixed_cutoff_sums(f1.approx(), f2.approx(), t_cut)
         grouped_terms += w * n
         for acc, v in zip(grouped, sums):
             acc.append(w * v)
@@ -259,7 +259,7 @@ def test_trimmed_tail_honest_on_chain_grid_walks(m):
     # tail at the trimmed cutoff covers what a 400x tighter budget adds
     share = 1e-3 / len(hecke_cosets(m))
     for f1, f2 in _chain_grid_keys(m):
-        c1, c2 = cm_point(f1).approx(), cm_point(f2).approx()
+        c1, c2 = f1.approx(), f2.approx()
         got = _lattice_sums((3, 5), c1, c2, share)
         deep = _lattice_sums((3, 5), c1, c2, share / 400)
         for g, d in zip(got, deep):
@@ -342,9 +342,9 @@ def test_tm_count():
 
 def test_tm_count_threshold():
     # the (i, zeta) pair sits at a positive, known distance from the m=1 graph
-    zeta = CMPoint(1, 1, -3)
-    dist = graph_distance(1, CMPoint(1, 0, -4), zeta)
+    zeta = QuadForm(1, 1, 1)
+    dist = graph_distance(1, QuadForm(1, 0, 1), zeta)
     assert dist > 0
-    cycle = make_cycle([(CMPoint(1, 0, -4), zeta, 4)])
+    cycle = make_cycle([(QuadForm(1, 0, 1), zeta, 4)])
     assert tm_count(cycle, 1, dist * 0.9) == 0
     assert tm_count(cycle, 1, dist * 1.1) == 4

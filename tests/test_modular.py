@@ -8,8 +8,7 @@ import pytest
 
 from singmod import modular, numerics
 from singmod.numerics import PrecisionContext
-from singmod.quadforms import (
-    CMPoint, Discriminant, cm_point, enumerate_reduced, reduce_form)
+from singmod.quadforms import Discriminant, QuadForm, enumerate_reduced, reduce_form
 from singmod.modular import (
     classpoly,
     cosh_dist,
@@ -80,11 +79,11 @@ def test_j_coefficients_grow_in_place(monkeypatch):
 
 def test_j_special_values():
     tol = mp.mpf(10) ** -60
-    assert abs(j_eval(CMPoint(1, 1, -3), CTX)) < tol
-    assert abs(j_eval(CMPoint(1, 0, -4), CTX) - 1728) < tol
-    assert abs(j_eval(CMPoint(1, 1, -7), CTX) + 3375) < tol
+    assert abs(j_eval(QuadForm(1, 1, 1), CTX)) < tol
+    assert abs(j_eval(QuadForm(1, 0, 1), CTX) - 1728) < tol
+    assert abs(j_eval(QuadForm(1, 1, 2), CTX) + 3375) < tol
     assert abs(j_eval(2j, CTX) - 287496) < tol  # 66^3
-    assert abs(j_eval(CMPoint(1, 0, -16), CTX) - 287496) < tol
+    assert abs(j_eval(QuadForm(1, 0, 4), CTX) - 287496) < tol
 
 
 def exact_j(z):
@@ -94,19 +93,16 @@ def exact_j(z):
 
 def points_met_by_modpoly(dmax, mmax):
     """Every reduced form with |d| <= dmax and its Hecke translates for
-    m <= mmax, each as its reduced CMPoint."""
-    points = {}
+    m <= mmax, each as its reduced form."""
+    points = set()
     for d in range(-3, -dmax - 1, -1):
         if d % 4 not in (0, 1):
             continue
         for form in enumerate_reduced(d).reduced_forms:
-            z = cm_point(form)
             for m in range(1, mmax + 1):
                 for coset in hecke_cosets(m):
-                    w = coset_apply(coset, z)
-                    red = reduce_form(w.form)
-                    points[red.a, red.b, w.d] = CMPoint(red.a, red.b, w.d)
-    return list(points.values())
+                    points.add(reduce_form(coset_apply(coset, form)))
+    return sorted(points)
 
 
 def assert_j_within_its_error(z, ctx):
@@ -131,8 +127,8 @@ def test_j_absolute_error_holds_on_the_points_modpoly_meets():
 @pytest.mark.parametrize("d, exact", [(-3, 0), (-4, 1728)])
 def test_j_absolute_error_at_the_elliptic_points(d, exact, bits):
     # j(zeta_3) = 0, where no relative error bound can hold, and j(i) = 1728
-    z = cm_point(enumerate_reduced(d).reduced_forms[0])
-    modular._jvalue_cache.pop((z.a, z.b, z.d), None)  # evaluate at these bits
+    z = enumerate_reduced(d).reduced_forms[0]
+    modular._jvalue_cache.pop(z, None)  # evaluate at these bits
     value = assert_j_within_its_error(z, CTX.with_bits(bits))
     assert value.scale == bits + numerics.GUARD_BITS
     assert abs(value.re - (exact << value.scale)) <= value.err and value.im == 0
@@ -213,16 +209,15 @@ def test_hecke_cosets():
 
 
 def test_coset_apply_exact():
-    z = CMPoint(1, 0, -4)  # i
+    z = QuadForm(1, 0, 1)  # i
     w = coset_apply((1, 1, 2), z)
-    assert isinstance(w, CMPoint)
+    assert w == QuadForm(2, -2, 1)  # primitive and unreduced
     assert w.approx() == pytest.approx((1j + 1) / 2)
-    assert w.d == -4  # content-normalized form keeps the fundamental radicand
     assert coset_apply((2, 1, 3), 1j) == pytest.approx((2j + 1) / 3)
 
 
 def test_modpoly_m1_is_j_difference():
-    z1, z2 = CMPoint(1, 0, -4), CMPoint(1, 1, -3)
+    z1, z2 = QuadForm(1, 0, 1), QuadForm(1, 1, 1)
     v = modpoly_eval(1, z1, z2, CTX)
     assert abs(v.value - (j_eval(z1, CTX) - j_eval(z2, CTX))) < 1e-50
     same = modpoly_eval(1, 1j, 1j, CTX)
@@ -256,18 +251,30 @@ def test_modpoly_symmetry():
 
 def test_modpoly_zero_detection():
     # i has an endomorphism of degree 2 (1 + i), realized by the coset (1,1,2)
-    v = modpoly_eval(2, CMPoint(1, 0, -4), CMPoint(1, 0, -4), CTX)
+    v = modpoly_eval(2, QuadForm(1, 0, 1), QuadForm(1, 0, 1), CTX)
     assert v.is_zero and v.zero_cosets == ((1, 1, 2),)
     # perfect square m: the scalar coset collapses onto the identity
-    v4 = modpoly_eval(4, CMPoint(1, 0, -4), CMPoint(1, 0, -4), CTX)
+    v4 = modpoly_eval(4, QuadForm(1, 0, 1), QuadForm(1, 0, 1), CTX)
     assert v4.is_zero and (2, 0, 2) in v4.zero_cosets
     with pytest.raises(ZeroDivisionError):
         v.log_abs()
 
 
+def test_modpoly_zeros_at_cm_points_are_exact(monkeypatch):
+    # error bounds wide enough to cover j(i) - j(zeta_3) = 1728 do not make
+    # it a zero: at two forms a zero is a class equality, and a non-zero
+    # factor the precision cannot resolve is kept with an unbounded error
+    monkeypatch.setattr(modular, "_J_ERROR_UNITS", 1 << 4096)
+    monkeypatch.setattr(modular, "_jvalue_cache", {})
+    v = modpoly_eval(1, QuadForm(1, 0, 1), QuadForm(1, 1, 1), CTX)
+    assert not v.is_zero and v.rel_error == mp.inf
+    v = modpoly_eval(2, QuadForm(2, 0, 2), QuadForm(1, 0, 1), CTX)  # i twice
+    assert v.zero_cosets == ((1, 1, 2),)
+
+
 def test_modpoly_legal_zeros_at_principal_points():
     for d, m, coset in [(-3, 1, (1, 0, 1)), (-4, 2, (1, 1, 2))]:
-        z = cm_point(enumerate_reduced(d).reduced_forms[0])
+        z = enumerate_reduced(d).reduced_forms[0]
         v = modpoly_eval(m, z, z, CTX)
         assert v.is_zero and v.zero_cosets == (coset,)
 
@@ -287,14 +294,13 @@ def test_modpoly_integer_product_against_an_oracle():
     for d1, d2 in coprime_fundamental_pairs(24):
         for f1 in enumerate_reduced(d1).reduced_forms:
             for f2 in enumerate_reduced(d2).reduced_forms:
-                z1, z2 = cm_point(f1), cm_point(f2)
                 for m in range(1, 5):
-                    v = modpoly_eval(m, z1, z2, CTX)
+                    v = modpoly_eval(m, f1, f2, CTX)
                     assert not v.is_zero and v.rel_error < 2.0 ** (40 - prec)
                     with mp.workprec(4 * prec):
-                        j1 = exact_j(z1.mpc(mp))
+                        j1 = exact_j(f1.mpc(mp))
                         exact = mp.fprod(
-                            j1 - exact_j(coset_apply(c, z2).mpc(mp))
+                            j1 - exact_j(coset_apply(c, f2).mpc(mp))
                             for c in hecke_cosets(m))
                         assert abs(v.value - exact) <= v.rel_error * abs(exact)
                     checked += 1
@@ -373,7 +379,7 @@ def test_classpoly_roots():
         for d in (-15, -23, -31):
             coeffs = classpoly(d, CTX)
             for form in enumerate_reduced(d).reduced_forms:
-                root = j_eval(cm_point(form), CTX)
+                root = j_eval(form, CTX)
                 acc = mp.mpc(0)
                 for c in reversed(coeffs):
                     acc = acc * root + c
@@ -450,13 +456,13 @@ def test_cosh_translates_match_gamma_translates():
 def test_j_value_cache_keyed_by_point():
     # one entry per point, answering any precision at or below its own;
     # a higher precision replaces it
-    point = CMPoint(1, 1, -163)
-    key = (1, 1, -163)
+    point = QuadForm(1, 1, 41)
     low, high = PrecisionContext(mantissa_bits=128), PrecisionContext(mantissa_bits=320)
-    modular._jvalue_cache.pop(key, None)
+    modular._jvalue_cache.pop(point, None)
     first = j_eval(point, high)
-    assert modular._jvalue_cache[key][0] == 320 + numerics.GUARD_BITS
+    assert modular._jvalue_cache[point][0] == 320 + numerics.GUARD_BITS
     assert j_eval(point, low) is first
+    assert j_eval(QuadForm(41, -1, 1), low) is first  # reduces to the point
     assert j_eval(point, CTX.with_bits(640)) is not first
-    assert modular._jvalue_cache[key][0] == 640 + numerics.GUARD_BITS
-    assert all(len(k) == 3 for k in modular._jvalue_cache)  # no precision in keys
+    assert modular._jvalue_cache[point][0] == 640 + numerics.GUARD_BITS
+    assert all(isinstance(k, QuadForm) for k in modular._jvalue_cache)  # no precision in keys

@@ -28,7 +28,7 @@ def test_context_validation():
         PrecisionContext(mantissa_bits=32)
     with pytest.raises(ValueError):
         PrecisionContext(series_tail_bound=0.0)
-    assert CTX.doubled().mantissa_bits == 512
+    assert CTX.with_bits(2 * CTX.mantissa_bits).mantissa_bits == 512
     assert CTX.with_bits(1000).mantissa_bits == 1000
 
 

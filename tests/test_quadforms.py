@@ -6,11 +6,9 @@ import pytest
 from singmod.modular import hecke_cosets, modpoly_eval
 from singmod.numerics import PrecisionContext
 from singmod.quadforms import (
-    CMPoint,
     Discriminant,
     QuadForm,
     QuadFormError,
-    cm_point,
     compose,
     enumerate_reduced,
     hecke_image,
@@ -123,17 +121,15 @@ def test_compose_cl23():
 
 
 def test_cm_point_examples():
-    z = cm_point(QuadForm(1, 1, 1))
-    assert z.approx() == pytest.approx(complex(-0.5, math.sqrt(3) / 2))
-    assert cm_point(QuadForm(1, 0, 1)).approx() == pytest.approx(1j)
-    z23 = cm_point(QuadForm(2, 1, 3))
-    assert z23.approx() == pytest.approx((-1 + 1j * math.sqrt(23)) / 4)
+    assert QuadForm(1, 1, 1).approx() == pytest.approx(complex(-0.5, math.sqrt(3) / 2))
+    assert QuadForm(1, 0, 1).approx() == pytest.approx(1j)
+    assert QuadForm(2, 1, 3).approx() == pytest.approx((-1 + 1j * math.sqrt(23)) / 4)
 
 
 def test_cm_points_in_fundamental_domain():
     for d in valid_discs(300):
         for form in enumerate_reduced(d).reduced_forms:
-            z = cm_point(form).approx()
+            z = form.approx()
             assert abs(z.real) <= 0.5 + 1e-12
             assert abs(z) >= 1 - 1e-12
 
@@ -197,7 +193,7 @@ def test_projection_is_the_isogeny_zero_of_phi_g():
         for sigma in enumerate_reduced(dp).reduced_forms:
             image = project_class(sigma, target)
             for tau in enumerate_reduced(di).reduced_forms:
-                value = modpoly_eval(g, cm_point(sigma), cm_point(tau), CTX)
+                value = modpoly_eval(g, sigma, tau, CTX)
                 assert value.is_zero == (tau == image), (sigma, tau)
                 checks += 1
     assert checks == 50
@@ -241,9 +237,3 @@ def test_project_class_rejects_incompatible():
         project_class(QuadForm(1, 0, 1), Discriminant.of(-3))  # -4 vs -3
     with pytest.raises(QuadFormError):
         project_class(identity_form(-12), Discriminant.of(-48))  # wrong direction
-
-
-def test_cmpoint_metadata():
-    z = CMPoint(2, 1, -23)
-    assert z.form == QuadForm(2, 1, 3)
-    assert z.discriminant == -23

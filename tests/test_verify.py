@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from singmod import verify
+from singmod import modular, verify
 from singmod.cmcycles import build_cycle
 from singmod.greens import G_k_m, TailBudgetError
 from singmod.numerics import PrecisionContext, PrecisionError, _q_int
@@ -106,6 +106,16 @@ def test_verify_nonunit_zero_is_legal():
     assert rep.status == "zero"
     assert rep.singular_pair is not None
     assert rep.all_passed  # a legal zero is not a failure
+
+
+def test_unresolved_cm_factor_is_an_error_not_a_zero(monkeypatch):
+    # j-value error bounds too wide at every precision: phi_1(1728, 0) is
+    # never resolved, so the norm fails after its retries (exit 2) and is
+    # not reported as a legal zero
+    monkeypatch.setattr(modular, "_J_ERROR_UNITS", 1 << 65536)
+    monkeypatch.setattr(modular, "_jvalue_cache", {})
+    rep = verify_nonunit(-3, -4, 1, CTX)
+    assert rep.status == "error" and "PrecisionError" in rep.error
 
 
 def test_verify_nonunit_diagnostic_mode():
