@@ -22,7 +22,9 @@ relative error bound that counts every rounding (cycle_log_norm), and
 certified by recognize_with_retries.  The first pass is sized from exact
 data: log|j(z)| is about pi sqrt|d| / a at the reduced form (a, b, c) of z,
 so the reduced forms of the pairs and their Hecke images give the size of
-the product before any j-value is computed; a retry is only a fallback.  A
+the product, and the j-values it reads, before any j-value is computed
+(norm_plan, which a sweep uses to evaluate each form once for its whole
+grid); a retry is only a fallback.  A
 big cycle's product is n0^4, where n0 is the product over the grid at
 multiplicity 1 and is itself an integer (see cycle_norm_integer), so only
 n0 is certified, at a quarter of the bits.
@@ -213,26 +215,35 @@ def conjugate_orbits(pairs) -> list[CyclePair]:
     return list(orbits.values())
 
 
-def _norm_bits_estimate(cycle: CMCycle, m: int) -> int:
-    """About log2 of the cycle product of |phi_m|, from reduced forms alone.
+def norm_plan(cycle: CMCycle, m: int,
+              ctx: PrecisionContext) -> tuple[PrecisionContext, frozenset[QuadForm]]:
+    """The first pass of cycle_norm_integer: its context, and the reduced
+    forms whose j-values it reads.
 
-    Each factor j(z1) - j(M z2) has a log size of about the larger of
-    log_j_size at the reduced forms of z1 and of w = M z2 (hecke_image); the
-    estimate sums this over pairs, with multiplicity, and Hecke cosets.  No
-    j-value is computed.
+    The forms are what modpoly_eval asks j_eval for: z1, and the reduced
+    hecke_image of z2 under every Hecke coset, for each conjugate_orbits
+    representative.  The precision is the larger of ctx.mantissa_bits and
+    64 bits over an estimate of log2 of the certified product (a big cycle
+    at multiplicity 1, see cycle_norm_integer): each factor
+    j(z1) - j(M z2) has a log size of about the larger of log_j_size at z1
+    and at the reduced form of M z2, summed over the orbits, with
+    multiplicity, and the cosets.  No j-value is computed.
     """
+    power = 1 if cycle.kind == "small" else BIG_MULTIPLICITY
     cosets = hecke_cosets(m)
-    images: dict[QuadForm, list[float]] = {}
+    images: dict[QuadForm, list[QuadForm]] = {}
+    forms: set[QuadForm] = set()
     total = 0.0
-    for pair in cycle.pairs:
-        sizes = images.get(pair.z2)
-        if sizes is None:
-            sizes = images[pair.z2] = [
-                log_j_size(reduce_form(hecke_image(pair.z2, c)))
-                for c in cosets]
+    for pair in conjugate_orbits(cycle.pairs):
+        ws = images.get(pair.z2)
+        if ws is None:
+            ws = images[pair.z2] = [reduce_form(hecke_image(pair.z2, c)) for c in cosets]
+            forms.update(ws)
+        forms.add(pair.z1)
         near = log_j_size(pair.z1)
-        total += pair.multiplicity * sum(max(near, size) for size in sizes)
-    return math.ceil(total / math.log(2))
+        total += pair.multiplicity // power * sum(max(near, log_j_size(w)) for w in ws)
+    bits = math.ceil(total / math.log(2)) + 64
+    return ctx.with_bits(max(ctx.mantissa_bits, bits)), frozenset(forms)
 
 
 # error-bound arithmetic: 53 bits, rounded up
@@ -338,18 +349,17 @@ def cycle_norm_integer(cycle: CMCycle, m: int, ctx: PrecisionContext) -> int:
     and n0^4 is returned exactly.
 
     The product x from cycle_log_norm is recognized with err = x rel_error.
-    The first pass runs at the larger of ctx.mantissa_bits and
-    _norm_bits_estimate + 64 bits, enough for the whole integer part;
-    recognize_with_retries sizes a retry from the shortfall should the
-    estimate fall short.
+    The first pass runs at the precision of norm_plan, enough for the whole
+    integer part; recognize_with_retries sizes a retry from the shortfall
+    should the estimate fall short.
     """
+    start, _ = norm_plan(cycle, m, ctx)
     power = 1
     if cycle.kind != "small":
         power = BIG_MULTIPLICITY
         cycle = replace(
             cycle, pairs=tuple(CyclePair(p.z1, p.z2, 1) for p in cycle.pairs),
             group_order=cycle.group_order // BIG_MULTIPLICITY)
-    start = ctx.with_bits(max(ctx.mantissa_bits, _norm_bits_estimate(cycle, m) + 64))
 
     def compute(current):
         norm = cycle_log_norm(cycle, m, current)

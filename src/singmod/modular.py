@@ -11,7 +11,13 @@ precision, and every value carries an absolute error bound in units of
 multiply these integers exactly, so their error bounds are integer
 inequalities that hold at j = 0 as well.  A CM point is its reduced form
 (quadforms.QuadForm); at two CM points modpoly_eval decides its zeros by
-comparing reduced forms, not by a numeric test.
+comparing reduced forms, not by a numeric test.  CM values are cached per
+reduced form, and the inverse class is served as the exact conjugate of a
+cached value (j(-conj z) = conj j(z)), so a class and its inverse cost one
+series.  jvalue_table evaluates a planned set of forms into plain
+integers and load_jvalues caches them: a sweep evaluates every form its
+grid will read once, before its instances run, and hands the table to its
+pool workers (verify.sweep).
 
 Coset convention: Gamma_m is ALL integer matrices of determinant m,
 imprimitive ones included, so that the scalar matrix sqrt(m) I sits in
@@ -263,10 +269,14 @@ def j_eval(z, ctx: PrecisionContext) -> JValue:
     A form (a CM point) takes the exact path: reduced to (a, b, c), with
     q = e^(-pi sqrt|d| / a) e^(-i pi b / a) (real, with no rounded phase,
     when b/a is an integer), cached per reduced form at the finest scale
-    asked so far and served to any coarser request.  The error bound
-    err 2^-scale is absolute (see _j_series), so it holds at j = 0 too.  Any other upper-half-plane number is reduced to F by
-    fd_reduce first; its bound covers the series at the reduced point,
-    which is taken as exact.
+    asked so far and served to any coarser request.  When 0 < |b| < a < c,
+    (a, -b, c) is the reduced form of the inverse class, at the point
+    -conj z, and j(-conj z) = conj j(z); if that mirror is cached at the
+    scale asked or finer, its exact conjugate is served, with the same
+    bound and no series.  The error bound err 2^-scale is absolute (see
+    _j_series), so it holds at j = 0 too.  Any other upper-half-plane
+    number is reduced to F by fd_reduce first; its bound covers the series
+    at the reduced point, which is taken as exact.
     """
     prec = ctx.mantissa_bits + GUARD_BITS
     if isinstance(z, QuadForm):
@@ -274,6 +284,10 @@ def j_eval(z, ctx: PrecisionContext) -> JValue:
         with _jvalue_lock:
             if _jvalue_cache.get(red, (0,))[0] >= prec:
                 return _jvalue_cache[red][1]
+            if 0 < abs(red.b) < red.a < red.c:
+                scale, twin = _jvalue_cache.get(QuadForm(red.a, -red.b, red.c), (0, None))
+                if scale >= prec:
+                    return JValue.of(twin.re, -twin.im, twin.err, scale)
         lam = log_j_size(red)
         with mp.workprec(_inverse_q_bits(lam, prec)):
             phase = mp.expjpi(mp.mpf(-red.b) / red.a)
@@ -289,6 +303,27 @@ def j_eval(z, ctx: PrecisionContext) -> JValue:
         lam = 2 * math.pi * float(zz.imag)
         arg = 2j * mp.pi * zz
         return _j_series(mp.exp(arg), mp.exp(-arg), lam, prec, ctx)
+
+
+def jvalue_table(plan: dict[QuadForm, int],
+                 ctx: PrecisionContext) -> dict[tuple[int, int, int], tuple[int, int, int, int]]:
+    """j_eval of each reduced form of plan at its mantissa bits, as plain
+    integers: (a, b, c) -> (re, im, err, scale) (see JValue), which
+    load_jvalues caches again, in this process or another."""
+    table = {}
+    for form, bits in plan.items():
+        value = j_eval(form, ctx.with_bits(bits))
+        table[(form.a, form.b, form.c)] = (value.re, value.im, value.err, value.scale)
+    return table
+
+
+def load_jvalues(table: dict[tuple[int, int, int], tuple[int, int, int, int]]) -> None:
+    """Cache the j-values of a jvalue_table, keeping any finer one cached."""
+    with _jvalue_lock:
+        for (a, b, c), (re, im, err, scale) in table.items():
+            form = QuadForm(a, b, c)
+            if _jvalue_cache.get(form, (0,))[0] < scale:
+                _jvalue_cache[form] = (scale, JValue.of(re, im, err, scale))
 
 
 @lru_cache(maxsize=None)

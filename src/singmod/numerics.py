@@ -52,11 +52,14 @@ class PrecisionError(Exception):
 
 class IntegerRecognitionError(PrecisionError):
     """A real value is too far from every integer at the current precision;
-    short_bits is how many bits its error budget lacked (inf if unbounded)."""
+    error_bound is its error budget beyond the residual, and short_bits how
+    many bits the whole budget lacked (both inf if unbounded)."""
 
-    def __init__(self, message, residual=None, short_bits=math.inf):
+    def __init__(self, message, residual=None, short_bits=math.inf,
+                 error_bound=math.inf):
         super().__init__(message, residual=residual)
         self.short_bits = short_bits
+        self.error_bound = error_bound
 
 
 @dataclass(frozen=True)
@@ -316,6 +319,7 @@ def integer_recognize(x, ctx: PrecisionContext, err=0) -> int:
             residual=float(residual),
             short_bits=(int(mp.ceil(mp.log(budget / threshold, 2)))
                         if mp.isfinite(budget) else math.inf),
+            error_bound=float(budget - residual),
         )
 
 
@@ -326,7 +330,9 @@ def recognize_with_retries(compute, ctx: PrecisionContext) -> list[int]:
     (x, err) pairs, err the absolute error bound of x; each pair must pass
     integer_recognize(x, current, err), else the whole computation reruns
     with max(bits, s + 64) more bits, s the first failure's shortfall (a
-    plain doubling when s is not finite).  Fails after MAX_RETRIES retries.
+    plain doubling when s is not finite).  Fails after MAX_RETRIES retries
+    with a PrecisionError naming the last failure's residual, error bound
+    and shortfall.
     """
     current = ctx
     for _ in range(MAX_RETRIES + 1):
@@ -340,7 +346,8 @@ def recognize_with_retries(compute, ctx: PrecisionContext) -> list[int]:
             current = current.with_bits(bits + max(bits, grow))
     raise PrecisionError(
         f"integer recognition failed after {MAX_RETRIES} retries "
-        f"(last residual {last.residual})",
+        f"(last residual {last.residual:.3g}, error bound "
+        f"{last.error_bound:.3g}, short by {last.short_bits} bits)",
         residual=last.residual,
     )
 

@@ -27,8 +27,15 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .numerics import PrecisionContext, PrecisionError, _q_int, mk_constant
-from .quadforms import Discriminant, QuadFormError
-from .cmcycles import SingularCycleError, build_cycle, cycle_case, cycle_norm_integer
+from .quadforms import Discriminant, QuadForm, QuadFormError
+from .cmcycles import (
+    SingularCycleError,
+    build_cycle,
+    cycle_case,
+    cycle_norm_integer,
+    norm_plan,
+)
+from .modular import jvalue_table, load_jvalues
 from .greens import G_ks_m_cycle, SingularityError, TailBudgetError, tm_count
 
 
@@ -341,19 +348,51 @@ def sweep_instances(d1_values, d2_values, m_values, policy: str = "exact"):
     return out
 
 
+def plan_jvalues(grid, ctx: PrecisionContext) -> dict[QuadForm, int]:
+    """The reduced forms the norms of a (d1, d2, m) grid read
+    (cmcycles.norm_plan), each with the most mantissa bits any instance
+    starts at.
+
+    A class and its inverse share one entry, keyed by the form (a, |b|, c):
+    j_eval serves the other as the conjugate of its value.  An instance
+    whose cycle cannot be built is left out; it reports its own error.
+    """
+    need: dict[QuadForm, int] = {}
+    for d1, d2, m in grid:
+        try:
+            start, forms = norm_plan(build_cycle(d1, d2), m, ctx)
+        except ValueError:
+            continue
+        for form in forms:
+            key = QuadForm(form.a, abs(form.b), form.c)
+            need[key] = max(need.get(key, 0), start.mantissa_bits)
+    return need
+
+
+# a pooled sweep sends each worker about this many chunks of instances
+_CHUNKS_PER_WORKER = 4
+
+
 def sweep(d1_values, d2_values, m_values, ctx: PrecisionContext,
           policy: str = "exact", epsilons=(), chain: bool = False,
           factor: bool = False, workers: int = 1) -> list[VerificationReport]:
-    """verify_instance over a grid.
+    """verify_instance over a grid, after one plan stage for its j-values.
 
-    An epsilon that is not positive raises ValueError before any instance
-    runs; per-instance errors are recorded in the report, never raised.  With
-    workers > 1 instances run in a process pool of at most min(workers,
-    instances, CPUs) processes; the report order is the grid order either
-    way.
+    The plan (plan_jvalues) evaluates every j-value the grid's first norm
+    passes read once, at the most bits any instance asks of it, so no
+    instance evaluates a series unless its norm retries.  Each report's
+    elapsed times its verify_nonunit alone and so leaves the plan out.  An
+    epsilon that is not positive raises ValueError before any instance
+    runs; per-instance errors are recorded in the report, never raised.
+    With workers > 1 instances run in a process pool of at most
+    min(workers, instances, CPUs) processes, each given the planned values
+    as plain integers through its initializer (modular.load_jvalues), and
+    sent its instances in about four chunks; the report order is the grid
+    order either way.
     """
     check_epsilons(epsilons)
     grid = sweep_instances(d1_values, d2_values, m_values, policy)
+    table = jvalue_table(plan_jvalues(grid, ctx), ctx)
     run = partial(verify_instance, ctx=ctx, epsilons=tuple(epsilons),
                   chain=chain, factor=factor)
     if workers <= 1 or len(grid) < 2:
@@ -361,8 +400,10 @@ def sweep(d1_values, d2_values, m_values, ctx: PrecisionContext,
     from concurrent.futures import ProcessPoolExecutor
     # the pool forks all its workers at once: no more than can be busy
     cap = min(workers, len(grid), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(run, *zip(*grid)))
+    chunk = -(-len(grid) // (cap * _CHUNKS_PER_WORKER))
+    with ProcessPoolExecutor(max_workers=cap, initializer=load_jvalues,
+                             initargs=(table,)) as pool:
+        return list(pool.map(run, *zip(*grid), chunksize=chunk))
 
 
 def summarize(reports) -> dict:

@@ -466,3 +466,45 @@ def test_j_value_cache_keyed_by_point():
     assert j_eval(point, CTX.with_bits(640)) is not first
     assert modular._jvalue_cache[point][0] == 640 + numerics.GUARD_BITS
     assert all(isinstance(k, QuadForm) for k in modular._jvalue_cache)  # no precision in keys
+
+
+def test_j_eval_serves_the_inverse_class_as_the_conjugate(monkeypatch):
+    # (2, -1, 3) is the inverse class of (2, 1, 3), at -conj z: its j-value is
+    # the exact conjugate of the cached one, with the same bound, and no
+    # series runs; a finer request evaluates its own series
+    form, mirror = QuadForm(2, 1, 3), QuadForm(2, -1, 3)
+    monkeypatch.setattr(modular, "_jvalue_cache", {})
+    value = j_eval(form, CTX)
+    calls = []
+    original = modular._j_series
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(modular, "_j_series", counted)
+    twin = j_eval(mirror, CTX.with_bits(128))
+    assert (twin.re, twin.im, twin.err, twin.scale) == \
+        (value.re, -value.im, value.err, value.scale)
+    assert not calls
+    assert mirror not in modular._jvalue_cache
+    fresh = j_eval(mirror, CTX.with_bits(2 * CTX.mantissa_bits))
+    assert len(calls) == 1
+    assert abs(fresh - twin) <= fresh.error + twin.error
+
+
+def test_jvalue_table_round_trip(monkeypatch):
+    # the plain-integer table a sweep hands its pool workers: loaded into an
+    # empty cache it serves every request at or below its precision
+    plan = {QuadForm(2, 1, 3): 320, QuadForm(1, 1, 6): 128}
+    monkeypatch.setattr(modular, "_jvalue_cache", {})
+    table = modular.jvalue_table(plan, CTX)
+    assert all(isinstance(x, int) for row in table.values() for x in row)
+    modular._jvalue_cache.clear()
+    modular.load_jvalues(table)
+    monkeypatch.setattr(modular, "_j_series", None)  # no series may run
+    for form, bits in plan.items():
+        value = j_eval(form, CTX.with_bits(bits))
+        assert (value.re, value.im, value.err, value.scale) == table[(form.a, form.b, form.c)]
+    modular.load_jvalues({(1, 1, 6): (0, 0, 0, 64)})  # coarser: ignored
+    assert modular._jvalue_cache[QuadForm(1, 1, 6)][0] == 128 + numerics.GUARD_BITS

@@ -218,6 +218,17 @@ def test_recognize_with_retries():
         recognize_with_retries(lambda ctx: [(mp.mpf("7.25"), 0)], CTX)
 
 
+def test_recognize_with_retries_failure_names_the_error_bound():
+    # a value on an integer whose bound never fits: the residual alone
+    # (0) would hide why it failed
+    with pytest.raises(PrecisionError) as err:
+        recognize_with_retries(lambda ctx: [(mp.mpf(5), mp.inf)], CTX)
+    assert "last residual 0, error bound inf, short by inf bits" in str(err.value)
+    with pytest.raises(PrecisionError) as err:
+        recognize_with_retries(lambda ctx: [(mp.mpf(5), mp.mpf("0.75"))], CTX)
+    assert "error bound 0.75, short by 29 bits" in str(err.value)  # 0.75 / 1e-9 sqrt 5
+
+
 def test_recognize_with_retries_sized_from_the_shortfall():
     calls = []
 

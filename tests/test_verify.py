@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -116,6 +117,8 @@ def test_unresolved_cm_factor_is_an_error_not_a_zero(monkeypatch):
     monkeypatch.setattr(modular, "_jvalue_cache", {})
     rep = verify_nonunit(-3, -4, 1, CTX)
     assert rep.status == "error" and "PrecisionError" in rep.error
+    # the failure names the unbounded error, not only the last residual
+    assert "error bound inf, short by inf bits" in rep.error
 
 
 def test_verify_nonunit_diagnostic_mode():
@@ -259,13 +262,61 @@ def test_sweep_parallel_matches_serial():
         [(r.d1, r.d2, r.m, r.status, r.norm) for r in parallel]
 
 
+def _sweep_grid_15():
+    ds = fundamental_discriminants(15)
+    return ds, ds, [1, 2, 3]
+
+
+def test_sweep_pooled_reports_equal_serial():
+    # small cycles (d1 = d2), legal zeros, epsilon counts and factorizations
+    kwargs = {"epsilons": (0.5,), "factor": True}
+    serial = sweep(*_sweep_grid_15(), CTX, workers=1, **kwargs)
+    pooled = sweep(*_sweep_grid_15(), CTX, workers=2, **kwargs)
+    assert {r.status for r in serial} == {"ok", "zero"}
+    assert any(r.cycle_kind == "small" and r.status == "ok" for r in serial)
+    assert [replace(r, elapsed=0.0) for r in serial] == \
+        [replace(r, elapsed=0.0) for r in pooled]
+
+
+def test_serial_sweep_evaluates_each_planned_form_once(monkeypatch):
+    grid = _sweep_grid_15()
+    plan = verify.plan_jvalues(sweep_instances(*grid), CTX)
+    monkeypatch.setattr(modular, "_jvalue_cache", {})
+    series = []
+    original_series = modular._j_series
+
+    def counted_series(*args):
+        series.append(args)
+        return original_series(*args)
+
+    during = []
+    original_nonunit = verify.verify_nonunit
+
+    def watched_nonunit(*args, **kwargs):
+        before = len(series)
+        try:
+            return original_nonunit(*args, **kwargs)
+        finally:
+            during.append(len(series) - before)
+
+    monkeypatch.setattr(modular, "_j_series", counted_series)
+    monkeypatch.setattr(verify, "verify_nonunit", watched_nonunit)
+    reports = sweep(*grid, CTX, epsilons=(0.5,), factor=True)
+    assert len(plan) > 20 and len(series) == len(plan)
+    assert len(during) == len(reports) and not any(during)
+
+
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+    """Stands in for ProcessPoolExecutor: records max_workers and chunksize,
+    runs the initializer and the tasks inline."""
 
     sizes = []
+    chunks = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -273,7 +324,8 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
+    def map(self, fn, *iterables, chunksize=1):
+        self.chunks.append(chunksize)
         return map(fn, *iterables)
 
 
@@ -283,10 +335,12 @@ def test_sweep_pool_is_capped(monkeypatch, cpus, expect):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     _RecordingPool.sizes = []
+    _RecordingPool.chunks = []
     grid = ([-3, -4], [-3, -4], [1])
     assert len(sweep_instances(*grid)) == 3
     reports = sweep(*grid, CTX, workers=500)
     assert _RecordingPool.sizes == [expect]
+    assert _RecordingPool.chunks == [1]  # 3 instances in at most 4 chunks a worker
     assert [r.status for r in reports] == [r.status for r in sweep(*grid, CTX)]
 
 
