@@ -6,7 +6,7 @@ from .numerics import (
     PrecisionError,
     integer_recognize,
     legendre_P,
-    legendre_Q_closed,
+    legendre_Q,
     legendre_Q_num,
     mk_constant,
 )

@@ -86,7 +86,12 @@ class CMCycle:
     d1: Discriminant
     d2: Discriminant
     pairs: tuple[CyclePair, ...]
-    group_order: int
+
+    @property
+    def group_order(self) -> int:
+        """The pairs' multiplicities summed: 4 h(d1) h(d2) for a big cycle,
+        2 h(d') for a small one."""
+        return sum(p.multiplicity for p in self.pairs)
 
     @property
     def is_exact(self) -> bool:
@@ -136,8 +141,7 @@ def big_cm_cycle(d1, d2) -> CMCycle:
         for fb in g2.reduced_forms
     )
     kind = "big" if math.gcd(-d1.d, -d2.d) == 1 else "diagnostic"
-    return CMCycle(kind=kind, d1=d1, d2=d2, pairs=pairs,
-                   group_order=BIG_MULTIPLICITY * g1.h * g2.h)
+    return CMCycle(kind=kind, d1=d1, d2=d2, pairs=pairs)
 
 
 def common_order_discriminant(d1, d2) -> int:
@@ -157,8 +161,8 @@ def small_cm_cycle(d1, d2) -> CMCycle:
     (project_class), which is the ascending isogeny of degree f'/f_i: the
     CM point of sigma maps to the one image of determinant f'/f_i that has
     discriminant d_i.  The conjugate branch replaces both classes by their
-    inverses.  Coinciding pairs are merged with summed multiplicities;
-    group_order stays 2 h(d').
+    inverses.  Coinciding pairs are merged with summed multiplicities, so
+    group_order is 2 h(d').
     """
     d1 = _as_disc(d1)
     d2 = _as_disc(d2)
@@ -182,8 +186,7 @@ def small_cm_cycle(d1, d2) -> CMCycle:
         add(c1, c2)
         add(inverse(c1), inverse(c2))
     pairs = tuple(counts[k] for k in sorted(counts))
-    return CMCycle(kind="small", d1=d1, d2=d2, pairs=pairs,
-                   group_order=2 * gp.h)
+    return CMCycle(kind="small", d1=d1, d2=d2, pairs=pairs)
 
 
 def build_cycle(d1, d2) -> CMCycle:
@@ -358,8 +361,7 @@ def cycle_norm_integer(cycle: CMCycle, m: int, ctx: PrecisionContext) -> int:
     if cycle.kind != "small":
         power = BIG_MULTIPLICITY
         cycle = replace(
-            cycle, pairs=tuple(CyclePair(p.z1, p.z2, 1) for p in cycle.pairs),
-            group_order=cycle.group_order // BIG_MULTIPLICITY)
+            cycle, pairs=tuple(CyclePair(p.z1, p.z2, 1) for p in cycle.pairs))
 
     def compute(current):
         norm = cycle_log_norm(cycle, m, current)

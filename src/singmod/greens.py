@@ -21,8 +21,8 @@ point-pair entry for G_k^m: k = 1 is the modular-polynomial logarithm, and
 k = 3, 5, 7 one walk per Hecke coset.  A cycle's G_k^m (G_ks_m_cycle) walks
 once per class-pair key (class_pair_key), every k from one enumeration.  The
 lattice kernel and tail constant are numerics._q_int, the one integer-order
-Legendre-Q route, batched by numerics._q_sum; mpmath's legenq serves the
-point-pair kernel (q_kernel, g_s, g_s_truncated) at non-integer s only.
+Legendre-Q route, batched by numerics._q_sum.  The point-pair kernel is
+g_s_truncated, in mpf through numerics.legendre_Q; g_s is its one-term case.
 
 For Laplacian eigenfunction checks use gamma_orbit + g_s_truncated: every
 single gamma-term is an exact eigenfunction in z1, so a truncated sum over a
@@ -39,7 +39,7 @@ from typing import Iterable
 
 import mpmath as mp
 
-from .numerics import PrecisionContext, _q_int, _q_sum
+from .numerics import PrecisionContext, _q_int, _q_sum, legendre_Q
 from .quadforms import QuadForm, hecke_image, inverse, reduce_form
 from .modular import (
     as_complex,
@@ -72,40 +72,32 @@ class TailBudgetError(RuntimeError):
 # kernels
 
 
-def _q_order(s) -> int | None:
-    """The integer n with s = n + 1 when s is (numerically) an integer."""
-    n = int(round(float(s))) - 1
-    if n >= 0 and abs(float(s) - (n + 1)) < 2.0 ** (-40):
-        return n
-    return None
+def g_s_truncated(s, z1, z2, gammas: Iterable[tuple[int, int, int, int]],
+                  ctx: PrecisionContext):
+    """Sum of g_s(z1, gamma z2) over a FIXED list of group elements, in mpf.
 
-
-def _q_raw(s_m, t_m, n: int | None):
-    # precision must already be set by the caller
-    if n is not None:
-        return _q_int(n, t_m)
-    return mp.legenq(s_m - 1, 0, t_m, type=3).real
-
-
-def q_kernel(s, t, ctx: PrecisionContext):
-    """Q_{s-1}(t) at the context precision; the recurrence at integer s."""
-    if not t > 1:
-        raise SingularityError("Q_{s-1} blows up at t = 1", where=t)
+    Each term is an exact Laplacian eigenfunction of z1 with eigenvalue
+    s(1-s), hence so is this truncated sum; that is what makes it the right
+    object for finite-difference eigenvalue checks.
+    """
     with ctx.workprec():
-        return _q_raw(mp.mpf(s), mp.mpf(t), _q_order(s))
+        w1 = z1.mpc(mp) if isinstance(z1, QuadForm) else mp.mpc(z1)
+        w2 = z2.mpc(mp) if isinstance(z2, QuadForm) else mp.mpc(z2)
+        total = mp.mpf(0)
+        for a, b, c, d in gammas:
+            w = (a * w2 + b) / (c * w2 + d)
+            t = cosh_dist(w1, w)
+            if t <= 1 + 1e-14:
+                raise SingularityError(
+                    "orbit point coincides with z1", where=(a, b, c, d))
+            total += -2 * legendre_Q(s, t, ctx)
+        return total
 
 
-def g_s(s, z1, z2, ctx: PrecisionContext | None = None):
-    """g_s(z1, z2) = -2 Q_{s-1}(cosh d(z1, z2)); negative off the diagonal."""
-    ctx = ctx or PrecisionContext()
-    if isinstance(z1, QuadForm):
-        z1 = z1.mpc(mp)
-    if isinstance(z2, QuadForm):
-        z2 = z2.mpc(mp)
-    t = cosh_dist(z1, z2)
-    if t <= 1 + 1e-14:
-        raise SingularityError("g_s is singular at coincident points", where=(z1, z2))
-    return -2 * q_kernel(s, t, ctx)
+def g_s(s, z1, z2, ctx: PrecisionContext):
+    """g_s(z1, z2) = -2 Q_{s-1}(cosh d(z1, z2)); negative off the diagonal.
+    The one-term g_s_truncated."""
+    return g_s_truncated(s, z1, z2, ((1, 0, 0, 1),), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -141,30 +133,6 @@ def gamma_orbit(z1, z2, cosh_cut: float) -> tuple[tuple[int, int, int, int], ...
     """Group elements gamma with cosh d(z1, gamma z2) <= cosh_cut."""
     out = gamma_translates(as_complex(z1), as_complex(z2), cosh_cut)
     return tuple(g for g, _ in out)
-
-
-def g_s_truncated(s, z1, z2, gammas: Iterable[tuple[int, int, int, int]],
-                  ctx: PrecisionContext):
-    """Sum of g_s(z1, gamma z2) over a FIXED list of group elements, in mpf.
-
-    Each term is an exact Laplacian eigenfunction of z1 with eigenvalue
-    s(1-s), hence so is this truncated sum; that is what makes it the right
-    object for finite-difference eigenvalue checks.
-    """
-    with ctx.workprec():
-        w1 = z1.mpc(mp) if isinstance(z1, QuadForm) else mp.mpc(z1)
-        w2 = z2.mpc(mp) if isinstance(z2, QuadForm) else mp.mpc(z2)
-        s_m = mp.mpf(s)
-        n = _q_order(s)
-        total = mp.mpf(0)
-        for a, b, c, d in gammas:
-            w = (a * w2 + b) / (c * w2 + d)
-            t = cosh_dist(w1, w)
-            if t <= 1 + 1e-14:
-                raise SingularityError(
-                    "orbit point coincides with z1", where=(a, b, c, d))
-            total += -2 * _q_raw(s_m, t, n)
-        return total
 
 
 def _tail_bound(s: int, t_cut: float, n_terms: int) -> float:
@@ -269,20 +237,19 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
     return [out[s] for s in ss]
 
 
-def G_s_sum(s, z1, z2, ctx: PrecisionContext, tail_target: float | None = None) -> GreensValue:
+def G_s_sum(s, z1, z2, ctx: PrecisionContext, tail_target: float) -> GreensValue:
     """G_s(z1, z2) = sum over the full modular group of g_s(z1, gamma z2).
 
-    Requires an integer s >= 2 (the sum diverges at s = 1).  The tail budget
-    defaults to the context series_tail_bound; see _lattice_sums.
+    Requires an integer s >= 2 (the sum diverges at s = 1); tail_target is
+    the absolute tail budget, see _lattice_sums.
     """
     if not (float(s).is_integer() and s >= 2):
         raise ValueError(f"G_s_sum requires an integer s >= 2, got {s}")
-    target = ctx.series_tail_bound if tail_target is None else float(tail_target)
-    return _lattice_sums((int(s),), as_complex(z1), as_complex(z2), target)[0]
+    return _lattice_sums((int(s),), as_complex(z1), as_complex(z2), float(tail_target))[0]
 
 
 # default absolute tail budget for the k >= 3 averaged sums; the T^(1-k)
-# decay makes the context's series budget unreachable for k = 3
+# decay makes budgets much below it costly at k = 3
 DEFAULT_GK_TAIL = 1e-6
 
 

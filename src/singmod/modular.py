@@ -220,7 +220,7 @@ def _inverse_q_bits(lam: float, scale: int) -> int:
     return scale + int((lam + math.log(8 * lam + 32)) / math.log(2)) + 8
 
 
-def _j_series(q, q_inv, lam: float, scale: int, ctx: PrecisionContext) -> JValue:
+def _j_series(q, q_inv, lam: float, scale: int) -> JValue:
     """j = 1/q + sum_{k >= 0} c_k q^k in integers at the scale 2^-scale.
 
     q and 1/q are mpc values with relative error at most (8 lam + 32)
@@ -230,7 +230,7 @@ def _j_series(q, q_inv, lam: float, scale: int, ctx: PrecisionContext) -> JValue
     acc = ((acc q) >> (scale + _Q_GUARD)) + (c << scale).  In units of
     2^-scale, the result is off from j by less than
       e^-1  for the tail past the top index (_series_top, with a margin of
-            1 in the log target, which is also below the context's budget);
+            1 in the log target);
       1.43  for the Horner floors, under sqrt 2 per step and damped by |q|
             per later step: sqrt 2 / (1 - 0.00434);
       0.1   for the error of q, under sqrt 2 2^-_Q_GUARD from its floor plus
@@ -239,7 +239,7 @@ def _j_series(q, q_inv, lam: float, scale: int, ctx: PrecisionContext) -> JValue
       1.43  for 1/q: its floor, under sqrt 2, and its evaluation, under 2^-7;
     which is under _J_ERROR_UNITS = 4 in all.
     """
-    log_target = min(math.log(ctx.series_tail_bound), -scale * math.log(2)) - 1
+    log_target = -scale * math.log(2) - 1
     coeffs = j_q_coefficients(_series_top(lam, log_target) + 2)
     shift = scale + _Q_GUARD
     qr = to_fixed(q.real._mpf_, shift)
@@ -292,7 +292,7 @@ def j_eval(z, ctx: PrecisionContext) -> JValue:
         with mp.workprec(_inverse_q_bits(lam, prec)):
             phase = mp.expjpi(mp.mpf(-red.b) / red.a)
             size = mp.exp(-mp.pi * mp.sqrt(-red.disc) / red.a)
-            value = _j_series(size * phase, mp.conj(phase) / size, lam, prec, ctx)
+            value = _j_series(size * phase, mp.conj(phase) / size, lam, prec)
         with _jvalue_lock:
             if _jvalue_cache.get(red, (0,))[0] < prec:
                 _jvalue_cache[red] = (prec, value)
@@ -302,7 +302,7 @@ def j_eval(z, ctx: PrecisionContext) -> JValue:
         zz, _ = fd_reduce(mp.mpc(z))
         lam = 2 * math.pi * float(zz.imag)
         arg = 2j * mp.pi * zz
-        return _j_series(mp.exp(arg), mp.exp(-arg), lam, prec, ctx)
+        return _j_series(mp.exp(arg), mp.exp(-arg), lam, prec)
 
 
 def jvalue_table(plan: dict[QuadForm, int],

@@ -13,10 +13,10 @@ with rho the largest later term ratio (above 1 for small j once n >= 3);
 each band's J is the least one putting this below 2^-53 times the sum at
 the band's lower edge, except the top band, whose degree is fixed at 4 and
 whose edge moves up from 64 until that degree suffices.  _q_sum adds Q_n
-over many arguments, the top band unrolled.  legendre_Q_closed evaluates
-the route at odd orders k - 1, k in {1, 3, 5, 7}, at the context
-precision.  Its oracle is legendre_Q_num, direct quadrature of the integral
-representation
+over many arguments, the top band unrolled.  legendre_Q is the one mpf
+entry for Q_{s-1}(t): the route at integer s >= 1, mpmath's legenq at any
+other s, at the context precision.  Its oracle is legendre_Q_num, direct
+quadrature of the integral representation, truncated at 2^-mantissa_bits,
 
     Q_{s-1}(t) = int_0^oo (t + sqrt(t^2-1) cosh v)^(-s) dv,  t > 1.
 
@@ -64,20 +64,16 @@ class IntegerRecognitionError(PrecisionError):
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision and truncation budget.
+    """Working precision.
 
-    mantissa_bits      -- mpmath working mantissa (>= 64)
-    series_tail_bound  -- absolute truncation budget per series/integral
+    mantissa_bits  -- mpmath working mantissa (>= 64)
     """
 
     mantissa_bits: int = 256
-    series_tail_bound: float = 1e-30
 
     def __post_init__(self):
         if self.mantissa_bits < 64:
             raise ValueError("mantissa_bits must be >= 64")
-        if self.series_tail_bound <= 0.0:
-            raise ValueError("series_tail_bound must be positive")
 
     def with_bits(self, bits: int) -> "PrecisionContext":
         return replace(self, mantissa_bits=max(int(bits), 64))
@@ -233,23 +229,27 @@ def _q_sum(n: int, ts) -> float:
     return math.fsum(terms)
 
 
-def legendre_Q_closed(k: int, t, ctx: PrecisionContext):
-    """Q_{k-1}(t) for odd k in {1,3,5,7} by the integer-order route _q_int."""
-    if k not in (1, 3, 5, 7):
-        raise ValueError(f"closed form requires k in (1, 3, 5, 7), got {k}")
+def legendre_Q(s, t, ctx: PrecisionContext):
+    """Q_{s-1}(t) in mpf at the context precision, finite t > 1.
+
+    Integer s >= 1 takes the integer-order route _q_int; any other s goes
+    to mpmath's legenq.
+    """
     if not 1 < t < math.inf:
-        raise ValueError("Q_{k-1} has a logarithmic singularity at t = 1; "
+        raise ValueError("Q_{s-1} has a logarithmic singularity at t = 1; "
                          "need finite t > 1")
     with ctx.workprec():
-        return _q_int(k - 1, mp.mpf(t))
+        if s >= 1 and float(s).is_integer():
+            return _q_int(int(s) - 1, mp.mpf(t))
+        return mp.legenq(mp.mpf(s) - 1, 0, mp.mpf(t), type=3).real
 
 
 def legendre_Q_num(s, t, ctx: PrecisionContext):
     """Q_{s-1}(t) by quadrature of the integral representation, s, t > 1.
 
     The integrand is truncated at v_max chosen so the analytic tail bound
-    falls below ctx.series_tail_bound; the finite piece goes to mp.quad at
-    the context precision.  This is the oracle for the integer-order route.
+    falls below 2^-mantissa_bits; the finite piece goes to mp.quad at the
+    context precision.  This is the oracle for the integer-order route.
     """
     if not s >= 1:
         raise ValueError("integral representation requires s >= 1")
@@ -258,7 +258,7 @@ def legendre_Q_num(s, t, ctx: PrecisionContext):
     with ctx.workprec():
         s = mp.mpf(s)
         t = mp.mpf(t)
-        eps = mp.mpf(ctx.series_tail_bound)
+        eps = mp.ldexp(1, -ctx.mantissa_bits)
         half_sqrt = mp.sqrt(t * t - 1) / 2
         # tail(v0) = int_{v0}^oo (sqrt(t^2-1) e^v / 2)^(-s) dv
         #          = half_sqrt^(-s) e^(-s v0) / s  <=  eps/2
@@ -271,19 +271,18 @@ def legendre_Q_num(s, t, ctx: PrecisionContext):
         return mp.quad(integrand, [0, v_max])
 
 
-def mk_constant(k: int, ctx: PrecisionContext | None = None):
-    """m_k = (max over r in [-1,1] of -P_{k-1}(r))^(-1) for k in {3, 5, 7}.
+def mk_constant(k: int):
+    """m_k = (max over r in [-1,1] of -P_{k-1}(r))^(-1) for k in {3, 5, 7},
+    at mpmath's current precision.
 
     Closed forms: m_3 = 2, m_5 = 7/3, m_7 = (7 sqrt(15) - 3) / 10.
     """
-    prec = (ctx.mantissa_bits + GUARD_BITS) if ctx else mp.mp.prec
-    with mp.workprec(prec):
-        if k == 3:
-            return mp.mpf(2)
-        if k == 5:
-            return mp.mpf(7) / 3
-        if k == 7:
-            return (7 * mp.sqrt(15) - 3) / 10
+    if k == 3:
+        return mp.mpf(2)
+    if k == 5:
+        return mp.mpf(7) / 3
+    if k == 7:
+        return (7 * mp.sqrt(15) - 3) / 10
     raise ValueError(f"m_k is defined for k in (3, 5, 7), got {k}")
 
 

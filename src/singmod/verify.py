@@ -384,22 +384,22 @@ def sweep(d1_values, d2_values, m_values, ctx: PrecisionContext,
     elapsed times its verify_nonunit alone and so leaves the plan out.  An
     epsilon that is not positive raises ValueError before any instance
     runs; per-instance errors are recorded in the report, never raised.
-    With workers > 1 instances run in a process pool of at most
-    min(workers, instances, CPUs) processes, each given the planned values
-    as plain integers through its initializer (modular.load_jvalues), and
-    sent its instances in about four chunks; the report order is the grid
-    order either way.
+    When min(workers, instances, CPUs) is at least 2, instances run in a
+    process pool of that many processes, each given the planned values as
+    plain integers through its initializer (modular.load_jvalues), and sent
+    its instances in about four chunks; otherwise they run serially here.
+    The report order is the grid order either way.
     """
     check_epsilons(epsilons)
     grid = sweep_instances(d1_values, d2_values, m_values, policy)
     table = jvalue_table(plan_jvalues(grid, ctx), ctx)
     run = partial(verify_instance, ctx=ctx, epsilons=tuple(epsilons),
                   chain=chain, factor=factor)
-    if workers <= 1 or len(grid) < 2:
-        return [run(*task) for task in grid]
-    from concurrent.futures import ProcessPoolExecutor
     # the pool forks all its workers at once: no more than can be busy
     cap = min(workers, len(grid), os.cpu_count() or 1)
+    if cap < 2:
+        return [run(*task) for task in grid]
+    from concurrent.futures import ProcessPoolExecutor
     chunk = -(-len(grid) // (cap * _CHUNKS_PER_WORKER))
     with ProcessPoolExecutor(max_workers=cap, initializer=load_jvalues,
                              initargs=(table,)) as pool:

@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 from singmod import greens
-from singmod.numerics import PrecisionContext, _q_int, legendre_Q_closed
+from singmod.numerics import PrecisionContext, _q_int, legendre_Q
 from singmod.quadforms import QuadForm, enumerate_reduced, inverse
 from singmod.modular import (coset_apply, cosh_translates, fd_reduce, hecke_cosets,
                              j_eval, modpoly_eval, y1_distance)
@@ -27,7 +27,6 @@ from singmod.greens import (
     g_s_truncated,
     gamma_orbit,
     graph_distance,
-    q_kernel,
     tm_count,
 )
 
@@ -45,17 +44,20 @@ def test_cosh_dist():
         cosh_dist(1j, 1 - 1j)
 
 
-def test_q_kernel_matches_closed_form():
-    for k in (1, 3, 5, 7):  # integer s = k hits the recurrence path
-        for t in (1.5, 3.0, 10.0):
-            a = q_kernel(k, t, CTX)
-            b = legendre_Q_closed(k, t, CTX)
-            assert abs(a - b) <= 1e-40 * abs(b)
-    # non-integer order routes through the general evaluator
-    assert float(q_kernel(1.5, 2.0, CTX)) == pytest.approx(
-        float(mp.legenq(0.5, 0, 2.0, type=3).real), rel=1e-12)
-    with pytest.raises(SingularityError):
-        q_kernel(2, 1.0, CTX)
+def test_g_s_at_cm_forms_is_the_one_term_sum():
+    # CM points are built at the context precision, whatever the caller's:
+    # cosh d between the points of forms (a1, b1, c1), (a2, b2, c2) is
+    # exactly (2 a2 c1 + 2 a1 c2 - b1 b2) / sqrt(d1 d2)
+    for f1, f2 in ((QuadForm(1, 1, 1), QuadForm(2, 1, 3)),
+                   (QuadForm(1, 0, 1), QuadForm(3, 2, 5)),
+                   (QuadForm(2, -1, 3), QuadForm(1, 1, 6))):
+        for s in (2, 3, 1.5):
+            value = g_s(s, f1, f2, CTX)
+            assert value == g_s_truncated(s, f1, f2, ((1, 0, 0, 1),), CTX)
+            with CTX.workprec():
+                t = mp.mpf(2 * f2.a * f1.c + 2 * f1.a * f2.c - f1.b * f2.b) / \
+                    mp.sqrt(f1.disc * f2.disc)
+                assert abs(value + 2 * legendre_Q(s, t, CTX)) <= 1e-60 * abs(value)
 
 
 def test_g_s_sign_and_singularity():
@@ -113,7 +115,7 @@ def test_G_s_sum_refusals():
     # lattice sums take integer s >= 2 only
     for s in (1.0, 1.5, 2.5, math.nan, math.inf):
         with pytest.raises(ValueError):
-            G_s_sum(s, Z1, Z2, CTX)
+            G_s_sum(s, Z1, Z2, CTX, tail_target=1e-6)
     with pytest.raises(TailBudgetError):
         G_s_sum(2, Z1, Z2, CTX, tail_target=1e-25)
     with pytest.raises(SingularityError):

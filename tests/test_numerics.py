@@ -14,7 +14,7 @@ from singmod.numerics import (
     _q_sum,
     integer_recognize,
     legendre_P,
-    legendre_Q_closed,
+    legendre_Q,
     legendre_Q_num,
     mk_constant,
     recognize_with_retries,
@@ -26,8 +26,6 @@ CTX = PrecisionContext()
 def test_context_validation():
     with pytest.raises(ValueError):
         PrecisionContext(mantissa_bits=32)
-    with pytest.raises(ValueError):
-        PrecisionContext(series_tail_bound=0.0)
     assert CTX.with_bits(2 * CTX.mantissa_bits).mantissa_bits == 512
     assert CTX.with_bits(1000).mantissa_bits == 1000
 
@@ -46,17 +44,19 @@ def test_legendre_P_table():
 
 
 def test_Q_closed_examples():
-    assert float(legendre_Q_closed(1, 2.0, CTX)) == pytest.approx(
+    assert float(legendre_Q(1, 2.0, CTX)) == pytest.approx(
         math.log(3) / 2, rel=1e-15)
     # k = 3, t = 3: (13/2) log 2 - 9/2 exactly
-    assert float(legendre_Q_closed(3, 3.0, CTX)) == pytest.approx(
+    assert float(legendre_Q(3, 3.0, CTX)) == pytest.approx(
         6.5 * math.log(2) - 4.5, rel=1e-12)
+    # non-integer order routes through mpmath's general evaluator
+    assert float(legendre_Q(1.5, 2.0, CTX)) == pytest.approx(
+        float(mp.legenq(0.5, 0, 2.0, type=3).real), rel=1e-12)
+    for s in (2, 3, 1.5):
+        with pytest.raises(ValueError):
+            legendre_Q(s, 1.0, CTX)
     with pytest.raises(ValueError):
-        legendre_Q_closed(2, 3.0, CTX)
-    with pytest.raises(ValueError):
-        legendre_Q_closed(3, 1.0, CTX)
-    with pytest.raises(ValueError):
-        legendre_Q_closed(3, math.inf, CTX)
+        legendre_Q(3, math.inf, CTX)
 
 
 def test_Q_closed_at_large_t_matches_float_route():
@@ -66,7 +66,7 @@ def test_Q_closed_at_large_t_matches_float_route():
     for eps in (30.0, 40.0, 70.5, 100.0):
         t = math.cosh(math.sqrt(2.0) * eps)
         for k in (1, 3, 5, 7):
-            a = legendre_Q_closed(k, t, CTX)
+            a = legendre_Q(k, t, CTX)
             b = _q_int(k - 1, t)
             assert a > 0
             assert float(a) == pytest.approx(b, rel=1e-13)
@@ -76,18 +76,17 @@ def test_Q_closed_vs_quadrature():
     # the quadrature route is the oracle for the integer-order recurrence
     for k in (1, 3, 5, 7):
         for t in (1.01, 1.1, 2.0, 5.0, 10.0):
-            a = legendre_Q_closed(k, t, CTX)
+            a = legendre_Q(k, t, CTX)
             b = legendre_Q_num(k, t, CTX)
-            assert abs(a - b) <= 10 * CTX.series_tail_bound
+            assert abs(a - b) <= 10 * 2.0 ** -CTX.mantissa_bits
 
 
 def test_Q_float_route_vs_quadrature():
     # the double-precision path the lattice sums run on: below t = 2 the
     # upward recurrence near t = 1 and the backward recurrence elsewhere;
     # from t = 2 on, the banded Horner series at each band edge and just
-    # either side of it; all held to 1e-13.  The oracle needs a far smaller
-    # absolute tail than Q_6(1e4) ~ 1e-31.
-    oracle = PrecisionContext(series_tail_bound=1e-60)
+    # either side of it; all held to 1e-13.  The oracle's absolute tail,
+    # 2^-256 ~ 1e-77, is far below Q_6(1e4) ~ 1e-31.
     ts = [1.01, 1.1, 1.3, 1.5, 1.7, 1.9, 2.0 - 1e-9, 2.0, 2.0 + 1e-9, 3.0,
           10.0, 1000.0, 1e4]
     for edge in (4.0, 16.0, 64.0):
@@ -95,7 +94,7 @@ def test_Q_float_route_vs_quadrature():
     for n in range(7):
         for t in ts:
             a = _q_int(n, t)
-            b = legendre_Q_num(n + 1, t, oracle)
+            b = legendre_Q_num(n + 1, t, CTX)
             assert abs(a - b) <= 1e-13 * abs(b)
 
 
@@ -120,7 +119,8 @@ def test_q_sum_matches_fsum_of_q_int():
 def test_q_top_band_has_fixed_degree():
     # _q_sum unrolls the top band, so its degree is fixed for every order;
     # its edge rises instead, and the remainder bound still holds there
-    oracle = PrecisionContext(series_tail_bound=1e-80)
+    # Q_30(128) ~ 7e-76: the oracle's absolute tail needs 2^-300, not 2^-256
+    oracle = CTX.with_bits(300)
     for n in range(41):
         bands = _q_horner_bands(n)
         top, coeffs = bands[0]
@@ -136,7 +136,7 @@ def test_q_top_band_has_fixed_degree():
 def test_Q_positive_decreasing():
     grid = [1.01, 1.1, 2.0, 5.0, 50.0]
     for k in (1, 3, 5, 7):
-        values = [legendre_Q_closed(k, t, CTX) for t in grid]
+        values = [legendre_Q(k, t, CTX) for t in grid]
         assert all(v > 0 for v in values)
         assert all(a > b for a, b in zip(values, values[1:]))
     assert legendre_Q_num(3, 2, CTX) >= legendre_Q_num(3, 4, CTX)
@@ -152,7 +152,7 @@ def test_Q_ode_residual():
         for k in (1, 3, 5, 7):
             for t in (1.5, 3.0, 7.0):
                 t = mp.mpf(t)
-                q = lambda x: legendre_Q_closed(k, x, CTX)
+                q = lambda x: legendre_Q(k, x, CTX)
                 d1 = (q(t + h) - q(t - h)) / (2 * h)
                 d2 = (q(t + h) - 2 * q(t) + q(t - h)) / h ** 2
                 res = (1 - t * t) * d2 - 2 * t * d1 + k * (k - 1) * q(t)
