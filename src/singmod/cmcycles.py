@@ -17,17 +17,18 @@ whether d1*d2 is a perfect square:
     projection maps, plus the complex-conjugate branch, which inverts both
     classes.
 
-Norms are products of per-pair modular values, multiplied as mpfs with a
-relative error bound that counts every rounding (cycle_log_norm), and
-certified by recognize_with_retries.  The first pass is sized from exact
-data: log|j(z)| is about pi sqrt|d| / a at the reduced form (a, b, c) of z,
-so the reduced forms of the pairs and their Hecke images give the size of
-the product, and the j-values it reads, before any j-value is computed
-(norm_plan, which a sweep uses to evaluate each form once for its whole
-grid); a retry is only a fallback.  A
-big cycle's product is n0^4, where n0 is the product over the grid at
-multiplicity 1 and is itself an integer (see cycle_norm_integer), so only
-n0 is certified, at a quarter of the bits.
+A cycle's product is n^power for an integer n that is certified
+(CMCycle.power: 1 for a small cycle; 4 for a big one, whose n is the
+product n0 over the grid at multiplicity 1, an integer by
+cycle_norm_integer, so n0 is certified at a quarter of the bits).
+cycle_log_norm multiplies the per-pair modular values of n as mpfs and
+returns (n as an mpf, an error bound that counts every rounding), the pair
+recognize_with_retries certifies; its name is kept for the benchmark's
+layer metric.  The first pass is sized from exact data: log|j(z)| is about
+pi sqrt|d| / a at the reduced form (a, b, c) of z, so the reduced forms of
+the pairs and their Hecke images give the size of n, and the j-values it
+reads, before any j-value is computed (norm_plan, which a sweep uses to
+evaluate each form once for its whole grid); a retry is only a fallback.
 Inverting both classes sends (z1, z2) to (-conj z1, -conj z2), where |phi_m|
 is the same (phi_m has integer coefficients, j(-conj z) = conj j(z)), so
 values are computed once per such orbit (conjugate_orbits).  Chain sums
@@ -37,6 +38,7 @@ group by class pair instead (greens.class_pair_weights).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import mpmath as mp
@@ -80,6 +82,9 @@ class CyclePair:
         return (self.z1.a, self.z1.b, self.z2.a, self.z2.b)
 
 
+BIG_MULTIPLICITY = 4
+
+
 @dataclass(frozen=True)
 class CMCycle:
     kind: str  # "big", "small" or "diagnostic"
@@ -92,6 +97,13 @@ class CMCycle:
         """The pairs' multiplicities summed: 4 h(d1) h(d2) for a big cycle,
         2 h(d') for a small one."""
         return sum(p.multiplicity for p in self.pairs)
+
+    @property
+    def power(self) -> int:
+        """The cycle product is n^power for the integer n that is certified:
+        power is 1 for a small cycle, BIG_MULTIPLICITY for a big or
+        diagnostic one, whose n is the grid product n0 (cycle_norm_integer)."""
+        return 1 if self.kind == "small" else BIG_MULTIPLICITY
 
     @property
     def is_exact(self) -> bool:
@@ -110,9 +122,6 @@ def cycle_case(d1, d2) -> str:
     prod = d1.d * d2.d
     r = math.isqrt(prod)
     return "small" if r * r == prod else "big"
-
-
-BIG_MULTIPLICITY = 4
 
 
 def big_cm_cycle(d1, d2) -> CMCycle:
@@ -171,21 +180,13 @@ def small_cm_cycle(d1, d2) -> CMCycle:
             f"d1*d2 = {d1.d * d2.d} is not a perfect square; use big_cm_cycle")
     dp = common_order_discriminant(d1, d2)
     gp = enumerate_reduced(dp)
-    counts: dict[tuple, CyclePair] = {}
-
-    def add(f1: QuadForm, f2: QuadForm):
-        pair = CyclePair(f1, f2, 1)
-        prev = counts.get(pair.key)
-        if prev is not None:
-            pair = CyclePair(prev.z1, prev.z2, prev.multiplicity + 1)
-        counts[pair.key] = pair
-
+    counts: Counter[tuple[QuadForm, QuadForm]] = Counter()
     for sigma in gp.reduced_forms:
         c1 = project_class(sigma, d1)
         c2 = project_class(sigma, d2)
-        add(c1, c2)
-        add(inverse(c1), inverse(c2))
-    pairs = tuple(counts[k] for k in sorted(counts))
+        counts[c1, c2] += 1
+        counts[inverse(c1), inverse(c2)] += 1
+    pairs = tuple(CyclePair(f1, f2, n) for (f1, f2), n in sorted(counts.items()))
     return CMCycle(kind="small", d1=d1, d2=d2, pairs=pairs)
 
 
@@ -218,6 +219,21 @@ def conjugate_orbits(pairs) -> list[CyclePair]:
     return list(orbits.values())
 
 
+def _orbit_counts(cycle: CMCycle):
+    """(pair, self-conjugate, count) per conjugate_orbits representative: the
+    certified product (the cycle product's cycle.power-th root) takes |Re v|
+    count times from a self-conjugate orbit, |v|^2 count times from a folded
+    pair.  Raises CycleError when the divisor does not divide a multiplicity."""
+    for pair in conjugate_orbits(cycle.pairs):
+        real = _inverse_key(pair) == pair.key
+        step = cycle.power if real else 2 * cycle.power
+        if pair.multiplicity % step:
+            raise CycleError(
+                f"pair {pair.key} has multiplicity {pair.multiplicity}, "
+                f"not a multiple of {step}")
+        yield pair, real, pair.multiplicity // step
+
+
 def norm_plan(cycle: CMCycle, m: int,
               ctx: PrecisionContext) -> tuple[PrecisionContext, frozenset[QuadForm]]:
     """The first pass of cycle_norm_integer: its context, and the reduced
@@ -226,25 +242,24 @@ def norm_plan(cycle: CMCycle, m: int,
     The forms are what modpoly_eval asks j_eval for: z1, and the reduced
     hecke_image of z2 under every Hecke coset, for each conjugate_orbits
     representative.  The precision is the larger of ctx.mantissa_bits and
-    64 bits over an estimate of log2 of the certified product (a big cycle
-    at multiplicity 1, see cycle_norm_integer): each factor
+    64 bits over an estimate of log2 of the certified product: each factor
     j(z1) - j(M z2) has a log size of about the larger of log_j_size at z1
-    and at the reduced form of M z2, summed over the orbits, with
-    multiplicity, and the cosets.  No j-value is computed.
+    and at the reduced form of M z2, summed over the orbits, with their
+    counts (_orbit_counts; a folded pair counts twice), and the cosets.  No
+    j-value is computed.
     """
-    power = 1 if cycle.kind == "small" else BIG_MULTIPLICITY
     cosets = hecke_cosets(m)
     images: dict[QuadForm, list[QuadForm]] = {}
     forms: set[QuadForm] = set()
     total = 0.0
-    for pair in conjugate_orbits(cycle.pairs):
+    for pair, real, count in _orbit_counts(cycle):
         ws = images.get(pair.z2)
         if ws is None:
             ws = images[pair.z2] = [reduce_form(hecke_image(pair.z2, c)) for c in cosets]
             forms.update(ws)
         forms.add(pair.z1)
         near = log_j_size(pair.z1)
-        total += pair.multiplicity // power * sum(max(near, log_j_size(w)) for w in ws)
+        total += (count if real else 2 * count) * sum(max(near, log_j_size(w)) for w in ws)
     bits = math.ceil(total / math.log(2)) + 64
     return ctx.with_bits(max(ctx.mantissa_bits, bits)), frozenset(forms)
 
@@ -253,89 +268,55 @@ def norm_plan(cycle: CMCycle, m: int,
 _UP = {"prec": 53, "rounding": "u"}
 
 
-@dataclass(frozen=True)
-class CycleLogNorm:
-    """The cycle product of |phi_m| as an mpf, with its logarithm on demand.
+def cycle_log_norm(cycle: CMCycle, m: int, ctx: PrecisionContext) -> tuple[mp.mpf, mp.mpf]:
+    """The certified product of |phi_m(j(z1), j(z2))| as (x, err), with
+    |x - true product| <= err: the pair recognize_with_retries certifies.
 
-    The true product lies within product * rel_error of product; rel_error
-    is an mpf rounded up, so it does not underflow at thousands of bits.
-    prec is the working precision the product was formed at; value, the
-    natural log, is taken there, and error_bound bounds |value - true log|.
-    """
+    The certified product is the cycle product's cycle.power-th root (n0 for
+    a big cycle, see cycle_norm_integer).  One value v per conjugate orbit
+    (conjugate_orbits): a self-conjugate orbit (both classes their own
+    inverse) has a real value, and contributes |Re v|; a folded pair
+    contributes |v|^2 = Re(v)^2 + Im(v)^2; each as often as _orbit_counts
+    says.  If v has relative error at most r, |Re v| is within r of the true
+    factor and |v|^2 within (1 + r)^2 - 1; each mpf operation adds a
+    relative rounding of at most u = 2^(1 - prec).  With S the sum of all
+    these r's and u's, the product's relative error is at most
+    prod (1 + r_i) - 1 <= e^S - 1 <= S (1 + S) for S <= 1, so
+    err = x S (1 + S), rounded up.  The name is kept because the
+    benchmark's layer metric wraps it.
 
-    product: mp.mpf
-    rel_error: mp.mpf
-    prec: int
-
-    @property
-    def value(self):
-        with mp.workprec(self.prec):
-            return mp.log(self.product)
-
-    @property
-    def error_bound(self):
-        """|log(1 + t)| <= rel / (1 - rel) for |t| <= rel < 1, plus two ulps
-        for the rounding of the log."""
-        rel = self.rel_error
-        if not rel < 1:
-            return mp.inf
-        log_err = mp.fdiv(rel, mp.fsub(1, rel, prec=53, rounding="d"), **_UP)
-        return mp.fadd(log_err, mp.fmul(abs(self.value), mp.ldexp(1, 1 - self.prec),
-                                        **_UP), **_UP)
-
-    def __float__(self):
-        return float(self.value)
-
-
-def cycle_log_norm(cycle: CMCycle, m: int, ctx: PrecisionContext) -> CycleLogNorm:
-    """The cycle product of |phi_m(j(z1), j(z2))|, with a relative error bound.
-
-    One value v per conjugate orbit (conjugate_orbits).  A self-conjugate
-    orbit (both classes their own inverse) has a real value, so it
-    contributes |Re v| once per unit of multiplicity; a folded pair
-    contributes |v|^2 = Re(v)^2 + Im(v)^2 once per two, its multiplicity
-    being even (a pair and its inverse pair occur equally often).  If v has
-    relative error at most r, |Re v| is within r of the true factor and
-    |v|^2 within (1 + r)^2 - 1; each mpf operation adds a relative rounding
-    of at most u = 2^(1 - prec).  With S the sum of all these r's and u's,
-    the product's relative error is at most prod (1 + r_i) - 1 <= e^S - 1
-    <= S (1 + S) for S <= 1.
-
-    Raises SingularCycleError the moment a factor is numerically zero; the
+    Raises SingularCycleError the moment a factor is decided zero; the
     iteration order is fixed (conjugate_orbits, sorted by form key) so the
     product is bit-stable.
     """
     with ctx.workprec():
-        prec = mp.mp.prec
-        u = mp.ldexp(1, 1 - prec)
+        u = mp.ldexp(1, 1 - mp.mp.prec)
         product = mp.mpf(1)
         budget = mp.mpf(0)
-        for pair in conjugate_orbits(cycle.pairs):
+        for pair, real, count in _orbit_counts(cycle):
             v = modpoly_eval(m, pair.z1, pair.z2, ctx)
             if v.is_zero:
                 raise SingularCycleError(
                     f"phi_{m} vanishes at cycle pair {pair.key}",
                     pair=pair, zero_cosets=v.zero_cosets)
-            if _inverse_key(pair) == pair.key:
-                factor, count = abs(v.value.real), pair.multiplicity
+            if real:
+                factor = abs(v.value.real)
                 share = mp.fadd(v.rel_error, u, **_UP)
-            elif pair.multiplicity % 2 == 0:
+            else:
                 re, im = v.value.real, v.value.imag
-                factor, count = re * re + im * im, pair.multiplicity // 2
+                factor = re * re + im * im
                 # 2 r for |v|^2, 2 u for forming it, u for the multiplication
                 share = mp.fadd(2 * v.rel_error, 3 * u, **_UP)
-            else:
-                raise CycleError(
-                    f"pair {pair.key} and its inverse pair differ in multiplicity")
             for _ in range(count):
                 product *= factor
             budget = mp.fadd(budget, mp.fmul(count, share, **_UP), **_UP)
         rel = mp.fmul(budget, mp.fadd(1, budget, **_UP), **_UP) if budget <= 1 else mp.inf
-        return CycleLogNorm(product=product, rel_error=rel, prec=prec)
+        return product, mp.fmul(product, rel, **_UP)
 
 
 def cycle_norm_integer(cycle: CMCycle, m: int, ctx: PrecisionContext) -> int:
-    """The exact integer |product over the cycle of phi_m|.
+    """The exact integer |product over the cycle of phi_m|: the certified
+    product of cycle_log_norm, to the power cycle.power.
 
     Small cycles are certified as they stand.  A big or diagnostic cycle
     (see big_cm_cycle) gives every pair of the Cl(d1) x Cl(d2) grid
@@ -348,23 +329,13 @@ def cycle_norm_integer(cycle: CMCycle, m: int, ctx: PrecisionContext) -> int:
     grid runs over all roots of H_d1, resp. H_d2, and any sigma in
     Gal(Qbar/Q) permutes the grid.  The grid product is therefore rational,
     and it is an algebraic integer because phi_m lies in Z[X, Y] and
-    j-values are algebraic integers.  So n0 is certified at multiplicity 1
-    and n0^4 is returned exactly.
+    j-values are algebraic integers.  So n0 is certified, at a quarter of
+    the bits, and n0^4 is returned exactly.
 
-    The product x from cycle_log_norm is recognized with err = x rel_error.
     The first pass runs at the precision of norm_plan, enough for the whole
     integer part; recognize_with_retries sizes a retry from the shortfall
     should the estimate fall short.
     """
     start, _ = norm_plan(cycle, m, ctx)
-    power = 1
-    if cycle.kind != "small":
-        power = BIG_MULTIPLICITY
-        cycle = replace(
-            cycle, pairs=tuple(CyclePair(p.z1, p.z2, 1) for p in cycle.pairs))
-
-    def compute(current):
-        norm = cycle_log_norm(cycle, m, current)
-        return [(norm.product, mp.fmul(norm.product, norm.rel_error, **_UP))]
-
-    return recognize_with_retries(compute, start)[0] ** power
+    return recognize_with_retries(
+        lambda current: [cycle_log_norm(cycle, m, current)], start)[0] ** cycle.power

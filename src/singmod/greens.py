@@ -237,7 +237,7 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
     return [out[s] for s in ss]
 
 
-def G_s_sum(s, z1, z2, ctx: PrecisionContext, tail_target: float) -> GreensValue:
+def G_s_sum(s, z1, z2, tail_target: float) -> GreensValue:
     """G_s(z1, z2) = sum over the full modular group of g_s(z1, gamma z2).
 
     Requires an integer s >= 2 (the sum diverges at s = 1); tail_target is

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import mul
 
 import mpmath as mp
@@ -45,7 +44,7 @@ from .numerics import (
     recognize_with_retries,
     arccosh,
 )
-from .quadforms import QuadForm, enumerate_reduced, hecke_image, reduce_form
+from .quadforms import QuadForm, enumerate_reduced, hecke_cosets, hecke_image, reduce_form
 
 _FOUR_PI = 4 * math.pi
 
@@ -103,13 +102,6 @@ def _extend_jcoeffs(coeffs: list[int], series: tuple[list[int], list[int], list[
         e4.append(e4_n)
         e8.append(e8_n)
         coeffs.append(c_n)
-
-
-def _compute_jcoeffs(count: int) -> list[int]:
-    """First `count` coefficients of j = 1/q + 744 + 196884 q + ..., afresh."""
-    coeffs: list[int] = []
-    _extend_jcoeffs(coeffs, ([], [], []), count)
-    return coeffs
 
 
 def j_q_coefficients(count: int) -> list[int]:
@@ -324,15 +316,6 @@ def load_jvalues(table: dict[tuple[int, int, int], tuple[int, int, int, int]]) -
             form = QuadForm(a, b, c)
             if _jvalue_cache.get(form, (0,))[0] < scale:
                 _jvalue_cache[form] = (scale, JValue.of(re, im, err, scale))
-
-
-@lru_cache(maxsize=None)
-def hecke_cosets(m: int) -> tuple[tuple[int, int, int], ...]:
-    """Upper-triangular coset representatives (a, b, d): a d = m, 0 <= b < d."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    return tuple((a, b, m // a) for a in range(1, m + 1) if m % a == 0
-                 for b in range(m // a))
 
 
 def coset_apply(coset: tuple[int, int, int], z):

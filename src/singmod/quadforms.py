@@ -196,6 +196,15 @@ def enumerate_reduced(d: int) -> ClassGroup:
     )
 
 
+@lru_cache(maxsize=None)
+def hecke_cosets(m: int) -> tuple[tuple[int, int, int], ...]:
+    """Upper-triangular coset representatives (a, b, d): a d = m, 0 <= b < d."""
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    return tuple((a, b, m // a) for a in range(1, m + 1) if m % a == 0
+                 for b in range(m // a))
+
+
 def hecke_image(form: QuadForm, coset: tuple[int, int, int]) -> QuadForm:
     """The primitive form of w = (a z + b) / d, z the root of form.
 
@@ -217,7 +226,7 @@ def project_class(form: QuadForm, target: Discriminant) -> QuadForm:
     Both orders share the fundamental discriminant and the target conductor
     divides the source conductor; let g = f' / f_i.  The map is the
     ascending isogeny of degree g: among the images of the class under the
-    determinant-g cosets (a, b, g / a), which up to scaling are the
+    determinant-g cosets (hecke_cosets), which up to scaling are the
     lattices containing the class's lattice I with index g, exactly one has
     discriminant d_i.  It is unique because every O_(d_i)-lattice that
     contains I contains I O_(d_i), which already has index g.  The map is
@@ -232,7 +241,5 @@ def project_class(form: QuadForm, target: Discriminant) -> QuadForm:
         raise QuadFormError(
             f"target conductor {target.f} does not divide source conductor {source.f}"
         )
-    g = source.f // target.f
-    images = (hecke_image(form, (a, b, g // a))
-              for a in range(1, g + 1) if g % a == 0 for b in range(g // a))
+    images = (hecke_image(form, c) for c in hecke_cosets(source.f // target.f))
     return reduce_form(next(image for image in images if image.disc == target.d))

@@ -7,11 +7,12 @@ import pytest
 from singmod import cmcycles, modular
 from singmod.numerics import PrecisionContext
 from singmod.quadforms import enumerate_reduced, inverse
-from singmod.modular import classpoly, hecke_cosets
+from singmod.modular import classpoly, hecke_cosets, modpoly_eval
 from singmod.verify import fundamental_discriminants, sweep_instances
 from singmod.cmcycles import (
     CMCycle,
     CycleError,
+    CyclePair,
     SingularCycleError,
     big_cm_cycle,
     build_cycle,
@@ -232,43 +233,61 @@ def test_grid_norms_certified_in_one_pass(monkeypatch, grid):
 
 def test_cycle_product_within_its_error_bound():
     # at a precision far below the norm's size the product is not an
-    # integer, and the bound must still cover its distance to the exact norm
+    # integer, and the bound must still cover its distance to the certified
+    # integer, the norm's cycle.power-th root
     for cyc, m in [(big_cm_cycle(-15, -23), 2), (big_cm_cycle(-7, -8), 3),
+                   (big_cm_cycle(-15, -20), 1),
                    (small_cm_cycle(-15, -60), 1), (small_cm_cycle(-3, -12), 1)]:
-        n = cycle_norm_integer(cyc, m, CTX)
-        norm = cycle_log_norm(cyc, m, CTX.with_bits(80))
+        norm = cycle_norm_integer(cyc, m, CTX)
+        n = math.isqrt(math.isqrt(norm)) if cyc.power == 4 else norm
+        assert n ** cyc.power == norm
+        x, err = cycle_log_norm(cyc, m, CTX.with_bits(80))
         with mp.workprec(2 * n.bit_length() + 64):
-            assert abs(norm.product - n) <= norm.product * norm.rel_error
-        assert 0 < norm.rel_error < mp.mpf(2) ** -80
-
-
-def test_log_norm_consistent_with_integer():
-    cyc = big_cm_cycle(-15, -23)
-    n = cycle_norm_integer(cyc, 1, CTX)
-    log = cycle_log_norm(cyc, 1, CTX)
-    assert float(log) == pytest.approx(math.log(n), rel=1e-12)
-    assert log.error_bound < 1e-12
+            assert abs(x - n) <= err
+        assert 0 < err < x * mp.mpf(2) ** -80
 
 
 def test_log_norm_error_bound_does_not_underflow():
-    log = cycle_log_norm(big_cm_cycle(-15, -23), 4, CTX.with_bits(2000))
-    assert 0 < log.error_bound < mp.mpf(2) ** -1900
+    x, err = cycle_log_norm(big_cm_cycle(-15, -23), 4, CTX.with_bits(2000))
+    assert 0 < err < x * mp.mpf(2) ** -1900
+
+
+def test_multiplicity_not_divided_by_the_power_is_refused():
+    # a big cycle whose pairs have multiplicity 1 is not a product n0^4
+    cyc = big_cm_cycle(-3, -4)
+    bad = CMCycle(kind=cyc.kind, d1=cyc.d1, d2=cyc.d2,
+                  pairs=tuple(CyclePair(p.z1, p.z2, 1) for p in cyc.pairs))
+    with pytest.raises(CycleError, match="not a multiple of 4"):
+        cycle_norm_integer(bad, 2, CTX)
 
 
 def _full_multiplicity_norm(cycle, m):
-    """Round exp(cycle_log_norm) of the multiplicity-4 cycle at log2 N + 64 bits."""
-    probe = cycle_log_norm(cycle, m, CTX.with_bits(96))
-    bits = int(float(probe) / math.log(2)) + 64
-    ctx = CTX.with_bits(bits)
-    log = cycle_log_norm(cycle, m, ctx)
+    """Round the product over every pair of |phi_m|^multiplicity, each a
+    modpoly_eval value, at log2 N + 64 bits."""
+
+    def product(ctx):
+        with ctx.workprec():
+            out = mp.mpf(1)
+            for pair in cycle.pairs:
+                out *= abs(modpoly_eval(m, pair.z1, pair.z2, ctx).value) ** pair.multiplicity
+            return out
+
+    probe = product(CTX.with_bits(96))
+    ctx = CTX.with_bits(int(mp.log(probe, 2)) + 64)
+    value = product(ctx)
     with ctx.workprec():
-        return int(mp.nint(mp.exp(log.value)))
+        return int(mp.nint(value))
 
 
-@pytest.mark.parametrize("d1,d2,m", [(-7, -8, 2), (-15, -23, 1), (-15, -20, 1)])
+@pytest.mark.parametrize("d1,d2,m", [(-7, -8, 2), (-15, -23, 1), (-15, -20, 1),
+                                     (-3, -12, 1), (-15, -60, 1), (-4, -16, 3)])
 def test_grid_product_to_the_fourth_is_the_cycle_norm(d1, d2, m):
-    cyc = big_cm_cycle(d1, d2)
-    assert cyc.kind == ("big" if math.gcd(d1, d2) == 1 else "diagnostic")
+    cyc = build_cycle(d1, d2)
+    if cycle_case(d1, d2) == "small":
+        assert cyc.kind == "small" and cyc.power == 1
+    else:
+        assert cyc.kind == ("big" if math.gcd(d1, d2) == 1 else "diagnostic")
+        assert cyc.power == 4
     assert cycle_norm_integer(cyc, m, CTX) == _full_multiplicity_norm(cyc, m)
 
 

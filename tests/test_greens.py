@@ -68,12 +68,12 @@ def test_g_s_sign_and_singularity():
 
 
 def test_G_s_sum_symmetry_and_invariance():
-    a = G_s_sum(3, Z1, Z2, CTX, tail_target=1e-6)
-    b = G_s_sum(3, Z2, Z1, CTX, tail_target=1e-6)
+    a = G_s_sum(3, Z1, Z2, tail_target=1e-6)
+    b = G_s_sum(3, Z2, Z1, tail_target=1e-6)
     assert a.value == pytest.approx(b.value, abs=a.tail_bound + b.tail_bound)
     # full-group average is Gamma-invariant in each slot
-    c = G_s_sum(3, Z1, Z2 + 1, CTX, tail_target=1e-6)
-    d = G_s_sum(3, Z1, -1 / Z2, CTX, tail_target=1e-6)
+    c = G_s_sum(3, Z1, Z2 + 1, tail_target=1e-6)
+    d = G_s_sum(3, Z1, -1 / Z2, tail_target=1e-6)
     for other in (c, d):
         assert other.value == pytest.approx(
             a.value, abs=a.tail_bound + other.tail_bound)
@@ -84,11 +84,11 @@ def test_G_s_sum_symmetric_from_either_point():
     # moving the lower one by the group must not change the sum beyond tails
     low, high = 0.31 + 0.17j, -0.12 + 1.9j
     for s in (3, 5):
-        a = G_s_sum(s, low, high, CTX, tail_target=1e-6)
-        b = G_s_sum(s, high, low, CTX, tail_target=1e-6)
+        a = G_s_sum(s, low, high, tail_target=1e-6)
+        b = G_s_sum(s, high, low, tail_target=1e-6)
         assert a.value == pytest.approx(b.value, abs=a.tail_bound + b.tail_bound)
         moved = (2 * low + 1) / (low + 1)  # gamma = (2, 1; 1, 1)
-        c = G_s_sum(s, moved, high, CTX, tail_target=1e-6)
+        c = G_s_sum(s, moved, high, tail_target=1e-6)
         assert c.value == pytest.approx(a.value, abs=a.tail_bound + c.tail_bound)
 
 
@@ -96,16 +96,16 @@ def test_G_s_sum_cutoff_independent_of_representative():
     # the cutoff floor is taken from the reduced points, so a far
     # representative of the same orbit walks the same terms
     z = -0.3 + 1.5j
-    plain = G_s_sum(5, 0.1 + 1.2j, z, CTX, tail_target=0.1)
-    moved = G_s_sum(5, 0.1 + 1.2j, (7 * z + 3) / (2 * z + 1), CTX, tail_target=0.1)
+    plain = G_s_sum(5, 0.1 + 1.2j, z, tail_target=0.1)
+    moved = G_s_sum(5, 0.1 + 1.2j, (7 * z + 3) / (2 * z + 1), tail_target=0.1)
     assert moved.cosh_cutoff == plain.cosh_cutoff
     assert moved.terms == plain.terms
     assert moved.value == pytest.approx(plain.value, abs=1e-12)
 
 
 def test_G_s_sum_tail_honest_under_doubling():
-    coarse = G_s_sum(3, Z1, Z2, CTX, tail_target=1e-4)
-    fine = G_s_sum(3, Z1, Z2, CTX, tail_target=1e-8)
+    coarse = G_s_sum(3, Z1, Z2, tail_target=1e-4)
+    fine = G_s_sum(3, Z1, Z2, tail_target=1e-8)
     # omitted terms are negative: coarse >= fine, within the certified tail
     assert fine.value <= coarse.value + 1e-12
     assert coarse.value - fine.value <= coarse.tail_bound
@@ -115,11 +115,11 @@ def test_G_s_sum_refusals():
     # lattice sums take integer s >= 2 only
     for s in (1.0, 1.5, 2.5, math.nan, math.inf):
         with pytest.raises(ValueError):
-            G_s_sum(s, Z1, Z2, CTX, tail_target=1e-6)
+            G_s_sum(s, Z1, Z2, tail_target=1e-6)
     with pytest.raises(TailBudgetError):
-        G_s_sum(2, Z1, Z2, CTX, tail_target=1e-25)
+        G_s_sum(2, Z1, Z2, tail_target=1e-25)
     with pytest.raises(SingularityError):
-        G_s_sum(3, 1j, 1j + 1, CTX, tail_target=1e-4)
+        G_s_sum(3, 1j, 1j + 1, tail_target=1e-4)
 
 
 def test_G_1_is_log_j_difference():
@@ -134,7 +134,7 @@ def test_bad_tail_targets_are_refused(target):
     # a NaN budget never stops the cutoff loop; zero or negative ones divide
     # by zero or compare nonsense, so every entry refuses them first
     pairs = build_cycle(-3, -4).pairs
-    for call in (lambda: G_s_sum(3, Z1, Z2, CTX, tail_target=target),
+    for call in (lambda: G_s_sum(3, Z1, Z2, tail_target=target),
                  lambda: G_k_m(3, 2, Z1, Z2, CTX, tail_target=target),
                  lambda: G_ks_m_cycle((3, 5, 7), 1, pairs, tail_target=target),
                  lambda: _lattice_sums((3,), Z1, Z2, target)):
