@@ -136,14 +136,13 @@ def cmd_cmpoints(args) -> int:
         if args.j:
             # at the context's scale, whatever finer value the point cache holds
             scale = ctx.mantissa_bits + GUARD_BITS
-            value = JValue.of(*j_eval(form, ctx).at_scale(scale), scale)
+            re, im, err = j_eval(form, ctx).at_scale(scale)
             # a part inside the certified error is shown as 0
-            re = 0 if abs(value.re) <= value.err else value.real
-            im = 0 if abs(value.im) <= value.err else value.imag
-            shown = mp.mpc(re, im) if im else mp.mpf(re)
+            shown = JValue(re if abs(re) > err else 0, im if abs(im) > err else 0,
+                           err, scale)
             with ctx.workprec():
-                entry["j"] = mp.nstr(shown, 20)
-                entry["j_error"] = mp.nstr(value.error, 5)
+                entry["j"] = mp.nstr(shown.value if shown.im else shown.value.real, 20)
+                entry["j_error"] = mp.nstr(shown.error, 5)
         rows.append(entry)
     payload = {"d": d, "d_K": group.discriminant.d_K,
                "conductor": group.discriminant.f, "h": group.h, "points": rows}

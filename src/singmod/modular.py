@@ -11,13 +11,13 @@ precision, and every value carries an absolute error bound in units of
 multiply these integers exactly, so their error bounds are integer
 inequalities that hold at j = 0 as well.  A CM point is its reduced form
 (quadforms.QuadForm); at two CM points modpoly_eval decides its zeros by
-comparing reduced forms, not by a numeric test.  CM values are cached per
-reduced form, and the inverse class is served as the exact conjugate of a
+comparing reduced forms, not by a numeric test.  CM values are cached once
+per class pair: the inverse class is served as the exact conjugate of the
 cached value (j(-conj z) = conj j(z)), so a class and its inverse cost one
-series.  jvalue_table evaluates a planned set of forms into plain
-integers and load_jvalues caches them: a sweep evaluates every form its
-grid will read once, before its instances run, and hands the table to its
-pool workers (verify.sweep).
+series.  jvalue_table evaluates a planned set of forms, one JValue record
+per class pair, and load_jvalues caches them: a sweep evaluates every form
+its grid will read once, before its instances run, and hands the records
+to its pool workers as they stand (verify.sweep).
 
 Coset convention: Gamma_m is ALL integer matrices of determinant m,
 imprimitive ones included, so that the scalar matrix sqrt(m) I sits in
@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 from operator import mul
 
 import mpmath as mp
@@ -54,9 +55,8 @@ _jcoeffs: list[int] = []  # c_{-1}, c_0, c_1, ... with c_{-1} = 1, c_0 = 744
 _jseries: tuple[list[int], list[int], list[int]] = ([], [], [])
 
 _jvalue_lock = threading.Lock()
-# reduced form -> (prec, j at the scale 2^-prec), serving any prec up to its
-# own
-_jvalue_cache: dict[QuadForm, tuple[int, JValue]] = {}
+# _pair_key(form) -> j at the form's point, serving any scale up to its own
+_jvalue_cache: dict[QuadForm, JValue] = {}
 
 
 def _divisor_power_sum(n: int, k: int) -> int:
@@ -178,18 +178,19 @@ def _series_top(lam: float, log_target: float) -> int:
     return top
 
 
-class JValue(mp.mpc):
-    """A j-value in fixed point: the mpc (re + i im) 2^-scale, exactly, and
-    the true j within err 2^-scale of it.  re, im and err are integers."""
+class JValue(NamedTuple):
+    """j in fixed point, four integers: within err 2^-scale of (re + i im) 2^-scale."""
 
-    __slots__ = ("scale", "re", "im", "err")
+    re: int
+    im: int
+    err: int
+    scale: int
 
-    @classmethod
-    def of(cls, re: int, im: int, err: int, scale: int) -> "JValue":
-        value = cls()
-        value._mpc_ = (from_man_exp(re, -scale), from_man_exp(im, -scale))
-        value.scale, value.re, value.im, value.err = scale, re, im, err
-        return value
+    @property
+    def value(self):
+        """(re + i im) 2^-scale as an exact mpc, whatever the precision."""
+        return mp.make_mpc((from_man_exp(self.re, -self.scale),
+                            from_man_exp(self.im, -self.scale)))
 
     @property
     def error(self):
@@ -246,7 +247,7 @@ def _j_series(q, q_inv, lam: float, scale: int) -> JValue:
             re = ((re * qr) >> shift) + (c << scale)
     re += to_fixed(q_inv.real._mpf_, scale)
     im += to_fixed(q_inv.imag._mpf_, scale)
-    return JValue.of(re, im, _J_ERROR_UNITS, scale)
+    return JValue(re, im, _J_ERROR_UNITS, scale)
 
 
 def log_j_size(form: QuadForm) -> float:
@@ -255,40 +256,39 @@ def log_j_size(form: QuadForm) -> float:
     return math.pi * math.sqrt(-form.disc) / form.a
 
 
+def _pair_key(red: QuadForm) -> QuadForm:
+    """A reduced form's cache key: itself if b >= 0, else its inverse class (a, -b, c)."""
+    return red if red.b >= 0 else QuadForm(red.a, -red.b, red.c)
+
+
 def j_eval(z, ctx: PrecisionContext) -> JValue:
     """j(z) as a JValue at the scale 2^-(ctx.mantissa_bits + GUARD_BITS).
 
     A form (a CM point) takes the exact path: reduced to (a, b, c), with
     q = e^(-pi sqrt|d| / a) e^(-i pi b / a) (real, with no rounded phase,
-    when b/a is an integer), cached per reduced form at the finest scale
-    asked so far and served to any coarser request.  When 0 < |b| < a < c,
-    (a, -b, c) is the reduced form of the inverse class, at the point
-    -conj z, and j(-conj z) = conj j(z); if that mirror is cached at the
-    scale asked or finer, its exact conjugate is served, with the same
-    bound and no series.  The error bound err 2^-scale is absolute (see
-    _j_series), so it holds at j = 0 too.  Any other upper-half-plane
-    number is reduced to F by fd_reduce first; its bound covers the series
-    at the reduced point, which is taken as exact.
+    when b/a is an integer), cached at the finest scale asked so far and
+    served to any coarser request.  A class and its inverse share one entry
+    (_pair_key): a reduced form has b < 0 only when 0 < |b| < a < c, and
+    then (a, -b, c) is the inverse class, at -conj z, so the form is served
+    the exact conjugate of that value (j(-conj z) = conj j(z)), with the
+    same bound.  The error bound err 2^-scale is absolute (see _j_series),
+    so it holds at j = 0 too.  Any other upper-half-plane number is reduced
+    to F by fd_reduce first; its bound covers the series at the reduced
+    point, which is taken as exact.
     """
     prec = ctx.mantissa_bits + GUARD_BITS
     if isinstance(z, QuadForm):
         red = reduce_form(z)
-        with _jvalue_lock:
-            if _jvalue_cache.get(red, (0,))[0] >= prec:
-                return _jvalue_cache[red][1]
-            if 0 < abs(red.b) < red.a < red.c:
-                scale, twin = _jvalue_cache.get(QuadForm(red.a, -red.b, red.c), (0, None))
-                if scale >= prec:
-                    return JValue.of(twin.re, -twin.im, twin.err, scale)
-        lam = log_j_size(red)
-        with mp.workprec(_inverse_q_bits(lam, prec)):
-            phase = mp.expjpi(mp.mpf(-red.b) / red.a)
-            size = mp.exp(-mp.pi * mp.sqrt(-red.disc) / red.a)
-            value = _j_series(size * phase, mp.conj(phase) / size, lam, prec)
-        with _jvalue_lock:
-            if _jvalue_cache.get(red, (0,))[0] < prec:
-                _jvalue_cache[red] = (prec, value)
-        return value
+        key = _pair_key(red)
+        value = _jvalue_cache.get(key)
+        if value is None or value.scale < prec:
+            lam = log_j_size(key)
+            with mp.workprec(_inverse_q_bits(lam, prec)):
+                phase = mp.expjpi(mp.mpf(-key.b) / key.a)
+                size = mp.exp(-mp.pi * mp.sqrt(-key.disc) / key.a)
+                value = _j_series(size * phase, mp.conj(phase) / size, lam, prec)
+            load_jvalues({key: value})
+        return value if key is red else value._replace(im=-value.im)
     lam = 2 * math.pi * fd_reduce(complex(z))[0].imag
     with mp.workprec(_inverse_q_bits(lam + 1, prec)):
         zz, _ = fd_reduce(mp.mpc(z))
@@ -298,24 +298,23 @@ def j_eval(z, ctx: PrecisionContext) -> JValue:
 
 
 def jvalue_table(plan: dict[QuadForm, int],
-                 ctx: PrecisionContext) -> dict[tuple[int, int, int], tuple[int, int, int, int]]:
-    """j_eval of each reduced form of plan at its mantissa bits, as plain
-    integers: (a, b, c) -> (re, im, err, scale) (see JValue), which
-    load_jvalues caches again, in this process or another."""
-    table = {}
+                 ctx: PrecisionContext) -> dict[QuadForm, JValue]:
+    """j_eval of each class pair (_pair_key) of plan's reduced forms at the most
+    bits plan asks of it, for load_jvalues to cache, in this process or another."""
+    need: dict[QuadForm, int] = {}
     for form, bits in plan.items():
-        value = j_eval(form, ctx.with_bits(bits))
-        table[(form.a, form.b, form.c)] = (value.re, value.im, value.err, value.scale)
-    return table
+        key = _pair_key(form)
+        need[key] = max(need.get(key, 0), bits)
+    return {key: j_eval(key, ctx.with_bits(bits)) for key, bits in need.items()}
 
 
-def load_jvalues(table: dict[tuple[int, int, int], tuple[int, int, int, int]]) -> None:
+def load_jvalues(table: dict[QuadForm, JValue]) -> None:
     """Cache the j-values of a jvalue_table, keeping any finer one cached."""
     with _jvalue_lock:
-        for (a, b, c), (re, im, err, scale) in table.items():
-            form = QuadForm(a, b, c)
-            if _jvalue_cache.get(form, (0,))[0] < scale:
-                _jvalue_cache[form] = (scale, JValue.of(re, im, err, scale))
+        for key, value in table.items():
+            cached = _jvalue_cache.get(key)
+            if cached is None or cached.scale < value.scale:
+                _jvalue_cache[key] = value
 
 
 def coset_apply(coset: tuple[int, int, int], z):
@@ -546,14 +545,6 @@ def cosh_translates(z1: complex, z2: complex, cosh_cut: float) -> list[float]:
     return out
 
 
-def y1_cosh_distance(z1: complex, z2: complex) -> float:
-    """cosh of the distance between the images of z1, z2 on Y(1)."""
-    z1 = fd_reduce(complex(z1))[0]
-    z2 = fd_reduce(complex(z2))[0]
-    best = cosh_dist(z1, z2)
-    return min([best] + cosh_translates(z1, z2, best + 1e-12))
-
-
 def as_complex(z) -> complex:
     """A form's root (its CM point) or any upper-half-plane number, as a
     Python complex."""
@@ -562,4 +553,7 @@ def as_complex(z) -> complex:
 
 def y1_distance(z1, z2) -> float:
     """min over gamma in Gamma of the hyperbolic distance d(z1, gamma z2)."""
-    return arccosh(y1_cosh_distance(as_complex(z1), as_complex(z2)))
+    z1 = fd_reduce(as_complex(z1))[0]
+    z2 = fd_reduce(as_complex(z2))[0]
+    best = cosh_dist(z1, z2)
+    return arccosh(min([best] + cosh_translates(z1, z2, best + 1e-12)))

@@ -157,7 +157,6 @@ def inverse(form: QuadForm) -> QuadForm:
 class ClassGroup:
     discriminant: Discriminant
     reduced_forms: tuple[QuadForm, ...]
-    identity_index: int
 
     @property
     def h(self) -> int:
@@ -165,7 +164,9 @@ class ClassGroup:
 
     @property
     def identity(self) -> QuadForm:
-        return self.reduced_forms[self.identity_index]
+        """The principal form: the one reduced form with a = 1, so the
+        first in sorted order."""
+        return self.reduced_forms[0]
 
 
 @lru_cache(maxsize=None)
@@ -187,13 +188,7 @@ def enumerate_reduced(d: int) -> ClassGroup:
             if not f.is_primitive:
                 continue
             forms.append(f)
-    forms.sort()
-    ident = identity_form(d)
-    return ClassGroup(
-        discriminant=disc,
-        reduced_forms=tuple(forms),
-        identity_index=forms.index(ident),
-    )
+    return ClassGroup(discriminant=disc, reduced_forms=tuple(sorted(forms)))
 
 
 @lru_cache(maxsize=None)

@@ -159,6 +159,24 @@ class VerificationReport:
         return all(checks)
 
 
+def _certify_nonunit(rep: VerificationReport, ctx: PrecisionContext, factor: bool) -> None:
+    """verify_nonunit's work on rep, raising whatever stops it."""
+    cycle = build_cycle(rep.d1, rep.d2)
+    rep.cycle_kind = cycle.kind
+    rep.group_order = cycle.group_order
+    n = cycle_norm_integer(cycle, rep.m, ctx)
+    rep.norm = n
+    rep.log_norm = float(math.log(n)) if n > 0 else float("-inf")
+    rep.non_unit = n >= 2
+    rep.asserted = cycle.is_exact
+    rep.status = "ok"
+    if factor and n >= 2:
+        trial = max(10 ** 6, abs(rep.d1 * rep.d2) * rep.m * rep.m)
+        rep.factorization = factor_norm(n, trial_bound=trial)
+        if rep.factorization.factors:
+            rep.witness = rep.factorization.factors[0][0]
+
+
 def verify_nonunit(d1, d2, m: int, ctx: PrecisionContext,
                    factor: bool = False) -> VerificationReport:
     """Exact norm of the cycle product and the N >= 2 check.
@@ -170,20 +188,7 @@ def verify_nonunit(d1, d2, m: int, ctx: PrecisionContext,
     rep = VerificationReport(d1=int(d1), d2=int(d2), m=int(m))
     t0 = time.monotonic()
     try:
-        cycle = build_cycle(rep.d1, rep.d2)
-        rep.cycle_kind = cycle.kind
-        rep.group_order = cycle.group_order
-        n = cycle_norm_integer(cycle, m, ctx)
-        rep.norm = n
-        rep.log_norm = float(math.log(n)) if n > 0 else float("-inf")
-        rep.non_unit = n >= 2
-        rep.asserted = cycle.is_exact
-        rep.status = "ok"
-        if factor and n >= 2:
-            trial = max(10 ** 6, abs(rep.d1 * rep.d2) * m * m)
-            rep.factorization = factor_norm(n, trial_bound=trial)
-            if rep.factorization.factors:
-                rep.witness = rep.factorization.factors[0][0]
+        _certify_nonunit(rep, ctx, factor)
     except SingularCycleError as err:
         rep.status = "zero"
         rep.singular_pair = err.pair.key if err.pair else None
@@ -198,12 +203,13 @@ def verify_nonunit(d1, d2, m: int, ctx: PrecisionContext,
 def isogeny_witness(d1, d2, m: int, ctx: PrecisionContext) -> int | None:
     """Smallest prime dividing the norm: a residue characteristic at which
     the reductions of the two CM curves admit an m-isogeny.  None only when
-    the value is zero; ValueError when no prime factor was found."""
-    rep = verify_nonunit(d1, d2, m, ctx, factor=True)
-    if rep.status == "zero":
+    the value is zero.  Raises QuadFormError or ValueError on invalid input or
+    a norm with no prime factor found, PrecisionError when it fails to certify."""
+    rep = VerificationReport(d1=int(d1), d2=int(d2), m=int(m))
+    try:
+        _certify_nonunit(rep, ctx, factor=True)
+    except SingularCycleError:
         return None
-    if rep.status != "ok":
-        raise PrecisionError(rep.error or "verification failed")
     if rep.witness is None:
         raise ValueError(f"no prime factor found in the norm {rep.norm}")
     return rep.witness
@@ -325,7 +331,8 @@ def sweep_instances(d1_values, d2_values, m_values, policy: str = "exact"):
     """The (d1, d2, m) grid a sweep will visit, after policy filtering.
 
     policy "exact" keeps only exact-mode instances (coprime big, or small);
-    "all" includes diagnostic ones.  Unordered pairs are visited once.
+    "all" includes diagnostic ones.  Unordered pairs are visited once.  An
+    invalid discriminant raises QuadFormError.
     """
     if policy not in ("exact", "all"):
         raise ValueError("policy must be 'exact' or 'all'")
@@ -337,10 +344,7 @@ def sweep_instances(d1_values, d2_values, m_values, policy: str = "exact"):
             if key in seen:
                 continue
             seen.add(key)
-            try:
-                kind = cycle_case(d1, d2)
-            except QuadFormError:
-                continue
+            kind = cycle_case(d1, d2)
             if policy == "exact" and kind == "big" and math.gcd(-d1, -d2) > 1:
                 continue
             for m in m_values:
@@ -351,11 +355,8 @@ def sweep_instances(d1_values, d2_values, m_values, policy: str = "exact"):
 def plan_jvalues(grid, ctx: PrecisionContext) -> dict[QuadForm, int]:
     """The reduced forms the norms of a (d1, d2, m) grid read
     (cmcycles.norm_plan), each with the most mantissa bits any instance
-    starts at.
-
-    A class and its inverse share one entry, keyed by the form (a, |b|, c):
-    j_eval serves the other as the conjugate of its value.  An instance
-    whose cycle cannot be built is left out; it reports its own error.
+    starts at.  An instance whose cycle cannot be built is left out; it
+    reports its own error.
     """
     need: dict[QuadForm, int] = {}
     for d1, d2, m in grid:
@@ -364,8 +365,7 @@ def plan_jvalues(grid, ctx: PrecisionContext) -> dict[QuadForm, int]:
         except ValueError:
             continue
         for form in forms:
-            key = QuadForm(form.a, abs(form.b), form.c)
-            need[key] = max(need.get(key, 0), start.mantissa_bits)
+            need[form] = max(need.get(form, 0), start.mantissa_bits)
     return need
 
 
@@ -385,8 +385,8 @@ def sweep(d1_values, d2_values, m_values, ctx: PrecisionContext,
     epsilon that is not positive raises ValueError before any instance
     runs; per-instance errors are recorded in the report, never raised.
     When min(workers, instances, CPUs) is at least 2, instances run in a
-    process pool of that many processes, each given the planned values as
-    plain integers through its initializer (modular.load_jvalues), and sent
+    process pool of that many processes, each given the planned JValue
+    records through its initializer (modular.load_jvalues), and sent
     its instances in about four chunks; otherwise they run serially here.
     The report order is the grid order either way.
     """

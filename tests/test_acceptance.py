@@ -112,7 +112,7 @@ def test_criterion_2_class_polynomials():
         with CTX.workprec():
             raw = [mp.mpc(1)]
             for form in enumerate_reduced(d).reduced_forms:
-                root = j_eval(form, CTX)
+                root = j_eval(form, CTX).value
                 raw = [mp.mpc(0)] + raw
                 for i in range(len(raw) - 1):
                     raw[i] -= root * raw[i + 1]

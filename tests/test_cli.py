@@ -1,6 +1,8 @@
 import json
 import os
+import re
 
+import mpmath as mp
 import pytest
 
 from singmod import cache as diskcache
@@ -104,6 +106,40 @@ def test_cmpoints_j_inside_its_error_is_zero(capsys):
     assert payload["points"][0]["j"] == "1728.0"
     code, payload, _ = run_json(capsys, "cmpoints", "-23", "--j")
     assert all("j_error" in p for p in payload["points"])
+
+
+def _part_within_half_a_digit(shown: str, exact, digits: int = 20) -> bool:
+    """Whether the decimal string shown is within half a unit of its last
+    (digits-th) significant digit of exact."""
+    value = mp.mpf(shown)
+    unit = mp.mpf(10) ** (mp.floor(mp.log10(abs(exact))) - digits + 1)
+    return abs(value - exact) <= unit / 2
+
+
+def test_cmpoints_j_digits_are_the_class_polynomial_roots(capsys):
+    # every printed digit is certified: each part of each j-value is within
+    # half a unit of its 20th significant digit of a root of H_-23, found at
+    # 300 bits, and the three values are the three roots
+    code, payload, _ = run_json(capsys, "cmpoints", "-23", "--j")
+    assert code == 0
+    with mp.workprec(300):
+        roots = mp.polyroots([1, 3491750, -5151296875, 12771880859375],
+                             maxsteps=200, extraprec=600)
+        matched = []
+        for point in payload["points"]:
+            parts = re.fullmatch(r"\(?(-?[0-9.]+)(?: ([+-]) ([0-9.]+)j\))?", point["j"])
+            assert parts, point["j"]
+            re_text, sign, im_text = parts.groups()
+            im_shown = mp.mpf(sign + im_text) if sign else mp.mpf(0)
+            root = min(roots, key=lambda r: abs(mp.mpf(re_text) - r.real)
+                       + abs(im_shown - r.imag))
+            assert _part_within_half_a_digit(re_text, root.real), (point["j"], root)
+            if sign:
+                assert _part_within_half_a_digit(sign + im_text, root.imag), (point["j"], root)
+            else:
+                assert abs(root.imag) < mp.mpf(10) ** -60
+            matched.append(root)
+        assert len({mp.nstr(r, 30) for r in matched}) == 3
 
 
 def test_modpoly_eval_value_and_zero(capsys):

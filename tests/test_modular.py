@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -79,11 +80,11 @@ def test_j_coefficients_grow_in_place(monkeypatch):
 
 def test_j_special_values():
     tol = mp.mpf(10) ** -60
-    assert abs(j_eval(QuadForm(1, 1, 1), CTX)) < tol
-    assert abs(j_eval(QuadForm(1, 0, 1), CTX) - 1728) < tol
-    assert abs(j_eval(QuadForm(1, 1, 2), CTX) + 3375) < tol
-    assert abs(j_eval(2j, CTX) - 287496) < tol  # 66^3
-    assert abs(j_eval(QuadForm(1, 0, 4), CTX) - 287496) < tol
+    assert abs(j_eval(QuadForm(1, 1, 1), CTX).value) < tol
+    assert abs(j_eval(QuadForm(1, 0, 1), CTX).value - 1728) < tol
+    assert abs(j_eval(QuadForm(1, 1, 2), CTX).value + 3375) < tol
+    assert abs(j_eval(2j, CTX).value - 287496) < tol  # 66^3
+    assert abs(j_eval(QuadForm(1, 0, 4), CTX).value - 287496) < tol
 
 
 def exact_j(z):
@@ -112,7 +113,7 @@ def assert_j_within_its_error(z, ctx):
         exact = exact_j(z.mpc(mp))
         # the oracle's own error is far below 2^(-3 prec) |j|
         slack = mp.mpf(2) ** (-3 * prec) * max(1, abs(exact))
-        assert abs(value - exact) <= value.error + slack, (z, ctx.mantissa_bits)
+        assert abs(value.value - exact) <= value.error + slack, (z, ctx.mantissa_bits)
     return value
 
 
@@ -163,8 +164,8 @@ def test_j_gamma_invariance():
             if not found:
                 continue
             w = (a * z + b) / (c * z + d)
-            diff = abs(j_eval(z, CTX) - j_eval(w, CTX))
-            assert diff <= 1e-50 * max(1, abs(j_eval(z, CTX)))
+            diff = abs(j_eval(z, CTX).value - j_eval(w, CTX).value)
+            assert diff <= 1e-50 * max(1, abs(j_eval(z, CTX).value))
 
 
 def test_fd_reduce():
@@ -193,7 +194,7 @@ def test_fd_reduce_terminates_on_the_unit_arc():
         assert abs(mp.re(z)) <= 0.5 + 1e-60
         assert abs((a * w + b) / (c * w + d) - z) < 1e-50
     # j is real on the arc, between j(zeta_3) = 0 and j(i) = 1728
-    value = j_eval(w, CTX)
+    value = j_eval(w, CTX).value
     assert abs(mp.im(value)) < 1e-50 and 0 < mp.re(value) < 1728
 
 
@@ -219,7 +220,7 @@ def test_coset_apply_exact():
 def test_modpoly_m1_is_j_difference():
     z1, z2 = QuadForm(1, 0, 1), QuadForm(1, 1, 1)
     v = modpoly_eval(1, z1, z2, CTX)
-    assert abs(v.value - (j_eval(z1, CTX) - j_eval(z2, CTX))) < 1e-50
+    assert abs(v.value - (j_eval(z1, CTX).value - j_eval(z2, CTX).value)) < 1e-50
     same = modpoly_eval(1, 1j, 1j, CTX)
     assert same.is_zero
 
@@ -231,7 +232,7 @@ def test_modpoly_against_classical_phi2():
             z1 = mp.mpc(rng.uniform(-0.4, 0.4), rng.uniform(0.9, 1.6))
             z2 = mp.mpc(rng.uniform(-0.4, 0.4), rng.uniform(0.9, 1.6))
             ours = modpoly_eval(2, z1, z2, CTX).value
-            oracle = PHI2(j_eval(z1, CTX), j_eval(z2, CTX))
+            oracle = PHI2(j_eval(z1, CTX).value, j_eval(z2, CTX).value)
             assert abs(ours - oracle) <= 1e-40 * abs(oracle)
 
 
@@ -379,7 +380,7 @@ def test_classpoly_roots():
         for d in (-15, -23, -31):
             coeffs = classpoly(d, CTX)
             for form in enumerate_reduced(d).reduced_forms:
-                root = j_eval(form, CTX)
+                root = j_eval(form, CTX).value
                 acc = mp.mpc(0)
                 for c in reversed(coeffs):
                     acc = acc * root + c
@@ -460,18 +461,18 @@ def test_j_value_cache_keyed_by_point():
     low, high = PrecisionContext(mantissa_bits=128), PrecisionContext(mantissa_bits=320)
     modular._jvalue_cache.pop(point, None)
     first = j_eval(point, high)
-    assert modular._jvalue_cache[point][0] == 320 + numerics.GUARD_BITS
+    assert modular._jvalue_cache[point].scale == 320 + numerics.GUARD_BITS
     assert j_eval(point, low) is first
     assert j_eval(QuadForm(41, -1, 1), low) is first  # reduces to the point
     assert j_eval(point, CTX.with_bits(640)) is not first
-    assert modular._jvalue_cache[point][0] == 640 + numerics.GUARD_BITS
+    assert modular._jvalue_cache[point].scale == 640 + numerics.GUARD_BITS
     assert all(isinstance(k, QuadForm) for k in modular._jvalue_cache)  # no precision in keys
 
 
 def test_j_eval_serves_the_inverse_class_as_the_conjugate(monkeypatch):
     # (2, -1, 3) is the inverse class of (2, 1, 3), at -conj z: its j-value is
     # the exact conjugate of the cached one, with the same bound, and no
-    # series runs; a finer request evaluates its own series
+    # series runs; a finer request runs one series, for the pair's key
     form, mirror = QuadForm(2, 1, 3), QuadForm(2, -1, 3)
     monkeypatch.setattr(modular, "_jvalue_cache", {})
     value = j_eval(form, CTX)
@@ -487,24 +488,31 @@ def test_j_eval_serves_the_inverse_class_as_the_conjugate(monkeypatch):
     assert (twin.re, twin.im, twin.err, twin.scale) == \
         (value.re, -value.im, value.err, value.scale)
     assert not calls
-    assert mirror not in modular._jvalue_cache
+    assert list(modular._jvalue_cache) == [form]  # one entry per class pair
     fresh = j_eval(mirror, CTX.with_bits(2 * CTX.mantissa_bits))
-    assert len(calls) == 1
-    assert abs(fresh - twin) <= fresh.error + twin.error
+    assert len(calls) == 1 and list(modular._jvalue_cache) == [form]
+    cached = modular._jvalue_cache[form]
+    assert cached.scale == fresh.scale and fresh == cached._replace(im=-cached.im)
+    assert abs(fresh.value - twin.value) <= fresh.error + twin.error
 
 
 def test_jvalue_table_round_trip(monkeypatch):
-    # the plain-integer table a sweep hands its pool workers: loaded into an
-    # empty cache it serves every request at or below its precision
-    plan = {QuadForm(2, 1, 3): 320, QuadForm(1, 1, 6): 128}
+    # the JValue records a sweep hands its pool workers, one per class pair:
+    # pickled and loaded into an empty cache, they serve every request at or
+    # below their precision
+    plan = {QuadForm(2, 1, 3): 192, QuadForm(1, 1, 6): 128, QuadForm(2, -1, 3): 320}
     monkeypatch.setattr(modular, "_jvalue_cache", {})
     table = modular.jvalue_table(plan, CTX)
-    assert all(isinstance(x, int) for row in table.values() for x in row)
+    assert list(table) == [QuadForm(2, 1, 3), QuadForm(1, 1, 6)]
+    assert table[QuadForm(2, 1, 3)].scale == 320 + numerics.GUARD_BITS
+    sent = pickle.loads(pickle.dumps(table))
+    assert sent == table and all(type(v) is modular.JValue for v in sent.values())
     modular._jvalue_cache.clear()
-    modular.load_jvalues(table)
+    modular.load_jvalues(sent)
     monkeypatch.setattr(modular, "_j_series", None)  # no series may run
     for form, bits in plan.items():
         value = j_eval(form, CTX.with_bits(bits))
-        assert (value.re, value.im, value.err, value.scale) == table[(form.a, form.b, form.c)]
-    modular.load_jvalues({(1, 1, 6): (0, 0, 0, 64)})  # coarser: ignored
-    assert modular._jvalue_cache[QuadForm(1, 1, 6)][0] == 128 + numerics.GUARD_BITS
+        cached = table[QuadForm(form.a, abs(form.b), form.c)]
+        assert value == (cached if form.b >= 0 else cached._replace(im=-cached.im))
+    modular.load_jvalues({QuadForm(1, 1, 6): modular.JValue(0, 0, 0, 64)})  # coarser: ignored
+    assert modular._jvalue_cache[QuadForm(1, 1, 6)].scale == 128 + numerics.GUARD_BITS

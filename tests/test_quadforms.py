@@ -91,6 +91,13 @@ def test_reduce_is_class_invariant():
             assert reduce_form(QuadForm(a, b, c)) == form
 
 
+def test_identity_is_the_principal_form():
+    # the principal form is the one reduced form with a = 1, so it sorts first
+    for d in range(-3, -2000, -1):
+        if d % 4 in (0, 1):
+            assert enumerate_reduced(d).identity == identity_form(d)
+
+
 def test_compose_group_axioms():
     for d in (-23, -20, -47, -48, -71, -108):
         group = enumerate_reduced(d)

@@ -7,6 +7,7 @@ from singmod import modular, verify
 from singmod.cmcycles import build_cycle
 from singmod.greens import G_k_m, TailBudgetError
 from singmod.numerics import PrecisionContext, PrecisionError, _q_int
+from singmod.quadforms import QuadFormError
 from singmod.verify import (
     Factorization,
     factor_norm,
@@ -138,6 +139,23 @@ def test_isogeny_witness():
     assert isogeny_witness(-4, -4, 2, CTX) is None  # zero value: no witness
 
 
+def test_isogeny_witness_invalid_input_raises_its_own_error():
+    # not a PrecisionError: nothing failed to certify
+    with pytest.raises(QuadFormError, match="discriminant"):
+        isogeny_witness(-5, -4, 1, CTX)
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        isogeny_witness(-4, -7, 0, CTX)
+
+
+def test_isogeny_witness_failed_certification_is_a_precision_error(monkeypatch):
+    # as in test_unresolved_cm_factor_is_an_error_not_a_zero: the norm never
+    # certifies, which is neither a zero nor invalid input
+    monkeypatch.setattr(modular, "_J_ERROR_UNITS", 1 << 65536)
+    monkeypatch.setattr(modular, "_jvalue_cache", {})
+    with pytest.raises(PrecisionError, match="short by inf bits"):
+        isogeny_witness(-3, -4, 1, CTX)
+
+
 def test_isogeny_witness_raises_without_a_prime(monkeypatch):
     # a norm whose trial division finds no prime is not a zero: no silent None
     monkeypatch.setattr(verify, "factor_norm",
@@ -240,6 +258,19 @@ def test_sweep_instances_policies():
         sweep_instances([-3], [-3], [1], "bogus")
 
 
+def test_sweep_rejects_an_invalid_discriminant(monkeypatch):
+    # -5 is no discriminant: the sweep raises before any work instead of
+    # dropping its instances in silence
+    def no_plan(*args):
+        raise AssertionError("the plan stage ran")
+
+    monkeypatch.setattr(verify, "plan_jvalues", no_plan)
+    with pytest.raises(QuadFormError):
+        sweep([-3, -5, 2], [-4], [1], CTX)
+    with pytest.raises(QuadFormError):
+        sweep_instances([-3, -4], [-4, -5], [1])
+
+
 def test_sweep_and_summary():
     reports = sweep([-3, -4, -7], [-3, -4, -7], [1, 2], CTX)
     assert len(reports) == len(
@@ -302,7 +333,9 @@ def test_serial_sweep_evaluates_each_planned_form_once(monkeypatch):
     monkeypatch.setattr(modular, "_j_series", counted_series)
     monkeypatch.setattr(verify, "verify_nonunit", watched_nonunit)
     reports = sweep(*grid, CTX, epsilons=(0.5,), factor=True)
-    assert len(plan) > 20 and len(series) == len(plan)
+    # one series per class pair: a class and its inverse share one
+    pairs = {(form.a, abs(form.b), form.c) for form in plan}
+    assert len(pairs) > 20 and len(series) == len(pairs) < len(plan)
     assert len(during) == len(reports) and not any(during)
 
 
