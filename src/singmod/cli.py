@@ -395,6 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # norms reach 14 932 bits (4 495 digits) on the acceptance grid, past
+    # Python's default 4 300-digit limit for int <-> str; the limit exists
+    # from 3.10.7 on
+    lift_limit = getattr(sys, "set_int_max_str_digits", None)
+    if lift_limit:
+        lift_limit(0)
     args = build_parser().parse_args(argv)
     if args.command == "greens" and not args.cycle and not (args.z1 and args.z2):
         print("error: greens needs --cycle or both --z1/--z2", file=sys.stderr)

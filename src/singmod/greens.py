@@ -10,18 +10,21 @@ walked around the higher reduced point, truncated at a cutoff with a tail
 bound: the orbit-point count up to cosh-distance T grows linearly in T, the
 kernel decays like t^(-s), so the tail is O(T^(1-s)).  The count slope is
 calibrated on the enumerated terms and doubled; the suite checks the bound
-against sums with a far smaller budget, but it is not proven.  Very small
-budgets are refused (TailBudgetError) instead of looping forever, and one
-that is not positive at once (ValueError).  Lattice sums take integer
-s >= 2 only; the bounds use k = 3, 5, 7 (Gross-Kohnen-Zagier).  One orbit
-enumeration serves every s asked for (k = 3, 5, 7 together); each s runs its
-own cutoff loop over the one sorted list, then trims its cutoff back to the
-least enumerated distance the tail bound accepts.  G_k_m is the one
-point-pair entry for G_k^m: k = 1 is the modular-polynomial logarithm, and
-k = 3, 5, 7 one walk per Hecke coset.  A cycle's G_k^m (G_ks_m_cycle) walks
-once per class-pair key (class_pair_key), every k from one enumeration.  The
-lattice kernel and tail constant are numerics._q_int, the one integer-order
-Legendre-Q route, batched by numerics._q_sum.  The point-pair kernel is
+against sums with a far smaller budget, but it is not proven.  Each loop
+starts at the cutoff where the predicted count, about 6 (T - 1) (the area
+2 pi (T - 1) of the disc over the covolume pi/3 of the group), would meet
+the budget, so one enumeration serves every s asked for (k = 3, 5, 7
+together); each s then checks the bound with its real count, grows if it
+must, and trims its cutoff back to the least enumerated distance the tail
+bound accepts.  Budgets whose predicted count is too large are refused
+(TailBudgetError) before any enumeration, and one that is not positive at
+once (ValueError).  Lattice sums take integer s >= 2 only; the bounds use
+k = 3, 5, 7 (Gross-Kohnen-Zagier).  G_k_m is the one point-pair entry for
+G_k^m: k = 1 is the modular-polynomial logarithm, and k = 3, 5, 7 one walk
+per Hecke coset.  A cycle's G_k^m (G_ks_m_cycle) walks once per class-pair
+key (class_pair_key), every k from one enumeration.  The lattice kernel and
+tail constant are numerics._q_int, the one integer-order Legendre-Q route,
+batched by numerics._q_sum.  The point-pair kernel is
 g_s_truncated, in mpf through numerics.legendre_Q; g_s is its one-term case.
 
 For Laplacian eigenfunction checks use gamma_orbit + g_s_truncated: every
@@ -149,10 +152,38 @@ def _tail_bound(s: int, t_cut: float, n_terms: int) -> float:
 
 
 _MAX_LATTICE_TERMS = 3_000_000
+# orbit points per unit of cosh distance: the hyperbolic disc of cosh radius T
+# has area 2 pi (T - 1), and the modular group's covolume is pi/3; the counts
+# of the chain-grid walks stay within 6% of it, and the predicted start
+# assumes this many times more, so that one enumeration almost always suffices
+_ORBIT_DENSITY = 6.0
+_COUNT_MARGIN = 1.1
 # the cutoff loop aims this far above the cutoff it predicts and grows by at
 # most this factor per step; the accepted cutoff is trimmed back afterwards
 _OVERSHOOT = 1.15
 _MAX_GROWTH = 64.0
+
+
+def _predicted_cutoff(s: int, t_start: float, target: float) -> float:
+    """The cutoff T >= t_start where _tail_bound with the orbit count
+    _COUNT_MARGIN _ORBIT_DENSITY (T - 1) meets target: four rescalings
+    T -> T (tail / target)^(1/(s-1)) from t_start, as the tail falls about
+    like T^(1-s).
+
+    Raises TailBudgetError when _ORBIT_DENSITY (T - 1) terms would exceed
+    _MAX_LATTICE_TERMS, so a hopeless budget is refused before any
+    enumeration.
+    """
+    t = t_start
+    for _ in range(4):
+        tail = _tail_bound(s, t, _COUNT_MARGIN * _ORBIT_DENSITY * (t - 1.0))
+        t = max(t_start, t * (tail / target) ** (1.0 / (s - 1.0)))
+    terms = _ORBIT_DENSITY * (t - 1.0) + 16
+    if not terms <= _MAX_LATTICE_TERMS:
+        raise TailBudgetError(
+            f"tail target {target:g} needs cosh cutoff ~{t:.3g} "
+            f"(~{terms:.3g} terms) at s = {s}; loosen tail_target")
+    return t
 
 
 def _trimmed(s: int, chs: list[float], t_start: float, n: int, target: float) -> int:
@@ -179,21 +210,23 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
     s >= 2 in ss.
 
     target must be positive (ValueError otherwise; a NaN would never stop
-    the cutoff loop).  Each s has its own cutoff loop: the cosh cutoff grows
-    until the tail bound drops below target; since the decay is only
-    T^(1-s), unreachable budgets raise TailBudgetError instead of spinning.  All s share one
-    orbit enumeration, kept as a sorted list of cosh distances; a loop counts
-    its terms by bisection and enumerates again only when it needs a cutoff
-    above the enumerated one.  Processing s in ascending order lets the
-    slowly decaying s = 3 set the enumeration that s = 5, 7 reuse.  The loop
-    overshoots its predicted cutoff a little; the cutoff it accepts is then
-    trimmed (_trimmed), never below its start, and only the terms up to the
-    trimmed cutoff are summed, in double precision with fsum.  Neither step
-    reads a distance beyond the loop's cutoff, so a result does not depend
-    on which s enumerated.  The result is aligned with ss.  G_s is
-    Gamma-invariant in each variable and symmetric, so cosh_translates walks
-    around the higher of the two reduced points, where its row count
-    (~ T / Im of the centre) is least.
+    the cutoff loop).  Each s has its own cutoff loop, which starts at the
+    cutoff _predicted_cutoff gives (refusing hopeless budgets there with
+    TailBudgetError, before any enumeration) and grows until the tail bound,
+    with the real term count, drops below target; since the decay is only
+    T^(1-s), unreachable budgets raise TailBudgetError instead of spinning.
+    All s share one orbit enumeration, kept as a sorted list of cosh
+    distances; a loop counts its terms by bisection and enumerates again
+    only when it needs a cutoff above the enumerated one, which the
+    predicted start makes rare.  Processing s in ascending order lets the
+    slowly decaying s = 3 set the enumeration that s = 5, 7 reuse.  The
+    cutoff a loop accepts is then trimmed (_trimmed), never below its
+    floor, and only the terms up to the trimmed cutoff are summed, in
+    double precision with fsum.  Neither step reads a distance beyond the
+    loop's cutoff, so a result does not depend on which s enumerated.  The
+    result is aligned with ss.  G_s is Gamma-invariant in each variable and
+    symmetric, so cosh_translates walks around the higher of the two reduced
+    points, where its row count (~ T / Im of the centre) is least.
     """
     if not target > 0:
         raise ValueError(f"tail target must be positive, got {target}")
@@ -206,7 +239,7 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
     chs: list[float] = []
     out = {}
     for s in sorted(set(ss)):
-        t_cut = t_start
+        t_cut = _predicted_cutoff(s, t_start, target)
         while True:
             if t_cut > t_enum:
                 chs = cosh_translates(centre, other, t_cut)

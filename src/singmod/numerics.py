@@ -5,15 +5,13 @@ at a precision carried by a PrecisionContext.  The Legendre function of the
 second kind at integer order n has one route, _q_int: in mpf, the upward
 three-term recurrence from Q_0(t) = artanh(1/t) with guard bits for its
 cancellation; for double-precision arguments, that recurrence near t = 1,
-the backward (Miller) recurrence elsewhere below t = 2, and at t >= 2 the
-descending series t^(-(n+1)) sum_j a_j u^j in u = 1/t^2, cut at a fixed
-degree J per t-band (t >= 64, 16, 4, 2) and evaluated by Horner.  All terms
-are positive, so the remainder is at most a_(J+1) u^(J+1) / (1 - rho u)
-with rho the largest later term ratio (above 1 for small j once n >= 3);
-each band's J is the least one putting this below 2^-53 times the sum at
-the band's lower edge, except the top band, whose degree is fixed at 4 and
-whose edge moves up from 64 until that degree suffices.  _q_sum adds Q_n
-over many arguments, the top band unrolled.  legendre_Q is the one mpf
+the backward (Miller) recurrence elsewhere below t = 2, and from t = 2 on
+Q_n(t) = t^(-(n+1)) F(u) in u = 1/t^2, where F's series has positive
+coefficients.  F is evaluated by degree-6 Taylor polynomials on equal
+u-cells up to the top edge (64 for every n <= 20), and above it by F's own
+series cut at degree 4; both are within 2^-53 of F (_q_cells, _q_top_band).
+_q_sum adds Q_n over many arguments with the same arithmetic, one
+comprehension per route.  legendre_Q is the one mpf
 entry for Q_{s-1}(t): the route at integer s >= 1, mpmath's legenq at any
 other s, at the context precision.  Its oracle is legendre_Q_num, direct
 quadrature of the integral representation, truncated at 2^-mantissa_bits,
@@ -94,20 +92,37 @@ def legendre_P(n: int, t):
     return p
 
 
-# the top t-band has this fixed degree; its lower edge starts here and
+# Q_n(t) = t^(-(n+1)) F(u), u = 1/t^2, F(u) = sum_j a_j u^j with every a_j > 0.
+# t >= top: F cut at this fixed degree (the top band); its edge starts here and
 # doubles until the degree suffices (64 for every n <= 20)
 _Q_TOP_DEGREE = 4
 _Q_TOP_EDGE = 64.0
-# lower edges of the other t-bands; each band has its own degree
-_Q_BANDS = (16.0, 4.0, 2.0)
-_Q_HORNER: dict[int, tuple[tuple[float, tuple[float, ...]], ...]] = {}
+# 2 <= t < top: the degree of each Taylor cell's polynomial in u
+_Q_CELL_DEGREE = 6
+# fixed-point bits of the cell coefficients below a_0
+_Q_CELL_GUARD = 64
+# abscissae u = v < 1 at which F bounds the cells' remainders (Cauchy majorant)
+_Q_MAJORANT_AT = (0.375, 0.5, 0.625, 0.75, 0.875, 0.9375)
+_Q_TABLES: dict[int, tuple] = {}
 
 
-def _q_horner_bands(n: int) -> tuple[tuple[float, tuple[float, ...]], ...]:
-    """(lower edge t0, coefficients a_J..a_0) per t-band, for Q_n with t >= 2.
+def _q_table(n: int) -> tuple:
+    """(top, (a_4, ..., a_0), 4K, cells) for Q_n with float t >= 2, built once.
 
-    Q_n(t) = t^(-(n+1)) sum_j a_j u^j with u = 1/t^2, a_0 = 2^n n!^2/(2n+1)!
-    and the term ratio r_j = a_(j+1)/a_j
+    t >= top runs F's degree-4 top band (_q_top_band); 2 <= t < top the
+    Taylor cells of _q_cells, which u = 1/t^2 indexes as cells[int(u 4K)].
+    """
+    table = _Q_TABLES.get(n)
+    if table is None:
+        table = _Q_TABLES[n] = _q_top_band(n) + _q_cells(n)
+    return table
+
+
+def _q_top_band(n: int) -> tuple[float, tuple[float, ...]]:
+    """(top, (a_4, ..., a_0)): F cut after degree 4 is within 2^-53 of F at
+    every t >= top.
+
+    a_0 = 2^n n!^2/(2n+1)! and the term ratio is r_j = a_(j+1)/a_j
     = ((n+1)/2 + j)((n+2)/2 + j) / ((n + 3/2 + j)(1 + j)).  Every term is
     positive, so truncating after degree J leaves the remainder
 
@@ -115,42 +130,102 @@ def _q_horner_bands(n: int) -> tuple[tuple[float, tuple[float, ...]], ...]:
 
     and the partial sum is at least a_0.  r_j > 1 exactly when
     j < (n^2 - n - 4)/4 (for n >= 3 the first ratios exceed 1), so rho is the
-    largest of 1 and the r_j with J < j below that crossing.  A degree J
-    fits a band when rho u < 1 and R_J <= 2^-53 a_0 at the band's lower edge
-    t0; since R_J falls with u, the bound then holds on the whole band.  The
-    top band has degree _Q_TOP_DEGREE and the least edge _Q_TOP_EDGE 2^i
-    that it fits; every other band takes the least J that fits.
+    largest of 1 and the r_j with J < j below that crossing.  The edge is the
+    least _Q_TOP_EDGE 2^i with rho u < 1 and R_4 <= 2^-53 a_0 there; since
+    R_4 falls with u, the bound then holds above it.
     """
-    bands = _Q_HORNER.get(n)
-    if bands is not None:
-        return bands
-
     def ratio(j):
         return (0.5 * (n + 1) + j) * (0.5 * (n + 2) + j) / ((n + 1.5 + j) * (1.0 + j))
 
     a = [1.0]
     for i in range(1, n + 1):
         a[0] *= i / (2.0 * i + 1.0)
+    for j in range(_Q_TOP_DEGREE + 1):
+        a.append(a[-1] * ratio(j))
     crossing = (n * n - n - 4) // 4 + 1
-
-    def fits(J, t0):
-        while len(a) < J + 2:
-            a.append(a[-1] * ratio(len(a) - 1))
-        u = 1.0 / (t0 * t0)
-        rho = max([1.0] + [ratio(j) for j in range(J + 1, crossing + 1)])
-        return rho * u < 1.0 and a[J + 1] * u ** (J + 1) / (1.0 - rho * u) <= 2.0 ** -53 * a[0]
-
+    rho = max([1.0] + [ratio(j) for j in range(_Q_TOP_DEGREE + 1, crossing + 1)])
     top = _Q_TOP_EDGE
-    while not fits(_Q_TOP_DEGREE, top):
+    while True:
+        u = 1.0 / (top * top)
+        if rho * u < 1.0 and a[-1] * u ** (_Q_TOP_DEGREE + 1) / (1.0 - rho * u) <= 2.0 ** -53 * a[0]:
+            return top, tuple(reversed(a[:-1]))
         top *= 2.0
-    out = [(top, tuple(reversed(a[:_Q_TOP_DEGREE + 1])))]
-    for t0 in _Q_BANDS:
-        J = 0
-        while not fits(J, t0):
-            J += 1
-        out.append((t0, tuple(reversed(a[:J + 1]))))
-    bands = _Q_HORNER[n] = tuple(out)
-    return bands
+
+
+def _q_cells(n: int) -> tuple[float, tuple[tuple[float, ...], ...]]:
+    """(4K, cells): F's degree-6 Taylor polynomials on K equal cells of
+    u in [0, 1/4], that is t >= 2.
+
+    Cell i covers |u - c| <= h, c = (2i + 1) h, h = 1/(8K), and holds
+    (c, b_6, ..., b_0) with b_k = F^(k)(c)/k!; a last copy of cell K - 1
+    serves u = 1/4 exactly, where int(u 4K) = K.  The b_k are positive, as
+    F's coefficients are, so F(c + r) >= b_k r^k for 0 < r < 1 - c
+    (Cauchy majorant) and the remainder on the cell is
+
+        R <= F(c + r) (h/r)^7 / (1 - h/r).
+
+    K doubles from 1 until R <= 2^-53 (b_0 - b_1 h) in every cell, against
+    the least F(v) (h/(v - c))^7 / (1 - h/(v - c)) over v in
+    _Q_MAJORANT_AT, where F(v) is the float route below t = 2 with a 1%
+    margin.  b_0 - b_1 h <= F on the cell (F is convex), so the relative
+    remainder is at most 2^-53.  The last cell is checked first, since its
+    bound is the loosest.  The b_k are the Taylor shift (repeated synthetic
+    division by u - c) of F's series in fixed point, a_0 ~ 2^72, cut where
+    the rest is below 2^-64 a_0 on the cell: from the degree where
+    r_j <= 2 on, each term at u <= 1/4 is at most half the one before, and
+    the cut changes no coefficient by more than the rest at u = c + h.
+    """
+    guard = _Q_CELL_GUARD
+    num = 2 ** n * math.factorial(n) ** 2
+    den = math.factorial(2 * n + 1)
+    point = guard + 8 + den.bit_length() - num.bit_length()
+    a = [(num << point) // den]
+    half = None
+    while half is None or a[-1] >> 2 * (len(a) - 1) >= a[0] >> guard + 1:
+        j = len(a) - 1
+        rn, rd = (n + 1 + 2 * j) * (n + 2 + 2 * j), 2 * (2 * n + 3 + 2 * j) * (j + 1)
+        if half is None and rn <= 2 * rd:
+            half = j
+        a.append(a[-1] * rn // rd)
+    log_a = [math.log2(x) - math.log2(a[0]) if x else -math.inf for x in a]
+    majorants = [(v, 1.01 * _q_int(n, v ** -0.5) * v ** (-0.5 * (n + 1)))
+                 for v in _Q_MAJORANT_AT]
+
+    def cell(i, degree, shift, h):
+        odd = 2 * i + 1
+        c = odd * h
+        top = len(a) - 1
+        lu = math.log2(c + h)
+        while top > max(degree, half) and log_a[top] + top * lu < -guard - 2:
+            top -= 1
+        b = a[:top + 1]
+        for k in range(degree + 1):
+            acc = b[top]
+            for j in range(top - 1, k - 1, -1):
+                acc = b[j] + (acc * odd >> shift)
+                b[j] = acc
+        return c, [math.ldexp(x, -point) for x in b[:degree + 1]]
+
+    def fits(c, b, h):
+        rest = min(fv * (h / (v - c)) ** (_Q_CELL_DEGREE + 1) / (1.0 - h / (v - c))
+                   for v, fv in majorants if v - c > h)
+        return rest <= 2.0 ** -53 * (b[0] - b[1] * h)
+
+    count = 1
+    while True:
+        shift = (8 * count).bit_length() - 1
+        h = 1.0 / (8 * count)
+        if fits(*cell(count - 1, 1, shift, h), h):
+            cells = []
+            for i in range(count):
+                c, b = cell(i, _Q_CELL_DEGREE, shift, h)
+                if not fits(c, b, h):
+                    break
+                cells.append((c,) + tuple(reversed(b)))
+            else:
+                cells.append(cells[-1])
+                return 4.0 * count, tuple(cells)
+        count *= 2
 
 
 def _q_backward(n: int, t: float, xi: float, q0: float) -> float:
@@ -174,10 +249,10 @@ def _q_int(n: int, t):
 
     The upward three-term recurrence amplifies the rounding of Q_0 about
     e^((2n+1) xi) times in the recessive Q_n, xi = arccosh t.  So in float,
-    t >= 2 takes the descending series in u = 1/t^2, cut at a fixed degree
-    per t-band and evaluated by Horner (see _q_horner_bands for the
-    remainder bound, at most 2^-53 relative); below, the upward recurrence
-    stays where (2n + 1) xi <= 2, near t = 1, and _q_backward runs elsewhere.
+    t >= 2 takes t^(-(n+1)) F(1/t^2), F from its Taylor cell below the top
+    edge and from the top band above it (_q_table; remainder at most 2^-53
+    relative); below t = 2, the upward recurrence stays where
+    (2n + 1) xi <= 2, near t = 1, and _q_backward runs elsewhere.
     The mpf path keeps the upward recurrence and works with (2n + 1) (mag(t)
     + 1) extra bits, mag(t) >= log2 t, which covers its loss of about
     (2n + 1) xi / ln 2 bits since xi < ln 2t.  That loss exceeds a 272-bit
@@ -188,13 +263,14 @@ def _q_int(n: int, t):
         with mp.extraprec((2 * n + 1) * (mp.mag(t) + 1)):
             return _q_up(n, t, mp.log((t + 1) / (t - 1)) / 2)
     if t >= 2.0:
-        for t0, coeffs in _Q_HORNER.get(n) or _q_horner_bands(n):
-            if t >= t0:
-                break
+        top, (c4, c3, c2, c1, c0), k4, cells = _Q_TABLES.get(n) or _q_table(n)
         u = 1.0 / (t * t)
-        p = 0.0
-        for a in coeffs:
-            p = p * u + a
+        if t >= top:
+            p = (((c4 * u + c3) * u + c2) * u + c1) * u + c0
+        else:
+            c, b6, b5, b4, b3, b2, b1, b0 = cells[int(u * k4)]
+            v = u - c
+            p = (((((b6 * v + b5) * v + b4) * v + b3) * v + b2) * v + b1) * v + b0
         return p * t ** -(n + 1)
     q0 = math.log((t + 1) / (t - 1)) / 2
     xi = math.acosh(t)
@@ -216,16 +292,21 @@ def _q_up(n: int, t, q0):
 def _q_sum(n: int, ts) -> float:
     """fsum of _q_int(n, t) over the ascending floats ts.
 
-    The arguments in the top t-band run through its degree-4 Horner step
-    unrolled in one comprehension, the same arithmetic as _q_int; the rest
-    go through _q_int.
+    The arguments from t = 2 on run through the Taylor cells and the top
+    band in one comprehension each, the same arithmetic as _q_int; those
+    below 2 go through _q_int.
     """
-    top, (c4, c3, c2, c1, c0) = _q_horner_bands(n)[0]
-    i = bisect_left(ts, top)
+    top, (c4, c3, c2, c1, c0), k4, cells = _q_table(n)
+    lo = bisect_left(ts, 2.0)
+    hi = bisect_left(ts, top, lo)
     e = -(n + 1)
-    terms = [_q_int(n, t) for t in ts[:i]]
+    terms = [_q_int(n, t) for t in ts[:lo]]
+    terms += [((((((b6 * v + b5) * v + b4) * v + b3) * v + b2) * v + b1) * v + b0) * t ** e
+              for t in ts[lo:hi] for u in (1.0 / (t * t),)
+              for c, b6, b5, b4, b3, b2, b1, b0 in (cells[int(u * k4)],)
+              for v in (u - c,)]
     terms += [((((c4 * u + c3) * u + c2) * u + c1) * u + c0) * t ** e
-              for t in ts[i:] for u in (1.0 / (t * t),)]
+              for t in ts[hi:] for u in (1.0 / (t * t),)]
     return math.fsum(terms)
 
 

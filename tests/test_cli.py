@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import sys
 
 import mpmath as mp
 import pytest
@@ -176,6 +177,21 @@ def test_norm_zero_exit_ok(capsys):
     assert code == 0
     assert payload["status"] == "zero"
     assert payload["singular_pair"]
+
+
+def test_norm_past_the_int_str_digit_limit(capsys):
+    # N has 14 932 bits, 4 495 decimal digits: past Python's default limit of
+    # 4 300 for int <-> str, which main lifts before printing the norm
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        code, payload, _ = run_json(capsys, "norm", "-39", "-47", "4")
+        assert code == 0 and payload["status"] == "ok"
+        assert int(payload["norm"]).bit_length() == 14932
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_norm_bad_input(capsys):

@@ -270,6 +270,39 @@ def test_trimmed_tail_honest_on_chain_grid_walks(m):
             assert g.value - d.value <= g.tail_bound, (f1, f2, g, d)
 
 
+def _spy_on_enumeration(monkeypatch) -> list:
+    """The argument tuples of every cosh_translates call the lattice sums make."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return cosh_translates(*args)
+
+    monkeypatch.setattr(greens, "cosh_translates", spy)
+    return calls
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_chain_grid_walks_enumerate_once(monkeypatch, m):
+    # the predicted start meets the tail budget on every chain-grid walk, so
+    # each walk enumerates its orbit once for k = 3, 5, 7 together
+    calls = _spy_on_enumeration(monkeypatch)
+    share = 1e-3 / len(hecke_cosets(m))
+    keys = _chain_grid_keys(m)
+    for f1, f2 in keys:
+        _lattice_sums((3, 5, 7), f1.approx(), f2.approx(), share)
+    assert len(calls) == len(keys)
+
+
+def test_hopeless_budget_refused_before_enumerating(monkeypatch):
+    # the refusal runs on the predicted start; enumerating at the cutoff
+    # this budget needs (~1e20) would never finish
+    calls = _spy_on_enumeration(monkeypatch)
+    with pytest.raises(TailBudgetError):
+        G_s_sum(2, Z1, Z2, tail_target=1e-25)
+    assert calls == []
+
+
 def test_q_decay_const_integer_route_matches_legenq():
     # integer s takes the float Q route; the general evaluator is the oracle
     for s in (3, 5, 7):

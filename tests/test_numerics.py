@@ -9,9 +9,9 @@ from singmod.numerics import (
     IntegerRecognitionError,
     PrecisionContext,
     PrecisionError,
-    _q_horner_bands,
     _q_int,
     _q_sum,
+    _q_table,
     integer_recognize,
     legendre_P,
     legendre_Q,
@@ -84,13 +84,11 @@ def test_Q_closed_vs_quadrature():
 def test_Q_float_route_vs_quadrature():
     # the double-precision path the lattice sums run on: below t = 2 the
     # upward recurrence near t = 1 and the backward recurrence elsewhere;
-    # from t = 2 on, the banded Horner series at each band edge and just
-    # either side of it; all held to 1e-13.  The oracle's absolute tail,
-    # 2^-256 ~ 1e-77, is far below Q_6(1e4) ~ 1e-31.
+    # from t = 2 on, the Taylor cells and then the top band, at its edge and
+    # just either side of it; all held to 1e-13.  The oracle's absolute
+    # tail, 2^-256 ~ 1e-77, is far below Q_6(1e4) ~ 1e-31.
     ts = [1.01, 1.1, 1.3, 1.5, 1.7, 1.9, 2.0 - 1e-9, 2.0, 2.0 + 1e-9, 3.0,
-          10.0, 1000.0, 1e4]
-    for edge in (4.0, 16.0, 64.0):
-        ts += [edge - 1e-9, edge, edge + 1e-9]
+          10.0, 1000.0, 1e4, 64.0 - 1e-9, 64.0, 64.0 + 1e-9]
     for n in range(7):
         for t in ts:
             a = _q_int(n, t)
@@ -98,22 +96,48 @@ def test_Q_float_route_vs_quadrature():
             assert abs(a - b) <= 1e-13 * abs(b)
 
 
+def _cell_edges(n):
+    """t = 2, the t at each Taylor-cell boundary and one float either side,
+    and the last float below the top band's edge."""
+    top, _, k4, cells = _q_table(n)
+    ts = [2.0, math.nextafter(2.0, 3.0), math.nextafter(top, 0.0)]
+    for i in range(1, len(cells)):
+        t = (i / k4) ** -0.5
+        ts += [math.nextafter(t, 0.0), t, math.nextafter(t, 3.0)]
+    return [t for t in ts if 2.0 <= t < top]
+
+
 def test_q_sum_matches_fsum_of_q_int():
-    # the batched sum runs the top band unrolled; _q_int is its oracle,
-    # across every band edge, below t = 2 and far into the top band
+    # the batched sum runs the Taylor cells and the top band in one
+    # comprehension each; _q_int is its oracle, below t = 2, at every cell
+    # edge and far into the top band
     rng = random.Random(7)
-    ts = [1.01, 1.5, 2.0 - 1e-9, 2.0, 3.0, 1e4, 1e6]
-    for edge in (4.0, 16.0, 64.0, 128.0):
+    ts = [1.01, 1.5, 2.0 - 1e-9, 3.0, 1e4, 1e6]
+    for edge in (64.0, 128.0):
         ts += [edge - 1e-9, math.nextafter(edge, 0.0), edge, edge + 1e-9]
     ts += [rng.uniform(1.001, 200.0) for _ in range(300)]
-    ts.sort()
     for n in (0, 2, 4, 6, 30):
-        want = math.fsum(_q_int(n, t) for t in ts)
-        assert _q_sum(n, ts) == pytest.approx(want, rel=1e-15, abs=0.0)
-        top = [t for t in ts if t >= 64.0]
+        ns = sorted(ts + _cell_edges(n))
+        want = math.fsum(_q_int(n, t) for t in ns)
+        assert _q_sum(n, ns) == pytest.approx(want, rel=1e-15, abs=0.0)
+        top = [t for t in ns if t >= 64.0]
         assert _q_sum(n, top) == pytest.approx(
             math.fsum(_q_int(n, t) for t in top), rel=1e-15, abs=0.0)
     assert _q_sum(2, []) == 0.0
+
+
+@pytest.mark.parametrize("n", list(range(9)) + [20, 30])
+def test_q_cells_match_legenq(n):
+    # every Taylor cell, at its edges, centre and either side of each
+    # boundary, against mpmath's general evaluator at 120 bits
+    top, _, k4, cells = _q_table(n)
+    ts = _cell_edges(n) + [((i + 0.5) / k4) ** -0.5 for i in range(len(cells) - 1)]
+    with mp.workprec(120):
+        for t in ts:
+            if t >= top:
+                continue
+            want = mp.legenq(n, 0, mp.mpf(t), type=3).real
+            assert abs(_q_int(n, t) - want) <= 1e-15 * want, t
 
 
 def test_q_top_band_has_fixed_degree():
@@ -122,12 +146,13 @@ def test_q_top_band_has_fixed_degree():
     # Q_30(128) ~ 7e-76: the oracle's absolute tail needs 2^-300, not 2^-256
     oracle = CTX.with_bits(300)
     for n in range(41):
-        bands = _q_horner_bands(n)
-        top, coeffs = bands[0]
+        top, coeffs, k4, cells = _q_table(n)
         assert len(coeffs) == 5
-        assert top >= 64.0 and top > bands[1][0]
-    assert _q_horner_bands(20)[0][0] == 64.0
-    assert _q_horner_bands(30)[0][0] == 128.0
+        assert top >= 64.0
+        # K cells cover u = 1/t^2 in [0, 1/4], and a copy of the last serves u = 1/4
+        assert len(cells) - 1 == k4 / 4.0 and cells[-1] == cells[-2]
+    assert _q_table(20)[0] == 64.0
+    assert _q_table(30)[0] == 128.0
     for t in (128.0, 300.0):
         assert _q_int(30, t) == pytest.approx(
             float(legendre_Q_num(31, t, oracle)), rel=1e-13)
