@@ -5,14 +5,15 @@ Subcommands: classpoly, cmpoints, modpoly-eval, norm, greens, sweep.
 Exit code contract (scientifically meaningful, do not conflate 1 and 2):
   0  every requested assertion passed, or the value is legally zero
   1  an assertion failed, i.e. a numerical counterexample to a claimed bound
-  2  computational failure (precision exhausted, tail budget, bad input)
+  2  computational failure (precision exhausted, tail budget, numeric
+     overflow, bad input)
 
 A sweep with both counterexamples and failed instances exits 1.  norm and
 sweep run verify.verify_instance, which records a failed instance in its
 report, and take their exit code from the summarize() tally of the reports.
 Every exception that means exit 2 (PrecisionError, TailBudgetError,
-ValueError and its subclasses QuadFormError, SingularityError) is mapped in
-main alone; the subcommands catch nothing.
+OverflowError, ValueError and its subclasses QuadFormError,
+SingularityError) is mapped in main alone; the subcommands catch nothing.
 
 Big integers are serialized as decimal strings in JSON output so results
 survive any JSON parser.  Point arguments accept three spellings: a negative
@@ -415,6 +416,9 @@ def main(argv=None) -> int:
         return EXIT_COMPUTE
     except TailBudgetError as err:
         print(f"tail budget: {err}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except OverflowError as err:
+        print(f"numeric overflow: {err}", file=sys.stderr)
         return EXIT_COMPUTE
     except ValueError as err:
         print(f"invalid input: {err}", file=sys.stderr)

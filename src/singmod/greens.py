@@ -10,21 +10,21 @@ walked around the higher reduced point, truncated at a cutoff with a tail
 bound: the orbit-point count up to cosh-distance T grows linearly in T, the
 kernel decays like t^(-s), so the tail is O(T^(1-s)).  The count slope is
 calibrated on the enumerated terms and doubled; the suite checks the bound
-against sums with a far smaller budget, but it is not proven.  Each loop
-starts at the cutoff where the predicted count, about 6 (T - 1) (the area
-2 pi (T - 1) of the disc over the covolume pi/3 of the group), would meet
-the budget, so one enumeration serves every s asked for (k = 3, 5, 7
-together); each s then checks the bound with its real count, grows if it
-must, and trims its cutoff back to the least enumerated distance the tail
-bound accepts.  Budgets whose predicted count is too large are refused
-(TailBudgetError) before any enumeration, and one that is not positive at
-once (ValueError).  Lattice sums take integer s >= 2 only; the bounds use
-k = 3, 5, 7 (Gross-Kohnen-Zagier).  G_k_m is the one point-pair entry for
-G_k^m: k = 1 is the modular-polynomial logarithm, and k = 3, 5, 7 one walk
-per Hecke coset.  A cycle's G_k^m (G_ks_m_cycle) walks once per class-pair
-key (class_pair_key), every k from one enumeration.  The lattice kernel and
-tail constant are numerics._q_int, the one integer-order Legendre-Q route,
-batched by numerics._q_sum.  The point-pair kernel is
+against sums with a far smaller budget, but it is not proven.  Each s has
+one cutoff rule: predict the cutoff where the count about 6 (T - 1) (the
+area 2 pi (T - 1) of the disc over the covolume pi/3 of the group) would
+meet the budget, check the bound there with the real count, and on failure
+predict again from twice the cutoff.  The start is predicted well enough
+that one enumeration serves every s asked for (k = 3, 5, 7 together).
+Every prediction refuses a budget whose count is too large
+(TailBudgetError) before enumerating, and a budget that is not positive is
+refused at once (ValueError).  Lattice sums take integer s >= 2 only; the
+bounds use k = 3, 5, 7 (Gross-Kohnen-Zagier).  G_k_m is the one point-pair
+entry for G_k^m: k = 1 is the modular-polynomial logarithm, and k = 3, 5, 7
+one walk per Hecke coset.  A cycle's G_k^m (G_ks_m_cycle) walks once per
+class-pair key (class_pair_key), every k from one enumeration.  The lattice
+kernel and tail constant are numerics._q_int, the one integer-order
+Legendre-Q route, batched by numerics._q_sum.  The point-pair kernel is
 g_s_truncated, in mpf through numerics.legendre_Q; g_s is its one-term case.
 
 For Laplacian eigenfunction checks use gamma_orbit + g_s_truncated: every
@@ -113,7 +113,10 @@ class GreensValue:
 
     Every omitted term is negative, so the exact sum lies in
     [value - tail_bound, value] whenever the bound holds; see _tail_bound
-    for how far it is established.
+    for how far it is established.  cosh_cutoff is the cutoff the loop of
+    _lattice_sums accepted, and terms the orbit points up to it (over
+    several walks, the largest cutoff and the summed count; inf for the
+    modular-polynomial G_1^m).
     """
 
     value: float
@@ -126,10 +129,13 @@ class GreensValue:
 
 
 def _q_decay_const(s: int, t_cut: float) -> float:
-    """q with Q_{s-1}(t) <= q * t^(-s) for t >= t_cut (asymptotically sharp)."""
-    # limit of t^s Q_{s-1}(t) is sqrt(pi) Gamma(s) / (Gamma(s+1/2) 2^s)
-    c_inf = math.sqrt(math.pi) * math.gamma(s) / (math.gamma(s + 0.5) * 2.0 ** s)
-    return 2.0 * max(c_inf, _q_int(s - 1, float(t_cut)) * t_cut ** s)
+    """q with Q_{s-1}(t) <= q t^(-s) for t >= t_cut, with a factor 2 to spare.
+
+    t^s Q_{s-1}(t) = c F(1/t^2), F a hypergeometric series with positive
+    coefficients and F(0) = 1, so it falls in t towards its limit c; q is
+    twice its value at t_cut.
+    """
+    return 2.0 * t_cut ** s * _q_int(s - 1, float(t_cut))
 
 
 def gamma_orbit(z1, z2, cosh_cut: float) -> tuple[tuple[int, int, int, int], ...]:
@@ -154,14 +160,10 @@ def _tail_bound(s: int, t_cut: float, n_terms: int) -> float:
 _MAX_LATTICE_TERMS = 3_000_000
 # orbit points per unit of cosh distance: the hyperbolic disc of cosh radius T
 # has area 2 pi (T - 1), and the modular group's covolume is pi/3; the counts
-# of the chain-grid walks stay within 6% of it, and the predicted start
+# of the chain-grid walks stay within 6% of it, and the predicted cutoff
 # assumes this many times more, so that one enumeration almost always suffices
 _ORBIT_DENSITY = 6.0
 _COUNT_MARGIN = 1.1
-# the cutoff loop aims this far above the cutoff it predicts and grows by at
-# most this factor per step; the accepted cutoff is trimmed back afterwards
-_OVERSHOOT = 1.15
-_MAX_GROWTH = 64.0
 
 
 def _predicted_cutoff(s: int, t_start: float, target: float) -> float:
@@ -170,9 +172,10 @@ def _predicted_cutoff(s: int, t_start: float, target: float) -> float:
     T -> T (tail / target)^(1/(s-1)) from t_start, as the tail falls about
     like T^(1-s).
 
-    Raises TailBudgetError when _ORBIT_DENSITY (T - 1) terms would exceed
-    _MAX_LATTICE_TERMS, so a hopeless budget is refused before any
-    enumeration.
+    The cutoff loop starts here and, when the real count fails the bound,
+    calls it again from twice the failed cutoff.  Raises TailBudgetError
+    when _ORBIT_DENSITY (T - 1) terms would exceed _MAX_LATTICE_TERMS, so a
+    hopeless budget is refused before any enumeration.
     """
     t = t_start
     for _ in range(4):
@@ -186,47 +189,28 @@ def _predicted_cutoff(s: int, t_start: float, target: float) -> float:
     return t
 
 
-def _trimmed(s: int, chs: list[float], t_start: float, n: int, target: float) -> int:
-    """Index in the sorted chs of the least distance T > t_start with
-    _tail_bound(s, T, terms up to T) <= target, by bisection; n when none.
-
-    The cutoff loop accepted the first n distances, so index n stands for
-    its cutoff and passes.  Bisection keeps an index that passes, so the
-    result always passes even where the bound is not monotone in T.
-    """
-    lo, hi = bisect_right(chs, t_start, 0, n), n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        t = chs[mid]
-        if _tail_bound(s, t, bisect_right(chs, t, mid, n)) <= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
-
-
 def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensValue]:
     """Sums of g_s(c1, gamma c2) over the modular group for each integer
     s >= 2 in ss.
 
     target must be positive (ValueError otherwise; a NaN would never stop
-    the cutoff loop).  Each s has its own cutoff loop, which starts at the
-    cutoff _predicted_cutoff gives (refusing hopeless budgets there with
-    TailBudgetError, before any enumeration) and grows until the tail bound,
-    with the real term count, drops below target; since the decay is only
-    T^(1-s), unreachable budgets raise TailBudgetError instead of spinning.
-    All s share one orbit enumeration, kept as a sorted list of cosh
-    distances; a loop counts its terms by bisection and enumerates again
-    only when it needs a cutoff above the enumerated one, which the
-    predicted start makes rare.  Processing s in ascending order lets the
-    slowly decaying s = 3 set the enumeration that s = 5, 7 reuse.  The
-    cutoff a loop accepts is then trimmed (_trimmed), never below its
-    floor, and only the terms up to the trimmed cutoff are summed, in
-    double precision with fsum.  Neither step reads a distance beyond the
-    loop's cutoff, so a result does not depend on which s enumerated.  The
-    result is aligned with ss.  G_s is Gamma-invariant in each variable and
-    symmetric, so cosh_translates walks around the higher of the two reduced
-    points, where its row count (~ T / Im of the centre) is least.
+    the cutoff loop).  Each s has one cutoff rule: its cutoff starts at
+    _predicted_cutoff(s, t_start, target), and while _tail_bound with the
+    real term count exceeds target it becomes _predicted_cutoff(s, 2 T,
+    target), T the failed cutoff.  The cutoff at least doubles per step, so
+    an unreachable budget meets the TailBudgetError of _predicted_cutoff,
+    which is raised before enumerating.  All s share one orbit enumeration,
+    kept as a sorted list of cosh distances; a loop counts its terms by
+    bisection and enumerates again only when it needs a cutoff above the
+    enumerated one, which the predicted start makes rare.  Processing s in
+    ascending order lets the slowly decaying s = 3 set the enumeration that
+    s = 5, 7 reuse.  The terms up to the accepted cutoff, which is the
+    result's cosh_cutoff, are summed in double precision with fsum.  No
+    step reads a distance beyond the loop's cutoff, so a result does not
+    depend on which s enumerated.  The result is aligned with ss.  G_s is
+    Gamma-invariant in each variable and symmetric, so cosh_translates
+    walks around the higher of the two reduced points, where its row count
+    (~ T / Im of the centre) is least.
     """
     if not target > 0:
         raise ValueError(f"tail target must be positive, got {target}")
@@ -249,19 +233,7 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
             tail = _tail_bound(s, t_cut, n)
             if tail <= target:
                 break
-            # predict the cutoff needed and refuse hopeless budgets early
-            needed = t_cut * (tail / target) ** (1.0 / (s - 1.0))
-            if (n + 16) * needed / t_cut > _MAX_LATTICE_TERMS:
-                raise TailBudgetError(
-                    f"tail target {target:g} needs cosh cutoff ~{needed:.3g} "
-                    f"(~{int((n + 16) * needed / t_cut)} terms) at s = {s}; "
-                    "loosen tail_target")
-            t_cut = min(needed * _OVERSHOOT, t_cut * _MAX_GROWTH)
-        i = _trimmed(s, chs, t_start, n, target)
-        if i < n:
-            t_cut = chs[i]
-            n = bisect_right(chs, t_cut, i, n)
-            tail = _tail_bound(s, t_cut, n)
+            t_cut = _predicted_cutoff(s, 2.0 * t_cut, target)
         if n and chs[0] <= 1 + 1e-12:
             raise SingularityError("z1 and z2 are equivalent under the group",
                                    where=(c1, c2))

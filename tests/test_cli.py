@@ -307,6 +307,19 @@ def test_greens_tail_budget_exits_2(capsys):
     assert err.startswith("tail budget:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["greens", "--k", "3", "--z1", "i", "--z2", "1e300i"],
+    ["modpoly-eval", "1", "i", "1e300i"],
+])
+def test_overflow_exits_2(capsys, argv):
+    # a point too high for floats overflows in the distance or the j-series;
+    # that is a failed computation, not a counterexample (exit 1)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("numeric overflow:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_sweep_small_grid(capsys):
     code, payload, _ = run_json(
         capsys, "sweep", "--dmax", "8", "--mmax", "2",

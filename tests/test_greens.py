@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 from singmod import greens
-from singmod.numerics import PrecisionContext, _q_int, legendre_Q
+from singmod.numerics import PrecisionContext, _q_int, _q_table, legendre_Q
 from singmod.quadforms import QuadForm, enumerate_reduced, inverse
 from singmod.modular import (coset_apply, cosh_translates, fd_reduce, hecke_cosets,
                              j_eval, modpoly_eval, y1_distance)
@@ -256,9 +256,9 @@ def _chain_grid_keys(m: int):
 
 
 @pytest.mark.parametrize("m", [1, 4])
-def test_trimmed_tail_honest_on_chain_grid_walks(m):
+def test_tail_honest_on_chain_grid_walks(m):
     # every walk of the chain-bound grid (|d| <= 24, tail 1e-3): the claimed
-    # tail at the trimmed cutoff covers what a 400x tighter budget adds
+    # tail at the accepted cutoff covers what a 400x tighter budget adds
     share = 1e-3 / len(hecke_cosets(m))
     for f1, f2 in _chain_grid_keys(m):
         c1, c2 = f1.approx(), f2.approx()
@@ -303,15 +303,60 @@ def test_hopeless_budget_refused_before_enumerating(monkeypatch):
     assert calls == []
 
 
+def test_cutoff_grows_when_the_real_count_fails(monkeypatch):
+    # a low predicted orbit density starts below the cutoff the real count
+    # needs, so the loop must grow: it enumerates again and still lands
+    # within the budget and the tail of a 400x tighter sum
+    target = 1e-4
+    deep = _lattice_sums((3, 5), Z1, Z2, target / 400)
+    calls = _spy_on_enumeration(monkeypatch)
+    monkeypatch.setattr(greens, "_ORBIT_DENSITY", 1.0)
+    got = _lattice_sums((3, 5), Z1, Z2, target)
+    assert len(calls) >= 2
+    for g, d in zip(got, deep):
+        assert g.tail_bound <= target
+        assert 0.0 <= g.value - d.value <= g.tail_bound, (g, d)
+
+
+def test_growth_refused_before_enumerating_past_the_cap(monkeypatch):
+    # the growth step predicts again, so a cap the regrown cutoff would pass
+    # is refused there, after the one enumeration at the start
+    calls = _spy_on_enumeration(monkeypatch)
+    monkeypatch.setattr(greens, "_ORBIT_DENSITY", 1.0)
+    _lattice_sums((3,), Z1, Z2, 1e-4)
+    t_start = calls[0][2]
+    calls.clear()
+    monkeypatch.setattr(greens, "_MAX_LATTICE_TERMS", int(t_start) + 16)
+    with pytest.raises(TailBudgetError):
+        _lattice_sums((3,), Z1, Z2, 1e-4)
+    assert [t for *_, t in calls] == [t_start]
+
+
+def _c_inf(s: int) -> float:
+    """lim t^s Q_{s-1}(t) = sqrt(pi) Gamma(s) / (Gamma(s + 1/2) 2^s)."""
+    return math.sqrt(math.pi) * math.gamma(s) / (math.gamma(s + 0.5) * 2.0 ** s)
+
+
 def test_q_decay_const_integer_route_matches_legenq():
     # integer s takes the float Q route; the general evaluator is the oracle
-    for s in (3, 5, 7):
-        c_inf = math.sqrt(math.pi) * math.gamma(s) / (math.gamma(s + 0.5) * 2.0 ** s)
+    for s in (2, 3, 5, 7):
+        c_inf = _c_inf(s)
         for t in (8.0, 100.0, 1e4):
             with mp.workprec(53):
                 q = float(mp.legenq(s - 1, 0, mp.mpf(t), type=3).real)
             expect = 2.0 * max(c_inf, q * t ** s)
             assert _q_decay_const(s, t) == pytest.approx(expect, rel=1e-12)
+
+
+def test_q_decay_const_falls_to_its_limit():
+    # t^s Q_{s-1}(t) = c_inf F(1/t^2) with F's coefficients positive, so the
+    # tail constant never drops below 2 c_inf and never rises with t
+    for s in (2, 3, 5, 7):
+        _, _, k4, _ = _q_table(s - 1)
+        ts = sorted((8.0, (2 / k4) ** -0.5, 64.0, 1e4))
+        qs = [_q_decay_const(s, t) for t in ts]
+        assert all(q >= 2.0 * _c_inf(s) for q in qs), (s, qs)
+        assert all(a >= b for a, b in zip(qs, qs[1:])), (s, ts, qs)
 
 
 def test_G_k_m_singular_on_graph():
