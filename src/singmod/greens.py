@@ -4,28 +4,34 @@ The building block is the point-pair kernel g_s(z1, z2) = -2 Q_{s-1}(cosh d)
 with d the hyperbolic distance; G_s averages it over the modular group and
 G_k^m additionally over the determinant-m Hecke cosets.
 
-Lattice sums, for G_s and for each Hecke coset of G_k^m, run through one
-cutoff loop, _lattice_sums, over the cosh distances of cosh_translates,
-walked around the higher reduced point, truncated at a cutoff with a tail
-bound: the orbit-point count up to cosh-distance T grows linearly in T, the
-kernel decays like t^(-s), so the tail is O(T^(1-s)).  The count slope is
-calibrated on the enumerated terms and doubled; the suite checks the bound
-against sums with a far smaller budget, but it is not proven.  Each s has
-one cutoff rule: predict the cutoff where the count about 6 (T - 1) (the
-area 2 pi (T - 1) of the disc over the covolume pi/3 of the group) would
-meet the budget, check the bound there with the real count, and on failure
-predict again from twice the cutoff.  The start is predicted well enough
-that one enumeration serves every s asked for (k = 3, 5, 7 together).
-Every prediction refuses a budget whose count is too large
-(TailBudgetError) before enumerating, and a budget that is not positive is
-refused at once (ValueError).  Lattice sums take integer s >= 2 only; the
-bounds use k = 3, 5, 7 (Gross-Kohnen-Zagier).  G_k_m is the one point-pair
-entry for G_k^m: k = 1 is the modular-polynomial logarithm, and k = 3, 5, 7
-one walk per Hecke coset.  A cycle's G_k^m (G_ks_m_cycle) walks once per
-class-pair key (class_pair_key), every k from one enumeration.  The lattice
-kernel and tail constant are numerics._q_int, the one integer-order
-Legendre-Q route, batched by numerics._q_sum.  The point-pair kernel is
-g_s_truncated, in mpf through numerics.legendre_Q; g_s is its one-term case.
+Lattice sums, for G_s and for each Hecke coset of G_k^m, come from one
+routine, _lattice_sums, by the row Fourier expansion (Gross-Zagier,
+Heegner points and derivatives of L-series, II.2; Iwaniec, Spectral
+Methods of Automorphic Forms, 1.9 and ch. 3).  The orbit of z2 splits into
+rows: a coprime bottom row (c, d) (c > 0, or (0, 1); modular._bottom_rows)
+and its translates by n.  With z1 = x1 + i y1 the higher reduced point and
+w = x + i y the row's image of z2 (y <= y1), Poisson summation gives
+
+    sum_n Q_{s-1}(cosh d(z1, w + n))
+        = 2 pi/(2s-1) y1^(1-s) y^s + 2 sum_(k>=1) F_k cos(2 pi k (x1 - x)),
+    F_k = 2 pi sqrt(y1 y) I_{s-1/2}(2 pi k y) K_{s-1/2}(2 pi k y1),
+
+and the zero modes of all rows add up to 2 pi/(2s-1) y1^(1-s) E(z2, s),
+the Eisenstein series, exactly.  Every omission is a checked inequality:
+each mode series stops under a geometric bound, rows within _ROW_GAP of y1
+are summed in n with a tail from t^s Q_{s-1}(t) falling in t, and all rows
+below a height Y are bounded by M_s(Y) (E(z2, s) - sum_(y >= Y) y^s), as
+I_nu(x) x^-nu rises with x; a rounding allowance covers the float terms.
+So the exact sum lies within the reported bound, which meets the budget.
+A budget below the rounding floor, or one needing more than _MAX_ROWS rows,
+is refused (TailBudgetError) before any enumeration, and a budget that is
+not positive at once (ValueError).  Lattice sums take integer s >= 2 only;
+the bounds use k = 3, 5, 7 (Gross-Kohnen-Zagier).  G_k_m is the one
+point-pair entry for G_k^m: k = 1 is the modular-polynomial logarithm, and
+k = 3, 5, 7 one lattice sum per Hecke coset.  A cycle's G_k^m
+(G_ks_m_cycle) sums once per class-pair key (class_pair_key), every k from
+one row enumeration.  The point-pair kernel is g_s_truncated, in mpf
+through numerics.legendre_Q; g_s is its one-term case.
 
 For Laplacian eigenfunction checks use gamma_orbit + g_s_truncated: every
 single gamma-term is an exact eigenfunction in z1, so a truncated sum over a
@@ -36,18 +42,18 @@ truncation noise.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import mpmath as mp
 
-from .numerics import PrecisionContext, _q_int, _q_sum, legendre_Q
+from .numerics import PrecisionContext, _q_int, legendre_Q
 from .quadforms import QuadForm, hecke_image, inverse, reduce_form
 from .modular import (
+    _bottom_rows,
     as_complex,
     cosh_dist,
-    cosh_translates,
     coset_apply,
     fd_reduce,
     gamma_translates,
@@ -109,13 +115,14 @@ def g_s(s, z1, z2, ctx: PrecisionContext):
 
 @dataclass(frozen=True)
 class GreensValue:
-    """A truncated lattice sum together with its tail bound.
+    """A lattice sum together with its error bound.
 
-    Every omitted term is negative, so the exact sum lies in
-    [value - tail_bound, value] whenever the bound holds; see _tail_bound
-    for how far it is established.  cosh_cutoff is the cutoff the loop of
-    _lattice_sums accepted, and terms the orbit points up to it (over
-    several walks, the largest cutoff and the summed count; inf for the
+    The exact sum lies in [value - tail_bound, value]: value is the
+    two-sided estimate plus half the bound (see _lattice_sums).  For one
+    walk, cosh_cutoff is T = cosh(j log 2) at the accepted row level j, so
+    every orbit point within cosh distance T of the centre lies in a summed
+    row, and terms counts the summed rows; over several walks they are the
+    largest cutoff and the summed count (inf and the coset count for the
     modular-polynomial G_1^m).
     """
 
@@ -144,101 +151,328 @@ def gamma_orbit(z1, z2, cosh_cut: float) -> tuple[tuple[int, int, int, int], ...
     return tuple(g for g, _ in out)
 
 
-def _tail_bound(s: int, t_cut: float, n_terms: int) -> float:
-    """Bound on the omitted |g_s| mass beyond cosh-distance t_cut.
+# rows less than this below the centre are summed in n, where their modes
+# would fall only like e^(-2 pi k (y1 - y))
+_ROW_GAP = 0.25
+# the most rows a walk may enumerate; about 3/(pi Y) rows reach height Y
+_MAX_ROWS = 1_000_000
+# relative error allowed per float term (Bessel products, Eisenstein terms,
+# powers, Q values): 64 times the worst the Bessel kernels show against
+# mpmath (27 units of 2^-53)
+_TERM_ROUNDING = 2.0 ** -42
 
-    Orbit points up to cosh-distance T number about C*T; the slope C is
-    calibrated from the enumerated count and doubled.  Each omitted term is
-    at most 2 q t^(-s), so the tail integrates to 2 q C t_cut^(1-s)/(s-1).
-    The calibrated slope makes this a measured bound, not a proven one.
+
+@lru_cache(maxsize=None)
+def _bessel_poly(n: int) -> tuple[float, ...]:
+    """(c_n, ..., c_0), c_j = (n + j)!/(j! (n - j)!): P = sum c_j u^j has
+    e^x K_{n+1/2}(x) = sqrt(pi/(2x)) P(1/(2x))."""
+    f = math.factorial
+    return tuple(float(f(n + j) // (f(j) * f(n - j))) for j in range(n, -1, -1))
+
+
+def _k_scaled(n: int, x: float) -> float:
+    """sqrt(2x/pi) e^x K_{n+1/2}(x) = P(1/(2x)); it falls in x."""
+    u = 0.5 / x
+    p = 0.0
+    for c in _bessel_poly(n):
+        p = p * u + c
+    return p
+
+
+def _i_scaled(n: int, x: float) -> float:
+    """sqrt(2 pi x) e^-x I_{n+1/2}(x) for x > 0.
+
+    The closed form P(-u) - (-1)^n e^(-2x) P(u), u = 1/(2x), has terms of
+    total size P(u) (1 + e^(-2x)); where that is over 2^6 times the result
+    (small x), the power series 2^(n+2) (n+1)!/(2n+2)! x^(n+1) e^-x
+    sum_m (x^2/4)^m/(m! (n+3/2)_m) runs instead, until a term is below 2^-56
+    of the sum and the term ratio below 1/2.
     """
-    slope = 2.0 * (n_terms + 16) / t_cut
-    q = _q_decay_const(s, t_cut)
-    return 2.0 * q * slope * t_cut ** (1.0 - s) / (s - 1.0)
+    u = 0.5 / x
+    plus = minus = 0.0
+    for c in _bessel_poly(n):
+        plus = plus * u + c
+        minus = c - minus * u
+    damp = math.exp(-2.0 * x)
+    value = minus - damp * plus if n % 2 == 0 else minus + damp * plus
+    if value >= 2.0 ** -6 * plus * (1.0 + damp):
+        return value
+    q = 0.25 * x * x
+    term = total = 1.0
+    m = 0
+    while not (term <= 2.0 ** -56 * total and q <= 0.5 * (m + 1) * (m + n + 1.5)):
+        m += 1
+        term *= q / (m * (m + n + 0.5))
+        total += term
+    f = math.factorial
+    return 2.0 ** (n + 2) * f(n + 1) / f(2 * n + 2) * x ** (n + 1) * math.exp(-x) * total
 
 
-_MAX_LATTICE_TERMS = 3_000_000
-# orbit points per unit of cosh distance: the hyperbolic disc of cosh radius T
-# has area 2 pi (T - 1), and the modular group's covolume is pi/3; the counts
-# of the chain-grid walks stay within 6% of it, and the predicted cutoff
-# assumes this many times more, so that one enumeration almost always suffices
-_ORBIT_DENSITY = 6.0
-_COUNT_MARGIN = 1.1
+@lru_cache(maxsize=1024)
+def _k_column(n: int, y1: float):
+    """k -> _k_scaled(n, 2 pi k y1), memoised per centre height."""
+    memo = [0.0]
+
+    def kx(k: int) -> float:
+        while len(memo) <= k:
+            memo.append(_k_scaled(n, math.tau * len(memo) * y1))
+        return memo[k]
+    return kx
 
 
-def _predicted_cutoff(s: int, t_start: float, target: float) -> float:
-    """The cutoff T >= t_start where _tail_bound with the orbit count
-    _COUNT_MARGIN _ORBIT_DENSITY (T - 1) meets target: four rescalings
-    T -> T (tail / target)^(1/(s-1)) from t_start, as the tail falls about
-    like T^(1-s).
+def _modes(n: int, y1: float, y: float, dx: float, budget: float, rel: float = 0.0):
+    """(sum, size, tail) of one row's non-zero modes 2 sum_k F_k cos(2 pi k dx)
+    at height y < y1, s = n + 1; size is sum_k 2 F_k.
 
-    The cutoff loop starts here and, when the real count fails the bound,
-    calls it again from twice the failed cutoff.  Raises TailBudgetError
-    when _ORBIT_DENSITY (T - 1) terms would exceed _MAX_LATTICE_TERMS, so a
-    hopeless budget is refused before any enumeration.
+    2 F_k = _i_scaled(n, a) _k_scaled(n, b) e^(a - b)/k, a = 2 pi k y and
+    b = 2 pi k y1, so no factor overflows.  For b > a,
+    I_nu(b)/I_nu(a) <= (b/a)^nu e^(b-a), as I_nu'/I_nu = I_(nu+1)/I_nu + nu/x
+    <= 1 + nu/x, and K_nu(b)/K_nu(a) <= sqrt(a/b) e^(a-b), as _k_scaled
+    falls; so F_(k+1)/F_k <= rho = (1 + 1/K)^n e^(-2 pi (y1 - y)) for every
+    k >= K, and the series stops at the first K with rho < 1 and the tail
+    bound 2 F_K rho/(1 - rho) at most budget or rel times the size.
     """
-    t = t_start
-    for _ in range(4):
-        tail = _tail_bound(s, t, _COUNT_MARGIN * _ORBIT_DENSITY * (t - 1.0))
-        t = max(t_start, t * (tail / target) ** (1.0 / (s - 1.0)))
-    terms = _ORBIT_DENSITY * (t - 1.0) + 16
-    if not terms <= _MAX_LATTICE_TERMS:
-        raise TailBudgetError(
-            f"tail target {target:g} needs cosh cutoff ~{t:.3g} "
-            f"(~{terms:.3g} terms) at s = {s}; loosen tail_target")
-    return t
+    kx = _k_column(n, y1)
+    step = math.exp(-math.tau * (y1 - y))
+    phase = math.tau * (dx - round(dx))
+    damp = 1.0
+    total = size = 0.0
+    k = 0
+    while True:
+        k += 1
+        damp *= step
+        f = _i_scaled(n, math.tau * k * y) * kx(k) * damp / k
+        total += f * math.cos(k * phase)
+        size += f
+        rho = (1.0 + 1.0 / k) ** n * step
+        if rho < 1.0 and f * rho <= max(budget, rel * size) * (1.0 - rho):
+            return total, size, f * rho / (1.0 - rho)
+
+
+@lru_cache(maxsize=4096)
+def _omitted_rate(n: int, y1: float, level: int) -> float:
+    """M_s(Y), Y = y1 2^-level, s = n + 1: the non-zero modes of a row at any
+    height y_r <= Y are at most M_s(Y) y_r^s in size.
+
+    F_k(y1, y_r)/y_r^s is 2 pi sqrt(y1) K_nu(2 pi k y1) (2 pi k)^nu times
+    I_nu(x) x^-nu at x = 2 pi k y_r, nu = s - 1/2, and I_nu(x) x^-nu rises
+    with x (a series with positive coefficients); so M_s(Y) is the size plus
+    tail of the modes at height Y over Y^s.
+    """
+    y = math.ldexp(y1, -level)
+    _, size, tail = _modes(n, y1, y, 0.0, 0.0, 2.0 ** -6)
+    return (size + tail) / y ** (n + 1)
+
+
+def _row_direct(s: int, y1: float, y: float, dx: float, budget: float):
+    """(sum, tail) of Q_{s-1}(cosh d(z1, w + n)) over one row summed in n,
+    w = x + i y, dx = x1 - x.
+
+    The n with |n - dx| < N are summed.  Past them, each side's n lie at
+    distances N + i, where t > (N + i)^2/(2 y1 y) and t >= t0 = 1 + N^2/(2 y1 y);
+    t^s Q_(s-1)(t) falls in t, so the terms are at most
+    q (2 y1 y)^s (N + i)^(-2s), q = _q_decay_const(s, t0), and both sides
+    at most 2 q (2 y1 y)^s (N^-2s + N^(1-2s)/(2s-1)) < 2 q (2 y1 y)^s
+    N^(1-2s) 2s/(2s-1).  From N = 2, while the first bound exceeds budget,
+    N moves to where the last one meets it with the present q, which only
+    falls as N grows.  Raises SingularityError when an orbit point meets z1.
+    """
+    den = 2.0 * y1 * y
+    dy2 = (y1 - y) ** 2
+    dx -= round(dx)
+    reach = 2
+    while True:
+        scale = 2.0 * _q_decay_const(s, 1.0 + reach * reach / den) * den ** s
+        tail = scale * (reach ** (-2 * s) + reach ** (1 - 2 * s) / (2 * s - 1))
+        if tail <= budget:
+            break
+        need = (scale * 2 * s / ((2 * s - 1) * budget)) ** (1.0 / (2 * s - 1))
+        reach = max(reach + 1, math.ceil(need))
+    ts = [1.0 + ((dx - j) ** 2 + dy2) / den
+          for j in range(math.floor(dx - reach) + 1, math.ceil(dx + reach))]
+    if min(ts) <= 1 + 1e-12:
+        raise SingularityError("z1 and z2 are equivalent under the group")
+    return math.fsum(_q_int(s - 1, t) for t in ts), tail
+
+
+@lru_cache(maxsize=None)
+def _eisenstein_coeffs(s: int) -> tuple:
+    """(phi, 2/xi(2s), zeta(2s-1), a) for E(z, s), xi(t) = pi^(-t/2)
+    Gamma(t/2) zeta(t) and phi = xi(2s-1)/xi(2s), with the list a of
+    a_m = 2/xi(2s) m^(s-1) sigma_(1-2s)(m) (a[0] unused) that _eisenstein
+    extends.  Built in mpmath at 80 bits at the first use of s.
+    """
+    with mp.workprec(80):
+        def xi(t):
+            return mp.pi ** (-mp.mpf(t) / 2) * mp.gamma(mp.mpf(t) / 2) * mp.zeta(t)
+        return (float(xi(2 * s - 1) / xi(2 * s)), float(2 / xi(2 * s)),
+                float(mp.zeta(2 * s - 1)), [0.0])
+
+
+@lru_cache(maxsize=1024)
+def _eisenstein(s: int, z: complex):
+    """(E(z, s), size, tail) at a reduced z = x + i y, integer s >= 2.
+
+    E(z, s) = sum over the rows of Im(gamma z)^s = y^s + phi y^(1-s)
+    + sum_(m>=1) a_m _k_scaled(s - 1, 2 pi m y) e^(-2 pi m y) cos(2 pi m x),
+    which is the usual 4/xi(2s) sqrt(y) m^(s-1/2) sigma_(1-2s)(m)
+    K_(s-1/2)(2 pi m y) series; size sums the terms' absolute values.  As
+    sigma_(1-2s) <= zeta(2s-1) and _k_scaled falls, the terms past M add up
+    to at most 2/xi(2s) zeta(2s-1) _k_scaled(s - 1, 2 pi (M+1) y)
+    (M+1)^(s-1) e^(-2 pi (M+1) y)/(1 - rho), rho = (1 + 1/(M+1))^(s-1)
+    e^(-2 pi y); the series stops at the first M with rho < 1 where that
+    is below 2^-56 size.
+    """
+    phi, two_over_xi, zeta_odd, coeffs = _eisenstein_coeffs(s)
+    n = s - 1
+    x, y = z.real, z.imag
+    step = math.exp(-math.tau * y)
+    terms = [y ** s, phi * y ** (1 - s)]
+    size = terms[0] + terms[1]
+    damp = 1.0
+    m = 0
+    while True:
+        m += 1
+        if len(coeffs) == m:
+            sigma = math.fsum(d ** (1 - 2 * s) for d in range(1, m + 1) if m % d == 0)
+            coeffs.append(two_over_xi * m ** n * sigma)
+        damp *= step
+        a = coeffs[m] * _k_scaled(n, math.tau * m * y) * damp
+        terms.append(a * math.cos(math.tau * m * x))
+        size += a
+        rho = (1.0 + 1.0 / (m + 1)) ** n * step
+        if rho < 1.0:
+            tail = (two_over_xi * zeta_odd * (m + 1) ** n * damp * step
+                    * _k_scaled(n, math.tau * (m + 1) * y) / (1.0 - rho))
+            if tail <= 2.0 ** -56 * size:
+                return math.fsum(terms), size, tail
+
+
+def _predicted_level(n: int, y1: float, eis: float, rest_err: float,
+                     budget: float, level: int) -> int:
+    """The least level >= level whose omitted-row bound meets budget if the
+    rows below Y = y1 2^-level carry four times their asymptotic share
+    3 Y^(s-1)/(pi (s-1)) of E(z2, s) (s = n + 1).  About 3/(pi Y) rows reach
+    height Y; a level where that passes _MAX_ROWS raises TailBudgetError,
+    before any enumeration.
+    """
+    while True:
+        y = math.ldexp(y1, -level)
+        rows = 3.0 / (math.pi * y)
+        if rows > _MAX_ROWS:
+            raise TailBudgetError(
+                f"the tail budget needs the rows down to height {y:.3g} "
+                f"(~{rows:.3g} rows) at s = {n + 1}; loosen tail_target")
+        rest = min(eis, 12.0 * y ** n / (math.pi * n)) + rest_err
+        if _omitted_rate(n, y1, level) * rest <= budget:
+            return level
+        level += 1
 
 
 def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensValue]:
     """Sums of g_s(c1, gamma c2) over the modular group for each integer
-    s >= 2 in ss.
+    s >= 2 in ss, by the row Fourier expansion (see the module docstring),
+    each within target.
 
-    target must be positive (ValueError otherwise; a NaN would never stop
-    the cutoff loop).  Each s has one cutoff rule: its cutoff starts at
-    _predicted_cutoff(s, t_start, target), and while _tail_bound with the
-    real term count exceeds target it becomes _predicted_cutoff(s, 2 T,
-    target), T the failed cutoff.  The cutoff at least doubles per step, so
-    an unreachable budget meets the TailBudgetError of _predicted_cutoff,
-    which is raised before enumerating.  All s share one orbit enumeration,
-    kept as a sorted list of cosh distances; a loop counts its terms by
-    bisection and enumerates again only when it needs a cutoff above the
-    enumerated one, which the predicted start makes rare.  Processing s in
-    ascending order lets the slowly decaying s = 3 set the enumeration that
-    s = 5, 7 reuse.  The terms up to the accepted cutoff, which is the
-    result's cosh_cutoff, are summed in double precision with fsum.  No
-    step reads a distance beyond the loop's cutoff, so a result does not
-    depend on which s enumerated.  The result is aligned with ss.  G_s is
-    Gamma-invariant in each variable and symmetric, so cosh_translates
-    walks around the higher of the two reduced points, where its row count
-    (~ T / Im of the centre) is least.
+    target must be positive (ValueError otherwise).  The sums are taken at
+    the reduced points, z1 = x1 + i y1 the higher one.  With S = -G_s/2 the
+    orbit sum of Q_(s-1) and b = target/4 its allowed error:
+
+    - the zero modes of all rows are 2 pi/(2s-1) y1^(1-s) E(z2, s); a budget
+      under which _TERM_ROUNDING times their size passes b/8 is refused
+      (TailBudgetError) before enumerating;
+    - the rows at height y >= Y = y1 2^-level are summed: within _ROW_GAP of
+      y1 in n (_row_direct, less their zero mode), the others by their
+      modes (_modes), each to a tail of b/(8 rows);
+    - the rows below Y are bounded by _omitted_rate times the rest
+      E(z2, s) - sum_(y >= Y) y^s plus its error.  The level is predicted
+      (_predicted_level), checked with the real rest and, while that bound
+      exceeds 3b/4, predicted again from the next level; then the coarsest
+      level whose real rest still meets 3b/4 is taken (the bound falls as
+      the level deepens, so from either side it is one level);
+    - the error is that bound, the tails and _TERM_ROUNDING times the size
+      of every term; a total above b is refused (TailBudgetError).
+
+    G_s is reported as -2 S + 2 error with tail bound 4 error <= target, so
+    the exact sum lies in [value - tail_bound, value].  Every s reads one
+    shared row enumeration (_bottom_rows at the deepest level asked for so
+    far; ascending s lets s = 3 set it for 5 and 7) only at and above the
+    levels it checks, and sums with fsum, so no result depends on which s
+    enumerated.  The result is aligned with ss.
     """
     if not target > 0:
         raise ValueError(f"tail target must be positive, got {target}")
     centre, other = fd_reduce(c1)[0], fd_reduce(c2)[0]
     if other.imag > centre.imag:
         centre, other = other, centre
-    # from the reduced points, so the floor does not depend on representatives
-    t_start = max(8.0, 2.0 * cosh_dist(centre, other))
-    t_enum = 0.0
-    chs: list[float] = []
+    x1, y1 = centre.real, centre.imag
+    enum_level, enum_rows = 0, []
+
+    def rows_from(level):
+        nonlocal enum_level, enum_rows
+        if level > enum_level:
+            # rows at height y >= Y come within cosh (y1/Y + Y/y1)/2 of z1
+            t = 0.5 * (math.ldexp(1.0, level) + math.ldexp(1.0, -level))
+            enum_rows = [(den / (2.0 * y1), x1 - wx0) for _, _, _, wx0, _, den, _, _
+                         in _bottom_rows(centre, other, t * (1.0 + 2.0 ** -20))]
+            enum_level = level
+        y_cut = math.ldexp(y1, -level)
+        return [row for row in enum_rows if row[0] >= y_cut]
+
     out = {}
     for s in sorted(set(ss)):
-        t_cut = _predicted_cutoff(s, t_start, target)
-        while True:
-            if t_cut > t_enum:
-                chs = cosh_translates(centre, other, t_cut)
-                chs.sort()
-                t_enum = t_cut
-            n = bisect_right(chs, t_cut)
-            tail = _tail_bound(s, t_cut, n)
-            if tail <= target:
+        n, b = s - 1, target / 4.0
+        eis, eis_size, eis_tail = _eisenstein(s, other)
+        scale = math.tau / (2 * s - 1) * y1 ** (1 - s)
+        if _TERM_ROUNDING * scale * eis_size > b / 8.0:
+            raise TailBudgetError(
+                f"tail target {target:g} is below the rounding floor "
+                f"~{32.0 * _TERM_ROUNDING * scale * eis_size:.3g} at s = {s}; "
+                "loosen tail_target")
+
+        def bound(level):
+            rows = rows_from(level)
+            powers = [y ** s for y, _ in rows]
+            power_sum = math.fsum(powers)
+            rest_err = eis_tail + _TERM_ROUNDING * (eis_size + power_sum)
+            rest = max(eis - power_sum, 0.0) + rest_err
+            return rows, powers, _omitted_rate(n, y1, level) * rest
+
+        allowed = 0.75 * b
+        rest_floor = eis_tail + 2.0 * _TERM_ROUNDING * eis_size
+        level = _predicted_level(n, y1, eis, rest_floor, allowed, 1)
+        rows, powers, omitted = bound(level)
+        while omitted > allowed:
+            level = _predicted_level(n, y1, eis, rest_floor, allowed, level + 1)
+            rows, powers, omitted = bound(level)
+        while level > 1:
+            coarser = bound(level - 1)
+            if coarser[2] > allowed:
                 break
-            t_cut = _predicted_cutoff(s, 2.0 * t_cut, target)
-        if n and chs[0] <= 1 + 1e-12:
-            raise SingularityError("z1 and z2 are equivalent under the group",
-                                   where=(c1, c2))
-        value = -2.0 * _q_sum(s - 1, chs[:n])
-        out[s] = GreensValue(value=value, tail_bound=tail, cosh_cutoff=t_cut, terms=n)
+            level -= 1
+            rows, powers, omitted = coarser
+        share = b / (8.0 * max(len(rows), 1))
+        parts, sizes = [scale * eis], [scale * eis_size]
+        errors = [omitted, scale * eis_tail]
+        for (y, dx), power in zip(rows, powers):
+            if y1 - y < _ROW_GAP:
+                direct, tail = _row_direct(s, y1, y, dx, share)
+                parts += [direct, -scale * power]
+                sizes += [direct, scale * power]
+            else:
+                modes, size, tail = _modes(n, y1, y, dx, share)
+                parts.append(modes)
+                sizes.append(size)
+            errors.append(tail)
+        error = math.fsum(errors) + _TERM_ROUNDING * math.fsum(sizes)
+        if error > b:
+            raise TailBudgetError(
+                f"tail target {target:g} is below the rounding allowance "
+                f"~{4.0 * error:.3g} at s = {s}; loosen tail_target")
+        out[s] = GreensValue(
+            value=-2.0 * math.fsum(parts) + 2.0 * error, tail_bound=4.0 * error,
+            cosh_cutoff=0.5 * (math.ldexp(1.0, level) + math.ldexp(1.0, -level)),
+            terms=len(rows))
     return [out[s] for s in ss]
 
 
@@ -253,8 +487,7 @@ def G_s_sum(s, z1, z2, tail_target: float) -> GreensValue:
     return _lattice_sums((int(s),), as_complex(z1), as_complex(z2), float(tail_target))[0]
 
 
-# default absolute tail budget for the k >= 3 averaged sums; the T^(1-k)
-# decay makes budgets much below it costly at k = 3
+# default absolute tail budget for the k >= 3 averaged sums
 DEFAULT_GK_TAIL = 1e-6
 
 

@@ -10,11 +10,10 @@ Q_n(t) = t^(-(n+1)) F(u) in u = 1/t^2, where F's series has positive
 coefficients.  F is evaluated by degree-6 Taylor polynomials on equal
 u-cells up to the top edge (64 for every n <= 20), and above it by F's own
 series cut at degree 4; both are within 2^-53 of F (_q_cells, _q_top_band).
-_q_sum adds Q_n over many arguments with the same arithmetic, one
-comprehension per route.  legendre_Q is the one mpf
-entry for Q_{s-1}(t): the route at integer s >= 1, mpmath's legenq at any
-other s, at the context precision.  Its oracle is legendre_Q_num, direct
-quadrature of the integral representation, truncated at 2^-mantissa_bits,
+legendre_Q is the one mpf entry for Q_{s-1}(t): the route at integer
+s >= 1, mpmath's legenq at any other s, at the context precision.  Its
+oracle is legendre_Q_num, direct quadrature of the integral
+representation, truncated at 2^-mantissa_bits,
 
     Q_{s-1}(t) = int_0^oo (t + sqrt(t^2-1) cosh v)^(-s) dv,  t > 1.
 
@@ -26,7 +25,6 @@ tolerance INTEGER_TOLERANCE.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import mpmath as mp
@@ -287,27 +285,6 @@ def _q_up(n: int, t, q0):
     for j in range(1, n):
         q0, q1 = q1, ((2 * j + 1) * t * q1 - j * q0) / (j + 1)
     return q1
-
-
-def _q_sum(n: int, ts) -> float:
-    """fsum of _q_int(n, t) over the ascending floats ts.
-
-    The arguments from t = 2 on run through the Taylor cells and the top
-    band in one comprehension each, the same arithmetic as _q_int; those
-    below 2 go through _q_int.
-    """
-    top, (c4, c3, c2, c1, c0), k4, cells = _q_table(n)
-    lo = bisect_left(ts, 2.0)
-    hi = bisect_left(ts, top, lo)
-    e = -(n + 1)
-    terms = [_q_int(n, t) for t in ts[:lo]]
-    terms += [((((((b6 * v + b5) * v + b4) * v + b3) * v + b2) * v + b1) * v + b0) * t ** e
-              for t in ts[lo:hi] for u in (1.0 / (t * t),)
-              for c, b6, b5, b4, b3, b2, b1, b0 in (cells[int(u * k4)],)
-              for v in (u - c,)]
-    terms += [((((c4 * u + c3) * u + c2) * u + c1) * u + c0) * t ** e
-              for t in ts[hi:] for u in (1.0 / (t * t),)]
-    return math.fsum(terms)
 
 
 def legendre_Q(s, t, ctx: PrecisionContext):

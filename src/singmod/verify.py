@@ -260,12 +260,11 @@ def verify_chain(d1, d2, m: int, ctx: PrecisionContext,
                  report: VerificationReport | None = None) -> list[ChainBound]:
     """2 log N >= m_k * (-G_k^m(Z(W))) for k in {3, 5, 7}.
 
-    -G_k^m over the cycle is summed from truncated lattice sums by
-    G_ks_m_cycle: one walk per class-pair key of the (pair, Hecke coset)
-    walks, all k from one orbit enumeration, weighted by the key's summed
-    multiplicity.  The omitted tails are added on the right, so the
-    inequality tested is an upper bound of the true one as far as the tail
-    bound holds (measured, not proven; see greens._tail_bound).
+    -G_k^m over the cycle is summed from lattice sums by G_ks_m_cycle: one
+    sum per class-pair key of the (pair, Hecke coset) terms, all k from one
+    row enumeration, weighted by the key's summed multiplicity.  The proven
+    error bounds are added on the right, so the inequality tested implies
+    the true one (see greens._lattice_sums).
     """
     base = report or verify_nonunit(d1, d2, m, ctx)
     if base.status != "ok":

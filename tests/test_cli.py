@@ -307,6 +307,15 @@ def test_greens_tail_budget_exits_2(capsys):
     assert err.startswith("tail budget:")
 
 
+def test_greens_tail_far_below_the_floor_exits_2(capsys):
+    # a budget of 1e-300 is refused as a tail budget, not as a numeric
+    # overflow: the rounding floor is checked before any power of a cutoff
+    code, out, err = run(capsys, "greens", "--k", "3", "--z1", "i", "--z2", "2i",
+                         "--tail", "1e-300")
+    assert code == 2 and out == ""
+    assert err.startswith("tail budget:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["greens", "--k", "3", "--z1", "i", "--z2", "1e300i"],
     ["modpoly-eval", "1", "i", "1e300i"],

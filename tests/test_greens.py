@@ -5,10 +5,10 @@ import mpmath as mp
 import pytest
 
 from singmod import greens
-from singmod.numerics import PrecisionContext, _q_int, _q_table, legendre_Q
+from singmod.numerics import PrecisionContext, _q_int, _q_table, legendre_P, legendre_Q
 from singmod.quadforms import QuadForm, enumerate_reduced, inverse
-from singmod.modular import (coset_apply, cosh_translates, fd_reduce, hecke_cosets,
-                             j_eval, modpoly_eval, y1_distance)
+from singmod.modular import (_bottom_rows, coset_apply, cosh_translates, fd_reduce,
+                             hecke_cosets, j_eval, modpoly_eval, y1_distance)
 from singmod.cmcycles import build_cycle
 from singmod.verify import fundamental_discriminants
 from singmod.greens import (
@@ -258,34 +258,33 @@ def _chain_grid_keys(m: int):
 @pytest.mark.parametrize("m", [1, 4])
 def test_tail_honest_on_chain_grid_walks(m):
     # every walk of the chain-bound grid (|d| <= 24, tail 1e-3): the claimed
-    # tail at the accepted cutoff covers what a 400x tighter budget adds
+    # bound covers the distance to a 400x tighter sum
     share = 1e-3 / len(hecke_cosets(m))
     for f1, f2 in _chain_grid_keys(m):
         c1, c2 = f1.approx(), f2.approx()
         got = _lattice_sums((3, 5), c1, c2, share)
         deep = _lattice_sums((3, 5), c1, c2, share / 400)
         for g, d in zip(got, deep):
-            assert g.cosh_cutoff >= max(8.0, 2.0 * cosh_dist(c1, c2))
             assert g.tail_bound <= share
             assert g.value - d.value <= g.tail_bound, (f1, f2, g, d)
 
 
 def _spy_on_enumeration(monkeypatch) -> list:
-    """The argument tuples of every cosh_translates call the lattice sums make."""
+    """The argument tuples of every _bottom_rows call the lattice sums make."""
     calls = []
 
     def spy(*args):
         calls.append(args)
-        return cosh_translates(*args)
+        return _bottom_rows(*args)
 
-    monkeypatch.setattr(greens, "cosh_translates", spy)
+    monkeypatch.setattr(greens, "_bottom_rows", spy)
     return calls
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_chain_grid_walks_enumerate_once(monkeypatch, m):
-    # the predicted start meets the tail budget on every chain-grid walk, so
-    # each walk enumerates its orbit once for k = 3, 5, 7 together
+    # s = 3 enumerates the rows its predicted level needs, and s = 5, 7 take
+    # coarser levels, so each walk enumerates its rows once for k = 3, 5, 7
     calls = _spy_on_enumeration(monkeypatch)
     share = 1e-3 / len(hecke_cosets(m))
     keys = _chain_grid_keys(m)
@@ -295,41 +294,65 @@ def test_chain_grid_walks_enumerate_once(monkeypatch, m):
 
 
 def test_hopeless_budget_refused_before_enumerating(monkeypatch):
-    # the refusal runs on the predicted start; enumerating at the cutoff
-    # this budget needs (~1e20) would never finish
+    # the rounding floor is checked on the Eisenstein zero mode, before any
+    # row is enumerated
     calls = _spy_on_enumeration(monkeypatch)
     with pytest.raises(TailBudgetError):
         G_s_sum(2, Z1, Z2, tail_target=1e-25)
     assert calls == []
 
 
+def test_tail_budget_far_below_the_floor_is_refused():
+    # a budget of 1e-300 is refused as out of reach; no power of the cutoff
+    # is formed, so nothing overflows
+    for s in (2, 3, 7):
+        with pytest.raises(TailBudgetError, match="rounding floor"):
+            G_s_sum(s, 1j, 2j, tail_target=1e-300)
+
+
+def _coarse_start(monkeypatch):
+    """Make every level prediction return its start level, the coarsest."""
+    predict = greens._predicted_level
+
+    def coarse(n, y1, eis, rest_err, budget, level):
+        return predict(n, y1, eis, rest_err, math.inf, level)
+
+    monkeypatch.setattr(greens, "_predicted_level", coarse)
+
+
 def test_cutoff_grows_when_the_real_count_fails(monkeypatch):
-    # a low predicted orbit density starts below the cutoff the real count
-    # needs, so the loop must grow: it enumerates again and still lands
-    # within the budget and the tail of a 400x tighter sum
+    # a prediction that starts too coarse fails the check with the real
+    # rest, so the loop deepens level by level, enumerating again, and lands
+    # on the level the good prediction reaches by coarsening: the omitted
+    # bound only falls as the level deepens, so the coarsest level that
+    # meets it is one level, whichever side it is reached from
     target = 1e-4
+    plain = _lattice_sums((3, 5), Z1, Z2, target)
     deep = _lattice_sums((3, 5), Z1, Z2, target / 400)
     calls = _spy_on_enumeration(monkeypatch)
-    monkeypatch.setattr(greens, "_ORBIT_DENSITY", 1.0)
+    _coarse_start(monkeypatch)
     got = _lattice_sums((3, 5), Z1, Z2, target)
     assert len(calls) >= 2
+    assert got == plain
     for g, d in zip(got, deep):
         assert g.tail_bound <= target
-        assert 0.0 <= g.value - d.value <= g.tail_bound, (g, d)
+        assert g.value - d.value <= g.tail_bound, (g, d)
 
 
 def test_growth_refused_before_enumerating_past_the_cap(monkeypatch):
-    # the growth step predicts again, so a cap the regrown cutoff would pass
-    # is refused there, after the one enumeration at the start
+    # the deepening step predicts again, so a row cap the next level would
+    # pass is refused there, after the one enumeration at the start
     calls = _spy_on_enumeration(monkeypatch)
-    monkeypatch.setattr(greens, "_ORBIT_DENSITY", 1.0)
+    _coarse_start(monkeypatch)
     _lattice_sums((3,), Z1, Z2, 1e-4)
-    t_start = calls[0][2]
+    first = calls[0]
+    y1 = first[0].imag
     calls.clear()
-    monkeypatch.setattr(greens, "_MAX_LATTICE_TERMS", int(t_start) + 16)
-    with pytest.raises(TailBudgetError):
+    # the row count predicted at level 1 is allowed, that of level 2 is not
+    monkeypatch.setattr(greens, "_MAX_ROWS", 3.0 / (math.pi * math.ldexp(y1, -1)))
+    with pytest.raises(TailBudgetError, match="rows"):
         _lattice_sums((3,), Z1, Z2, 1e-4)
-    assert [t for *_, t in calls] == [t_start]
+    assert calls == [first]
 
 
 def _c_inf(s: int) -> float:
@@ -358,6 +381,124 @@ def test_q_decay_const_falls_to_its_limit():
         assert all(q >= 2.0 * _c_inf(s) for q in qs), (s, qs)
         assert all(a >= b for a, b in zip(qs, qs[1:])), (s, ts, qs)
 
+
+# ---------------------------------------------------------------------------
+# the row Fourier expansion: kernels against exact oracles
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5, 6, 7])
+def test_eisenstein_matches_closed_forms(s):
+    # E(i, s) = 2 zeta(s) beta(s)/zeta(2s) and
+    # E(rho, s) = 3 (sqrt3/2)^s zeta(s) L(s, chi_-3)/zeta(2s): the lattice
+    # sums over Z[i] and Z[rho], divided by the non-coprime multiples
+    with mp.workprec(80):
+        at_i = 2 * mp.zeta(s) * mp.dirichlet(s, [0, 1, 0, -1]) / mp.zeta(2 * s)
+        at_rho = (3 * (mp.sqrt(3) / 2) ** s * mp.zeta(s) * mp.dirichlet(s, [0, 1, -1])
+                  / mp.zeta(2 * s))
+    for z, want in ((1j, at_i), (complex(-0.5, math.sqrt(3) / 2), at_rho)):
+        value, size, tail = greens._eisenstein(s, z)
+        assert value == pytest.approx(float(want), rel=1e-14, abs=0.0)
+        assert tail <= 2.0 ** -56 * size
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_scaled_bessel_products_match_mpmath(n):
+    # F_k = 2 pi sqrt(y1 y) I_nu(2 pi k y) K_nu(2 pi k y1), nu = n + 1/2, is
+    # formed from the scaled factors and e^(-2 pi k (y1 - y)); at Im 9.8 and
+    # k = 20 the unscaled I overflows a float (e^1194), the product does not
+    y1 = 9.8
+    with mp.workprec(100):
+        nu = n + mp.mpf(1) / 2
+        for y in (1e-3, 0.07, 0.6, 2.5, 9.5):
+            for k in range(1, 21):
+                a, b = math.tau * k * y, math.tau * k * y1
+                ia, kb = greens._i_scaled(n, a), greens._k_scaled(n, b)
+                want_i = mp.sqrt(2 * mp.pi * a) * mp.exp(-a) * mp.besseli(nu, a)
+                want_k = mp.sqrt(2 * b / mp.pi) * mp.exp(b) * mp.besselk(nu, b)
+                assert ia == pytest.approx(float(want_i), rel=1e-14, abs=0.0)
+                assert kb == pytest.approx(float(want_k), rel=1e-14, abs=0.0)
+                want = (2 * mp.pi * mp.sqrt(mp.mpf(y1) * y) * mp.besseli(nu, a)
+                        * mp.besselk(nu, b))
+                if want > 1e-300:
+                    got = ia * kb * math.exp(a - b) / (2 * k)
+                    assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [2, 3, 5, 7])
+def test_row_identity_matches_direct_sum(s):
+    # sum_n Q_(s-1)(cosh d(z1, w + n)) = 2 pi/(2s-1) y1^(1-s) y^s
+    #   + 2 sum_k F_k cos(2 pi k (x1 - x)), against the direct n-sum with its
+    # own tail bound (whose terms fall only like n^-2s)
+    budget = 1e-11 if s == 2 else 1e-14
+    for y1, y, dx in ((1.1, 0.31, 0.17), (2.3, 1.1, -0.42), (9.8, 0.02, 0.5),
+                      (9.8, 9.2, 0.03), (0.9, 0.6, 0.0)):
+        modes, size, tail = greens._modes(s - 1, y1, y, dx, budget)
+        zero = math.tau / (2 * s - 1) * y1 ** (1 - s) * y ** s
+        direct, direct_tail = greens._row_direct(s, y1, y, dx, budget)
+        slack = tail + direct_tail + 1e-14 * (zero + size + direct)
+        assert abs(zero + modes - direct) <= slack, (y1, y, dx)
+
+
+def _kronecker(d: int, p: int) -> int:
+    """The Kronecker symbol (d/p) for a discriminant d and a prime p."""
+    if p == 2:
+        return 0 if d % 2 == 0 else (1 if d % 8 in (1, 7) else -1)
+    r = pow(d % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def _gz_epsilon(d1: int, d2: int, n: int) -> int:
+    """Gross-Zagier's epsilon(n), completely multiplicative with
+    epsilon(p) = (d1/p) for p not dividing d1, else (d2/p)."""
+    out, p = 1, 2
+    while n > 1:
+        while n % p == 0:
+            out *= _kronecker(d1, p) if d1 % p else _kronecker(d2, p)
+            n //= p
+        p += 1
+    return out
+
+
+def _gz_closed_form(d1: int, d2: int, k: int) -> float:
+    """sum over x^2 < D, x = D (mod 2), of P_(k-1)(x/sqrt D) times
+    sum over n | (D - x^2)/4 of epsilon((D - x^2)/(4n)) log n, D = d1 d2."""
+    big = d1 * d2
+    total = []
+    for x in range(-math.isqrt(big), math.isqrt(big) + 1):
+        if x * x >= big or (big - x) % 2:
+            continue
+        rest = (big - x * x) // 4
+        inner = math.fsum(_gz_epsilon(d1, d2, rest // n) * math.log(n)
+                          for n in range(2, rest + 1) if rest % n == 0)
+        total.append(legendre_P(k - 1, x / math.sqrt(big)) * inner)
+    return math.fsum(total)
+
+
+def test_gross_zagier_m1_closed_form():
+    # Gross-Zagier (m = 1): (4/(w1 w2)) sum over tau1, tau2 of G_k(tau1, tau2)
+    # equals _gz_closed_form, w = 6, 4, 2 for d = -3, -4 and the rest; every
+    # coprime pair of fundamental discriminants with |d| <= 23 meets it
+    # within the claimed two-sided bound of its lattice sums
+    def units(d):
+        return {-3: 6, -4: 4}.get(d, 2)
+
+    ds = fundamental_discriminants(23)
+    pairs = [(d1, d2) for i, d1 in enumerate(ds) for d2 in ds[i + 1:]
+             if math.gcd(d1, d2) == 1]
+    assert len(pairs) == 31
+    for d1, d2 in pairs:
+        mids, halves = [[], [], []], [[], [], []]
+        for f1 in enumerate_reduced(d1).reduced_forms:
+            for f2 in enumerate_reduced(d2).reduced_forms:
+                for i, g in enumerate(_lattice_sums((3, 5, 7), f1.approx(),
+                                                    f2.approx(), 1e-8)):
+                    mids[i].append(g.value - g.tail_bound / 2)
+                    halves[i].append(g.tail_bound / 2)
+        weight = 4 / (units(d1) * units(d2))
+        for i, k in enumerate((3, 5, 7)):
+            want = _gz_closed_form(d1, d2, k)
+            got = weight * math.fsum(mids[i])
+            assert abs(got - want) <= weight * math.fsum(halves[i]), (d1, d2, k, got, want)
 
 def test_G_k_m_singular_on_graph():
     # (i, 2i) lies on the degree-2 Hecke graph

@@ -10,7 +10,6 @@ from singmod.numerics import (
     PrecisionContext,
     PrecisionError,
     _q_int,
-    _q_sum,
     _q_table,
     integer_recognize,
     legendre_P,
@@ -107,25 +106,6 @@ def _cell_edges(n):
     return [t for t in ts if 2.0 <= t < top]
 
 
-def test_q_sum_matches_fsum_of_q_int():
-    # the batched sum runs the Taylor cells and the top band in one
-    # comprehension each; _q_int is its oracle, below t = 2, at every cell
-    # edge and far into the top band
-    rng = random.Random(7)
-    ts = [1.01, 1.5, 2.0 - 1e-9, 3.0, 1e4, 1e6]
-    for edge in (64.0, 128.0):
-        ts += [edge - 1e-9, math.nextafter(edge, 0.0), edge, edge + 1e-9]
-    ts += [rng.uniform(1.001, 200.0) for _ in range(300)]
-    for n in (0, 2, 4, 6, 30):
-        ns = sorted(ts + _cell_edges(n))
-        want = math.fsum(_q_int(n, t) for t in ns)
-        assert _q_sum(n, ns) == pytest.approx(want, rel=1e-15, abs=0.0)
-        top = [t for t in ns if t >= 64.0]
-        assert _q_sum(n, top) == pytest.approx(
-            math.fsum(_q_int(n, t) for t in top), rel=1e-15, abs=0.0)
-    assert _q_sum(2, []) == 0.0
-
-
 @pytest.mark.parametrize("n", list(range(9)) + [20, 30])
 def test_q_cells_match_legenq(n):
     # every Taylor cell, at its edges, centre and either side of each
@@ -141,7 +121,7 @@ def test_q_cells_match_legenq(n):
 
 
 def test_q_top_band_has_fixed_degree():
-    # _q_sum unrolls the top band, so its degree is fixed for every order;
+    # _q_int unrolls the top band, so its degree is fixed for every order;
     # its edge rises instead, and the remainder bound still holds there
     # Q_30(128) ~ 7e-76: the oracle's absolute tail needs 2^-300, not 2^-256
     oracle = CTX.with_bits(300)
