@@ -18,7 +18,7 @@ SingularityError) is mapped in main alone; the subcommands catch nothing.
 Big integers are serialized as decimal strings in JSON output so results
 survive any JSON parser.  Point arguments accept three spellings: a negative
 discriminant (principal class), a form triple "a,b,c", or a complex number
-like "0.3+1.1i" / "2i".
+like "0.3+1.1i" / "2i" / "-0.3+1.1i" (see _Parser).
 """
 
 from __future__ import annotations
@@ -325,14 +325,26 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a token opening with a minus sign and a
+    digit, such as the point -0.3+1.1i, as a value, where argparse reads
+    only plain negative numbers so and takes the rest for options.  No
+    option of singmod opens that way; the subcommand parsers are built with
+    this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--precision-bits", type=int, default=256,
                         help="working mantissa bits (default 256)")
     common.add_argument("--json", action="store_true", help="JSON output")
     common.add_argument("--out", type=str, default=None,
                         help="write output to this path instead of stdout")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="singmod",
         description="Exact norms and Green's-function bounds for modular "
                     "polynomial values at CM points")

@@ -48,12 +48,11 @@ from .quadforms import (
     Discriminant,
     QuadForm,
     enumerate_reduced,
-    hecke_image,
+    hecke_images,
     inverse,
     project_class,
-    reduce_form,
 )
-from .modular import hecke_cosets, log_j_size, modpoly_eval
+from .modular import log_j_size, modpoly_eval
 
 
 class CycleError(ValueError):
@@ -239,23 +238,22 @@ def norm_plan(cycle: CMCycle, m: int,
     """The first pass of cycle_norm_integer: its context, and the reduced
     forms whose j-values it reads.
 
-    The forms are what modpoly_eval asks j_eval for: z1, and the reduced
-    hecke_image of z2 under every Hecke coset, for each conjugate_orbits
-    representative.  The precision is the larger of ctx.mantissa_bits and
-    64 bits over an estimate of log2 of the certified product: each factor
-    j(z1) - j(M z2) has a log size of about the larger of log_j_size at z1
-    and at the reduced form of M z2, summed over the orbits, with their
-    counts (_orbit_counts; a folded pair counts twice), and the cosets.  No
-    j-value is computed.
+    The forms are what modpoly_eval asks j_eval for: z1, and the
+    hecke_images of z2 (reduced, one per Hecke coset), for each
+    conjugate_orbits representative.  The precision is the larger of
+    ctx.mantissa_bits and 64 bits over an estimate of log2 of the certified
+    product: each factor j(z1) - j(M z2) has a log size of about the larger
+    of log_j_size at z1 and at the reduced form of M z2, summed over the
+    orbits, with their counts (_orbit_counts; a folded pair counts twice),
+    and the cosets.  No j-value is computed.
     """
-    cosets = hecke_cosets(m)
-    images: dict[QuadForm, list[QuadForm]] = {}
+    images: dict[QuadForm, tuple[QuadForm, ...]] = {}
     forms: set[QuadForm] = set()
     total = 0.0
     for pair, real, count in _orbit_counts(cycle):
         ws = images.get(pair.z2)
         if ws is None:
-            ws = images[pair.z2] = [reduce_form(hecke_image(pair.z2, c)) for c in cosets]
+            ws = images[pair.z2] = hecke_images(pair.z2, m)
             forms.update(ws)
         forms.add(pair.z1)
         near = log_j_size(pair.z1)

@@ -18,11 +18,12 @@ w = x + i y the row's image of z2 (y <= y1), Poisson summation gives
 
 and the zero modes of all rows add up to 2 pi/(2s-1) y1^(1-s) E(z2, s),
 the Eisenstein series, exactly.  Every omission is a checked inequality:
-each mode series stops under a geometric bound, rows within _ROW_GAP of y1
-are summed in n with a tail from t^s Q_{s-1}(t) falling in t, and all rows
-below a height Y are bounded by M_s(Y) (E(z2, s) - sum_(y >= Y) y^s), as
-I_nu(x) x^-nu rises with x; a rounding allowance covers the float terms.
-So the exact sum lies within the reported bound, which meets the budget.
+each mode series stops under a geometric bound, rows within 1/20 of y1
+(_ROW_GAP) are summed in n with a tail from t^s Q_{s-1}(t) falling in t,
+and all rows below a height Y are bounded by M_s(Y) (E(z2, s) -
+sum_(y >= Y) y^s), as I_nu(x) x^-nu rises with x; a rounding allowance
+covers the float terms.  So the exact sum lies within the reported bound,
+which meets the budget.
 A budget below the rounding floor, or one needing more than _MAX_ROWS rows,
 is refused (TailBudgetError) before any enumeration, and a budget that is
 not positive at once (ValueError).  Lattice sums take integer s >= 2 only;
@@ -49,7 +50,7 @@ from typing import Iterable
 import mpmath as mp
 
 from .numerics import PrecisionContext, _q_int, legendre_Q
-from .quadforms import QuadForm, hecke_image, inverse, reduce_form
+from .quadforms import QuadForm, hecke_images, inverse
 from .modular import (
     _bottom_rows,
     as_complex,
@@ -151,15 +152,21 @@ def gamma_orbit(z1, z2, cosh_cut: float) -> tuple[tuple[int, int, int, int], ...
     return tuple(g for g, _ in out)
 
 
-# rows less than this below the centre are summed in n, where their modes
-# would fall only like e^(-2 pi k (y1 - y))
-_ROW_GAP = 0.25
+# rows less than this below the centre are summed in n: their modes fall
+# only like e^(-2 pi k (y1 - y)), by less than e^(-pi/10) ~ 0.73 a mode.
+# Per-row cost sets it: timing both routes on the 633 rows within 1/4 of y1
+# of a chain-grid pass, 1/20 comes within 3% of the faster route per row,
+# and 1/4 is the slowest of the gaps from 1/4 down to 0.03
+_ROW_GAP = 0.05
 # the most rows a walk may enumerate; about 3/(pi Y) rows reach height Y
 _MAX_ROWS = 1_000_000
 # relative error allowed per float term (Bessel products, Eisenstein terms,
 # powers, Q values): 64 times the worst the Bessel kernels show against
 # mpmath (27 units of 2^-53)
 _TERM_ROUNDING = 2.0 ** -42
+# the most modes a row may add in its running sum: 27 + K units of 2^-53
+# stay within _TERM_ROUNDING while 27 + K <= 2^11
+_MAX_MODES = 2 ** 11 - 27
 
 
 @lru_cache(maxsize=None)
@@ -231,6 +238,11 @@ def _modes(n: int, y1: float, y: float, dx: float, budget: float, rel: float = 0
     falls; so F_(k+1)/F_k <= rho = (1 + 1/K)^n e^(-2 pi (y1 - y)) for every
     k >= K, and the series stops at the first K with rho < 1 and the tail
     bound 2 F_K rho/(1 - rho) at most budget or rel times the size.
+
+    The K terms are added in a running float sum.  Each Bessel product may
+    carry 27 units of 2^-53, so the row's error is at most (27 + K) 2^-53
+    times its size, within _TERM_ROUNDING while 27 + K <= 2^11; a row that
+    needs more than _MAX_MODES modes raises TailBudgetError.
     """
     kx = _k_column(n, y1)
     step = math.exp(-math.tau * (y1 - y))
@@ -247,6 +259,10 @@ def _modes(n: int, y1: float, y: float, dx: float, budget: float, rel: float = 0
         rho = (1.0 + 1.0 / k) ** n * step
         if rho < 1.0 and f * rho <= max(budget, rel * size) * (1.0 - rho):
             return total, size, f * rho / (1.0 - rho)
+        if k == _MAX_MODES:
+            raise TailBudgetError(
+                f"a row at height {y:.6g} under y1 = {y1:.6g} needs more than "
+                f"{_MAX_MODES} modes at s = {n + 1}; loosen tail_target")
 
 
 @lru_cache(maxsize=4096)
@@ -381,9 +397,9 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
     - the zero modes of all rows are 2 pi/(2s-1) y1^(1-s) E(z2, s); a budget
       under which _TERM_ROUNDING times their size passes b/8 is refused
       (TailBudgetError) before enumerating;
-    - the rows at height y >= Y = y1 2^-level are summed: within _ROW_GAP of
-      y1 in n (_row_direct, less their zero mode), the others by their
-      modes (_modes), each to a tail of b/(8 rows);
+    - the rows at height y >= Y = y1 2^-level are summed: within 1/20 of y1
+      (_ROW_GAP) in n (_row_direct, less their zero mode), the others by
+      their modes (_modes), each to a tail of b/(8 rows);
     - the rows below Y are bounded by _omitted_rate times the rest
       E(z2, s) - sum_(y >= Y) y^s plus its error.  The level is predicted
       (_predicted_level), checked with the real rest and, while that bound
@@ -554,14 +570,13 @@ def class_pair_weights(pairs, m: int) -> dict[tuple[QuadForm, QuadForm], int]:
     """Summed multiplicity per class_pair_key over every (pair, coset) walk.
 
     pairs carry reduced forms z1, z2 (CM points) and a multiplicity
-    (cmcycles.CyclePair); the coset image of z2 is exact too (hecke_image),
+    (cmcycles.CyclePair); the coset images of z2 are exact too (hecke_images),
     so the keys are exact.
     """
-    cosets = hecke_cosets(m)
     weights: dict[tuple[QuadForm, QuadForm], int] = {}
     for pair in pairs:
-        for coset in cosets:
-            key = class_pair_key(pair.z1, reduce_form(hecke_image(pair.z2, coset)))
+        for w in hecke_images(pair.z2, m):
+            key = class_pair_key(pair.z1, w)
             weights[key] = weights.get(key, 0) + pair.multiplicity
     return weights
 

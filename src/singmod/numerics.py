@@ -344,6 +344,11 @@ def mk_constant(k: int):
     raise ValueError(f"m_k is defined for k in (3, 5, 7), got {k}")
 
 
+# m_k as floats from the same closed forms, for the chain checks; each is
+# float(mk_constant(k)) at mpmath's default 53 bits
+MK_FLOAT = {3: 2.0, 5: 7.0 / 3.0, 7: (7.0 * math.sqrt(15.0) - 3.0) / 10.0}
+
+
 def integer_recognize(x, ctx: PrecisionContext, err=0) -> int:
     """Round x to the nearest integer n if it is certified, else raise.
 

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 
-from .numerics import PrecisionContext, PrecisionError, _q_int, mk_constant
+from .numerics import MK_FLOAT, PrecisionContext, PrecisionError, _q_int
 from .quadforms import Discriminant, QuadForm, QuadFormError
 from .cmcycles import (
     SingularCycleError,
@@ -275,7 +275,7 @@ def verify_chain(d1, d2, m: int, ctx: PrecisionContext,
     neg = [-total.value + total.tail_bound for total in totals]
     out = []
     for k, neg_k in zip(ks, neg):
-        mk = float(mk_constant(k))
+        mk = MK_FLOAT[k]
         bound = mk * neg_k
         passed = 2.0 * base.log_norm >= bound
         out.append(ChainBound(k=k, mk=mk, neg_gkm=neg_k, bound=bound, passed=passed))

@@ -233,6 +233,31 @@ def test_greens_point_mode(capsys):
     assert len(payload["per_coset"]) == 3  # sigma_1(2) cosets listed
 
 
+def test_points_with_a_negative_real_part(capsys):
+    # half the fundamental domain has Re z < 0; argparse read such a point as
+    # an option ("the following arguments are required", "expected one
+    # argument") unless spelled --z1=... or after --
+    code, payload, _ = run_json(capsys, "modpoly-eval", "2", "-0.3+1.1i", "0.21+2.3i")
+    assert code == 0 and payload["z1"] == "-0.3+1.1i" and not payload["zero"]
+    greens = ("greens", "--k", "3", "--tail", "1e-4")
+    code, plain, _ = run_json(capsys, *greens, "--z1", "-0.3+1.1i", "--z2", "-.21+2.3i")
+    assert code == 0 and plain["tail_bound"] <= 1e-4
+    code, spelled, _ = run_json(capsys, *greens, "--z1=-0.3+1.1i", "--z2=-.21+2.3i")
+    assert code == 0 and spelled == plain
+    # z -> -conj z on both points leaves G_k unchanged
+    code, mirror, _ = run_json(capsys, *greens, "--z1", "0.3+1.1i", "--z2", "0.21+2.3i")
+    assert code == 0
+    assert abs(mirror["value"] - plain["value"]) <= mirror["tail_bound"] + plain["tail_bound"]
+    # options still parse as options, and an unknown one is still refused
+    code, out, _ = run(capsys, "modpoly-eval", "2", "-0.3+1.1i", "0.21+2.3i",
+                       "--precision-bits", "64")
+    assert code == 0 and out.startswith("phi_2 = ")
+    with pytest.raises(SystemExit) as exc:
+        main(["modpoly-eval", "2", "-0.3+1.1i", "0.21+2.3i", "-q"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: -q" in capsys.readouterr().err
+
+
 def test_greens_cycle_mode(capsys):
     code, payload, _ = run_json(
         capsys, "greens", "--k", "3", "--m", "2", "--cycle", "-3", "-4",

@@ -429,14 +429,53 @@ def test_row_identity_matches_direct_sum(s):
     # sum_n Q_(s-1)(cosh d(z1, w + n)) = 2 pi/(2s-1) y1^(1-s) y^s
     #   + 2 sum_k F_k cos(2 pi k (x1 - x)), against the direct n-sum with its
     # own tail bound (whose terms fall only like n^-2s)
-    budget = 1e-11 if s == 2 else 1e-14
+    tight = 1e-11 if s == 2 else 1e-14
     for y1, y, dx in ((1.1, 0.31, 0.17), (2.3, 1.1, -0.42), (9.8, 0.02, 0.5),
                       (9.8, 9.2, 0.03), (0.9, 0.6, 0.0)):
-        modes, size, tail = greens._modes(s - 1, y1, y, dx, budget)
+        modes, size, tail = greens._modes(s - 1, y1, y, dx, tight)
         zero = math.tau / (2 * s - 1) * y1 ** (1 - s) * y ** s
-        direct, direct_tail = greens._row_direct(s, y1, y, dx, budget)
+        direct, direct_tail = greens._row_direct(s, y1, y, dx, tight)
         slack = tail + direct_tail + 1e-14 * (zero + size + direct)
         assert abs(zero + modes - direct) <= slack, (y1, y, dx)
+    # rows from just under _ROW_GAP = 1/20 to 1/4 below the centre, where the
+    # modes fall slowest: both routes agree within their tails and the
+    # rounding _lattice_sums allows (the tight budget is the one above, as the
+    # n-sum at s = 2 is slow)
+    for y1 in (1.0, 3.1):
+        for gap, dx in ((0.03, 0.5), (0.05, 0.17), (0.08, -0.42), (0.15, 0.0),
+                        (0.24, 0.31)):
+            y = y1 - gap
+            zero = math.tau / (2 * s - 1) * y1 ** (1 - s) * y ** s
+            for budget in (1e-8, tight):
+                modes, size, tail = greens._modes(s - 1, y1, y, dx, budget)
+                direct, direct_tail = greens._row_direct(s, y1, y, dx, budget)
+                slack = (tail + direct_tail
+                         + greens._TERM_ROUNDING * (zero + size + direct))
+                assert abs(zero + modes - direct) <= slack, (y1, gap, budget)
+
+
+def test_near_rows_take_the_faster_route(monkeypatch):
+    # _ROW_GAP = 1/20: a row 0.1 below the centre is summed by its modes, one
+    # 0.02 below it in n; the identity row of z2 lies at height Im z2
+    routes = []
+    for name in ("_modes", "_row_direct"):
+        def spy(*args, _name=name, _original=getattr(greens, name)):
+            routes.append((_name, args[2]))
+            return _original(*args)
+        monkeypatch.setattr(greens, name, spy)
+    for y2, route in ((1.0, "_modes"), (1.08, "_row_direct")):
+        routes.clear()
+        _lattice_sums((3,), Z1, complex(0.21, y2), 1e-3)
+        assert {name for name, y in routes if y == pytest.approx(y2)} == {route}
+
+
+def test_modes_past_the_rounding_allowance_are_refused():
+    # the running sum of K modes is within _TERM_ROUNDING while 27 + K <= 2^11;
+    # a row 1e-4 below the centre would need about 3 200 modes at s = 3
+    assert greens._MAX_MODES + 27 == 2 ** 11
+    with pytest.raises(TailBudgetError, match="modes"):
+        greens._modes(2, 1.0, 0.9999, 0.3, 1e-12)
+    greens._modes(2, 1.0, 0.99, 0.3, 1e-12)
 
 
 def _kronecker(d: int, p: int) -> int:

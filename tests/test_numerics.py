@@ -6,6 +6,7 @@ import pytest
 
 from singmod import numerics
 from singmod.numerics import (
+    MK_FLOAT,
     IntegerRecognitionError,
     PrecisionContext,
     PrecisionError,
@@ -170,6 +171,14 @@ def test_mk_values():
     assert float(mk_constant(7)) == pytest.approx((7 * math.sqrt(15) - 3) / 10, rel=1e-15)
     with pytest.raises(ValueError):
         mk_constant(9)
+
+
+def test_mk_floats_are_the_mpmath_values():
+    # verify_chain reads the floats; they are the mpf closed forms rounded
+    with mp.workprec(53):
+        for k in (3, 5, 7):
+            assert MK_FLOAT[k] == float(mk_constant(k))
+    assert sorted(MK_FLOAT) == [3, 5, 7]
 
 
 def test_mk_dense_sampling():
