@@ -30,9 +30,18 @@ not positive at once (ValueError).  Lattice sums take integer s >= 2 only;
 the bounds use k = 3, 5, 7 (Gross-Kohnen-Zagier).  G_k_m is the one
 point-pair entry for G_k^m: k = 1 is the modular-polynomial logarithm, and
 k = 3, 5, 7 one lattice sum per Hecke coset.  A cycle's G_k^m
-(G_ks_m_cycle) sums once per class-pair key (class_pair_key), every k from
-one row enumeration.  The point-pair kernel is g_s_truncated, in mpf
-through numerics.legendre_Q; g_s is its one-term case.
+(G_ks_m_cycle) sums once per class-pair key (class_pair_key).  The point-pair
+kernel is g_s_truncated, in mpf through numerics.legendre_Q; g_s is its
+one-term case.
+
+Walks share work through two bounded process-wide caches: each lower
+point's rows (_OrbitRows), enumerated once down to the deepest height floor
+any centre has asked for, and each row height's Bessel-I factors
+(_i_column).  A row's height and offset are computed from the lower point
+alone, a floor's rows are a prefix of any deeper floor's, and a cached
+factor is the value it would be recomputed as; so every result is a
+function of its points, s and budget only, whatever the caches hold, the
+order of the walks or the process they run in.
 
 For Laplacian eigenfunction checks use gamma_orbit + g_s_truncated: every
 single gamma-term is an exact eigenfunction in z1, so a truncated sum over a
@@ -43,6 +52,8 @@ truncation noise.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -167,6 +178,47 @@ _TERM_ROUNDING = 2.0 ** -42
 # the most modes a row may add in its running sum: 27 + K units of 2^-53
 # stay within _TERM_ROUNDING while 27 + K <= 2^11
 _MAX_MODES = 2 ** 11 - 27
+# the most orbit rows _orbit_rows keeps over all lower points (~10 MB)
+_ROW_CACHE_ROWS = 2 ** 16
+
+
+class _OrbitRows:
+    """The bottom rows of each lower point z2, enumerated once down to the
+    deepest height floor asked for.
+
+    A row's height yw = y2/|c z2 + d|^2 and offset wx0 (modular._bottom_rows)
+    are computed from z2 alone, and the rows at any floor are a prefix of a
+    deeper floor's rows by descending height, so what is served never
+    depends on what was enumerated before.  The least recently used points
+    are dropped while more than limit rows (one more per point) are held;
+    the newest point is always kept.
+    """
+
+    def __init__(self, limit: int):
+        self.limit, self.held, self.points = limit, 0, OrderedDict()
+
+    def __call__(self, z2: complex, floor: float) -> list[tuple[float, float]]:
+        """(yw, wx0) of every row of z2 at height yw >= floor, highest first."""
+        entry = self.points.pop(z2, None)
+        if entry is None or entry[0] > floor:
+            if entry is not None:
+                self.held -= len(entry[2]) + 1
+            rows = sorted(((yw, wx0) for _, _, _, wx0, yw in _bottom_rows(z2, floor)),
+                          reverse=True)
+            entry = (floor, [-yw for yw, _ in rows], rows)
+            self.held += len(rows) + 1
+        self.points[z2] = entry
+        while self.held > self.limit and len(self.points) > 1:
+            _, (_, _, old) = self.points.popitem(last=False)
+            self.held -= len(old) + 1
+        return entry[2][:bisect_right(entry[1], -floor)]
+
+    def clear(self):
+        self.held = 0
+        self.points.clear()
+
+
+_orbit_rows = _OrbitRows(_ROW_CACHE_ROWS)
 
 
 @lru_cache(maxsize=None)
@@ -216,15 +268,18 @@ def _i_scaled(n: int, x: float) -> float:
 
 
 @lru_cache(maxsize=1024)
-def _k_column(n: int, y1: float):
-    """k -> _k_scaled(n, 2 pi k y1), memoised per centre height."""
-    memo = [0.0]
+def _k_column(n: int, y1: float) -> list[float]:
+    """[0, _k_scaled(n, 2 pi y1), _k_scaled(n, 4 pi y1), ...], memoised per
+    centre height; _modes appends each next k as it needs it."""
+    return [0.0]
 
-    def kx(k: int) -> float:
-        while len(memo) <= k:
-            memo.append(_k_scaled(n, math.tau * len(memo) * y1))
-        return memo[k]
-    return kx
+
+@lru_cache(maxsize=8192)
+def _i_column(n: int, y: float) -> list[float]:
+    """[0, _i_scaled(n, 2 pi y), _i_scaled(n, 4 pi y), ...], memoised per row
+    height and extended like _k_column.  A row's height is computed from its
+    lower point alone (_OrbitRows), so every centre, k and budget reuses it."""
+    return [0.0]
 
 
 def _modes(n: int, y1: float, y: float, dx: float, budget: float, rel: float = 0.0):
@@ -244,7 +299,7 @@ def _modes(n: int, y1: float, y: float, dx: float, budget: float, rel: float = 0
     times its size, within _TERM_ROUNDING while 27 + K <= 2^11; a row that
     needs more than _MAX_MODES modes raises TailBudgetError.
     """
-    kx = _k_column(n, y1)
+    icol, kcol = _i_column(n, y), _k_column(n, y1)
     step = math.exp(-math.tau * (y1 - y))
     phase = math.tau * (dx - round(dx))
     damp = 1.0
@@ -253,7 +308,11 @@ def _modes(n: int, y1: float, y: float, dx: float, budget: float, rel: float = 0
     while True:
         k += 1
         damp *= step
-        f = _i_scaled(n, math.tau * k * y) * kx(k) * damp / k
+        if len(icol) == k:
+            icol.append(_i_scaled(n, math.tau * k * y))
+        if len(kcol) == k:
+            kcol.append(_k_scaled(n, math.tau * k * y1))
+        f = icol[k] * kcol[k] * damp / k
         total += f * math.cos(k * phase)
         size += f
         rho = (1.0 + 1.0 / k) ** n * step
@@ -410,11 +469,11 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
       of every term; a total above b is refused (TailBudgetError).
 
     G_s is reported as -2 S + 2 error with tail bound 4 error <= target, so
-    the exact sum lies in [value - tail_bound, value].  Every s reads one
-    shared row enumeration (_bottom_rows at the deepest level asked for so
-    far; ascending s lets s = 3 set it for 5 and 7) only at and above the
-    levels it checks, and sums with fsum, so no result depends on which s
-    enumerated.  The result is aligned with ss.
+    the exact sum lies in [value - tail_bound, value].  Every s reads the
+    lower point's shared rows (_orbit_rows; ascending s lets s = 3 enumerate
+    for 5 and 7) only at and above the levels it checks, and sums with
+    fsum, so no result depends on which s or which walk enumerated.  The
+    result is aligned with ss.
     """
     if not target > 0:
         raise ValueError(f"tail target must be positive, got {target}")
@@ -422,19 +481,6 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
     if other.imag > centre.imag:
         centre, other = other, centre
     x1, y1 = centre.real, centre.imag
-    enum_level, enum_rows = 0, []
-
-    def rows_from(level):
-        nonlocal enum_level, enum_rows
-        if level > enum_level:
-            # rows at height y >= Y come within cosh (y1/Y + Y/y1)/2 of z1
-            t = 0.5 * (math.ldexp(1.0, level) + math.ldexp(1.0, -level))
-            enum_rows = [(den / (2.0 * y1), x1 - wx0) for _, _, _, wx0, _, den, _, _
-                         in _bottom_rows(centre, other, t * (1.0 + 2.0 ** -20))]
-            enum_level = level
-        y_cut = math.ldexp(y1, -level)
-        return [row for row in enum_rows if row[0] >= y_cut]
-
     out = {}
     for s in sorted(set(ss)):
         n, b = s - 1, target / 4.0
@@ -447,7 +493,7 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
                 "loosen tail_target")
 
         def bound(level):
-            rows = rows_from(level)
+            rows = _orbit_rows(other, math.ldexp(y1, -level))
             powers = [y ** s for y, _ in rows]
             power_sum = math.fsum(powers)
             rest_err = eis_tail + _TERM_ROUNDING * (eis_size + power_sum)
@@ -470,7 +516,8 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
         share = b / (8.0 * max(len(rows), 1))
         parts, sizes = [scale * eis], [scale * eis_size]
         errors = [omitted, scale * eis_tail]
-        for (y, dx), power in zip(rows, powers):
+        for (y, wx0), power in zip(rows, powers):
+            dx = x1 - wx0
             if y1 - y < _ROW_GAP:
                 direct, tail = _row_direct(s, y1, y, dx, share)
                 parts += [direct, -scale * power]

@@ -479,50 +479,64 @@ def cosh_dist(z1, z2):
     return 1 + ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (2 * y1 * y2)
 
 
-def _bottom_rows(z1: complex, z2: complex, cosh_cut: float):
-    """Yield (c, d, a0, wx0, dy2, den, n_lo, n_hi) per coprime bottom row
-    (c, d) of PSL2(Z), c > 0 or (0, 1), that can come within cosh_cut.
+def _bottom_rows(z2: complex, floor: float):
+    """Yield (c, d, a0, wx0, yw) per coprime bottom row (c, d) of PSL2(Z),
+    c > 0 or (0, 1), whose image of z2 has height yw = y2/|c z2 + d|^2 >= floor.
 
-    gamma_n = (a0 + n c, b0 + n d; c, d), a0 = d^-1 mod c, has Re gamma_n z2
-    = wx0 + n, wx0 = a0/c - (c x2 + d)/(c |c z2 + d|^2): no xgcd, no complex
-    division.  cosh d(z1, gamma_n z2) = 1 + ((x1 - wx0 - n)^2 + dy2) / den
-    <= cosh_cut only for n_lo <= n <= n_hi; rows need y1/yw + yw/y1 <= 2 T.
+    gamma_n = (a0 + n c, b0 + n d; c, d), a0 = d^-1 mod c, has gamma_n z2
+    = wx0 + n + i yw, wx0 = a0/c - (c x2 + d)/(c |c z2 + d|^2): no xgcd, no
+    complex division.  yw and wx0 are computed from z2 alone, so a deeper
+    floor yields the rows of a shallower one with the same values.
     """
-    x1, y1 = z1.real, z1.imag
     x2, y2 = z2.real, z2.imag
-    if y1 <= 0 or y2 <= 0:
-        raise ValueError("points must lie in the upper half plane")
-    # |c z2 + d|^2 <= cap = y2 / (least reachable Im)
-    cap = y2 * (cosh_cut + math.sqrt(max(cosh_cut * cosh_cut - 1.0, 0.0))) / y1
-    cut1 = cosh_cut - 1.0
-    gcd, sqrt, ceil, floor = math.gcd, math.sqrt, math.ceil, math.floor
+    if y2 <= 0 or not floor > 0:
+        raise ValueError("z2 must lie in the upper half plane, over a positive floor")
+    # |c z2 + d|^2 <= cap, with room so that rounding drops no row
+    cap = y2 / floor * (1.0 + 2.0 ** -40)
+    gcd, sqrt = math.gcd, math.sqrt
     for c in range(int(sqrt(cap) / y2) + 1):
         cy2sq = (c * y2) ** 2
         if cap < cy2sq:
             continue
         r = sqrt(cap - cy2sq)
-        for d in range(ceil(-c * x2 - r), floor(-c * x2 + r) + 1) if c else (1,):
+        for d in (range(math.ceil(-c * x2 - r), math.floor(-c * x2 + r) + 1)
+                  if c else (1,)):
             if c and gcd(c, d) != 1:
                 continue
             q = c * x2 + d
             norm = q * q + cy2sq
             yw = y2 / norm
-            dy2 = (y1 - yw) ** 2
-            den = 2.0 * y1 * yw
-            rad = den * cut1 - dy2
-            if rad < 0:
+            if yw < floor:
                 continue
             a0 = pow(d, -1, c) if c else 1
-            wx0 = a0 / c - q / (c * norm) if c else x2
-            r = sqrt(rad)
-            yield c, d, a0, wx0, dy2, den, ceil(x1 - wx0 - r), floor(x1 - wx0 + r)
+            yield c, d, a0, (a0 / c - q / (c * norm) if c else x2), yw
+
+
+def _rows_within(z1: complex, z2: complex, cosh_cut: float):
+    """Yield (c, d, a0, wx0, dy2, den, n_lo, n_hi) per bottom row that can
+    come within cosh_cut of z1: cosh d(z1, gamma_n z2) = 1 + ((x1 - wx0 - n)^2
+    + dy2)/den <= cosh_cut only for n_lo <= n <= n_hi, and only rows with
+    y1/yw + yw/y1 <= 2 cosh_cut have any such n."""
+    x1, y1 = z1.real, z1.imag
+    if y1 <= 0:
+        raise ValueError("points must lie in the upper half plane")
+    cut1 = cosh_cut - 1.0
+    reach = cosh_cut + math.sqrt(max(cosh_cut * cosh_cut - 1.0, 0.0))
+    for c, d, a0, wx0, yw in _bottom_rows(z2, y1 / reach * (1.0 - 2.0 ** -40)):
+        dy2 = (y1 - yw) ** 2
+        den = 2.0 * y1 * yw
+        rad = den * cut1 - dy2
+        if rad < 0:
+            continue
+        r = math.sqrt(rad)
+        yield c, d, a0, wx0, dy2, den, math.ceil(x1 - wx0 - r), math.floor(x1 - wx0 + r)
 
 
 def gamma_translates(z1: complex, z2: complex, cosh_cut: float):
     """All (gamma, cosh d(z1, gamma z2)) with cosh distance <= cosh_cut."""
     x1 = z1.real
     out = []
-    for c, d, a0, wx0, dy2, den, n_lo, n_hi in _bottom_rows(z1, z2, cosh_cut):
+    for c, d, a0, wx0, dy2, den, n_lo, n_hi in _rows_within(z1, z2, cosh_cut):
         b0 = (a0 * d - 1) // c if c else 0
         for n in range(n_lo, n_hi + 1):
             ch = 1.0 + ((x1 - wx0 - n) ** 2 + dy2) / den
@@ -536,7 +550,7 @@ def cosh_translates(z1: complex, z2: complex, cosh_cut: float) -> list[float]:
     x1 = z1.real
     out = []
     append = out.append
-    for _, _, _, wx0, dy2, den, n_lo, n_hi in _bottom_rows(z1, z2, cosh_cut):
+    for _, _, _, wx0, dy2, den, n_lo, n_hi in _rows_within(z1, z2, cosh_cut):
         base = x1 - wx0
         for n in range(n_lo, n_hi + 1):
             ch = 1.0 + ((base - n) ** 2 + dy2) / den

@@ -9,7 +9,7 @@ from singmod.numerics import PrecisionContext, _q_int, _q_table, legendre_P, leg
 from singmod.quadforms import QuadForm, enumerate_reduced, inverse
 from singmod.modular import (_bottom_rows, coset_apply, cosh_translates, fd_reduce,
                              hecke_cosets, j_eval, modpoly_eval, y1_distance)
-from singmod.cmcycles import build_cycle
+from singmod.cmcycles import big_cm_cycle, build_cycle
 from singmod.verify import fundamental_discriminants
 from singmod.greens import (
     DEFAULT_GK_TAIL,
@@ -269,6 +269,23 @@ def test_tail_honest_on_chain_grid_walks(m):
             assert g.value - d.value <= g.tail_bound, (f1, f2, g, d)
 
 
+@pytest.fixture
+def cold_caches():
+    """Start with no orbit rows or Bessel-I columns shared from earlier walks."""
+    clears = (greens._orbit_rows.clear, greens._i_column.cache_clear)
+    for clear in clears:
+        clear()
+    yield
+    for clear in clears:
+        clear()
+
+
+def _lower_point(c1: complex, c2: complex) -> complex:
+    """The reduced point of a walk whose rows are enumerated: the lower one."""
+    z1, z2 = fd_reduce(c1)[0], fd_reduce(c2)[0]
+    return z2 if z2.imag <= z1.imag else z1
+
+
 def _spy_on_enumeration(monkeypatch) -> list:
     """The argument tuples of every _bottom_rows call the lattice sums make."""
     calls = []
@@ -282,18 +299,38 @@ def _spy_on_enumeration(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_chain_grid_walks_enumerate_once(monkeypatch, m):
+def test_chain_grid_walks_enumerate_once(monkeypatch, cold_caches, m):
     # s = 3 enumerates the rows its predicted level needs, and s = 5, 7 take
-    # coarser levels, so each walk enumerates its rows once for k = 3, 5, 7
+    # coarser levels; the rows are shared by every walk with the same lower
+    # point, which enumerates again only for a floor below every floor it
+    # was enumerated at.  So from cold caches the chain grid enumerates once
+    # per lower point plus once per such deeper floor, at most once a walk
     calls = _spy_on_enumeration(monkeypatch)
+    rows, asked = greens._orbit_rows, []
+
+    def spy_rows(z2, floor):
+        asked.append((z2, floor))
+        return rows(z2, floor)
+
+    monkeypatch.setattr(greens, "_orbit_rows", spy_rows)
     share = 1e-3 / len(hecke_cosets(m))
     keys = _chain_grid_keys(m)
+    deepest, expect = {}, []
     for f1, f2 in keys:
+        before = len(calls)
+        del asked[:]
         _lattice_sums((3, 5, 7), f1.approx(), f2.approx(), share)
-    assert len(calls) == len(keys)
+        assert len(calls) - before <= 1
+        for z2, floor in asked:
+            assert z2 == _lower_point(f1.approx(), f2.approx())
+            if floor < deepest.get(z2, math.inf):
+                deepest[z2] = floor
+                expect.append((z2, floor))
+    assert calls == expect
+    assert len(deepest) < len(calls) < len(keys)
 
 
-def test_hopeless_budget_refused_before_enumerating(monkeypatch):
+def test_hopeless_budget_refused_before_enumerating(monkeypatch, cold_caches):
     # the rounding floor is checked on the Eisenstein zero mode, before any
     # row is enumerated
     calls = _spy_on_enumeration(monkeypatch)
@@ -320,7 +357,52 @@ def _coarse_start(monkeypatch):
     monkeypatch.setattr(greens, "_predicted_level", coarse)
 
 
-def test_cutoff_grows_when_the_real_count_fails(monkeypatch):
+def _fresh_rows(z2: complex, floor: float) -> list:
+    """(yw, wx0) of every bottom row of z2 at height >= floor, highest first,
+    from an enumeration at that floor."""
+    return sorted(((yw, wx0) for _, _, _, wx0, yw in _bottom_rows(z2, floor)),
+                  reverse=True)
+
+
+def test_walks_do_not_depend_on_shared_caches(cold_caches):
+    # one walk cold, after other centres at shallower and deeper floors have
+    # filled its lower point's rows (and the Bessel-I columns), and cold
+    # again: the values are bit-identical
+    def walk():
+        return _lattice_sums((3, 5, 7), Z2, Z1, 1e-4)
+
+    cold = walk()
+    floor = greens._orbit_rows.points[Z1][0]
+    greens._orbit_rows.clear()
+    for centre, target in ((0.1 + 1.5j, 1e-3), (0.4 + 4.0j, 1e-7), (-0.2 + 1.2j, 1e-8)):
+        _lattice_sums((3, 5, 7), centre, Z1, target)
+    assert greens._orbit_rows.points[Z1][0] < floor
+    assert walk() == cold
+    greens._orbit_rows.clear()
+    greens._i_column.cache_clear()
+    assert walk() == cold
+    # rows served from a deeper enumeration are those of a fresh one
+    greens._orbit_rows(Z1, floor / 16)
+    for y_cut in (floor, 2.0 * floor, 0.3, 1.0, Z1.imag, 2.0):
+        assert greens._orbit_rows(Z1, y_cut) == _fresh_rows(Z1, y_cut)
+
+
+def test_orbit_row_cache_is_bounded():
+    # least recently used points go while more than the limit is held; the
+    # newest stays even when it alone passes it
+    rows = greens._OrbitRows(40)
+    points = [complex(x, y) for x in (-0.4, 0.0, 0.3) for y in (1.0, 1.3)]
+    for z2 in points + points[:2]:
+        assert rows(z2, 0.2) == _fresh_rows(z2, 0.2)
+        held = sum(len(entry[2]) + 1 for entry in rows.points.values())
+        assert rows.held == held <= 40
+        assert list(rows.points)[-1] == z2
+    assert len(_fresh_rows(points[0], 0.01)) > 40
+    assert rows(points[0], 0.01) == _fresh_rows(points[0], 0.01)
+    assert list(rows.points) == [points[0]]
+
+
+def test_cutoff_grows_when_the_real_count_fails(monkeypatch, cold_caches):
     # a prediction that starts too coarse fails the check with the real
     # rest, so the loop deepens level by level, enumerating again, and lands
     # on the level the good prediction reaches by coarsening: the omitted
@@ -329,6 +411,7 @@ def test_cutoff_grows_when_the_real_count_fails(monkeypatch):
     target = 1e-4
     plain = _lattice_sums((3, 5), Z1, Z2, target)
     deep = _lattice_sums((3, 5), Z1, Z2, target / 400)
+    greens._orbit_rows.clear()
     calls = _spy_on_enumeration(monkeypatch)
     _coarse_start(monkeypatch)
     got = _lattice_sums((3, 5), Z1, Z2, target)
@@ -339,15 +422,16 @@ def test_cutoff_grows_when_the_real_count_fails(monkeypatch):
         assert g.value - d.value <= g.tail_bound, (g, d)
 
 
-def test_growth_refused_before_enumerating_past_the_cap(monkeypatch):
+def test_growth_refused_before_enumerating_past_the_cap(monkeypatch, cold_caches):
     # the deepening step predicts again, so a row cap the next level would
     # pass is refused there, after the one enumeration at the start
     calls = _spy_on_enumeration(monkeypatch)
     _coarse_start(monkeypatch)
     _lattice_sums((3,), Z1, Z2, 1e-4)
     first = calls[0]
-    y1 = first[0].imag
+    y1 = 2.0 * first[1]  # the start, level 1, enumerates down to y1/2
     calls.clear()
+    greens._orbit_rows.clear()
     # the row count predicted at level 1 is allowed, that of level 2 is not
     monkeypatch.setattr(greens, "_MAX_ROWS", 3.0 / (math.pi * math.ldexp(y1, -1)))
     with pytest.raises(TailBudgetError, match="rows"):
@@ -498,10 +582,16 @@ def _gz_epsilon(d1: int, d2: int, n: int) -> int:
     return out
 
 
-def _gz_closed_form(d1: int, d2: int, k: int) -> float:
-    """sum over x^2 < D, x = D (mod 2), of P_(k-1)(x/sqrt D) times
-    sum over n | (D - x^2)/4 of epsilon((D - x^2)/(4n)) log n, D = d1 d2."""
-    big = d1 * d2
+def _gz_psi(d1: int, d2: int, q: int) -> int:
+    """psi(q) = (d2/q), the Kronecker symbol, for q prime to d1, else 0."""
+    return _gz_epsilon(d2, d2, q) if math.gcd(q, d1) == 1 else 0
+
+
+def _gz_closed_form(d1: int, d2: int, k: int, s: int = 1) -> float:
+    """sum over x^2 < s^2 D, x = s^2 D (mod 2), of P_(k-1)(x/(s sqrt D))
+    times sum over n | (s^2 D - x^2)/4 of epsilon((s^2 D - x^2)/(4n)) log n,
+    D = d1 d2, epsilon from d1 and d2."""
+    big = s * s * d1 * d2
     total = []
     for x in range(-math.isqrt(big), math.isqrt(big) + 1):
         if x * x >= big or (big - x) % 2:
@@ -538,6 +628,30 @@ def test_gross_zagier_m1_closed_form():
             want = _gz_closed_form(d1, d2, k)
             got = weight * math.fsum(mids[i])
             assert abs(got - want) <= weight * math.fsum(halves[i]), (d1, d2, k, got, want)
+
+def test_gross_zagier_hecke_closed_form():
+    # Gross-Zagier for G_k^m, m <= 4: sum over the big cycle of G_k^m over
+    # w1 w2 equals F_k(m) = sum over q | m of psi(q) _gz_closed_form at
+    # s = m/q; every coprime pair of fundamental discriminants with
+    # |d| <= 20 meets it within the claimed two-sided bound of G_ks_m_cycle
+    def units(d):
+        return {-3: 6, -4: 4}.get(d, 2)
+
+    ds = fundamental_discriminants(20)
+    pairs = [(d1, d2) for i, d1 in enumerate(ds) for d2 in ds[i + 1:]
+             if math.gcd(d1, d2) == 1]
+    assert len(pairs) == 23
+    for d1, d2 in pairs:
+        cycle = big_cm_cycle(d1, d2).pairs
+        weight = 1 / (units(d1) * units(d2))
+        for m in (1, 2, 3, 4):
+            sums = G_ks_m_cycle((3, 5, 7), m, cycle, 1e-6)
+            for k, g in zip((3, 5, 7), sums):
+                want = math.fsum(_gz_psi(d1, d2, q) * _gz_closed_form(d1, d2, k, m // q)
+                                 for q in range(1, m + 1) if m % q == 0)
+                got = weight * (g.value - g.tail_bound / 2)
+                assert abs(got - want) <= weight * g.tail_bound / 2, (d1, d2, m, k, got, want)
+
 
 def test_G_k_m_singular_on_graph():
     # (i, 2i) lies on the degree-2 Hecke graph
