@@ -21,12 +21,12 @@ A cycle's product is n^power for an integer n that is certified
 (CMCycle.power: 1 for a small cycle; 4 for a big one, whose n is the
 product n0 over the grid at multiplicity 1, an integer by
 cycle_norm_integer, so n0 is certified at a quarter of the bits).
-cycle_log_norm multiplies the per-pair modular values of n as mpfs and
-returns (n as an mpf, an error bound that counts every rounding), the pair
-recognize_with_retries certifies; its name is kept for the benchmark's
-layer metric.  The first pass is sized from exact data: log|j(z)| is about
-pi sqrt|d| / a at the reduced form (a, b, c) of z, so the reduced forms of
-the pairs and their Hecke images give the size of n, and the j-values it
+cycle_log_norm multiplies the per-pair modular values of n as integer
+mantissas and returns n as a Fixed (numerics), with an error bound in
+integer units that counts every truncation, which recognize_with_retries
+certifies; its name is kept for the benchmark's layer metric.  The first
+pass is sized from exact data: log|j(z)| is about pi sqrt|d| / a at the
+reduced form (a, b, c) of z, so the reduced forms of the pairs and their Hecke images give the size of n, and the j-values it
 reads, before any j-value is computed (norm_plan, which a sweep uses to
 evaluate each form once for its whole grid); a retry is only a fallback.
 Inverting both classes sends (z1, z2) to (-conj z1, -conj z2), where |phi_m|
@@ -41,9 +41,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
-import mpmath as mp
-
-from .numerics import PrecisionContext, recognize_with_retries
+from .numerics import GUARD_BITS, Fixed, PrecisionContext, recognize_with_retries
 from .quadforms import (
     Discriminant,
     QuadForm,
@@ -262,54 +260,67 @@ def norm_plan(cycle: CMCycle, m: int,
     return ctx.with_bits(max(ctx.mantissa_bits, bits)), frozenset(forms)
 
 
-# error-bound arithmetic: 53 bits, rounded up
-_UP = {"prec": 53, "rounding": "u"}
+def _cut(x: int, width: int) -> tuple[int, int]:
+    """(x >> k, k): the top width bits of x >= 0, k = 0 when x has no more."""
+    k = max(x.bit_length() - width, 0)
+    return x >> k, k
 
 
-def cycle_log_norm(cycle: CMCycle, m: int, ctx: PrecisionContext) -> tuple[mp.mpf, mp.mpf]:
-    """The certified product of |phi_m(j(z1), j(z2))| as (x, err), with
-    |x - true product| <= err: the pair recognize_with_retries certifies.
+def _up_ratio(a: int, b: int, bits: int) -> int:
+    """An integer >= a 2^bits / b, a >= 0 < b, from a 64-bit head of b."""
+    k = max(b.bit_length() - 64, 0)
+    a = a << bits - k if bits >= k else -(-a >> k - bits)
+    return -(-a // (b >> k))
 
-    The certified product is the cycle product's cycle.power-th root (n0 for
-    a big cycle, see cycle_norm_integer).  One value v per conjugate orbit
-    (conjugate_orbits): a self-conjugate orbit (both classes their own
-    inverse) has a real value, and contributes |Re v|; a folded pair
-    contributes |v|^2 = Re(v)^2 + Im(v)^2; each as often as _orbit_counts
-    says.  If v has relative error at most r, |Re v| is within r of the true
-    factor and |v|^2 within (1 + r)^2 - 1; each mpf operation adds a
-    relative rounding of at most u = 2^(1 - prec).  With S the sum of all
-    these r's and u's, the product's relative error is at most
-    prod (1 + r_i) - 1 <= e^S - 1 <= S (1 + S) for S <= 1, so
-    err = x S (1 + S), rounded up.  The name is kept because the
-    benchmark's layer metric wraps it.
 
-    Raises SingularCycleError the moment a factor is decided zero; the
-    iteration order is fixed (conjugate_orbits, sorted by form key) so the
-    product is bit-stable.
+def cycle_log_norm(cycle: CMCycle, m: int, ctx: PrecisionContext) -> Fixed:
+    """The certified product of |phi_m(j(z1), j(z2))| (n0 for a big cycle)
+    as a Fixed, for recognize_with_retries; the benchmark wraps this name.
+
+    Each conjugate orbit's modpoly_eval value v has |v - t| <= r min(|v|,
+    |t|), r = top/low - 1, t the true value.  A self-conjugate orbit (both
+    classes their own inverse) has a real t and contributes c = |Re v|,
+    within r |t| of |t|; a folded pair c = |v|^2, within a factor (1 + r)^2
+    of |t|^2; each _orbit_counts times.  So max(c/|t|, |t|/c) <= 1 + rho,
+    rho = r/(1 - r) resp. (1 + r)^2 - 1.  Factors and the running product
+    are cut to W-bit mantissas, W = mantissa_bits + GUARD_BITS, each cut
+    losing under 2^(1 - W) of what it keeps.  With S the sum of the rho's
+    and of 2^(1 - W) per cut, a factor's rho and cuts counted once per use
+    (count times), in units of 2^-(W + 64) rounded up, the product is
+    within a factor e^S of the true one, so err = S (1 + S) >= e^S - 1
+    (S <= 1) times it, rounded up.  Raises SingularCycleError the
+    moment a factor is decided zero; the order is fixed (conjugate_orbits)
+    so the product is bit-stable.
     """
-    with ctx.workprec():
-        u = mp.ldexp(1, 1 - mp.mp.prec)
-        product = mp.mpf(1)
-        budget = mp.mpf(0)
-        for pair, real, count in _orbit_counts(cycle):
-            v = modpoly_eval(m, pair.z1, pair.z2, ctx)
-            if v.is_zero:
-                raise SingularCycleError(
-                    f"phi_{m} vanishes at cycle pair {pair.key}",
-                    pair=pair, zero_cosets=v.zero_cosets)
-            if real:
-                factor = abs(v.value.real)
-                share = mp.fadd(v.rel_error, u, **_UP)
-            else:
-                re, im = v.value.real, v.value.imag
-                factor = re * re + im * im
-                # 2 r for |v|^2, 2 u for forming it, u for the multiplication
-                share = mp.fadd(2 * v.rel_error, 3 * u, **_UP)
-            for _ in range(count):
-                product *= factor
-            budget = mp.fadd(budget, mp.fmul(count, share, **_UP), **_UP)
-        rel = mp.fmul(budget, mp.fadd(1, budget, **_UP), **_UP) if budget <= 1 else mp.inf
-        return product, mp.fmul(product, rel, **_UP)
+    width = ctx.mantissa_bits + GUARD_BITS
+    unit, man, exp, total = width + 64, 1, 0, 0
+    one, per_cut = 1 << unit, 1 << 65
+    for pair, real, count in _orbit_counts(cycle):
+        v = modpoly_eval(m, pair.z1, pair.z2, ctx)
+        if v.is_zero:
+            raise SingularCycleError(
+                f"phi_{m} vanishes at cycle pair {pair.key}",
+                pair=pair, zero_cosets=v.zero_cosets)
+        # r >= top/low - 1; r >= 1 leaves S > 1, and err unbounded
+        r = _up_ratio(v.top - v.low, v.low, unit) if v.low else one
+        if real:
+            factor, k = _cut(abs(v.re), width)
+            cuts, k = bool(k), k - v.shift
+            share = -(-r * one // (one - r)) if r < one else math.inf
+        else:
+            # both cut by the larger to W + 3 bits (>= 2^(W + 2)): the under
+            # 2(a + b) + 2 units lost are under 2^(1 - W) of a^2 + b^2
+            a, b = abs(v.re), abs(v.im)
+            k = max(max(a, b).bit_length() - width - 3, 0)
+            factor, k2 = _cut((a >> k) ** 2 + (b >> k) ** 2, width)
+            cuts, k = bool(k) + bool(k2), 2 * (k - v.shift) + k2
+            share = 2 * r - (-r * r >> unit)
+        man, cut = _cut(man * factor ** count, width)
+        exp += k * count + cut
+        # a factor's own cuts compound in factor ** count: once per use
+        total += count * (share + cuts * per_cut) + bool(cut) * per_cut
+    err = -(-man * total * (one + total) >> 2 * unit) if total <= one else math.inf
+    return Fixed(man, err, -exp)
 
 
 def cycle_norm_integer(cycle: CMCycle, m: int, ctx: PrecisionContext) -> int:

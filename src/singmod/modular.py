@@ -9,7 +9,8 @@ runs in Python integers at the fixed binary scale 2^-P, P the working
 precision, and every value carries an absolute error bound in units of
 2^-P (JValue); mpmath only supplies q and 1/q.  modpoly_eval and classpoly
 multiply these integers exactly, so their error bounds are integer
-inequalities that hold at j = 0 as well.  A CM point is its reduced form
+inequalities that hold at j = 0 as well, and hand their results to the
+certifier as integers (numerics.Fixed).  A CM point is its reduced form
 (quadforms.QuadForm); at two CM points modpoly_eval decides its zeros by
 comparing reduced forms, not by a numeric test.  CM values are cached once
 per class pair: the inverse class is served as the exact conjugate of the
@@ -40,12 +41,14 @@ from mpmath.libmp import from_man_exp, to_fixed
 
 from .numerics import (
     GUARD_BITS,
+    Fixed,
     PrecisionContext,
     PrecisionError,
     recognize_with_retries,
     arccosh,
 )
-from .quadforms import QuadForm, enumerate_reduced, hecke_cosets, hecke_image, reduce_form
+from .quadforms import (QuadForm, enumerate_reduced, hecke_cosets, hecke_image, hecke_images,
+                        reduce_form)
 
 _FOUR_PI = 4 * math.pi
 
@@ -328,19 +331,36 @@ def coset_apply(coset: tuple[int, int, int], z):
 
 @dataclass(frozen=True)
 class ModPolyValue:
-    """phi_m(j(z1), j(z2)) together with a bound on its relative error.
+    """phi_m(j(z1), j(z2)) as the exact product (re + i im) 2^-shift of
+    the kept factors, within (top/low - 1) min(|true|, |product|) of the
+    true value (modpoly_eval; low = 0: no bound).  value (an mpc at prec
+    bits) and rel_error (which covers that rounding) are computed on read."""
 
-    rel_error is an mpf rounded up, so it does not underflow at thousands
-    of bits.
-    """
-
-    value: mp.mpc
-    rel_error: mp.mpf
+    re: int
+    im: int
+    shift: int
+    top: int
+    low: int
+    prec: int
     zero_cosets: tuple[tuple[int, int, int], ...]
 
     @property
     def is_zero(self) -> bool:
         return bool(self.zero_cosets)
+
+    @property
+    def value(self) -> mp.mpc:
+        with mp.workprec(self.prec):
+            return mp.mpc(mp.mpf((self.re, -self.shift)), mp.mpf((self.im, -self.shift)))
+
+    @property
+    def rel_error(self) -> mp.mpf:
+        """(top - low)/low + 2^-prec top/low as an mpf, rounded up."""
+        if not self.low:
+            return mp.inf
+        with mp.workprec(self.prec):
+            return mp.fdiv(((self.top - self.low) << self.prec) + 2 * self.top,
+                           self.low << self.prec, rounding="u")
 
     def log_abs(self):
         if self.is_zero:
@@ -348,59 +368,46 @@ class ModPolyValue:
         return mp.log(abs(self.value))
 
 
-def _same_point(f: QuadForm, w: QuadForm) -> bool:
-    """Whether the roots of the form f and of the primitive form w are one
-    point of Y(1): the primitive part of f reduces to the form w reduces to."""
-    g = f.content
-    return reduce_form(QuadForm(f.a // g, f.b // g, f.c // g)) == reduce_form(w)
-
-
 def modpoly_eval(m: int, z1, z2, ctx: PrecisionContext) -> ModPolyValue:
     """Product over Hecke cosets of (j(z1) - j((a z2 + b)/d)), in integers.
 
     Every j-value is read at the scale 2^-prec, prec = ctx.mantissa_bits +
     GUARD_BITS, so each factor is a Gaussian integer f over 2^prec, within
-    e = err1 + errw units of the true factor.  A factor with |f|^2 > e^2,
-    an exact integer comparison, is non-zero.  Otherwise, when z1 and z2 are
-    both forms (CM points), it is zero exactly when z1 and the coset image w
-    of z2 are one point of Y(1) (_same_point), as j is injective on Y(1);
-    for other points it is flagged zero, which |f|^2 <= e^2 suggests but
-    does not prove.  The other factors are multiplied exactly.  With
-    L = isqrt(|f|^2) <= |f|, a kept factor has relative error at most
-    e / (L - e), so the product is within prod L / prod (L - e) - 1 of the
-    true one; rounding it to an mpc at prec bits adds at most
-    2^-prec (1 + that).  rel_error is the sum, rounded up; it is inf when a
-    kept factor has L <= e, a non-zero factor the precision does not
-    resolve.
+    e = err1 + errw units of its true value t; a form z2 (a CM point) takes
+    its images from the memoised hecke_images.  |f|^2 > e^2, an integer
+    comparison, proves f non-zero.  Otherwise, at two CM points, f is zero
+    exactly when the primitive part of z1 reduces to the image w of z2 (j
+    is injective on Y(1)); at other points it is flagged zero, which is
+    not proven.  The other factors are multiplied exactly.  With
+    L = isqrt(|f|^2), |f - t| <= e <= (L/(L - e) - 1) min(|f|, |t|), so
+    top = prod L and low = prod (L - e) bound the product likewise; low is
+    0 when a kept factor has L <= e, which the precision does not resolve.
     """
     prec = ctx.mantissa_bits + GUARD_BITS
     re1, im1, err1 = j_eval(z1, ctx).at_scale(prec)
+    cosets = hecke_cosets(m)
+    images = (hecke_images(z2, m) if isinstance(z2, QuadForm)
+              else [coset_apply(coset, z2) for coset in cosets])
+    # at two CM points, z1's point of Y(1): its primitive part, reduced
     exact = isinstance(z1, QuadForm) and isinstance(z2, QuadForm)
+    home = exact and reduce_form(QuadForm(*(x // z1.content for x in (z1.a, z1.b, z1.c))))
     re, im, shift = 1, 0, 0
     top = low = 1
     zero_cosets = []
-    for coset in hecke_cosets(m):
-        w = coset_apply(coset, z2)
+    for coset, w in zip(cosets, images):
         rew, imw, errw = j_eval(w, ctx).at_scale(prec)
         fr, fi, e = re1 - rew, im1 - imw, err1 + errw
         norm = fr * fr + fi * fi
-        if norm <= e * e and (not exact or _same_point(z1, w)):
+        if norm <= e * e and (not exact or home == w):
             zero_cosets.append(coset)
             continue
-        re, im, shift = re * fr - im * fi, re * fi + im * fr, shift + prec
+        # Gauss: three products for (re + i im)(fr + i fi)
+        k1 = fr * (re + im)
+        re, im, shift = k1 - im * (fr + fi), k1 + re * (fi - fr), shift + prec
         size = math.isqrt(norm)
         top *= size
         low *= max(size - e, 0)
-    with mp.workprec(prec):
-        value = mp.mpc(mp.mpf((re, -shift)), mp.mpf((im, -shift)))
-        rel_error = (mp.fdiv(((top - low) << prec) + 2 * top, low << prec,
-                             rounding="u") if low else mp.inf)
-    return ModPolyValue(value, rel_error, tuple(zero_cosets))
-
-
-def _mpf_up(man: int, exp: int):
-    """An mpf at least man 2^exp, man >= 0, at 53 bits."""
-    return mp.make_mpf(from_man_exp(man, exp, 53, "c"))
+    return ModPolyValue(re, im, shift, top, low, prec, tuple(zero_cosets))
 
 
 def _times_root(re: list[int], im: list[int], r: int, i: int, scale: int):
@@ -435,7 +442,8 @@ def classpoly(d: int, ctx: PrecisionContext) -> list[int]:
     >= prod |X - r|, all in units of 2^-s and rounded up.  Without the
     floors this is coefficient k of prod (X + A + E) - prod (X + A).  The
     exact coefficient is real, so |Im c_k| is added to B_k.  Every
-    coefficient is certified through recognize_with_retries.  The initial
+    coefficient is certified through recognize_with_retries, as the Fixed
+    (c_k, B_k, s).  The initial
     precision is pre-estimated from log2 prod |j(z_form)| ~ sum over forms
     of pi sqrt(|d|) / (a ln 2), since |j(z)| ~ e^(2 pi Im z) and
     Im z_form = sqrt(|d|) / (2a), plus guard bits; recognize_with_retries
@@ -454,9 +462,7 @@ def classpoly(d: int, ctx: PrecisionContext) -> list[int]:
             err = [x - ((-e * y) >> scale) + 2
                    for x, y in zip(_times_up(err, size, scale), far + [0])]
             far = _times_up(far, size + e, scale)
-        with current.workprec():
-            return [(mp.mpf((c, -scale)), _mpf_up(b + abs(c_im), -scale))
-                    for c, c_im, b in zip(re, im, err)]
+        return [Fixed(c, b + abs(c_im), scale) for c, c_im, b in zip(re, im, err)]
 
     return recognize_with_retries(
         compute, ctx.with_bits(max(ctx.mantissa_bits, estimate)))

@@ -1,11 +1,11 @@
 """Arbitrary-precision numerics: Legendre kernels and exact-integer recognition.
 
-Everything downstream (j-values, lattice sums, norm products) runs on mpmath
-at a precision carried by a PrecisionContext.  The Legendre function of the
-second kind at integer order n has one route, _q_int: in mpf, the upward
-three-term recurrence from Q_0(t) = artanh(1/t) with guard bits for its
-cancellation; for double-precision arguments, that recurrence near t = 1,
-the backward (Miller) recurrence elsewhere below t = 2, and from t = 2 on
+j-values, phi_m products and certified integers are fixed point (Fixed);
+lattice sums run on mpmath.  The Legendre function of the second kind at
+integer order n has one route, _q_int: in mpf, the upward three-term
+recurrence from Q_0(t) = artanh(1/t) with guard bits for its cancellation;
+for double-precision arguments, that recurrence near t = 1, the backward
+(Miller) recurrence elsewhere below t = 2, and from t = 2 on
 Q_n(t) = t^(-(n+1)) F(u) in u = 1/t^2, where F's series has positive
 coefficients.  F is evaluated by degree-6 Taylor polynomials on equal
 u-cells up to the top edge (64 for every n <= 20), and above it by F's own
@@ -18,14 +18,15 @@ representation, truncated at 2^-mantissa_bits,
     Q_{s-1}(t) = int_0^oo (t + sqrt(t^2-1) cosh v)^(-s) dv,  t > 1.
 
 Integers are certified by one loop, recognize_with_retries, which sizes
-each retry from the bits the failed attempt lacked, against the fixed
-tolerance INTEGER_TOLERANCE.
+each retry from the bits the failed attempt lacked, by integer_recognize
+against the fixed tolerance INTEGER_TOLERANCE.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -349,58 +350,78 @@ def mk_constant(k: int):
 MK_FLOAT = {3: 2.0, 5: 7.0 / 3.0, 7: (7.0 * math.sqrt(15.0) - 3.0) / 10.0}
 
 
+class Fixed(NamedTuple):
+    """The exact value lies within err 2^-scale of man 2^-scale: integers,
+    but err is math.inf when no bound is known."""
+
+    man: int
+    err: int
+    scale: int
+
+
+def as_fixed(x, ctx: PrecisionContext, err=0) -> Fixed:
+    """x (a number, read as an mpf at the context precision) as a Fixed,
+    taken exactly, with err + |x| 2^-mantissa_bits (its rounding) as bound."""
+    with ctx.workprec():
+        x = mp.mpf(x)
+        bound = mp.fadd(err, mp.ldexp(abs(x), -ctx.mantissa_bits), rounding="u")
+    finite = mp.isfinite(bound)
+    sign, man, exp, _ = x._mpf_
+    _, bman, bexp, _ = bound._mpf_ if finite else (0, 0, 0, 0)
+    scale = max(0, -exp, -bexp)
+    return Fixed((-man if sign else man) << exp + scale,
+                 bman << bexp + scale if finite else math.inf, scale)
+
+
 def integer_recognize(x, ctx: PrecisionContext, err=0) -> int:
     """Round x to the nearest integer n if it is certified, else raise.
 
-    err is the caller's absolute bound on |x - X| for the exact value X.
-    n is accepted only if
-
-        |x - n| + err + |x| 2^-mantissa_bits
-            < min(INTEGER_TOLERANCE * max(1, sqrt|x|), 1/2),
-
-    where the middle term covers the rounding of x itself.  The 1/2 cap is
-    the certificate: if X is an integer, |X - n| < 1/2 forces X = n.  The
-    sqrt-scaled tolerance only tightens the window for small values.
-    Raises IntegerRecognitionError (a PrecisionError) with the residual
-    distance and the shortfall ceil(log2(budget / allowed)) otherwise.
+    x is a Fixed, or a number taken with its bound err (as_fixed).
+    n is accepted only if budget = |x - n| + err < min(INTEGER_TOLERANCE *
+    max(1, sqrt|x|), 1/2), in integers of 2^-scale: 2 budget < 2^scale and
+    (q budget)^2 < p^2 max(2^(2 scale), |man| 2^scale), p/q the tolerance.
+    The 1/2 cap is the certificate: if the exact X is an integer,
+    |X - n| < 1/2 forces X = n.  Raises IntegerRecognitionError with the
+    residual and the shortfall ceil(log2(budget / window)) otherwise.
     """
-    with ctx.workprec():
-        x = mp.mpf(x)
-        n = int(mp.nint(x))
-        residual = abs(x - n)
-        budget = residual + mp.mpf(err) + abs(x) * mp.mpf(2) ** (-ctx.mantissa_bits)
-        threshold = min(
-            mp.mpf(INTEGER_TOLERANCE) * max(mp.mpf(1), mp.sqrt(abs(x))),
-            mp.mpf(0.5))
-        if budget < threshold:
-            return n
-        raise IntegerRecognitionError(
-            f"value is {mp.nstr(residual, 6)} away from the nearest integer "
-            f"with error bound {mp.nstr(budget - residual, 6)} "
-            f"(allowed {mp.nstr(threshold, 6)} in total)",
-            residual=float(residual),
-            short_bits=(int(mp.ceil(mp.log(budget / threshold, 2)))
-                        if mp.isfinite(budget) else math.inf),
-            error_bound=float(budget - residual),
-        )
+    if not isinstance(x, Fixed):
+        x = as_fixed(x, ctx, err)
+    man, bound, scale = x
+    if scale < 0:
+        man, bound, scale = man << -scale, bound if bound == math.inf else bound << -scale, 0
+    n = (2 * man + (1 << scale)) >> scale + 1
+    residual = abs(man - (n << scale))
+    budget = residual + bound
+    p, q = INTEGER_TOLERANCE.as_integer_ratio()
+    if (2 * budget < 1 << scale
+            and (q * budget) ** 2 < p * p * max(1 << 2 * scale, abs(man) << scale)):
+        return n
+    size = max(math.log2(abs(man) or 1) - scale, 0.0)
+    window = min(math.log2(INTEGER_TOLERANCE) + size / 2, -1.0)
+    off, extra = (float(mp.ldexp(v, -scale)) for v in (residual, bound))
+    raise IntegerRecognitionError(
+        f"value is {off:.6g} away from the nearest integer "
+        f"with error bound {extra:.6g} (allowed {2.0 ** window:.6g} in total)",
+        residual=off, error_bound=extra,
+        short_bits=(math.ceil(math.log2(budget) - scale - window)
+                    if budget != math.inf else math.inf))
 
 
 def recognize_with_retries(compute, ctx: PrecisionContext) -> list[int]:
     """Certify every value of compute(ctx) as an integer, retrying larger.
 
     compute receives the (possibly enlarged) context and returns a list of
-    (x, err) pairs, err the absolute error bound of x; each pair must pass
-    integer_recognize(x, current, err), else the whole computation reruns
-    with max(bits, s + 64) more bits, s the first failure's shortfall (a
-    plain doubling when s is not finite).  Fails after MAX_RETRIES retries
-    with a PrecisionError naming the last failure's residual, error bound
-    and shortfall.
+    Fixed values; each must pass integer_recognize, else the whole
+    computation reruns with max(bits, s + 64) more bits, s the first
+    failure's shortfall (a plain doubling when s is not finite).  Fails
+    after MAX_RETRIES retries with a PrecisionError naming the last
+    failure's residual, error bound and shortfall.
     """
     current = ctx
     for _ in range(MAX_RETRIES + 1):
         values = compute(current)
         try:
-            return [integer_recognize(x, current, err) for x, err in values]
+            return [integer_recognize(v, current) for v in values]
         except IntegerRecognitionError as err:
             last = err
             bits = current.mantissa_bits

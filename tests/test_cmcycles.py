@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from singmod import cmcycles, modular
+from singmod import cmcycles, modular, numerics
 from singmod.numerics import PrecisionContext
 from singmod.quadforms import enumerate_reduced, inverse
 from singmod.modular import classpoly, hecke_cosets, modpoly_eval
@@ -23,6 +23,8 @@ from singmod.cmcycles import (
     cycle_norm_integer,
     small_cm_cycle,
 )
+
+from gross_zagier import gz_epsilon, gz_psi
 
 CTX = PrecisionContext()
 
@@ -241,15 +243,96 @@ def test_cycle_product_within_its_error_bound():
         norm = cycle_norm_integer(cyc, m, CTX)
         n = math.isqrt(math.isqrt(norm)) if cyc.power == 4 else norm
         assert n ** cyc.power == norm
-        x, err = cycle_log_norm(cyc, m, CTX.with_bits(80))
-        with mp.workprec(2 * n.bit_length() + 64):
-            assert abs(x - n) <= err
-        assert 0 < err < x * mp.mpf(2) ** -80
+        x, err, scale = cycle_log_norm(cyc, m, CTX.with_bits(80))
+        unit = Fraction(2) ** -scale
+        assert abs(x * unit - n) <= err * unit
+        assert 0 < err and err << 80 < x
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_repeated_factor_cuts_counted_per_use(monkeypatch, real):
+    # a factor that loses almost 2^(1 - W) to its cut, used 1000 times:
+    # the product drifts by about 1000 2^(1 - W), which the bound must cover
+    ctx = CTX.with_bits(80)
+    width = ctx.mantissa_bits + numerics.GUARD_BITS
+    x = (1 << width + 40) - 1
+    value = modular.ModPolyValue(x, 0 if real else x, 7, 1, 1, width, ())
+    pair = big_cm_cycle(-3, -4).pairs[0]
+    monkeypatch.setattr(cmcycles, "_orbit_counts", lambda cycle: [(pair, real, 1000)])
+    monkeypatch.setattr(cmcycles, "modpoly_eval", lambda m, z1, z2, ctx: value)
+    man, err, scale = cycle_log_norm(None, 1, ctx)
+    true = (Fraction(x, 1 << 7) ** (1 if real else 2) * (1 if real else 2)) ** 1000
+    got = Fraction(man) / Fraction(2) ** scale
+    assert abs(got - true) > true / 2 ** width  # the cuts do drift it
+    assert abs(got - true) <= err / Fraction(2) ** scale
+
+
+def test_norms_and_classpoly_certified_on_integers_alone(monkeypatch):
+    # with the j-values cached, the phi_m products, the cycle product, its
+    # bound and the recognition of norms and class-polynomial coefficients
+    # run without mpmath
+    class NoMpmath:
+        def __getattr__(self, name):
+            raise AssertionError(f"mpmath.{name} used")
+
+    cycles = [(big_cm_cycle(-23, -24), 4), (big_cm_cycle(-7, -8), 3),
+              (small_cm_cycle(-15, -60), 1)]
+    want = [cycle_norm_integer(cyc, m, CTX) for cyc, m in cycles], classpoly(-23, CTX)
+    monkeypatch.setattr(modular, "mp", NoMpmath())
+    monkeypatch.setattr(numerics, "mp", NoMpmath())
+    got = [cycle_norm_integer(cyc, m, CTX) for cyc, m in cycles], classpoly(-23, CTX)
+    assert got == want
 
 
 def test_log_norm_error_bound_does_not_underflow():
-    x, err = cycle_log_norm(big_cm_cycle(-15, -23), 4, CTX.with_bits(2000))
-    assert 0 < err < x * mp.mpf(2) ** -1900
+    x, err, _ = cycle_log_norm(big_cm_cycle(-15, -23), 4, CTX.with_bits(2000))
+    assert 0 < err and err << 1900 < x
+
+
+def _gz_k1_exponents(d1: int, d2: int, m: int) -> dict[int, int]:
+    """e_p with F_1(m) = sum of e_p log p: F_1(m) = sum over q | m of
+    psi(q) GZ_1(m/q), and GZ_1(s) = sum over x^2 < s^2 D, x = s^2 D (mod 2),
+    of sum over n n' = (s^2 D - x^2)/4 of epsilon(n') log n, D = d1 d2."""
+    exponents: dict[int, int] = {}
+    for q in range(1, m + 1):
+        psi = gz_psi(d1, d2, q) if m % q == 0 else 0
+        if not psi:
+            continue
+        big = (m // q) ** 2 * d1 * d2
+        for x in range(-math.isqrt(big), math.isqrt(big) + 1):
+            if x * x >= big or (big - x) % 2:
+                continue
+            rest = (big - x * x) // 4
+            for n in range(2, rest + 1):
+                if rest % n:
+                    continue
+                weight, p = psi * gz_epsilon(d1, d2, rest // n), 2
+                while n > 1:
+                    while n % p == 0:
+                        exponents[p] = exponents.get(p, 0) + weight
+                        n //= p
+                    p += 1
+    return exponents
+
+
+def test_gross_zagier_k1_exact_norms():
+    # Gross-Zagier, On singular moduli: N^2 = n0^8 = prod p^(w1 w2 e_p) with
+    # F_1(m) = sum e_p log p, w = 6, 4, 2 for d = -3, -4 and the rest, on
+    # every ordered coprime pair of fundamental discriminants with
+    # |d| <= 24 and m <= 4, exactly
+    def units(d):
+        return {-3: 6, -4: 4}.get(d, 2)
+
+    ds = fundamental_discriminants(24)
+    instances = [(d1, d2, m) for d1 in ds for d2 in ds
+                 if d1 != d2 and math.gcd(d1, d2) == 1 for m in range(1, 5)]
+    assert len(instances) == 280
+    for d1, d2, m in instances:
+        want = 1
+        for p, e in _gz_k1_exponents(d1, d2, m).items():
+            assert units(d1) * units(d2) * e >= 0, (d1, d2, m, p, e)
+            want *= p ** (units(d1) * units(d2) * e)
+        assert cycle_norm_integer(big_cm_cycle(d1, d2), m, CTX) ** 2 == want, (d1, d2, m)
 
 
 def test_multiplicity_not_divided_by_the_power_is_refused():

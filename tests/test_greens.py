@@ -30,6 +30,8 @@ from singmod.greens import (
     tm_count,
 )
 
+from gross_zagier import gz_epsilon, gz_psi
+
 CTX = PrecisionContext()
 
 # generic, Gamma-inequivalent base points used throughout
@@ -562,31 +564,6 @@ def test_modes_past_the_rounding_allowance_are_refused():
     greens._modes(2, 1.0, 0.99, 0.3, 1e-12)
 
 
-def _kronecker(d: int, p: int) -> int:
-    """The Kronecker symbol (d/p) for a discriminant d and a prime p."""
-    if p == 2:
-        return 0 if d % 2 == 0 else (1 if d % 8 in (1, 7) else -1)
-    r = pow(d % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
-
-
-def _gz_epsilon(d1: int, d2: int, n: int) -> int:
-    """Gross-Zagier's epsilon(n), completely multiplicative with
-    epsilon(p) = (d1/p) for p not dividing d1, else (d2/p)."""
-    out, p = 1, 2
-    while n > 1:
-        while n % p == 0:
-            out *= _kronecker(d1, p) if d1 % p else _kronecker(d2, p)
-            n //= p
-        p += 1
-    return out
-
-
-def _gz_psi(d1: int, d2: int, q: int) -> int:
-    """psi(q) = (d2/q), the Kronecker symbol, for q prime to d1, else 0."""
-    return _gz_epsilon(d2, d2, q) if math.gcd(q, d1) == 1 else 0
-
-
 def _gz_closed_form(d1: int, d2: int, k: int, s: int = 1) -> float:
     """sum over x^2 < s^2 D, x = s^2 D (mod 2), of P_(k-1)(x/(s sqrt D))
     times sum over n | (s^2 D - x^2)/4 of epsilon((s^2 D - x^2)/(4n)) log n,
@@ -597,7 +574,7 @@ def _gz_closed_form(d1: int, d2: int, k: int, s: int = 1) -> float:
         if x * x >= big or (big - x) % 2:
             continue
         rest = (big - x * x) // 4
-        inner = math.fsum(_gz_epsilon(d1, d2, rest // n) * math.log(n)
+        inner = math.fsum(gz_epsilon(d1, d2, rest // n) * math.log(n)
                           for n in range(2, rest + 1) if rest % n == 0)
         total.append(legendre_P(k - 1, x / math.sqrt(big)) * inner)
     return math.fsum(total)
@@ -647,7 +624,7 @@ def test_gross_zagier_hecke_closed_form():
         for m in (1, 2, 3, 4):
             sums = G_ks_m_cycle((3, 5, 7), m, cycle, 1e-6)
             for k, g in zip((3, 5, 7), sums):
-                want = math.fsum(_gz_psi(d1, d2, q) * _gz_closed_form(d1, d2, k, m // q)
+                want = math.fsum(gz_psi(d1, d2, q) * _gz_closed_form(d1, d2, k, m // q)
                                  for q in range(1, m + 1) if m % q == 0)
                 got = weight * (g.value - g.tail_bound / 2)
                 assert abs(got - want) <= weight * g.tail_bound / 2, (d1, d2, m, k, got, want)

@@ -320,7 +320,7 @@ def test_classpoly_certifies_against_an_error_bound(monkeypatch):
     recognize = numerics.integer_recognize
 
     def spy(x, ctx, err=0):
-        bounds.append(err)
+        bounds.append(x.err)
         return recognize(x, ctx, err)
 
     monkeypatch.setattr(numerics, "integer_recognize", spy)
@@ -331,20 +331,20 @@ def test_classpoly_certifies_against_an_error_bound(monkeypatch):
 
 @pytest.mark.parametrize("d, bits", [(-3, 64), (-23, 64), (-431, 600), (-431, 2048)])
 def test_classpoly_bounds_cover_the_coefficient_errors(monkeypatch, d, bits):
-    # every (x, err) handed to the certifier has |x - C| <= err for the exact C
+    # every fixed-point value (man, err, scale) handed to the certifier has
+    # |man 2^-scale - C| <= err 2^-scale for the exact C
     seen = []
     recognize = numerics.integer_recognize
 
     def spy(x, ctx, err=0):
-        seen.append((x, err))
+        seen.append(x)
         return recognize(x, ctx, err)
 
     monkeypatch.setattr(numerics, "integer_recognize", spy)
     coeffs = classpoly(d, PrecisionContext(mantissa_bits=bits))
     assert len(seen) == len(coeffs)
-    with mp.workprec(4 * bits):
-        for (x, err), c in zip(seen, coeffs):
-            assert abs(x - c) <= err + abs(x) * mp.mpf(2) ** -bits
+    for (man, err, scale), c in zip(seen, coeffs):
+        assert scale >= 0 and abs(man - (c << scale)) <= err
 
 
 def test_classpoly_first_precision_from_the_forms(monkeypatch):

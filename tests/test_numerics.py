@@ -7,11 +7,13 @@ import pytest
 from singmod import numerics
 from singmod.numerics import (
     MK_FLOAT,
+    Fixed,
     IntegerRecognitionError,
     PrecisionContext,
     PrecisionError,
     _q_int,
     _q_table,
+    as_fixed,
     integer_recognize,
     legendre_P,
     legendre_Q,
@@ -217,29 +219,86 @@ def test_integer_recognize_counts_the_error_bound():
     assert integer_recognize(x, CTX, err=0.1) == n
 
 
+def test_integer_recognize_keeps_the_sign():
+    assert integer_recognize(-1727.999999999997, CTX) == -1728
+    assert integer_recognize(-1728, CTX) == -1728
+    with mp.workprec(CTX.mantissa_bits):
+        x = -mp.mpf(2 ** 100) - mp.mpf(0.3)
+    assert integer_recognize(x, CTX) == -2 ** 100
+    assert integer_recognize(x, CTX, err=0.1) == -2 ** 100
+    with pytest.raises(IntegerRecognitionError):
+        integer_recognize(x, CTX, err=0.25)
+    with mp.workprec(CTX.mantissa_bits):
+        assert integer_recognize(mp.mpf(-5.0000000001), CTX) == -5
+    man, err, scale = as_fixed(-0.75, CTX)
+    assert man == -3 << scale - 2 and 0 < err
+
+
+def test_fixed_point_exact_integer_accepted():
+    # an exact integer at any scale, with no error, is its own certificate
+    assert integer_recognize(Fixed(1728 << 40, 0, 40), CTX) == 1728
+    assert integer_recognize(Fixed(-5, 0, 0), CTX) == -5
+    assert integer_recognize(Fixed(2 ** 300, 0, 0), CTX) == 2 ** 300
+    # a negative scale reads man 2^-scale as an integer
+    assert integer_recognize(Fixed(3, 0, -2), CTX) == 12
+
+
+def test_fixed_point_budget_equal_to_the_window_refused():
+    # the window is strict: a budget that reaches it is refused, one unit
+    # below it accepted.  At x = 2^100 the 1/2 cap binds: budget = 8/16
+    n = 2 ** 100
+    assert integer_recognize(Fixed((n << 4) + 4, 3, 4), CTX) == n
+    with pytest.raises(IntegerRecognitionError):
+        integer_recognize(Fixed((n << 4) + 4, 4, 4), CTX)
+    # at x = 4 the tolerance binds: window 2 INTEGER_TOLERANCE = 2p/q, q a
+    # power of two, met exactly by err = 2p units of 1/q
+    p, q = numerics.INTEGER_TOLERANCE.as_integer_ratio()
+    scale = q.bit_length() - 1
+    assert integer_recognize(Fixed(4 << scale, 2 * p - 1, scale), CTX) == 4
+    with pytest.raises(IntegerRecognitionError):
+        integer_recognize(Fixed(4 << scale, 2 * p, scale), CTX)
+
+
+def test_fixed_point_window_capped_at_half():
+    # 2^200 + 10^20 + 1/2 exactly, with no error: 1e-9 sqrt|x| is about 1e21,
+    # but the window still stops at 1/2
+    x = Fixed(((2 ** 200 + 10 ** 20) << 1) + 1, 0, 1)
+    with pytest.raises(IntegerRecognitionError) as err:
+        integer_recognize(x, CTX)
+    assert err.value.residual == 0.5
+    assert integer_recognize(Fixed(x.man - 1, 0, 1), CTX) == 2 ** 200 + 10 ** 20
+
+
+def test_fixed_point_unbounded_error_refused():
+    with pytest.raises(IntegerRecognitionError) as err:
+        integer_recognize(Fixed(5, math.inf, 0), CTX)
+    assert err.value.short_bits == math.inf and err.value.error_bound == math.inf
+    assert recognize_with_retries(lambda ctx: [Fixed(7 << 40, 1, 40)], CTX) == [7]
+
+
 def test_recognize_with_retries():
     calls = []
 
     def compute(ctx):
         calls.append(ctx.mantissa_bits)
         # converges to an integer only once precision has doubled twice
-        return [(mp.mpf(5) + mp.mpf(10) ** (-3 if len(calls) < 3 else -20), 0)]
+        return [as_fixed(mp.mpf(5) + mp.mpf(10) ** (-3 if len(calls) < 3 else -20), ctx)]
 
     assert recognize_with_retries(compute, CTX) == [5]
     assert calls == [256, 512, 1024]
 
     with pytest.raises(PrecisionError):
-        recognize_with_retries(lambda ctx: [(mp.mpf("7.25"), 0)], CTX)
+        recognize_with_retries(lambda ctx: [as_fixed(mp.mpf("7.25"), ctx)], CTX)
 
 
 def test_recognize_with_retries_failure_names_the_error_bound():
     # a value on an integer whose bound never fits: the residual alone
     # (0) would hide why it failed
     with pytest.raises(PrecisionError) as err:
-        recognize_with_retries(lambda ctx: [(mp.mpf(5), mp.inf)], CTX)
+        recognize_with_retries(lambda ctx: [as_fixed(5, ctx, mp.inf)], CTX)
     assert "last residual 0, error bound inf, short by inf bits" in str(err.value)
     with pytest.raises(PrecisionError) as err:
-        recognize_with_retries(lambda ctx: [(mp.mpf(5), mp.mpf("0.75"))], CTX)
+        recognize_with_retries(lambda ctx: [as_fixed(5, ctx, mp.mpf("0.75"))], CTX)
     assert "error bound 0.75, short by 29 bits" in str(err.value)  # 0.75 / 1e-9 sqrt 5
 
 
@@ -249,7 +308,7 @@ def test_recognize_with_retries_sized_from_the_shortfall():
     def compute(ctx):
         calls.append(ctx.mantissa_bits)
         # the error needs about 1000 + 29 bits to fall inside the window
-        return [(mp.mpf(5), mp.mpf(2) ** (1000 - ctx.mantissa_bits))]
+        return [as_fixed(5, ctx, mp.mpf(2) ** (1000 - ctx.mantissa_bits))]
 
     assert recognize_with_retries(compute, CTX) == [5]
     assert len(calls) == 2 and calls[1] < 1100
@@ -263,7 +322,7 @@ def test_recognize_with_retries_doubles_on_an_infinite_error():
 
     def compute(ctx):
         calls.append(ctx.mantissa_bits)
-        return [(mp.mpf(5), mp.inf)]
+        return [as_fixed(5, ctx, mp.inf)]
 
     with pytest.raises(PrecisionError):
         recognize_with_retries(compute, CTX)
