@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .numerics import GUARD_BITS, Fixed, PrecisionContext, recognize_with_retries
 from .quadforms import (
@@ -106,6 +107,24 @@ class CMCycle:
     def is_exact(self) -> bool:
         """Whether the cycle product is asserted to equal the field norm."""
         return self.kind in ("big", "small")
+
+    @cached_property
+    def orbit_counts(self) -> tuple[tuple[CyclePair, bool, int], ...]:
+        """(pair, self-conjugate, count) per conjugate_orbits representative,
+        computed once per cycle: the certified product (the cycle product's
+        power-th root) takes |Re v| count times from a self-conjugate orbit,
+        |v|^2 count times from a folded pair.  Raises CycleError when the
+        divisor does not divide a multiplicity."""
+        out = []
+        for pair in conjugate_orbits(self.pairs):
+            real = _inverse_key(pair) == pair.key
+            step = self.power if real else 2 * self.power
+            if pair.multiplicity % step:
+                raise CycleError(
+                    f"pair {pair.key} has multiplicity {pair.multiplicity}, "
+                    f"not a multiple of {step}")
+            out.append((pair, real, pair.multiplicity // step))
+        return tuple(out)
 
 
 def _as_disc(d) -> Discriminant:
@@ -216,21 +235,6 @@ def conjugate_orbits(pairs) -> list[CyclePair]:
     return list(orbits.values())
 
 
-def _orbit_counts(cycle: CMCycle):
-    """(pair, self-conjugate, count) per conjugate_orbits representative: the
-    certified product (the cycle product's cycle.power-th root) takes |Re v|
-    count times from a self-conjugate orbit, |v|^2 count times from a folded
-    pair.  Raises CycleError when the divisor does not divide a multiplicity."""
-    for pair in conjugate_orbits(cycle.pairs):
-        real = _inverse_key(pair) == pair.key
-        step = cycle.power if real else 2 * cycle.power
-        if pair.multiplicity % step:
-            raise CycleError(
-                f"pair {pair.key} has multiplicity {pair.multiplicity}, "
-                f"not a multiple of {step}")
-        yield pair, real, pair.multiplicity // step
-
-
 def norm_plan(cycle: CMCycle, m: int,
               ctx: PrecisionContext) -> tuple[PrecisionContext, frozenset[QuadForm]]:
     """The first pass of cycle_norm_integer: its context, and the reduced
@@ -242,13 +246,13 @@ def norm_plan(cycle: CMCycle, m: int,
     ctx.mantissa_bits and 64 bits over an estimate of log2 of the certified
     product: each factor j(z1) - j(M z2) has a log size of about the larger
     of log_j_size at z1 and at the reduced form of M z2, summed over the
-    orbits, with their counts (_orbit_counts; a folded pair counts twice),
-    and the cosets.  No j-value is computed.
+    orbits, with their counts (CMCycle.orbit_counts; a folded pair counts
+    twice), and the cosets.  No j-value is computed.
     """
     images: dict[QuadForm, tuple[QuadForm, ...]] = {}
     forms: set[QuadForm] = set()
     total = 0.0
-    for pair, real, count in _orbit_counts(cycle):
+    for pair, real, count in cycle.orbit_counts:
         ws = images.get(pair.z2)
         if ws is None:
             ws = images[pair.z2] = hecke_images(pair.z2, m)
@@ -281,8 +285,8 @@ def cycle_log_norm(cycle: CMCycle, m: int, ctx: PrecisionContext) -> Fixed:
     |t|), r = top/low - 1, t the true value.  A self-conjugate orbit (both
     classes their own inverse) has a real t and contributes c = |Re v|,
     within r |t| of |t|; a folded pair c = |v|^2, within a factor (1 + r)^2
-    of |t|^2; each _orbit_counts times.  So max(c/|t|, |t|/c) <= 1 + rho,
-    rho = r/(1 - r) resp. (1 + r)^2 - 1.  Factors and the running product
+    of |t|^2; each count times (CMCycle.orbit_counts).  So max(c/|t|,
+    |t|/c) <= 1 + rho, rho = r/(1 - r) resp. (1 + r)^2 - 1.  Factors and the running product
     are cut to W-bit mantissas, W = mantissa_bits + GUARD_BITS, each cut
     losing under 2^(1 - W) of what it keeps.  With S the sum of the rho's
     and of 2^(1 - W) per cut, a factor's rho and cuts counted once per use
@@ -295,7 +299,7 @@ def cycle_log_norm(cycle: CMCycle, m: int, ctx: PrecisionContext) -> Fixed:
     width = ctx.mantissa_bits + GUARD_BITS
     unit, man, exp, total = width + 64, 1, 0, 0
     one, per_cut = 1 << unit, 1 << 65
-    for pair, real, count in _orbit_counts(cycle):
+    for pair, real, count in cycle.orbit_counts:
         v = modpoly_eval(m, pair.z1, pair.z2, ctx)
         if v.is_zero:
             raise SingularCycleError(

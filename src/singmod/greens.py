@@ -21,18 +21,19 @@ the Eisenstein series, exactly.  Every omission is a checked inequality:
 each mode series stops under a geometric bound, rows within 1/20 of y1
 (_ROW_GAP) are summed in n with a tail from t^s Q_{s-1}(t) falling in t,
 and all rows below a height Y are bounded by M_s(Y) (E(z2, s) -
-sum_(y >= Y) y^s), as I_nu(x) x^-nu rises with x; a rounding allowance
-covers the float terms.  So the exact sum lies within the reported bound,
-which meets the budget.
-A budget below the rounding floor, or one needing more than _MAX_ROWS rows,
-is refused (TailBudgetError) before any enumeration, and a budget that is
-not positive at once (ValueError).  Lattice sums take integer s >= 2 only;
-the bounds use k = 3, 5, 7 (Gross-Kohnen-Zagier).  G_k_m is the one
-point-pair entry for G_k^m: k = 1 is the modular-polynomial logarithm, and
-k = 3, 5, 7 one lattice sum per Hecke coset.  A cycle's G_k^m
-(G_ks_m_cycle) sums once per class-pair key (class_pair_key).  The point-pair
-kernel is g_s_truncated, in mpf through numerics.legendre_Q; g_s is its
-one-term case.
+sum_(y >= Y) y^s), as I_nu(x) x^-nu rises with x, Y the first of y1/2,
+y1/4, ... where that bound meets its share; a rounding allowance covers the
+float terms.  So the exact sum lies within the reported bound, which meets
+the budget.
+A budget below the rounding floor is refused (TailBudgetError) before any
+enumeration, one needing more than _MAX_ROWS rows before enumerating past
+them, and a budget that is not positive at once (ValueError).  Lattice sums
+take integer s >= 2 only; the bounds use k = 3, 5, 7 (Gross-Kohnen-Zagier).
+G_k_m is the one point-pair entry for G_k^m: k = 1 is the
+modular-polynomial logarithm, and k = 3, 5, 7 one lattice sum per Hecke
+coset.  A cycle's G_k^m (G_ks_m_cycle) sums once per class-pair key
+(class_pair_key).  The point-pair kernel is g_s_truncated, in mpf through
+numerics.legendre_Q; g_s is its one-term case.
 
 Walks share work through two bounded process-wide caches: each lower
 point's rows (_OrbitRows), enumerated once down to the deepest height floor
@@ -423,27 +424,6 @@ def _eisenstein(s: int, z: complex):
                 return math.fsum(terms), size, tail
 
 
-def _predicted_level(n: int, y1: float, eis: float, rest_err: float,
-                     budget: float, level: int) -> int:
-    """The least level >= level whose omitted-row bound meets budget if the
-    rows below Y = y1 2^-level carry four times their asymptotic share
-    3 Y^(s-1)/(pi (s-1)) of E(z2, s) (s = n + 1).  About 3/(pi Y) rows reach
-    height Y; a level where that passes _MAX_ROWS raises TailBudgetError,
-    before any enumeration.
-    """
-    while True:
-        y = math.ldexp(y1, -level)
-        rows = 3.0 / (math.pi * y)
-        if rows > _MAX_ROWS:
-            raise TailBudgetError(
-                f"the tail budget needs the rows down to height {y:.3g} "
-                f"(~{rows:.3g} rows) at s = {n + 1}; loosen tail_target")
-        rest = min(eis, 12.0 * y ** n / (math.pi * n)) + rest_err
-        if _omitted_rate(n, y1, level) * rest <= budget:
-            return level
-        level += 1
-
-
 def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensValue]:
     """Sums of g_s(c1, gamma c2) over the modular group for each integer
     s >= 2 in ss, by the row Fourier expansion (see the module docstring),
@@ -460,11 +440,11 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
       (_ROW_GAP) in n (_row_direct, less their zero mode), the others by
       their modes (_modes), each to a tail of b/(8 rows);
     - the rows below Y are bounded by _omitted_rate times the rest
-      E(z2, s) - sum_(y >= Y) y^s plus its error.  The level is predicted
-      (_predicted_level), checked with the real rest and, while that bound
-      exceeds 3b/4, predicted again from the next level; then the coarsest
-      level whose real rest still meets 3b/4 is taken (the bound falls as
-      the level deepens, so from either side it is one level);
+      E(z2, s) - sum_(y >= Y) y^s plus its error.  The levels are scanned
+      up from 1 and the first whose bound meets 3b/4 is taken: the bound
+      falls as the level deepens, so that is the coarsest level meeting it.
+      About 3/(pi Y) rows reach height Y; a level where that passes
+      _MAX_ROWS is refused (TailBudgetError) before its rows are enumerated;
     - the error is that bound, the tails and _TERM_ROUNDING times the size
       of every term; a total above b is refused (TailBudgetError).
 
@@ -492,27 +472,24 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
                 f"~{32.0 * _TERM_ROUNDING * scale * eis_size:.3g} at s = {s}; "
                 "loosen tail_target")
 
-        def bound(level):
-            rows = _orbit_rows(other, math.ldexp(y1, -level))
+        allowed = 0.75 * b
+        level = 0
+        while True:
+            level += 1
+            floor = math.ldexp(y1, -level)
+            reach = 3.0 / (math.pi * floor)
+            if reach > _MAX_ROWS:
+                raise TailBudgetError(
+                    f"the tail budget needs the rows down to height {floor:.3g} "
+                    f"(~{reach:.3g} rows) at s = {s}; loosen tail_target")
+            rows = _orbit_rows(other, floor)
             powers = [y ** s for y, _ in rows]
             power_sum = math.fsum(powers)
             rest_err = eis_tail + _TERM_ROUNDING * (eis_size + power_sum)
             rest = max(eis - power_sum, 0.0) + rest_err
-            return rows, powers, _omitted_rate(n, y1, level) * rest
-
-        allowed = 0.75 * b
-        rest_floor = eis_tail + 2.0 * _TERM_ROUNDING * eis_size
-        level = _predicted_level(n, y1, eis, rest_floor, allowed, 1)
-        rows, powers, omitted = bound(level)
-        while omitted > allowed:
-            level = _predicted_level(n, y1, eis, rest_floor, allowed, level + 1)
-            rows, powers, omitted = bound(level)
-        while level > 1:
-            coarser = bound(level - 1)
-            if coarser[2] > allowed:
+            omitted = _omitted_rate(n, y1, level) * rest
+            if omitted <= allowed:
                 break
-            level -= 1
-            rows, powers, omitted = coarser
         share = b / (8.0 * max(len(rows), 1))
         parts, sizes = [scale * eis], [scale * eis_size]
         errors = [omitted, scale * eis_tail]

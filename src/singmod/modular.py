@@ -518,16 +518,20 @@ def _bottom_rows(z2: complex, floor: float):
             yield c, d, a0, (a0 / c - q / (c * norm) if c else x2), yw
 
 
-def _rows_within(z1: complex, z2: complex, cosh_cut: float):
-    """Yield (c, d, a0, wx0, dy2, den, n_lo, n_hi) per bottom row that can
-    come within cosh_cut of z1: cosh d(z1, gamma_n z2) = 1 + ((x1 - wx0 - n)^2
-    + dy2)/den <= cosh_cut only for n_lo <= n <= n_hi, and only rows with
-    y1/yw + yw/y1 <= 2 cosh_cut have any such n."""
+def gamma_translates(z1: complex, z2: complex, cosh_cut: float):
+    """All (gamma, cosh d(z1, gamma z2)) with cosh distance <= cosh_cut.
+
+    cosh d(z1, gamma_n z2) = 1 + ((x1 - wx0 - n)^2 + dy2)/den per bottom row
+    (_bottom_rows), so only rows with y1/yw + yw/y1 <= 2 cosh_cut can come
+    within cosh_cut, and only at n within sqrt(den (cosh_cut - 1) - dy2) of
+    x1 - wx0.
+    """
     x1, y1 = z1.real, z1.imag
     if y1 <= 0:
         raise ValueError("points must lie in the upper half plane")
     cut1 = cosh_cut - 1.0
     reach = cosh_cut + math.sqrt(max(cosh_cut * cosh_cut - 1.0, 0.0))
+    out = []
     for c, d, a0, wx0, yw in _bottom_rows(z2, y1 / reach * (1.0 - 2.0 ** -40)):
         dy2 = (y1 - yw) ** 2
         den = 2.0 * y1 * yw
@@ -535,33 +539,11 @@ def _rows_within(z1: complex, z2: complex, cosh_cut: float):
         if rad < 0:
             continue
         r = math.sqrt(rad)
-        yield c, d, a0, wx0, dy2, den, math.ceil(x1 - wx0 - r), math.floor(x1 - wx0 + r)
-
-
-def gamma_translates(z1: complex, z2: complex, cosh_cut: float):
-    """All (gamma, cosh d(z1, gamma z2)) with cosh distance <= cosh_cut."""
-    x1 = z1.real
-    out = []
-    for c, d, a0, wx0, dy2, den, n_lo, n_hi in _rows_within(z1, z2, cosh_cut):
         b0 = (a0 * d - 1) // c if c else 0
-        for n in range(n_lo, n_hi + 1):
+        for n in range(math.ceil(x1 - wx0 - r), math.floor(x1 - wx0 + r) + 1):
             ch = 1.0 + ((x1 - wx0 - n) ** 2 + dy2) / den
             if ch <= cosh_cut:
                 out.append(((a0 + n * c, b0 + n * d, c, d), ch))
-    return out
-
-
-def cosh_translates(z1: complex, z2: complex, cosh_cut: float) -> list[float]:
-    """The distances of gamma_translates alone, unsorted."""
-    x1 = z1.real
-    out = []
-    append = out.append
-    for _, _, _, wx0, dy2, den, n_lo, n_hi in _rows_within(z1, z2, cosh_cut):
-        base = x1 - wx0
-        for n in range(n_lo, n_hi + 1):
-            ch = 1.0 + ((base - n) ** 2 + dy2) / den
-            if ch <= cosh_cut:
-                append(ch)
     return out
 
 
@@ -576,4 +558,4 @@ def y1_distance(z1, z2) -> float:
     z1 = fd_reduce(as_complex(z1))[0]
     z2 = fd_reduce(as_complex(z2))[0]
     best = cosh_dist(z1, z2)
-    return arccosh(min([best] + cosh_translates(z1, z2, best + 1e-12)))
+    return arccosh(min([best] + [ch for _, ch in gamma_translates(z1, z2, best + 1e-12)]))

@@ -8,8 +8,7 @@ for double-precision arguments, that recurrence near t = 1, the backward
 (Miller) recurrence elsewhere below t = 2, and from t = 2 on
 Q_n(t) = t^(-(n+1)) F(u) in u = 1/t^2, where F's series has positive
 coefficients.  F is evaluated by degree-6 Taylor polynomials on equal
-u-cells up to the top edge (64 for every n <= 20), and above it by F's own
-series cut at degree 4; both are within 2^-53 of F (_q_cells, _q_top_band).
+u-cells covering u in [0, 1/4], within 2^-53 of F (_q_cells).
 legendre_Q is the one mpf entry for Q_{s-1}(t): the route at integer
 s >= 1, mpmath's legenq at any other s, at the context precision.  Its
 oracle is legendre_Q_num, direct quadrature of the integral
@@ -92,11 +91,7 @@ def legendre_P(n: int, t):
 
 
 # Q_n(t) = t^(-(n+1)) F(u), u = 1/t^2, F(u) = sum_j a_j u^j with every a_j > 0.
-# t >= top: F cut at this fixed degree (the top band); its edge starts here and
-# doubles until the degree suffices (64 for every n <= 20)
-_Q_TOP_DEGREE = 4
-_Q_TOP_EDGE = 64.0
-# 2 <= t < top: the degree of each Taylor cell's polynomial in u
+# t >= 2: the degree of each Taylor cell's polynomial in u
 _Q_CELL_DEGREE = 6
 # fixed-point bits of the cell coefficients below a_0
 _Q_CELL_GUARD = 64
@@ -106,49 +101,12 @@ _Q_TABLES: dict[int, tuple] = {}
 
 
 def _q_table(n: int) -> tuple:
-    """(top, (a_4, ..., a_0), 4K, cells) for Q_n with float t >= 2, built once.
-
-    t >= top runs F's degree-4 top band (_q_top_band); 2 <= t < top the
-    Taylor cells of _q_cells, which u = 1/t^2 indexes as cells[int(u 4K)].
-    """
+    """(4K, cells) for Q_n with float t >= 2, built once: the Taylor cells
+    of _q_cells, which u = 1/t^2 indexes as cells[int(u 4K)]."""
     table = _Q_TABLES.get(n)
     if table is None:
-        table = _Q_TABLES[n] = _q_top_band(n) + _q_cells(n)
+        table = _Q_TABLES[n] = _q_cells(n)
     return table
-
-
-def _q_top_band(n: int) -> tuple[float, tuple[float, ...]]:
-    """(top, (a_4, ..., a_0)): F cut after degree 4 is within 2^-53 of F at
-    every t >= top.
-
-    a_0 = 2^n n!^2/(2n+1)! and the term ratio is r_j = a_(j+1)/a_j
-    = ((n+1)/2 + j)((n+2)/2 + j) / ((n + 3/2 + j)(1 + j)).  Every term is
-    positive, so truncating after degree J leaves the remainder
-
-        R_J <= a_(J+1) u^(J+1) / (1 - rho u),   rho = sup_(j > J) r_j,
-
-    and the partial sum is at least a_0.  r_j > 1 exactly when
-    j < (n^2 - n - 4)/4 (for n >= 3 the first ratios exceed 1), so rho is the
-    largest of 1 and the r_j with J < j below that crossing.  The edge is the
-    least _Q_TOP_EDGE 2^i with rho u < 1 and R_4 <= 2^-53 a_0 there; since
-    R_4 falls with u, the bound then holds above it.
-    """
-    def ratio(j):
-        return (0.5 * (n + 1) + j) * (0.5 * (n + 2) + j) / ((n + 1.5 + j) * (1.0 + j))
-
-    a = [1.0]
-    for i in range(1, n + 1):
-        a[0] *= i / (2.0 * i + 1.0)
-    for j in range(_Q_TOP_DEGREE + 1):
-        a.append(a[-1] * ratio(j))
-    crossing = (n * n - n - 4) // 4 + 1
-    rho = max([1.0] + [ratio(j) for j in range(_Q_TOP_DEGREE + 1, crossing + 1)])
-    top = _Q_TOP_EDGE
-    while True:
-        u = 1.0 / (top * top)
-        if rho * u < 1.0 and a[-1] * u ** (_Q_TOP_DEGREE + 1) / (1.0 - rho * u) <= 2.0 ** -53 * a[0]:
-            return top, tuple(reversed(a[:-1]))
-        top *= 2.0
 
 
 def _q_cells(n: int) -> tuple[float, tuple[tuple[float, ...], ...]]:
@@ -157,7 +115,8 @@ def _q_cells(n: int) -> tuple[float, tuple[tuple[float, ...], ...]]:
 
     Cell i covers |u - c| <= h, c = (2i + 1) h, h = 1/(8K), and holds
     (c, b_6, ..., b_0) with b_k = F^(k)(c)/k!; a last copy of cell K - 1
-    serves u = 1/4 exactly, where int(u 4K) = K.  The b_k are positive, as
+    serves u = 1/4 exactly, where int(u 4K) = K, and cell 0 every
+    t > 2 sqrt(K), however large.  The b_k are positive, as
     F's coefficients are, so F(c + r) >= b_k r^k for 0 < r < 1 - c
     (Cauchy majorant) and the remainder on the cell is
 
@@ -248,28 +207,24 @@ def _q_int(n: int, t):
 
     The upward three-term recurrence amplifies the rounding of Q_0 about
     e^((2n+1) xi) times in the recessive Q_n, xi = arccosh t.  So in float,
-    t >= 2 takes t^(-(n+1)) F(1/t^2), F from its Taylor cell below the top
-    edge and from the top band above it (_q_table; remainder at most 2^-53
-    relative); below t = 2, the upward recurrence stays where
-    (2n + 1) xi <= 2, near t = 1, and _q_backward runs elsewhere.
+    t >= 2 takes t^(-(n+1)) F(1/t^2), F from its Taylor cell (_q_table;
+    remainder at most 2^-53 relative); below t = 2, the upward recurrence
+    stays where (2n + 1) xi <= 2, near t = 1, and _q_backward runs elsewhere.
     The mpf path keeps the upward recurrence and works with (2n + 1) (mag(t)
     + 1) extra bits, mag(t) >= log2 t, which covers its loss of about
     (2n + 1) xi / ln 2 bits since xi < ln 2t.  That loss exceeds a 272-bit
-    mantissa for Q_2 from t ~ 2e16 on, which epsilon ~ 27 reaches in
-    verify.verify_lower_bound.
+    mantissa for Q_2 from t ~ 2e16 on.  Only legendre_Q takes the mpf path
+    (g_s_truncated and the tests); verify.verify_lower_bound passes a float t.
     """
     if isinstance(t, mp.mpf):
         with mp.extraprec((2 * n + 1) * (mp.mag(t) + 1)):
             return _q_up(n, t, mp.log((t + 1) / (t - 1)) / 2)
     if t >= 2.0:
-        top, (c4, c3, c2, c1, c0), k4, cells = _Q_TABLES.get(n) or _q_table(n)
+        k4, cells = _Q_TABLES.get(n) or _q_table(n)
         u = 1.0 / (t * t)
-        if t >= top:
-            p = (((c4 * u + c3) * u + c2) * u + c1) * u + c0
-        else:
-            c, b6, b5, b4, b3, b2, b1, b0 = cells[int(u * k4)]
-            v = u - c
-            p = (((((b6 * v + b5) * v + b4) * v + b3) * v + b2) * v + b1) * v + b0
+        c, b6, b5, b4, b3, b2, b1, b0 = cells[int(u * k4)]
+        v = u - c
+        p = (((((b6 * v + b5) * v + b4) * v + b3) * v + b2) * v + b1) * v + b0
         return p * t ** -(n + 1)
     q0 = math.log((t + 1) / (t - 1)) / 2
     xi = math.acosh(t)

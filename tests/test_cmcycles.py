@@ -1,4 +1,5 @@
 import math
+import types
 from fractions import Fraction
 
 import mpmath as mp
@@ -179,6 +180,29 @@ def test_norm_certified_without_a_probe_pass(monkeypatch, d1, d2, m):
     assert n == cycle_norm_integer(cyc, m, CTX.with_bits(2048))
 
 
+@pytest.mark.parametrize("d1, d2, m", [(-23, -24, 4), (-15, -60, 1), (-7, -8, 3)])
+def test_orbits_folded_once_per_norm(monkeypatch, d1, d2, m):
+    # norm_plan and every cycle_log_norm pass, a retry included, read the
+    # cycle's one orbit list: conjugate_orbits runs once per norm
+    folds, passes = [], []
+    fold, log_norm = cmcycles.conjugate_orbits, cmcycles.cycle_log_norm
+
+    def fold_spy(pairs):
+        folds.append(pairs)
+        return fold(pairs)
+
+    def first_pass_fails(cycle, order, ctx):
+        man, err, scale = log_norm(cycle, order, ctx)
+        passes.append(ctx.mantissa_bits)
+        return numerics.Fixed(man, math.inf if len(passes) == 1 else err, scale)
+
+    want = cycle_norm_integer(build_cycle(d1, d2), m, CTX)
+    monkeypatch.setattr(cmcycles, "conjugate_orbits", fold_spy)
+    monkeypatch.setattr(cmcycles, "cycle_log_norm", first_pass_fails)
+    assert cycle_norm_integer(build_cycle(d1, d2), m, CTX) == want
+    assert len(passes) == 2 and len(folds) == 1
+
+
 def _norm_grid():
     ds = fundamental_discriminants(24)
     return [(d1, d2, m) for i, d1 in enumerate(ds) for d2 in ds[i + 1:]
@@ -258,9 +282,9 @@ def test_repeated_factor_cuts_counted_per_use(monkeypatch, real):
     x = (1 << width + 40) - 1
     value = modular.ModPolyValue(x, 0 if real else x, 7, 1, 1, width, ())
     pair = big_cm_cycle(-3, -4).pairs[0]
-    monkeypatch.setattr(cmcycles, "_orbit_counts", lambda cycle: [(pair, real, 1000)])
+    cycle = types.SimpleNamespace(orbit_counts=[(pair, real, 1000)])
     monkeypatch.setattr(cmcycles, "modpoly_eval", lambda m, z1, z2, ctx: value)
-    man, err, scale = cycle_log_norm(None, 1, ctx)
+    man, err, scale = cycle_log_norm(cycle, 1, ctx)
     true = (Fraction(x, 1 << 7) ** (1 if real else 2) * (1 if real else 2)) ** 1000
     got = Fraction(man) / Fraction(2) ** scale
     assert abs(got - true) > true / 2 ** width  # the cuts do drift it

@@ -7,7 +7,7 @@ import pytest
 from singmod import greens
 from singmod.numerics import PrecisionContext, _q_int, _q_table, legendre_P, legendre_Q
 from singmod.quadforms import QuadForm, enumerate_reduced, inverse
-from singmod.modular import (_bottom_rows, coset_apply, cosh_translates, fd_reduce,
+from singmod.modular import (_bottom_rows, coset_apply, fd_reduce, gamma_translates,
                              hecke_cosets, j_eval, modpoly_eval, y1_distance)
 from singmod.cmcycles import big_cm_cycle, build_cycle
 from singmod.verify import fundamental_discriminants
@@ -188,7 +188,7 @@ def test_G_k_m_matches_shared_walk_per_k():
 
 def _fixed_cutoff_sums(z1: complex, z2: complex, t_cut: float):
     """Term count and the k = 3, 5, 7 sums of one walk at a fixed cutoff."""
-    chs = sorted(cosh_translates(fd_reduce(z1)[0], fd_reduce(z2)[0], t_cut))
+    chs = sorted(ch for _, ch in gamma_translates(fd_reduce(z1)[0], fd_reduce(z2)[0], t_cut))
     return len(chs), [math.fsum(-2.0 * _q_int(n, ch) for ch in chs) for n in (2, 4, 6)]
 
 
@@ -302,11 +302,11 @@ def _spy_on_enumeration(monkeypatch) -> list:
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_chain_grid_walks_enumerate_once(monkeypatch, cold_caches, m):
-    # s = 3 enumerates the rows its predicted level needs, and s = 5, 7 take
+    # s = 3 scans its levels down to the one it needs, and s = 5, 7 stop at
     # coarser levels; the rows are shared by every walk with the same lower
     # point, which enumerates again only for a floor below every floor it
     # was enumerated at.  So from cold caches the chain grid enumerates once
-    # per lower point plus once per such deeper floor, at most once a walk
+    # per lower point plus once per such deeper floor
     calls = _spy_on_enumeration(monkeypatch)
     rows, asked = greens._orbit_rows, []
 
@@ -319,17 +319,15 @@ def test_chain_grid_walks_enumerate_once(monkeypatch, cold_caches, m):
     keys = _chain_grid_keys(m)
     deepest, expect = {}, []
     for f1, f2 in keys:
-        before = len(calls)
         del asked[:]
         _lattice_sums((3, 5, 7), f1.approx(), f2.approx(), share)
-        assert len(calls) - before <= 1
         for z2, floor in asked:
             assert z2 == _lower_point(f1.approx(), f2.approx())
             if floor < deepest.get(z2, math.inf):
                 deepest[z2] = floor
                 expect.append((z2, floor))
     assert calls == expect
-    assert len(deepest) < len(calls) < len(keys)
+    assert len(deepest) < len(calls) < len(keys), (len(deepest), len(calls), len(keys))
 
 
 def test_hopeless_budget_refused_before_enumerating(monkeypatch, cold_caches):
@@ -347,16 +345,6 @@ def test_tail_budget_far_below_the_floor_is_refused():
     for s in (2, 3, 7):
         with pytest.raises(TailBudgetError, match="rounding floor"):
             G_s_sum(s, 1j, 2j, tail_target=1e-300)
-
-
-def _coarse_start(monkeypatch):
-    """Make every level prediction return its start level, the coarsest."""
-    predict = greens._predicted_level
-
-    def coarse(n, y1, eis, rest_err, budget, level):
-        return predict(n, y1, eis, rest_err, math.inf, level)
-
-    monkeypatch.setattr(greens, "_predicted_level", coarse)
 
 
 def _fresh_rows(z2: complex, floor: float) -> list:
@@ -404,41 +392,50 @@ def test_orbit_row_cache_is_bounded():
     assert list(rows.points) == [points[0]]
 
 
-def test_cutoff_grows_when_the_real_count_fails(monkeypatch, cold_caches):
-    # a prediction that starts too coarse fails the check with the real
-    # rest, so the loop deepens level by level, enumerating again, and lands
-    # on the level the good prediction reaches by coarsening: the omitted
-    # bound only falls as the level deepens, so the coarsest level that
-    # meets it is one level, whichever side it is reached from
-    target = 1e-4
-    plain = _lattice_sums((3, 5), Z1, Z2, target)
-    deep = _lattice_sums((3, 5), Z1, Z2, target / 400)
-    greens._orbit_rows.clear()
-    calls = _spy_on_enumeration(monkeypatch)
-    _coarse_start(monkeypatch)
-    got = _lattice_sums((3, 5), Z1, Z2, target)
-    assert len(calls) >= 2
-    assert got == plain
-    for g, d in zip(got, deep):
-        assert g.tail_bound <= target
-        assert g.value - d.value <= g.tail_bound, (g, d)
-
-
 def test_growth_refused_before_enumerating_past_the_cap(monkeypatch, cold_caches):
-    # the deepening step predicts again, so a row cap the next level would
-    # pass is refused there, after the one enumeration at the start
+    # the scan checks each level's row count before enumerating it, so a
+    # row cap the next level would pass is refused there, after the one
+    # enumeration at level 1
     calls = _spy_on_enumeration(monkeypatch)
-    _coarse_start(monkeypatch)
     _lattice_sums((3,), Z1, Z2, 1e-4)
     first = calls[0]
-    y1 = 2.0 * first[1]  # the start, level 1, enumerates down to y1/2
+    y1 = 2.0 * first[1]  # level 1 enumerates down to y1/2
     calls.clear()
     greens._orbit_rows.clear()
-    # the row count predicted at level 1 is allowed, that of level 2 is not
+    # the row count at level 1 is allowed, that of level 2 is not
     monkeypatch.setattr(greens, "_MAX_ROWS", 3.0 / (math.pi * math.ldexp(y1, -1)))
     with pytest.raises(TailBudgetError, match="rows"):
         _lattice_sums((3,), Z1, Z2, 1e-4)
     assert calls == [first]
+
+
+# (value, tail_bound, cosh_cutoff, terms) per s = 3, 5, 7 of three 1e-10 walks
+_TIGHT_WALKS = [
+    ((0.3 + 1.1j, 0.21 + 2.3j), [
+        ("-0x1.1900b9f3c4f40p+0", "0x1.cddaf926337efp-35", "0x1.0000040000000p+10", 849),
+        ("-0x1.bc65bd3b6e851p-4", "0x1.236cff666750bp-35", "0x1.0010000000000p+5", 28),
+        ("-0x1.f2fbde8199de1p-7", "0x1.bea292fd03814p-35", "0x1.0100000000000p+3", 8)]),
+    ((0.3 + 1.1j, 0.21 + 1.0j), [
+        ("-0x1.3a5973272539cp+2", "0x1.17fec0c0b592cp-35", "0x1.0000000100000p+15", 56891),
+        ("-0x1.0aef87d08d713p+1", "0x1.fb6c4c170deb5p-36", "0x1.0001000000000p+7", 227),
+        ("-0x1.338d7dd5616bfp+0", "0x1.70426e30317e0p-38", "0x1.0010000000000p+5", 56)]),
+    ((complex(-0.5, math.sqrt(3.0) / 2.0), 1j), [
+        ("-0x1.a5ddfb802a9d7p+1", "0x1.b78a04eae6766p-35", "0x1.0000000100000p+15", 62586),
+        ("-0x1.868eed32cfe1cp-1", "0x1.7dccb6b6763f1p-35", "0x1.0001000000000p+7", 246),
+        ("-0x1.b129d3b090b95p-3", "0x1.24207daabc5d7p-37", "0x1.0010000000000p+5", 60)]),
+]
+
+
+@pytest.mark.parametrize("points, want", _TIGHT_WALKS)
+def test_level_scan_lands_on_the_coarsest_level(points, want):
+    # the coarsest level that meets the check, whichever way it is searched:
+    # the cutoff and row count exactly, the values to rounding (they run
+    # through the platform's exp and cos)
+    got = _lattice_sums((3, 5, 7), *points, 1e-10)
+    for g, (value, tail, cutoff, terms) in zip(got, want):
+        assert (g.cosh_cutoff, g.terms) == (float.fromhex(cutoff), terms)
+        assert g.value == pytest.approx(float.fromhex(value), rel=1e-12)
+        assert g.tail_bound == pytest.approx(float.fromhex(tail), rel=1e-12)
 
 
 def _c_inf(s: int) -> float:
@@ -461,7 +458,7 @@ def test_q_decay_const_falls_to_its_limit():
     # t^s Q_{s-1}(t) = c_inf F(1/t^2) with F's coefficients positive, so the
     # tail constant never drops below 2 c_inf and never rises with t
     for s in (2, 3, 5, 7):
-        _, _, k4, _ = _q_table(s - 1)
+        k4, _ = _q_table(s - 1)
         ts = sorted((8.0, (2 / k4) ** -0.5, 64.0, 1e4))
         qs = [_q_decay_const(s, t) for t in ts]
         assert all(q >= 2.0 * _c_inf(s) for q in qs), (s, qs)

@@ -13,7 +13,6 @@ from singmod.quadforms import Discriminant, QuadForm, enumerate_reduced, reduce_
 from singmod.modular import (
     classpoly,
     cosh_dist,
-    cosh_translates,
     coset_apply,
     fd_reduce,
     gamma_translates,
@@ -438,20 +437,6 @@ def test_gamma_translates_complete():
     small_set = {g for g, _ in out}
     big_set = {g for g, _ in bigger}
     assert small_set <= big_set
-
-
-def test_cosh_translates_match_gamma_translates():
-    # the distances-only consumer of the walk returns the same multiset
-    rng = random.Random(41)
-    for _ in range(40):
-        z1 = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.2, 3.0))
-        z2 = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.2, 3.0))
-        cut = rng.uniform(1.5, 60.0)
-        got = sorted(cosh_translates(z1, z2, cut))
-        want = sorted(ch for _, ch in gamma_translates(z1, z2, cut))
-        assert len(got) == len(want) and want
-        for a, b in zip(got, want):
-            assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_j_value_cache_keyed_by_point():

@@ -86,9 +86,9 @@ def test_Q_closed_vs_quadrature():
 def test_Q_float_route_vs_quadrature():
     # the double-precision path the lattice sums run on: below t = 2 the
     # upward recurrence near t = 1 and the backward recurrence elsewhere;
-    # from t = 2 on, the Taylor cells and then the top band, at its edge and
-    # just either side of it; all held to 1e-13.  The oracle's absolute
-    # tail, 2^-256 ~ 1e-77, is far below Q_6(1e4) ~ 1e-31.
+    # from t = 2 on, the Taylor cells, cell 0 included; all held to 1e-13.
+    # The oracle's absolute tail, 2^-256 ~ 1e-77, is far below
+    # Q_6(1e4) ~ 1e-31.
     ts = [1.01, 1.1, 1.3, 1.5, 1.7, 1.9, 2.0 - 1e-9, 2.0, 2.0 + 1e-9, 3.0,
           10.0, 1000.0, 1e4, 64.0 - 1e-9, 64.0, 64.0 + 1e-9]
     for n in range(7):
@@ -99,43 +99,41 @@ def test_Q_float_route_vs_quadrature():
 
 
 def _cell_edges(n):
-    """t = 2, the t at each Taylor-cell boundary and one float either side,
-    and the last float below the top band's edge."""
-    top, _, k4, cells = _q_table(n)
-    ts = [2.0, math.nextafter(2.0, 3.0), math.nextafter(top, 0.0)]
+    """t = 2, and the t at each Taylor-cell boundary and one float either
+    side."""
+    k4, cells = _q_table(n)
+    ts = [2.0, math.nextafter(2.0, 3.0)]
     for i in range(1, len(cells)):
         t = (i / k4) ** -0.5
         ts += [math.nextafter(t, 0.0), t, math.nextafter(t, 3.0)]
-    return [t for t in ts if 2.0 <= t < top]
+    return [t for t in ts if t >= 2.0]
 
 
 @pytest.mark.parametrize("n", list(range(9)) + [20, 30])
 def test_q_cells_match_legenq(n):
     # every Taylor cell, at its edges, centre and either side of each
-    # boundary, against mpmath's general evaluator at 120 bits
-    top, _, k4, cells = _q_table(n)
-    ts = _cell_edges(n) + [((i + 0.5) / k4) ** -0.5 for i in range(len(cells) - 1)]
+    # boundary, and cell 0 out to t = 1e12, against mpmath's general
+    # evaluator at 120 bits.  Q_30(1e12) ~ 1e-372 underflows to 0, so the
+    # least subnormal is allowed beside the relative error
+    k4, cells = _q_table(n)
+    ts = (_cell_edges(n) + [((i + 0.5) / k4) ** -0.5 for i in range(len(cells) - 1)]
+          + [64.0, 100.0, 128.0, 300.0, 1e3, 1e6, 1e12])
     with mp.workprec(120):
         for t in ts:
-            if t >= top:
-                continue
             want = mp.legenq(n, 0, mp.mpf(t), type=3).real
-            assert abs(_q_int(n, t) - want) <= 1e-15 * want, t
+            assert abs(_q_int(n, t) - want) <= 1e-15 * want + 2.0 ** -1074, t
 
 
-def test_q_top_band_has_fixed_degree():
-    # _q_int unrolls the top band, so its degree is fixed for every order;
-    # its edge rises instead, and the remainder bound still holds there
-    # Q_30(128) ~ 7e-76: the oracle's absolute tail needs 2^-300, not 2^-256
+def test_q_cells_cover_the_quarter():
+    # K cells cover u = 1/t^2 in [0, 1/4], and a copy of the last serves
+    # u = 1/4; Q_30(128) ~ 7e-76: the oracle's absolute tail needs 2^-300,
+    # not 2^-256
     oracle = CTX.with_bits(300)
     for n in range(41):
-        top, coeffs, k4, cells = _q_table(n)
-        assert len(coeffs) == 5
-        assert top >= 64.0
-        # K cells cover u = 1/t^2 in [0, 1/4], and a copy of the last serves u = 1/4
+        k4, cells = _q_table(n)
         assert len(cells) - 1 == k4 / 4.0 and cells[-1] == cells[-2]
-    assert _q_table(20)[0] == 64.0
-    assert _q_table(30)[0] == 128.0
+        c, h = cells[0][0], 0.5 / k4
+        assert c - h == 0.0 and cells[-2][0] + h == 0.25
     for t in (128.0, 300.0):
         assert _q_int(30, t) == pytest.approx(
             float(legendre_Q_num(31, t, oracle)), rel=1e-13)
