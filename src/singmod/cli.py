@@ -73,6 +73,12 @@ def parse_point(text: str):
     return z
 
 
+def _positive(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"invalid input: {text} is not a positive integer")
+    return int(text)
+
+
 def _context(args) -> PrecisionContext:
     return PrecisionContext(mantissa_bits=args.precision_bits)
 
@@ -300,12 +306,9 @@ def cmd_greens(args) -> int:
 
 def cmd_sweep(args) -> int:
     ctx = _context(args)
-    if args.coprime_fundamental:
-        values = fundamental_discriminants(args.dmax)
-    else:
-        values = [d for d in range(-3, -args.dmax - 1, -1) if d % 4 in (0, 1)]
-    ms = list(range(1, args.mmax + 1))
-    reports = sweep(values, values, ms, ctx, policy=args.policy,
+    values = (fundamental_discriminants(args.dmax) if args.coprime_fundamental
+              else [d for d in range(-3, -args.dmax - 1, -1) if d % 4 in (0, 1)])
+    reports = sweep(values, values, range(1, args.mmax + 1), ctx, policy=args.policy,
                     epsilons=args.epsilon or (), chain=args.chain,
                     factor=args.factor, workers=args.threads)
     stats = summarize(reports)
@@ -392,14 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common], help="batch verification over a discriminant grid")
     p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--mmax", type=int, default=3)
+    p.add_argument("--mmax", type=_positive, default=3)
     p.add_argument("--coprime-fundamental", action="store_true",
                    help="restrict to fundamental discriminants")
     p.add_argument("--policy", choices=("exact", "all"), default="exact")
     p.add_argument("--epsilon", type=float, action="append")
     p.add_argument("--chain", action="store_true")
     p.add_argument("--factor", action="store_true")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_positive, default=1,
                    help="worker processes (default 1)")
     p.add_argument("--cache-dir", type=str, default=None,
                    help="accepted and ignored: sweep reads no cache")

@@ -26,9 +26,10 @@ mantissas and returns n as a Fixed (numerics), with an error bound in
 integer units that counts every truncation, which recognize_with_retries
 certifies; its name is kept for the benchmark's layer metric.  The first
 pass is sized from exact data: log|j(z)| is about pi sqrt|d| / a at the
-reduced form (a, b, c) of z, so the reduced forms of the pairs and their Hecke images give the size of n, and the j-values it
-reads, before any j-value is computed (norm_plan, which a sweep uses to
-evaluate each form once for its whole grid); a retry is only a fallback.
+reduced form (a, b, c) of z, so the reduced forms of the pairs and their
+Hecke images give the size of n, and the j-values it reads, before any
+j-value is computed (norm_plan, from which a sweep evaluates each form
+once for its whole grid); a retry is only a fallback.
 Inverting both classes sends (z1, z2) to (-conj z1, -conj z2), where |phi_m|
 is the same (phi_m has integer coefficients, j(-conj z) = conj j(z)), so
 values are computed once per such orbit (conjugate_orbits).  Chain sums
@@ -40,7 +41,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .numerics import GUARD_BITS, Fixed, PrecisionContext, recognize_with_retries
 from .quadforms import (
@@ -206,8 +207,10 @@ def small_cm_cycle(d1, d2) -> CMCycle:
     return CMCycle(kind="small", d1=d1, d2=d2, pairs=pairs)
 
 
+@lru_cache(maxsize=4096)
 def build_cycle(d1, d2) -> CMCycle:
-    """Dispatch on the square test; see big_cm_cycle and small_cm_cycle."""
+    """Dispatch on the square test; see big_cm_cycle and small_cm_cycle.
+    Memoised, so every m and stage of a pair reads one orbit_counts."""
     if cycle_case(d1, d2) == "small":
         return small_cm_cycle(d1, d2)
     return big_cm_cycle(d1, d2)

@@ -65,6 +65,7 @@ from .numerics import PrecisionContext, _q_int, legendre_Q
 from .quadforms import QuadForm, hecke_images, inverse
 from .modular import (
     _bottom_rows,
+    _divisor_power_sum,
     as_complex,
     cosh_dist,
     coset_apply,
@@ -375,8 +376,9 @@ def _row_direct(s: int, y1: float, y: float, dx: float, budget: float):
 def _eisenstein_coeffs(s: int) -> tuple:
     """(phi, 2/xi(2s), zeta(2s-1), a) for E(z, s), xi(t) = pi^(-t/2)
     Gamma(t/2) zeta(t) and phi = xi(2s-1)/xi(2s), with the list a of
-    a_m = 2/xi(2s) m^(s-1) sigma_(1-2s)(m) (a[0] unused) that _eisenstein
-    extends.  Built in mpmath at 80 bits at the first use of s.
+    a_m = 2/xi(2s) m^(s-1) sigma_(1-2s)(m) = 2/xi(2s) sigma_(2s-1)(m)/m^s
+    (a[0] unused) that _eisenstein extends.  Built in mpmath at 80 bits at
+    the first use of s.
     """
     with mp.workprec(80):
         def xi(t):
@@ -410,8 +412,7 @@ def _eisenstein(s: int, z: complex):
     while True:
         m += 1
         if len(coeffs) == m:
-            sigma = math.fsum(d ** (1 - 2 * s) for d in range(1, m + 1) if m % d == 0)
-            coeffs.append(two_over_xi * m ** n * sigma)
+            coeffs.append(two_over_xi * (_divisor_power_sum(m, 2 * s - 1) / m ** s))
         damp *= step
         a = coeffs[m] * _k_scaled(n, math.tau * m * y) * damp
         terms.append(a * math.cos(math.tau * m * x))

@@ -15,10 +15,8 @@ certifier as integers (numerics.Fixed).  A CM point is its reduced form
 comparing reduced forms, not by a numeric test.  CM values are cached once
 per class pair: the inverse class is served as the exact conjugate of the
 cached value (j(-conj z) = conj j(z)), so a class and its inverse cost one
-series.  jvalue_table evaluates a planned set of forms, one JValue record
-per class pair, and load_jvalues caches them: a sweep evaluates every form
-its grid will read once, before its instances run, and hands the records
-to its pool workers as they stand (verify.sweep).
+series.  A sweep fills the cache with every form its grid will read before
+its instances run, and its pool workers fork with it (verify.sweep).
 
 Coset convention: Gamma_m is ALL integer matrices of determinant m,
 imprimitive ones included, so that the scalar matrix sqrt(m) I sits in
@@ -290,7 +288,9 @@ def j_eval(z, ctx: PrecisionContext) -> JValue:
                 phase = mp.expjpi(mp.mpf(-key.b) / key.a)
                 size = mp.exp(-mp.pi * mp.sqrt(-key.disc) / key.a)
                 value = _j_series(size * phase, mp.conj(phase) / size, lam, prec)
-            load_jvalues({key: value})
+            with _jvalue_lock:  # keep a finer value cached meanwhile
+                if key not in _jvalue_cache or _jvalue_cache[key].scale < prec:
+                    _jvalue_cache[key] = value
         return value if key is red else value._replace(im=-value.im)
     lam = 2 * math.pi * fd_reduce(complex(z))[0].imag
     with mp.workprec(_inverse_q_bits(lam + 1, prec)):
@@ -298,26 +298,6 @@ def j_eval(z, ctx: PrecisionContext) -> JValue:
         lam = 2 * math.pi * float(zz.imag)
         arg = 2j * mp.pi * zz
         return _j_series(mp.exp(arg), mp.exp(-arg), lam, prec)
-
-
-def jvalue_table(plan: dict[QuadForm, int],
-                 ctx: PrecisionContext) -> dict[QuadForm, JValue]:
-    """j_eval of each class pair (_pair_key) of plan's reduced forms at the most
-    bits plan asks of it, for load_jvalues to cache, in this process or another."""
-    need: dict[QuadForm, int] = {}
-    for form, bits in plan.items():
-        key = _pair_key(form)
-        need[key] = max(need.get(key, 0), bits)
-    return {key: j_eval(key, ctx.with_bits(bits)) for key, bits in need.items()}
-
-
-def load_jvalues(table: dict[QuadForm, JValue]) -> None:
-    """Cache the j-values of a jvalue_table, keeping any finer one cached."""
-    with _jvalue_lock:
-        for key, value in table.items():
-            cached = _jvalue_cache.get(key)
-            if cached is None or cached.scale < value.scale:
-                _jvalue_cache[key] = value
 
 
 def coset_apply(coset: tuple[int, int, int], z):

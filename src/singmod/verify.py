@@ -35,7 +35,7 @@ from .cmcycles import (
     cycle_norm_integer,
     norm_plan,
 )
-from .modular import jvalue_table, load_jvalues
+from .modular import j_eval
 from .greens import G_ks_m_cycle, SingularityError, TailBudgetError, tm_count
 
 
@@ -377,31 +377,33 @@ def sweep(d1_values, d2_values, m_values, ctx: PrecisionContext,
           factor: bool = False, workers: int = 1) -> list[VerificationReport]:
     """verify_instance over a grid, after one plan stage for its j-values.
 
-    The plan (plan_jvalues) evaluates every j-value the grid's first norm
-    passes read once, at the most bits any instance asks of it, so no
-    instance evaluates a series unless its norm retries.  Each report's
-    elapsed times its verify_nonunit alone and so leaves the plan out.  An
-    epsilon that is not positive raises ValueError before any instance
-    runs; per-instance errors are recorded in the report, never raised.
-    When min(workers, instances, CPUs) is at least 2, instances run in a
-    process pool of that many processes, each given the planned JValue
-    records through its initializer (modular.load_jvalues), and sent
-    its instances in about four chunks; otherwise they run serially here.
-    The report order is the grid order either way.
+    The plan stage evaluates through j_eval each form the grid's first norm
+    passes read (plan_jvalues), at the most bits any instance asks of it,
+    highest first so that a class and its inverse share one series; no
+    instance then evaluates one unless its norm retries.  Each report's
+    elapsed times its verify_nonunit alone.  A non-positive epsilon raises
+    ValueError first; per-instance errors are recorded, never raised.  When
+    min(workers, instances, CPUs) is at least 2, instances run in a pool of
+    that many processes forked from this one, whatever the default start
+    method, so each inherits every cache the plan filled, and each is sent
+    about four chunks; otherwise serially here.  Reports keep grid order.
     """
     check_epsilons(epsilons)
     grid = sweep_instances(d1_values, d2_values, m_values, policy)
-    table = jvalue_table(plan_jvalues(grid, ctx), ctx)
+    plan = plan_jvalues(grid, ctx)
+    for form in sorted(plan, key=plan.get, reverse=True):
+        j_eval(form, ctx.with_bits(plan[form]))
     run = partial(verify_instance, ctx=ctx, epsilons=tuple(epsilons),
                   chain=chain, factor=factor)
     # the pool forks all its workers at once: no more than can be busy
     cap = min(workers, len(grid), os.cpu_count() or 1)
     if cap < 2:
         return [run(*task) for task in grid]
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     chunk = -(-len(grid) // (cap * _CHUNKS_PER_WORKER))
-    with ProcessPoolExecutor(max_workers=cap, initializer=load_jvalues,
-                             initargs=(table,)) as pool:
+    with ProcessPoolExecutor(max_workers=cap,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
         return list(pool.map(run, *zip(*grid), chunksize=chunk))
 
 

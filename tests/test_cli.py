@@ -434,3 +434,13 @@ def test_norm_matches_its_sweep_row(capsys, d1, d2, m):
     del payload["elapsed"], row["elapsed"]
     assert payload == row
     assert code == cli._exit_code(verify.summarize([rep]))
+
+
+@pytest.mark.parametrize("flag, value", [("--threads", "-4"), ("--threads", "0"),
+                                         ("--mmax", "0")])
+def test_sweep_refuses_a_non_positive_count(capsys, flag, value):
+    # a sweep over no m, or on no worker, is a meaningless request: exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--dmax", "8", "--coprime-fundamental", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid input:" in capsys.readouterr().err

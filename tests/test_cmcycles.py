@@ -197,6 +197,7 @@ def test_orbits_folded_once_per_norm(monkeypatch, d1, d2, m):
         return numerics.Fixed(man, math.inf if len(passes) == 1 else err, scale)
 
     want = cycle_norm_integer(build_cycle(d1, d2), m, CTX)
+    build_cycle.cache_clear()  # a new cycle, its orbits not yet folded
     monkeypatch.setattr(cmcycles, "conjugate_orbits", fold_spy)
     monkeypatch.setattr(cmcycles, "cycle_log_norm", first_pass_fails)
     assert cycle_norm_integer(build_cycle(d1, d2), m, CTX) == want

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import pickle
 import random
 from fractions import Fraction
 
@@ -479,25 +478,3 @@ def test_j_eval_serves_the_inverse_class_as_the_conjugate(monkeypatch):
     cached = modular._jvalue_cache[form]
     assert cached.scale == fresh.scale and fresh == cached._replace(im=-cached.im)
     assert abs(fresh.value - twin.value) <= fresh.error + twin.error
-
-
-def test_jvalue_table_round_trip(monkeypatch):
-    # the JValue records a sweep hands its pool workers, one per class pair:
-    # pickled and loaded into an empty cache, they serve every request at or
-    # below their precision
-    plan = {QuadForm(2, 1, 3): 192, QuadForm(1, 1, 6): 128, QuadForm(2, -1, 3): 320}
-    monkeypatch.setattr(modular, "_jvalue_cache", {})
-    table = modular.jvalue_table(plan, CTX)
-    assert list(table) == [QuadForm(2, 1, 3), QuadForm(1, 1, 6)]
-    assert table[QuadForm(2, 1, 3)].scale == 320 + numerics.GUARD_BITS
-    sent = pickle.loads(pickle.dumps(table))
-    assert sent == table and all(type(v) is modular.JValue for v in sent.values())
-    modular._jvalue_cache.clear()
-    modular.load_jvalues(sent)
-    monkeypatch.setattr(modular, "_j_series", None)  # no series may run
-    for form, bits in plan.items():
-        value = j_eval(form, CTX.with_bits(bits))
-        cached = table[QuadForm(form.a, abs(form.b), form.c)]
-        assert value == (cached if form.b >= 0 else cached._replace(im=-cached.im))
-    modular.load_jvalues({QuadForm(1, 1, 6): modular.JValue(0, 0, 0, 64)})  # coarser: ignored
-    assert modular._jvalue_cache[QuadForm(1, 1, 6)].scale == 128 + numerics.GUARD_BITS

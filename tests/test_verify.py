@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from singmod import modular, verify
+from singmod import cmcycles, modular, verify
 from singmod.cmcycles import build_cycle
 from singmod.greens import G_k_m, TailBudgetError
 from singmod.numerics import PrecisionContext, PrecisionError, _q_int
@@ -339,17 +339,40 @@ def test_serial_sweep_evaluates_each_planned_form_once(monkeypatch):
     assert len(during) == len(reports) and not any(during)
 
 
+def test_sweep_builds_each_cycle_once(monkeypatch):
+    # the plan stage and every m's norm, epsilon count and chain bound read
+    # one memoised cycle, so its conjugate orbits are folded once
+    builds, folds = [], []
+    build, fold = cmcycles.big_cm_cycle, cmcycles.conjugate_orbits
+
+    def build_spy(d1, d2):
+        builds.append((d1, d2))
+        return build(d1, d2)
+
+    def fold_spy(pairs):
+        folds.append(pairs)
+        return fold(pairs)
+
+    build_cycle.cache_clear()
+    monkeypatch.setattr(cmcycles, "big_cm_cycle", build_spy)
+    monkeypatch.setattr(cmcycles, "conjugate_orbits", fold_spy)
+    reports = sweep([-7], [-8], range(1, 5), CTX, epsilons=(0.5,), chain=True)
+    assert [r.m for r in reports] == [1, 2, 3, 4]
+    assert all(r.status == "ok" and r.chain and r.epsilon_bounds for r in reports)
+    assert len(builds) == 1 and len(folds) == 1
+
+
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and chunksize,
-    runs the initializer and the tasks inline."""
+    """Stands in for ProcessPoolExecutor: records max_workers, mp_context
+    and chunksize, runs the tasks inline."""
 
     sizes = []
+    contexts = []
     chunks = []
 
-    def __init__(self, max_workers, initializer=None, initargs=()):
+    def __init__(self, max_workers, mp_context=None):
         self.sizes.append(max_workers)
-        if initializer is not None:
-            initializer(*initargs)
+        self.contexts.append(mp_context)
 
     def __enter__(self):
         return self
@@ -368,12 +391,15 @@ def test_sweep_pool_is_capped(monkeypatch, cpus, expect):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     _RecordingPool.sizes = []
+    _RecordingPool.contexts = []
     _RecordingPool.chunks = []
     grid = ([-3, -4], [-3, -4], [1])
     assert len(sweep_instances(*grid)) == 3
     reports = sweep(*grid, CTX, workers=500)
     pooled = expect > 1  # a cap of one runs serially, with no pool
     assert _RecordingPool.sizes == [expect] * pooled
+    # workers fork from the planned process, whatever the default start method
+    assert [c.get_start_method() for c in _RecordingPool.contexts] == ["fork"] * pooled
     assert _RecordingPool.chunks == [1] * pooled  # 3 instances in at most 4 chunks a worker
     assert [replace(r, elapsed=0.0) for r in reports] == \
         [replace(r, elapsed=0.0) for r in sweep(*grid, CTX)]
