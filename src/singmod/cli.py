@@ -308,6 +308,8 @@ def cmd_sweep(args) -> int:
     ctx = _context(args)
     values = (fundamental_discriminants(args.dmax) if args.coprime_fundamental
               else [d for d in range(-3, -args.dmax - 1, -1) if d % 4 in (0, 1)])
+    if not values:
+        raise ValueError(f"--dmax {args.dmax} leaves no discriminant to sweep")
     reports = sweep(values, values, range(1, args.mmax + 1), ctx, policy=args.policy,
                     epsilons=args.epsilon or (), chain=args.chain,
                     factor=args.factor, workers=args.threads)

@@ -31,22 +31,25 @@ Hecke images give the size of n, and the j-values it reads, before any
 j-value is computed (norm_plan, from which a sweep evaluates each form
 once for its whole grid); a retry is only a fallback.
 Inverting both classes sends (z1, z2) to (-conj z1, -conj z2), where |phi_m|
-is the same (phi_m has integer coefficients, j(-conj z) = conj j(z)), so
-values are computed once per such orbit (conjugate_orbits).  Chain sums
-group by class pair instead (greens.class_pair_weights).
+is the same (phi_m has integer coefficients, j(-conj z) = conj j(z)), as
+are G_s and the distance to the Hecke graph; so a cycle is built folded,
+one pair per such orbit (quadforms.conjugate_key) with the orbit's summed
+multiplicity, and values are computed once per orbit.  Chain sums group
+further, by class pair (greens.class_pair_weights).
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .numerics import GUARD_BITS, Fixed, PrecisionContext, recognize_with_retries
 from .quadforms import (
     Discriminant,
     QuadForm,
+    conjugate_key,
     enumerate_reduced,
     hecke_images,
     inverse,
@@ -111,14 +114,14 @@ class CMCycle:
 
     @cached_property
     def orbit_counts(self) -> tuple[tuple[CyclePair, bool, int], ...]:
-        """(pair, self-conjugate, count) per conjugate_orbits representative,
-        computed once per cycle: the certified product (the cycle product's
-        power-th root) takes |Re v| count times from a self-conjugate orbit,
-        |v|^2 count times from a folded pair.  Raises CycleError when the
-        divisor does not divide a multiplicity."""
+        """(pair, self-conjugate, count) per pair, computed once per cycle:
+        the certified product (the cycle product's power-th root) takes
+        |Re v| count times from a self-conjugate pair (its own inverse
+        pair), |v|^2 count times from a folded one.  Raises CycleError when
+        the divisor does not divide a multiplicity."""
         out = []
-        for pair in conjugate_orbits(self.pairs):
-            real = _inverse_key(pair) == pair.key
+        for pair in self.pairs:
+            real = (inverse(pair.z1), inverse(pair.z2)) == (pair.z1, pair.z2)
             step = self.power if real else 2 * self.power
             if pair.multiplicity % step:
                 raise CycleError(
@@ -141,8 +144,17 @@ def cycle_case(d1, d2) -> str:
     return "small" if r * r == prod else "big"
 
 
+def _folded(points) -> tuple[CyclePair, ...]:
+    """One CyclePair per conjugate_key of the (f1, f2, multiplicity) points,
+    in ascending key order, with the summed multiplicity."""
+    counts: Counter[tuple[QuadForm, QuadForm]] = Counter()
+    for f1, f2, n in points:
+        counts[conjugate_key(f1, f2)] += n
+    return tuple(CyclePair(f1, f2, n) for (f1, f2), n in sorted(counts.items()))
+
+
 def big_cm_cycle(d1, d2) -> CMCycle:
-    """The Cl(d1) x Cl(d2) orbit with multiplicity 4 per pair.
+    """The Cl(d1) x Cl(d2) orbit with multiplicity 4 per pair, folded.
 
     Multiplicity 4 reflects the four-term orbit structure: replacing a point
     by its negated conjugate walks the inverse class, which is already in the
@@ -161,11 +173,8 @@ def big_cm_cycle(d1, d2) -> CMCycle:
             f"d1*d2 = {d1.d * d2.d} is a perfect square; use small_cm_cycle")
     g1 = enumerate_reduced(d1.d)
     g2 = enumerate_reduced(d2.d)
-    pairs = tuple(
-        CyclePair(fa, fb, BIG_MULTIPLICITY)
-        for fa in g1.reduced_forms
-        for fb in g2.reduced_forms
-    )
+    pairs = _folded((fa, fb, BIG_MULTIPLICITY)
+                    for fa in g1.reduced_forms for fb in g2.reduced_forms)
     kind = "big" if math.gcd(-d1.d, -d2.d) == 1 else "diagnostic"
     return CMCycle(kind=kind, d1=d1, d2=d2, pairs=pairs)
 
@@ -187,8 +196,8 @@ def small_cm_cycle(d1, d2) -> CMCycle:
     (project_class), which is the ascending isogeny of degree f'/f_i: the
     CM point of sigma maps to the one image of determinant f'/f_i that has
     discriminant d_i.  The conjugate branch replaces both classes by their
-    inverses.  Coinciding pairs are merged with summed multiplicities, so
-    group_order is 2 h(d').
+    inverses, so it stays in sigma's conjugate orbit: each sigma adds 2 to
+    the multiplicity of its orbit, and group_order is 2 h(d').
     """
     d1 = _as_disc(d1)
     d2 = _as_disc(d2)
@@ -196,14 +205,8 @@ def small_cm_cycle(d1, d2) -> CMCycle:
         raise CycleError(
             f"d1*d2 = {d1.d * d2.d} is not a perfect square; use big_cm_cycle")
     dp = common_order_discriminant(d1, d2)
-    gp = enumerate_reduced(dp)
-    counts: Counter[tuple[QuadForm, QuadForm]] = Counter()
-    for sigma in gp.reduced_forms:
-        c1 = project_class(sigma, d1)
-        c2 = project_class(sigma, d2)
-        counts[c1, c2] += 1
-        counts[inverse(c1), inverse(c2)] += 1
-    pairs = tuple(CyclePair(f1, f2, n) for (f1, f2), n in sorted(counts.items()))
+    pairs = _folded((project_class(sigma, d1), project_class(sigma, d2), 2)
+                    for sigma in enumerate_reduced(dp).reduced_forms)
     return CMCycle(kind="small", d1=d1, d2=d2, pairs=pairs)
 
 
@@ -216,40 +219,18 @@ def build_cycle(d1, d2) -> CMCycle:
     return big_cm_cycle(d1, d2)
 
 
-def _inverse_key(pair: CyclePair) -> tuple:
-    """The key of the pair of inverse classes (C1^-1, C2^-1)."""
-    f1, f2 = inverse(pair.z1), inverse(pair.z2)
-    return (f1.a, f1.b, f2.a, f2.b)
-
-
-def conjugate_orbits(pairs) -> list[CyclePair]:
-    """One pair per orbit of (C1, C2) -> (C1^-1, C2^-1), sorted by key: the
-    pair of smaller key, with the orbit's summed multiplicity.  The first
-    zero in key order is an orbit's smaller key, so zeros are reported at
-    the same pair as over the unfolded cycle."""
-    orbits: dict[tuple, CyclePair] = {}
-    for pair in sorted(pairs, key=lambda p: p.key):
-        twin = orbits.get(_inverse_key(pair))
-        if twin is None:
-            orbits[pair.key] = pair
-        else:
-            orbits[twin.key] = replace(
-                twin, multiplicity=twin.multiplicity + pair.multiplicity)
-    return list(orbits.values())
-
-
 def norm_plan(cycle: CMCycle, m: int,
               ctx: PrecisionContext) -> tuple[PrecisionContext, frozenset[QuadForm]]:
     """The first pass of cycle_norm_integer: its context, and the reduced
     forms whose j-values it reads.
 
     The forms are what modpoly_eval asks j_eval for: z1, and the
-    hecke_images of z2 (reduced, one per Hecke coset), for each
-    conjugate_orbits representative.  The precision is the larger of
+    hecke_images of z2 (reduced, one per Hecke coset), for each pair of
+    the cycle.  The precision is the larger of
     ctx.mantissa_bits and 64 bits over an estimate of log2 of the certified
     product: each factor j(z1) - j(M z2) has a log size of about the larger
     of log_j_size at z1 and at the reduced form of M z2, summed over the
-    orbits, with their counts (CMCycle.orbit_counts; a folded pair counts
+    pairs, with their counts (CMCycle.orbit_counts; a folded pair counts
     twice), and the cosets.  No j-value is computed.
     """
     images: dict[QuadForm, tuple[QuadForm, ...]] = {}
@@ -284,8 +265,8 @@ def cycle_log_norm(cycle: CMCycle, m: int, ctx: PrecisionContext) -> Fixed:
     """The certified product of |phi_m(j(z1), j(z2))| (n0 for a big cycle)
     as a Fixed, for recognize_with_retries; the benchmark wraps this name.
 
-    Each conjugate orbit's modpoly_eval value v has |v - t| <= r min(|v|,
-    |t|), r = top/low - 1, t the true value.  A self-conjugate orbit (both
+    Each pair's modpoly_eval value v has |v - t| <= r min(|v|, |t|),
+    r = top/low - 1, t the true value.  A self-conjugate pair (both
     classes their own inverse) has a real t and contributes c = |Re v|,
     within r |t| of |t|; a folded pair c = |v|^2, within a factor (1 + r)^2
     of |t|^2; each count times (CMCycle.orbit_counts).  So max(c/|t|,
@@ -296,8 +277,8 @@ def cycle_log_norm(cycle: CMCycle, m: int, ctx: PrecisionContext) -> Fixed:
     (count times), in units of 2^-(W + 64) rounded up, the product is
     within a factor e^S of the true one, so err = S (1 + S) >= e^S - 1
     (S <= 1) times it, rounded up.  Raises SingularCycleError the
-    moment a factor is decided zero; the order is fixed (conjugate_orbits)
-    so the product is bit-stable.
+    moment a factor is decided zero; the order is fixed (the cycle's pair
+    order) so the product is bit-stable.
     """
     width = ctx.mantissa_bits + GUARD_BITS
     unit, man, exp, total = width + 64, 1, 0, 0

@@ -35,14 +35,14 @@ coset.  A cycle's G_k^m (G_ks_m_cycle) sums once per class-pair key
 (class_pair_key).  The point-pair kernel is g_s_truncated, in mpf through
 numerics.legendre_Q; g_s is its one-term case.
 
-Walks share work through two bounded process-wide caches: each lower
-point's rows (_OrbitRows), enumerated once down to the deepest height floor
-any centre has asked for, and each row height's Bessel-I factors
-(_i_column).  A row's height and offset are computed from the lower point
-alone, a floor's rows are a prefix of any deeper floor's, and a cached
-factor is the value it would be recomputed as; so every result is a
-function of its points, s and budget only, whatever the caches hold, the
-order of the walks or the process they run in.
+Walks share work through two memoised functions: each lower point's rows
+down to each power of two (_rows_from, which _orbit_rows cuts at the
+floor asked for), and each row height's Bessel-I factors (_i_column).  A
+row's height and offset are computed from the lower point alone, a floor's
+rows are a prefix of any deeper floor's, and a cached factor is the value
+it would be recomputed as; so every result is a function of its points, s
+and budget only, whatever the caches hold, the order of the walks or the
+process they run in.
 
 For Laplacian eigenfunction checks use gamma_orbit + g_s_truncated: every
 single gamma-term is an exact eigenfunction in z1, so a truncated sum over a
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -62,7 +61,7 @@ from typing import Iterable
 import mpmath as mp
 
 from .numerics import PrecisionContext, _q_int, legendre_Q
-from .quadforms import QuadForm, hecke_images, inverse
+from .quadforms import QuadForm, conjugate_key, hecke_images
 from .modular import (
     _bottom_rows,
     _divisor_power_sum,
@@ -180,47 +179,29 @@ _TERM_ROUNDING = 2.0 ** -42
 # the most modes a row may add in its running sum: 27 + K units of 2^-53
 # stay within _TERM_ROUNDING while 27 + K <= 2^11
 _MAX_MODES = 2 ** 11 - 27
-# the most orbit rows _orbit_rows keeps over all lower points (~10 MB)
-_ROW_CACHE_ROWS = 2 ** 16
 
 
-class _OrbitRows:
-    """The bottom rows of each lower point z2, enumerated once down to the
-    deepest height floor asked for.
-
-    A row's height yw = y2/|c z2 + d|^2 and offset wx0 (modular._bottom_rows)
-    are computed from z2 alone, and the rows at any floor are a prefix of a
-    deeper floor's rows by descending height, so what is served never
-    depends on what was enumerated before.  The least recently used points
-    are dropped while more than limit rows (one more per point) are held;
-    the newest point is always kept.
-    """
-
-    def __init__(self, limit: int):
-        self.limit, self.held, self.points = limit, 0, OrderedDict()
-
-    def __call__(self, z2: complex, floor: float) -> list[tuple[float, float]]:
-        """(yw, wx0) of every row of z2 at height yw >= floor, highest first."""
-        entry = self.points.pop(z2, None)
-        if entry is None or entry[0] > floor:
-            if entry is not None:
-                self.held -= len(entry[2]) + 1
-            rows = sorted(((yw, wx0) for _, _, _, wx0, yw in _bottom_rows(z2, floor)),
-                          reverse=True)
-            entry = (floor, [-yw for yw, _ in rows], rows)
-            self.held += len(rows) + 1
-        self.points[z2] = entry
-        while self.held > self.limit and len(self.points) > 1:
-            _, (_, _, old) = self.points.popitem(last=False)
-            self.held -= len(old) + 1
-        return entry[2][:bisect_right(entry[1], -floor)]
-
-    def clear(self):
-        self.held = 0
-        self.points.clear()
+@lru_cache(maxsize=1024)
+def _rows_from(z2: complex, e: int) -> tuple[list[float], list[tuple[float, float]]]:
+    """(-yw per row, rows): the (yw, wx0) of every bottom row of z2
+    (modular._bottom_rows) at height yw >= 2^e, highest first."""
+    rows = sorted(((yw, wx0) for _, _, _, wx0, yw in _bottom_rows(z2, math.ldexp(1.0, e))),
+                  reverse=True)
+    return [-yw for yw, _ in rows], rows
 
 
-_orbit_rows = _OrbitRows(_ROW_CACHE_ROWS)
+def _orbit_rows(z2: complex, floor: float) -> list[tuple[float, float]]:
+    """(yw, wx0) of every row of z2 at height yw >= floor, highest first: a
+    prefix of _rows_from at the power of two 2^e <= floor, refused before it
+    is enumerated when its ~3/(pi 2^e) rows pass _MAX_ROWS (TailBudgetError)."""
+    e = math.frexp(floor)[1] - 1
+    reach = 3.0 / (math.pi * math.ldexp(1.0, e))
+    if reach > _MAX_ROWS:
+        raise TailBudgetError(
+            f"the tail budget needs the rows down to height {floor:.3g} "
+            f"(~{reach:.3g} rows); loosen tail_target")
+    keys, rows = _rows_from(z2, e)
+    return rows[:bisect_right(keys, -floor)]
 
 
 @lru_cache(maxsize=None)
@@ -280,7 +261,7 @@ def _k_column(n: int, y1: float) -> list[float]:
 def _i_column(n: int, y: float) -> list[float]:
     """[0, _i_scaled(n, 2 pi y), _i_scaled(n, 4 pi y), ...], memoised per row
     height and extended like _k_column.  A row's height is computed from its
-    lower point alone (_OrbitRows), so every centre, k and budget reuses it."""
+    lower point alone (_rows_from), so every centre, k and budget reuses it."""
     return [0.0]
 
 
@@ -444,8 +425,8 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
       E(z2, s) - sum_(y >= Y) y^s plus its error.  The levels are scanned
       up from 1 and the first whose bound meets 3b/4 is taken: the bound
       falls as the level deepens, so that is the coarsest level meeting it.
-      About 3/(pi Y) rows reach height Y; a level where that passes
-      _MAX_ROWS is refused (TailBudgetError) before its rows are enumerated;
+      Its rows are enumerated to the power of two 2^e <= Y (_orbit_rows),
+      refused before that where the ~3/(pi 2^e) rows pass _MAX_ROWS;
     - the error is that bound, the tails and _TERM_ROUNDING times the size
       of every term; a total above b is refused (TailBudgetError).
 
@@ -478,11 +459,6 @@ def _lattice_sums(ss, c1: complex, c2: complex, target: float) -> list[GreensVal
         while True:
             level += 1
             floor = math.ldexp(y1, -level)
-            reach = 3.0 / (math.pi * floor)
-            if reach > _MAX_ROWS:
-                raise TailBudgetError(
-                    f"the tail budget needs the rows down to height {floor:.3g} "
-                    f"(~{reach:.3g} rows) at s = {s}; loosen tail_target")
             rows = _orbit_rows(other, floor)
             powers = [y ** s for y, _ in rows]
             power_sum = math.fsum(powers)
@@ -580,23 +556,22 @@ def _weighted_total(walks) -> list[GreensValue]:
 
 
 def class_pair_key(f1: QuadForm, f2: QuadForm) -> tuple[QuadForm, QuadForm]:
-    """The least of (f1, f2), (f2, f1) and their images under b -> -b.
+    """The least of the conjugate_key of (f1, f2) and of (f2, f1).
 
     f1 and f2 are reduced forms.  G_s(z1, z2) depends only on the two
     classes, is symmetric, and is unchanged by z -> -conj z on both points
     (an isometry normalising the group), which sends each class to its
     inverse; so every pair with one key has one G_s.
     """
-    g1, g2 = inverse(f1), inverse(f2)
-    return min((f1, f2), (f2, f1), (g1, g2), (g2, g1))
+    return min(conjugate_key(f1, f2), conjugate_key(f2, f1))
 
 
 def class_pair_weights(pairs, m: int) -> dict[tuple[QuadForm, QuadForm], int]:
     """Summed multiplicity per class_pair_key over every (pair, coset) walk.
 
     pairs carry reduced forms z1, z2 (CM points) and a multiplicity
-    (cmcycles.CyclePair); the coset images of z2 are exact too (hecke_images),
-    so the keys are exact.
+    (cmcycles.CyclePair, one per conjugate orbit of a cycle); the coset
+    images of z2 are exact too (hecke_images), so the keys are exact.
     """
     weights: dict[tuple[QuadForm, QuadForm], int] = {}
     for pair in pairs:
@@ -642,7 +617,7 @@ def tm_count(cycle, m: int, epsilon: float) -> int:
     """Count cycle points (with multiplicity) within epsilon of the graph.
 
     cycle is any object with .pairs, an iterable of entries carrying z1, z2
-    and multiplicity attributes (see cmcycles.CMCycle).
+    and multiplicity attributes (cmcycles.CMCycle: one per conjugate orbit).
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import mpmath as mp
@@ -97,21 +98,13 @@ _Q_CELL_DEGREE = 6
 _Q_CELL_GUARD = 64
 # abscissae u = v < 1 at which F bounds the cells' remainders (Cauchy majorant)
 _Q_MAJORANT_AT = (0.375, 0.5, 0.625, 0.75, 0.875, 0.9375)
-_Q_TABLES: dict[int, tuple] = {}
 
 
-def _q_table(n: int) -> tuple:
-    """(4K, cells) for Q_n with float t >= 2, built once: the Taylor cells
-    of _q_cells, which u = 1/t^2 indexes as cells[int(u 4K)]."""
-    table = _Q_TABLES.get(n)
-    if table is None:
-        table = _Q_TABLES[n] = _q_cells(n)
-    return table
-
-
+@lru_cache(maxsize=None)
 def _q_cells(n: int) -> tuple[float, tuple[tuple[float, ...], ...]]:
     """(4K, cells): F's degree-6 Taylor polynomials on K equal cells of
-    u in [0, 1/4], that is t >= 2.
+    u in [0, 1/4], that is t >= 2, which u = 1/t^2 indexes as
+    cells[int(u 4K)]; built once per n.
 
     Cell i covers |u - c| <= h, c = (2i + 1) h, h = 1/(8K), and holds
     (c, b_6, ..., b_0) with b_k = F^(k)(c)/k!; a last copy of cell K - 1
@@ -207,7 +200,7 @@ def _q_int(n: int, t):
 
     The upward three-term recurrence amplifies the rounding of Q_0 about
     e^((2n+1) xi) times in the recessive Q_n, xi = arccosh t.  So in float,
-    t >= 2 takes t^(-(n+1)) F(1/t^2), F from its Taylor cell (_q_table;
+    t >= 2 takes t^(-(n+1)) F(1/t^2), F from its Taylor cell (_q_cells;
     remainder at most 2^-53 relative); below t = 2, the upward recurrence
     stays where (2n + 1) xi <= 2, near t = 1, and _q_backward runs elsewhere.
     The mpf path keeps the upward recurrence and works with (2n + 1) (mag(t)
@@ -220,7 +213,7 @@ def _q_int(n: int, t):
         with mp.extraprec((2 * n + 1) * (mp.mag(t) + 1)):
             return _q_up(n, t, mp.log((t + 1) / (t - 1)) / 2)
     if t >= 2.0:
-        k4, cells = _Q_TABLES.get(n) or _q_table(n)
+        k4, cells = _q_cells(n)
         u = 1.0 / (t * t)
         c, b6, b5, b4, b3, b2, b1, b0 = cells[int(u * k4)]
         v = u - c

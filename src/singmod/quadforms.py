@@ -149,8 +149,16 @@ def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
     return reduce_form(QuadForm(a3, b3, (b3 * b3 - d) // (4 * a3)))
 
 
+@lru_cache(maxsize=4096)
 def inverse(form: QuadForm) -> QuadForm:
+    """The reduced inverse class; memoised, as conjugate_key keys each walk."""
     return reduce_form(QuadForm(form.a, -form.b, form.c))
+
+
+def conjugate_key(f1: QuadForm, f2: QuadForm) -> tuple[QuadForm, QuadForm]:
+    """The smaller of (f1, f2) and (f1^-1, f2^-1), reduced forms: one key
+    per orbit of z -> -conj z on both points, which inverts both classes."""
+    return min((f1, f2), (inverse(f1), inverse(f2)))
 
 
 @dataclass(frozen=True)

@@ -265,6 +265,12 @@ def test_greens_cycle_mode(capsys):
     assert code == 0
     assert payload["value"] < 0
     assert payload["tail_bound"] <= 4 * 1e-4 + 1e-12
+    # one row per conjugate orbit: Cl(-15) x Cl(-23) has 6 pairs in 4 orbits
+    code, payload, _ = run_json(
+        capsys, "greens", "--k", "3", "--m", "2", "--cycle", "-15", "-23",
+        "--tail", "1e-3")
+    assert code == 0
+    assert [row["multiplicity"] for row in payload["pairs"]] == [4, 8, 4, 8]
 
 
 def test_greens_argument_validation(capsys):
@@ -366,9 +372,28 @@ def test_sweep_small_grid(capsys):
 
 
 def test_sweep_empty(capsys):
-    code, payload, _ = run_json(capsys, "sweep", "--dmax", "0")
+    # a --dmax that leaves no discriminant is a meaningless request: exit 2
+    for argv in (["--dmax", "2", "--coprime-fundamental"], ["--dmax", "-5"],
+                 ["--dmax", "0"]):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 2 and not out
+        assert err.startswith("invalid input:") and "no discriminant" in err
+
+
+def test_sweep_policy_all(capsys):
+    # --policy all adds the small cycles and the diagnostic big ones, whose
+    # products are reported but not asserted as norms
+    code, payload, _ = run_json(capsys, "sweep", "--dmax", "8", "--mmax", "1",
+                                "--policy", "all")
     assert code == 0
-    assert payload["summary"]["total"] == 0
+    kinds = {row["cycle_kind"] for row in payload["reports"]}
+    assert kinds == {"big", "small", "diagnostic"}
+    assert all(not row["asserted"] for row in payload["reports"]
+               if row["cycle_kind"] == "diagnostic")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--dmax", "8", "--mmax", "1", "--policy", "bogus"])
+    assert exc.value.code == 2
+    assert "argument --policy: invalid choice" in capsys.readouterr().err
 
 
 def test_out_file(capsys, tmp_path):

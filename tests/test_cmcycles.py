@@ -7,7 +7,7 @@ import pytest
 
 from singmod import cmcycles, modular, numerics
 from singmod.numerics import PrecisionContext
-from singmod.quadforms import enumerate_reduced, inverse
+from singmod.quadforms import enumerate_reduced, inverse, project_class
 from singmod.modular import classpoly, hecke_cosets, modpoly_eval
 from singmod.verify import fundamental_discriminants, sweep_instances
 from singmod.cmcycles import (
@@ -18,7 +18,6 @@ from singmod.cmcycles import (
     big_cm_cycle,
     build_cycle,
     common_order_discriminant,
-    conjugate_orbits,
     cycle_case,
     cycle_log_norm,
     cycle_norm_integer,
@@ -70,9 +69,11 @@ def test_cycle_case():
 
 
 def test_big_cycle_structure():
+    # Cl(-15) has two classes, each its own inverse, and Cl(-23) three, one
+    # of them its own inverse: 2 x 3 grid pairs in 2 x 2 conjugate orbits
     cyc = big_cm_cycle(-15, -23)
     assert cyc.kind == "big" and cyc.is_exact
-    assert len(cyc.pairs) == 2 * 3
+    assert len(cyc.pairs) == 2 * 2
     assert cyc.group_order == 4 * 2 * 3
     assert sum(p.multiplicity for p in cyc.pairs) == cyc.group_order
     # shared factor: product still integral but only diagnostic
@@ -182,14 +183,19 @@ def test_norm_certified_without_a_probe_pass(monkeypatch, d1, d2, m):
 
 @pytest.mark.parametrize("d1, d2, m", [(-23, -24, 4), (-15, -60, 1), (-7, -8, 3)])
 def test_orbits_folded_once_per_norm(monkeypatch, d1, d2, m):
-    # norm_plan and every cycle_log_norm pass, a retry included, read the
-    # cycle's one orbit list: conjugate_orbits runs once per norm
-    folds, passes = [], []
-    fold, log_norm = cmcycles.conjugate_orbits, cmcycles.cycle_log_norm
+    # the cycle is folded once, when it is built, and norm_plan and every
+    # cycle_log_norm pass, a retry included, read its one orbit_counts:
+    # the inverse pair of each pair is formed once per norm
+    folds, inverses, passes = [], [], []
+    fold, invert, log_norm = cmcycles._folded, cmcycles.inverse, cmcycles.cycle_log_norm
 
-    def fold_spy(pairs):
-        folds.append(pairs)
-        return fold(pairs)
+    def fold_spy(points):
+        folds.append(points)
+        return fold(points)
+
+    def inverse_spy(form):
+        inverses.append(form)
+        return invert(form)
 
     def first_pass_fails(cycle, order, ctx):
         man, err, scale = log_norm(cycle, order, ctx)
@@ -197,11 +203,14 @@ def test_orbits_folded_once_per_norm(monkeypatch, d1, d2, m):
         return numerics.Fixed(man, math.inf if len(passes) == 1 else err, scale)
 
     want = cycle_norm_integer(build_cycle(d1, d2), m, CTX)
-    build_cycle.cache_clear()  # a new cycle, its orbits not yet folded
-    monkeypatch.setattr(cmcycles, "conjugate_orbits", fold_spy)
+    build_cycle.cache_clear()  # a new cycle, not yet built or folded
+    monkeypatch.setattr(cmcycles, "_folded", fold_spy)
+    monkeypatch.setattr(cmcycles, "inverse", inverse_spy)
     monkeypatch.setattr(cmcycles, "cycle_log_norm", first_pass_fails)
-    assert cycle_norm_integer(build_cycle(d1, d2), m, CTX) == want
+    cycle = build_cycle(d1, d2)
+    assert cycle_norm_integer(cycle, m, CTX) == want
     assert len(passes) == 2 and len(folds) == 1
+    assert len(inverses) == 2 * len(cycle.pairs)
 
 
 def _norm_grid():
@@ -314,10 +323,29 @@ def test_log_norm_error_bound_does_not_underflow():
     assert 0 < err and err << 1900 < x
 
 
+def _prime_powers(n: int) -> dict[int, int]:
+    """{p: e} with n = prod p^e, by trial division."""
+    out, p = {}, 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    return out
+
+
 def _gz_k1_exponents(d1: int, d2: int, m: int) -> dict[int, int]:
     """e_p with F_1(m) = sum of e_p log p: F_1(m) = sum over q | m of
     psi(q) GZ_1(m/q), and GZ_1(s) = sum over x^2 < s^2 D, x = s^2 D (mod 2),
-    of sum over n n' = (s^2 D - x^2)/4 of epsilon(n') log n, D = d1 d2."""
+    of sum over n n' = R of epsilon(n') log n, R = (s^2 D - x^2)/4, D = d1 d2.
+
+    With R = prod p_i^(e_i) and epsilon_i = epsilon(p_i), the inner sum's
+    exponent of p_i is T_i prod over j != i of S_j, S_j = sum over
+    b <= e_j of epsilon_j^b and T_i = sum over a <= e_i of
+    a epsilon_i^(e_i - a): n runs over prod p_j^(a_j), n' over the
+    complementary powers, and log n = sum a_i log p_i."""
     exponents: dict[int, int] = {}
     for q in range(1, m + 1):
         psi = gz_psi(d1, d2, q) if m % q == 0 else 0
@@ -327,31 +355,28 @@ def _gz_k1_exponents(d1: int, d2: int, m: int) -> dict[int, int]:
         for x in range(-math.isqrt(big), math.isqrt(big) + 1):
             if x * x >= big or (big - x) % 2:
                 continue
-            rest = (big - x * x) // 4
-            for n in range(2, rest + 1):
-                if rest % n:
-                    continue
-                weight, p = psi * gz_epsilon(d1, d2, rest // n), 2
-                while n > 1:
-                    while n % p == 0:
-                        exponents[p] = exponents.get(p, 0) + weight
-                        n //= p
-                    p += 1
+            powers = _prime_powers((big - x * x) // 4)
+            eps = {p: gz_epsilon(d1, d2, p) for p in powers}
+            sums = {p: sum(eps[p] ** b for b in range(e + 1)) for p, e in powers.items()}
+            for p, e in powers.items():
+                t = sum(a * eps[p] ** (e - a) for a in range(e + 1))
+                rest = math.prod(sums[r] for r in powers if r != p)
+                exponents[p] = exponents.get(p, 0) + psi * t * rest
     return exponents
 
 
 def test_gross_zagier_k1_exact_norms():
     # Gross-Zagier, On singular moduli: N^2 = n0^8 = prod p^(w1 w2 e_p) with
     # F_1(m) = sum e_p log p, w = 6, 4, 2 for d = -3, -4 and the rest, on
-    # every ordered coprime pair of fundamental discriminants with
-    # |d| <= 24 and m <= 4, exactly
+    # every ordered coprime pair of distinct fundamental discriminants with
+    # |d| <= 50 and m <= 4 (the acceptance grid in both orders), exactly
     def units(d):
         return {-3: 6, -4: 4}.get(d, 2)
 
-    ds = fundamental_discriminants(24)
+    ds = fundamental_discriminants(50)
     instances = [(d1, d2, m) for d1 in ds for d2 in ds
                  if d1 != d2 and math.gcd(d1, d2) == 1 for m in range(1, 5)]
-    assert len(instances) == 280
+    assert len(instances) == 784
     for d1, d2, m in instances:
         want = 1
         for p, e in _gz_k1_exponents(d1, d2, m).items():
@@ -412,9 +437,20 @@ def test_big_cycle_certified_at_a_quarter_of_the_bits(monkeypatch):
     assert max(seen) <= n.bit_length() // 4 + 64 + 16
 
 
-def _inverse_key(pair):
-    f1, f2 = inverse(pair.z1), inverse(pair.z2)
-    return (f1.a, f1.b, f2.a, f2.b)
+def _unfolded(cycle) -> dict:
+    """Multiplicity per (C1, C2) of the cycle before folding: the
+    Cl(d1) x Cl(d2) grid at 4 each, or the projections of each class of
+    Cl(d') and their inverse pairs at 1 each."""
+    if cycle.kind != "small":
+        return {(f1, f2): 4 for f1 in enumerate_reduced(cycle.d1.d).reduced_forms
+                for f2 in enumerate_reduced(cycle.d2.d).reduced_forms}
+    grid: dict = {}
+    dp = common_order_discriminant(cycle.d1, cycle.d2)
+    for sigma in enumerate_reduced(dp).reduced_forms:
+        c1, c2 = project_class(sigma, cycle.d1), project_class(sigma, cycle.d2)
+        for pair in ((c1, c2), (inverse(c1), inverse(c2))):
+            grid[pair] = grid.get(pair, 0) + 1
+    return grid
 
 
 @pytest.mark.parametrize("cycle", [
@@ -422,23 +458,24 @@ def _inverse_key(pair):
     small_cm_cycle(-23, -23), small_cm_cycle(-15, -60), small_cm_cycle(-3, -12),
 ], ids=lambda c: f"{c.kind}{c.d1.d}{c.d2.d}")
 def test_conjugate_orbits_fold_inverse_pairs(cycle):
-    orbits = conjugate_orbits(cycle.pairs)
-    keys = [p.key for p in orbits]
-    assert keys == sorted(keys) and len(set(keys)) == len(keys)
-    assert (sum(p.multiplicity for p in orbits)
-            == sum(p.multiplicity for p in cycle.pairs))
-    # every pair and its inverse land in one orbit, named by the smaller key
-    present = {p.key: p for p in cycle.pairs}
-    by_key = {p.key: p for p in orbits}
-    for pair in cycle.pairs:
-        twin = _inverse_key(pair)
-        rep = min(pair.key, twin) if twin in present else pair.key
-        assert rep in by_key
-        members = {pair.key, twin} if twin in present else {pair.key}
-        assert by_key[rep].multiplicity == sum(present[k].multiplicity for k in members)
+    # a cycle holds one pair per orbit of (C1, C2) -> (C1^-1, C2^-1): the
+    # one of smaller key, in ascending key order, with the orbit's summed
+    # multiplicity; the group order is the unfolded cycle's
+    grid = _unfolded(cycle)
+    orbits: dict = {}
+    for f1, f2 in sorted(grid):
+        twin = (inverse(f1), inverse(f2))
+        rep = twin if twin in orbits else (f1, f2)
+        orbits[rep] = orbits.get(rep, 0) + grid[f1, f2]
+    want = [(f1, f2, n) for (f1, f2), n in orbits.items()]
+    for cyc in (cycle, build_cycle(cycle.d1.d, cycle.d2.d)):
+        assert [(p.z1, p.z2, p.multiplicity) for p in cyc.pairs] == want
+        keys = [p.key for p in cyc.pairs]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert cyc.group_order == sum(grid.values())
 
 
 def test_conjugate_orbits_count():
     # Cl(-23) x Cl(-31), both cyclic of order 3: (1, 1), (1, x), (x, 1),
     # (x, y) and (x, y^-1) up to inversion
-    assert len(conjugate_orbits(big_cm_cycle(-23, -31).pairs)) == 5
+    assert len(big_cm_cycle(-23, -31).pairs) == 5

@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 from singmod import greens
-from singmod.numerics import PrecisionContext, _q_int, _q_table, legendre_P, legendre_Q
+from singmod.numerics import PrecisionContext, _q_cells, _q_int, legendre_P, legendre_Q
 from singmod.quadforms import QuadForm, enumerate_reduced, inverse
 from singmod.modular import (_bottom_rows, coset_apply, fd_reduce, gamma_translates,
                              hecke_cosets, j_eval, modpoly_eval, y1_distance)
@@ -274,7 +274,7 @@ def test_tail_honest_on_chain_grid_walks(m):
 @pytest.fixture
 def cold_caches():
     """Start with no orbit rows or Bessel-I columns shared from earlier walks."""
-    clears = (greens._orbit_rows.clear, greens._i_column.cache_clear)
+    clears = (greens._rows_from.cache_clear, greens._i_column.cache_clear)
     for clear in clears:
         clear()
     yield
@@ -303,10 +303,10 @@ def _spy_on_enumeration(monkeypatch) -> list:
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_chain_grid_walks_enumerate_once(monkeypatch, cold_caches, m):
     # s = 3 scans its levels down to the one it needs, and s = 5, 7 stop at
-    # coarser levels; the rows are shared by every walk with the same lower
-    # point, which enumerates again only for a floor below every floor it
-    # was enumerated at.  So from cold caches the chain grid enumerates once
-    # per lower point plus once per such deeper floor
+    # coarser levels; a level's rows are enumerated down to the power of
+    # two below its height and shared by every walk with the same lower
+    # point.  So from cold caches the chain grid enumerates once per
+    # distinct lower point and power of two asked for
     calls = _spy_on_enumeration(monkeypatch)
     rows, asked = greens._orbit_rows, []
 
@@ -317,17 +317,19 @@ def test_chain_grid_walks_enumerate_once(monkeypatch, cold_caches, m):
     monkeypatch.setattr(greens, "_orbit_rows", spy_rows)
     share = 1e-3 / len(hecke_cosets(m))
     keys = _chain_grid_keys(m)
-    deepest, expect = {}, []
+    expect = []
     for f1, f2 in keys:
         del asked[:]
         _lattice_sums((3, 5, 7), f1.approx(), f2.approx(), share)
         for z2, floor in asked:
             assert z2 == _lower_point(f1.approx(), f2.approx())
-            if floor < deepest.get(z2, math.inf):
-                deepest[z2] = floor
-                expect.append((z2, floor))
+            enumerated = (z2, math.ldexp(1.0, math.frexp(floor)[1] - 1))
+            assert enumerated[1] <= floor < 2.0 * enumerated[1]
+            if enumerated not in expect:
+                expect.append(enumerated)
     assert calls == expect
-    assert len(deepest) < len(calls) < len(keys), (len(deepest), len(calls), len(keys))
+    points = {z2 for z2, _ in expect}
+    assert len(points) < len(calls) < len(keys), (len(points), len(calls), len(keys))
 
 
 def test_hopeless_budget_refused_before_enumerating(monkeypatch, cold_caches):
@@ -354,56 +356,47 @@ def _fresh_rows(z2: complex, floor: float) -> list:
                   reverse=True)
 
 
-def test_walks_do_not_depend_on_shared_caches(cold_caches):
+def test_walks_do_not_depend_on_shared_caches(monkeypatch, cold_caches):
     # one walk cold, after other centres at shallower and deeper floors have
     # filled its lower point's rows (and the Bessel-I columns), and cold
     # again: the values are bit-identical
+    calls = _spy_on_enumeration(monkeypatch)
+
+    def deepest():
+        return min(floor for z2, floor in calls if z2 == Z1)
+
     def walk():
         return _lattice_sums((3, 5, 7), Z2, Z1, 1e-4)
 
     cold = walk()
-    floor = greens._orbit_rows.points[Z1][0]
-    greens._orbit_rows.clear()
+    floor = deepest()
+    greens._rows_from.cache_clear()
     for centre, target in ((0.1 + 1.5j, 1e-3), (0.4 + 4.0j, 1e-7), (-0.2 + 1.2j, 1e-8)):
         _lattice_sums((3, 5, 7), centre, Z1, target)
-    assert greens._orbit_rows.points[Z1][0] < floor
+    assert deepest() < floor
     assert walk() == cold
-    greens._orbit_rows.clear()
+    greens._rows_from.cache_clear()
     greens._i_column.cache_clear()
     assert walk() == cold
-    # rows served from a deeper enumeration are those of a fresh one
-    greens._orbit_rows(Z1, floor / 16)
-    for y_cut in (floor, 2.0 * floor, 0.3, 1.0, Z1.imag, 2.0):
+    # rows cut from an enumeration at the power of two below a floor are
+    # those of a fresh enumeration at the floor itself
+    for y_cut in (floor, 1.5 * floor, 2.0 * floor, 0.3, 1.0, Z1.imag, 2.0):
         assert greens._orbit_rows(Z1, y_cut) == _fresh_rows(Z1, y_cut)
 
 
-def test_orbit_row_cache_is_bounded():
-    # least recently used points go while more than the limit is held; the
-    # newest stays even when it alone passes it
-    rows = greens._OrbitRows(40)
-    points = [complex(x, y) for x in (-0.4, 0.0, 0.3) for y in (1.0, 1.3)]
-    for z2 in points + points[:2]:
-        assert rows(z2, 0.2) == _fresh_rows(z2, 0.2)
-        held = sum(len(entry[2]) + 1 for entry in rows.points.values())
-        assert rows.held == held <= 40
-        assert list(rows.points)[-1] == z2
-    assert len(_fresh_rows(points[0], 0.01)) > 40
-    assert rows(points[0], 0.01) == _fresh_rows(points[0], 0.01)
-    assert list(rows.points) == [points[0]]
-
-
 def test_growth_refused_before_enumerating_past_the_cap(monkeypatch, cold_caches):
-    # the scan checks each level's row count before enumerating it, so a
-    # row cap the next level would pass is refused there, after the one
-    # enumeration at level 1
+    # the scan checks each level's row count at the floor it enumerates
+    # before enumerating it, so a row cap the next level would pass is
+    # refused there, after the one enumeration at level 1
     calls = _spy_on_enumeration(monkeypatch)
     _lattice_sums((3,), Z1, Z2, 1e-4)
     first = calls[0]
-    y1 = 2.0 * first[1]  # level 1 enumerates down to y1/2
+    # level 1's height y1/2 = 1.15 is enumerated down to 2^0, level 2's to 2^-1
+    assert first[1] == 1.0
     calls.clear()
-    greens._orbit_rows.clear()
+    greens._rows_from.cache_clear()
     # the row count at level 1 is allowed, that of level 2 is not
-    monkeypatch.setattr(greens, "_MAX_ROWS", 3.0 / (math.pi * math.ldexp(y1, -1)))
+    monkeypatch.setattr(greens, "_MAX_ROWS", 3.0 / (math.pi * first[1]))
     with pytest.raises(TailBudgetError, match="rows"):
         _lattice_sums((3,), Z1, Z2, 1e-4)
     assert calls == [first]
@@ -458,7 +451,7 @@ def test_q_decay_const_falls_to_its_limit():
     # t^s Q_{s-1}(t) = c_inf F(1/t^2) with F's coefficients positive, so the
     # tail constant never drops below 2 c_inf and never rises with t
     for s in (2, 3, 5, 7):
-        k4, _ = _q_table(s - 1)
+        k4, _ = _q_cells(s - 1)
         ts = sorted((8.0, (2 / k4) ** -0.5, 64.0, 1e4))
         qs = [_q_decay_const(s, t) for t in ts]
         assert all(q >= 2.0 * _c_inf(s) for q in qs), (s, qs)

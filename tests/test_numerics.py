@@ -11,8 +11,8 @@ from singmod.numerics import (
     IntegerRecognitionError,
     PrecisionContext,
     PrecisionError,
+    _q_cells,
     _q_int,
-    _q_table,
     as_fixed,
     integer_recognize,
     legendre_P,
@@ -101,7 +101,7 @@ def test_Q_float_route_vs_quadrature():
 def _cell_edges(n):
     """t = 2, and the t at each Taylor-cell boundary and one float either
     side."""
-    k4, cells = _q_table(n)
+    k4, cells = _q_cells(n)
     ts = [2.0, math.nextafter(2.0, 3.0)]
     for i in range(1, len(cells)):
         t = (i / k4) ** -0.5
@@ -115,7 +115,7 @@ def test_q_cells_match_legenq(n):
     # boundary, and cell 0 out to t = 1e12, against mpmath's general
     # evaluator at 120 bits.  Q_30(1e12) ~ 1e-372 underflows to 0, so the
     # least subnormal is allowed beside the relative error
-    k4, cells = _q_table(n)
+    k4, cells = _q_cells(n)
     ts = (_cell_edges(n) + [((i + 0.5) / k4) ** -0.5 for i in range(len(cells) - 1)]
           + [64.0, 100.0, 128.0, 300.0, 1e3, 1e6, 1e12])
     with mp.workprec(120):
@@ -130,7 +130,7 @@ def test_q_cells_cover_the_quarter():
     # not 2^-256
     oracle = CTX.with_bits(300)
     for n in range(41):
-        k4, cells = _q_table(n)
+        k4, cells = _q_cells(n)
         assert len(cells) - 1 == k4 / 4.0 and cells[-1] == cells[-2]
         c, h = cells[0][0], 0.5 / k4
         assert c - h == 0.0 and cells[-2][0] + h == 0.25

@@ -343,19 +343,19 @@ def test_sweep_builds_each_cycle_once(monkeypatch):
     # the plan stage and every m's norm, epsilon count and chain bound read
     # one memoised cycle, so its conjugate orbits are folded once
     builds, folds = [], []
-    build, fold = cmcycles.big_cm_cycle, cmcycles.conjugate_orbits
+    build, fold = cmcycles.big_cm_cycle, cmcycles._folded
 
     def build_spy(d1, d2):
         builds.append((d1, d2))
         return build(d1, d2)
 
-    def fold_spy(pairs):
-        folds.append(pairs)
-        return fold(pairs)
+    def fold_spy(points):
+        folds.append(points)
+        return fold(points)
 
     build_cycle.cache_clear()
     monkeypatch.setattr(cmcycles, "big_cm_cycle", build_spy)
-    monkeypatch.setattr(cmcycles, "conjugate_orbits", fold_spy)
+    monkeypatch.setattr(cmcycles, "_folded", fold_spy)
     reports = sweep([-7], [-8], range(1, 5), CTX, epsilons=(0.5,), chain=True)
     assert [r.m for r in reports] == [1, 2, 3, 4]
     assert all(r.status == "ok" and r.chain and r.epsilon_bounds for r in reports)
