@@ -4,13 +4,16 @@ j is evaluated from its q-expansion (q = e^{2 pi i z}) after reduction to
 the standard fundamental domain F, where |q| <= e^{-pi sqrt(3)} makes the
 series decay geometrically.  The integer coefficients come from
 E_4^3 / Delta, with Delta generated through the eighth power of Jacobi's
-eta^3 series; they are computed once and extended on demand.  The series
-runs in Python integers at the fixed binary scale 2^-P, P the working
-precision, and every value carries an absolute error bound in units of
-2^-P (JValue); mpmath only supplies q and 1/q.  modpoly_eval and classpoly
-multiply these integers exactly, so their error bounds are integer
-inequalities that hold at j = 0 as well, and hand their results to the
-certifier as integers (numerics.Fixed).  A CM point is its reduced form
+eta^3 series; they are computed once and extended on demand.  One kernel
+sums the series at every point, by rectangular splitting (Paterson-
+Stockmeyer) on Gaussian integers at a fixed binary scale, and every value
+carries an absolute error bound in units of 2^-P, P the working precision
+(JValue).  At a CM point q and 1/q are built from integers (mpmath's libmp
+supplies pi, exp and the phase as raw mantissas, so no mpf or mpc object
+is made); at any other point mpmath's q is converted to that scale.
+modpoly_eval and classpoly multiply these integers exactly, so their error
+bounds are integer inequalities that hold at j = 0 as well, and hand their
+results to the certifier as integers (numerics.Fixed).  A CM point is its reduced form
 (quadforms.QuadForm); at two CM points modpoly_eval decides its zeros by
 comparing reduced forms, not by a numeric test.  CM values are cached once
 per class pair: the inverse class is served as the exact conjugate of the
@@ -35,7 +38,7 @@ from typing import NamedTuple
 from operator import mul
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin_pi, mpf_exp, mpf_pi, to_fixed
 
 from .numerics import (
     GUARD_BITS,
@@ -149,7 +152,7 @@ def fd_reduce(z):
     raise PrecisionError("fundamental-domain reduction did not terminate")
 
 
-# q carries this many more fractional bits than the series; see _j_series
+# fractional bits of q, 1/q and the series past scale + ceil(m lam / ln 2)
 _Q_GUARD = 32
 # units of 2^-scale in the error of every j-value; see _j_series
 _J_ERROR_UNITS = 4
@@ -208,47 +211,82 @@ class JValue(NamedTuple):
                 ((self.err - 1) >> shift) + 3)
 
 
-def _inverse_q_bits(lam: float, scale: int) -> int:
-    """Working bits for q and 1/q: the relative error of either, at most
-    (8 lam + 32) 2^-bits, then moves e^lam 2^-bits below 2^(-scale - 7)."""
-    return scale + int((lam + math.log(8 * lam + 32)) / math.log(2)) + 8
+def _series_shape(lam: float, scale: int) -> tuple[int, int, int]:
+    """(top, m, w) of the series at the scale 2^-scale and |q| = e^-lam: its
+    top index, the block length ceil(sqrt(top + 1)) and the fractional bits
+    of q, 1/q and every product (_j_series)."""
+    top = _series_top(lam, -scale * math.log(2) - 1)
+    m = math.isqrt(top) + 1
+    return top, m, scale + math.ceil(m * lam / math.log(2)) + _Q_GUARD
+
+
+def _gauss_mul(ar: int, ai: int, br: int, bi: int, shift: int) -> tuple[int, int]:
+    """(ar + i ai)(br + i bi) 2^-shift by three products, both parts floored."""
+    k1 = br * (ar + ai)
+    return (k1 - ai * (br + bi)) >> shift, (k1 + ar * (bi - br)) >> shift
 
 
 def _j_series(q, q_inv, lam: float, scale: int) -> JValue:
     """j = 1/q + sum_{k >= 0} c_k q^k in integers at the scale 2^-scale.
 
-    q and 1/q are mpc values with relative error at most (8 lam + 32)
-    2^-bits, bits = _inverse_q_bits(lam, scale), and |q| = e^-lam <= 0.00434
-    (F has Im z >= sqrt 3 / 2).  q is floored to the scale 2^-(scale +
-    _Q_GUARD) and Horner runs on integer pairs,
-    acc = ((acc q) >> (scale + _Q_GUARD)) + (c << scale).  In units of
-    2^-scale, the result is off from j by less than
-      e^-1  for the tail past the top index (_series_top, with a margin of
-            1 in the log target);
-      1.43  for the Horner floors, under sqrt 2 per step and damped by |q|
-            per later step: sqrt 2 / (1 - 0.00434);
-      0.1   for the error of q, under sqrt 2 2^-_Q_GUARD from its floor plus
-            e^-(2 lam) 2^-7 from its evaluation, times the derivative bound
-            sum_k k c_k |q|^(k-1) < 2^19 (test_j_series_derivative_bound);
-      1.43  for 1/q: its floor, under sqrt 2, and its evaluation, under 2^-7;
-    which is under _J_ERROR_UNITS = 4 in all.
+    q and 1/q are Gaussian integers at 2^-w, (top, m, w) = _series_shape(lam,
+    scale), within e_q < 3 and 7 e^(2 lam) units of 2^-w, and |q| = e^-lam
+    <= 0.00434 (F has Im z >= sqrt 3 / 2).  By rectangular splitting
+    (Paterson-Stockmeyer) the powers P_i ~ q^i 2^w, i <= m, are floored
+    products, each block sum_{i < m} c_(jm+i) P_i is exact, and Horner runs
+    in P_m, acc = ((acc P_m) >> w) + block, so a series costs about
+    2 sqrt(top) products of w bits; a real q (a | b) runs real parts alone.
+    In units of 2^-w, P_i is within eps_i <= i (sqrt 2 + e_q) of q^i 2^w (a
+    floor of under sqrt 2 per product, and |q| < 1), so term k = jm + i,
+    c_k P_i P_m^j 2^-(j+1)w, is off from c_k q^k 2^w by at most (1 + 2^-40)
+    c_k (eps_i |q|^(jm) + |q|^i j eps_m |q|^(m(j-1))) <= (1 + 2^-40)
+    e^(m lam) (sqrt 2 + e_q) k c_k |q|^k: the blocks amplify by up to
+    |q|^-m, which the guard ceil(m lam / ln 2) covers.  With sum_k k c_k
+    |q|^k < 2^11 (test_j_series_derivative_bound) that is under 2^14
+    e^(m lam); the Horner floors add under sqrt 2 per step, damped by |q|^m,
+    so 1.5, and 1/q under 7 e^(2 lam) with m >= 3.  As w - scale = ceil(m
+    lam / ln 2) + _Q_GUARD, all of that is under 2^-17 units of 2^-scale.
+    In units of 2^-scale the result is off from j by less than e^-1 for the
+    tail past top, 2^-17 for the work at 2^-w and sqrt 2 for the final
+    floor: under _J_ERROR_UNITS = 4 in all.
     """
-    log_target = -scale * math.log(2) - 1
-    coeffs = j_q_coefficients(_series_top(lam, log_target) + 2)
-    shift = scale + _Q_GUARD
-    qr = to_fixed(q.real._mpf_, shift)
-    qi = to_fixed(q.imag._mpf_, shift)
+    top, m, w = _series_shape(lam, scale)
+    coeffs = j_q_coefficients(top + 2)[1:]  # c_0 .. c_top
+    # q real (a | b, or Re z in {0, 1/2}): j is real, one product per step
+    times = _gauss_mul if q[1] else lambda ar, ai, br, bi, shift: ((ar * br) >> shift, 0)
+    powers = [(1 << w, 0), q]
+    for _ in range(m - 1):
+        powers.append(times(*powers[-1], *q, w))
+    qm = powers.pop()
+    pow_re, pow_im = zip(*powers)
     re = im = 0
-    if qi:
-        for c in reversed(coeffs[1:]):
-            re, im = (((re * qr - im * qi) >> shift) + (c << scale),
-                      (re * qi + im * qr) >> shift)
-    else:  # q real (Re z in {0, 1/2}): j is real and so is every step
-        for c in reversed(coeffs[1:]):
-            re = ((re * qr) >> shift) + (c << scale)
-    re += to_fixed(q_inv.real._mpf_, scale)
-    im += to_fixed(q_inv.imag._mpf_, scale)
-    return JValue(re, im, _J_ERROR_UNITS, scale)
+    for j in reversed(range(0, top + 1, m)):
+        block = coeffs[j:j + m]
+        re, im = times(re, im, *qm, w)
+        re, im = re + sum(map(mul, block, pow_re)), im + sum(map(mul, block, pow_im))
+    cut = w - scale
+    return JValue((re + q_inv[0]) >> cut, (im + q_inv[1]) >> cut, _J_ERROR_UNITS, scale)
+
+
+def _cm_q(form: QuadForm, w: int):
+    """q and 1/q at a reduced form's point, Gaussian integers at 2^-w.
+
+    q = e^-x e^(i pi t), x = pi sqrt|d| / a, t = -b/a.  At p = w +
+    bitlength|d|, X = floor(pi 2^p) isqrt(|d| 2^(2p)) // (a 2^p) is within
+    sqrt|d| + 5 units of x 2^p, so R, e^(-X 2^-p) at w bits floored to 2^-w,
+    is within 0.01 + 1.02 of e^-x 2^w; the phase, cos and sin pi t from t at
+    w + 4 bits, within 2.3 per part (exactly +-1 when a | b).  So q, their
+    floored product, is within 2.5 units, and 1/q, floor(2^(2w) / R) times
+    the conjugate phase, within 1.05 e^(2x) + 3.3 e^x + 2.5 < 7 e^(2x).
+    """
+    n = -form.disc
+    p = w + n.bit_length()
+    big_x = to_fixed(mpf_pi(p + 2), p) * math.isqrt(n << 2 * p) // (form.a << p)
+    r = to_fixed(mpf_exp(from_man_exp(-big_x, -p), w), w)
+    cos, sin = (to_fixed(v, w) for v in mpf_cos_sin_pi(from_rational(-form.b, form.a, w + 4), w))
+    r_inv = (1 << 2 * w) // r
+    return (((r * cos) >> w, (r * sin) >> w),
+            ((r_inv * cos) >> w, -(r_inv * sin) >> w))
 
 
 def log_j_size(form: QuadForm) -> float:
@@ -265,17 +303,20 @@ def _pair_key(red: QuadForm) -> QuadForm:
 def j_eval(z, ctx: PrecisionContext) -> JValue:
     """j(z) as a JValue at the scale 2^-(ctx.mantissa_bits + GUARD_BITS).
 
-    A form (a CM point) takes the exact path: reduced to (a, b, c), with
-    q = e^(-pi sqrt|d| / a) e^(-i pi b / a) (real, with no rounded phase,
-    when b/a is an integer), cached at the finest scale asked so far and
+    Both branches hand q and 1/q, Gaussian integers at 2^-w (_series_shape),
+    to the one kernel _j_series, whose bound err 2^-scale is absolute, so it
+    holds at j = 0 too.  A form (a CM point) is reduced to (a, b, c), its q
+    = e^(-pi sqrt|d| / a) e^(-i pi b / a) built from integers (_cm_q; real
+    when a | b), and its value cached at the finest scale asked so far and
     served to any coarser request.  A class and its inverse share one entry
     (_pair_key): a reduced form has b < 0 only when 0 < |b| < a < c, and
     then (a, -b, c) is the inverse class, at -conj z, so the form is served
     the exact conjugate of that value (j(-conj z) = conj j(z)), with the
-    same bound.  The error bound err 2^-scale is absolute (see _j_series),
-    so it holds at j = 0 too.  Any other upper-half-plane number is reduced
-    to F by fd_reduce first; its bound covers the series at the reduced
-    point, which is taken as exact.
+    same bound.  Any other upper-half-plane number is reduced to F by
+    fd_reduce, and mpmath's e^(+-2 pi i z) at w bits (relative error
+    (8 lam + 32) 2^-w) floored to 2^-w: q within 0.33 + sqrt 2 < 3 units,
+    1/q within 7 e^(2 lam).  Its bound covers the series at the reduced
+    point, which is taken as exact, with lam from the float reduction.
     """
     prec = ctx.mantissa_bits + GUARD_BITS
     if isinstance(z, QuadForm):
@@ -284,20 +325,19 @@ def j_eval(z, ctx: PrecisionContext) -> JValue:
         value = _jvalue_cache.get(key)
         if value is None or value.scale < prec:
             lam = log_j_size(key)
-            with mp.workprec(_inverse_q_bits(lam, prec)):
-                phase = mp.expjpi(mp.mpf(-key.b) / key.a)
-                size = mp.exp(-mp.pi * mp.sqrt(-key.disc) / key.a)
-                value = _j_series(size * phase, mp.conj(phase) / size, lam, prec)
+            value = _j_series(*_cm_q(key, _series_shape(lam, prec)[2]), lam, prec)
             with _jvalue_lock:  # keep a finer value cached meanwhile
                 if key not in _jvalue_cache or _jvalue_cache[key].scale < prec:
                     _jvalue_cache[key] = value
         return value if key is red else value._replace(im=-value.im)
     lam = 2 * math.pi * fd_reduce(complex(z))[0].imag
-    with mp.workprec(_inverse_q_bits(lam + 1, prec)):
-        zz, _ = fd_reduce(mp.mpc(z))
-        lam = 2 * math.pi * float(zz.imag)
+    w = _series_shape(lam, prec)[2]
+    with mp.workprec(w):
+        zz, _ = fd_reduce(mp.mpc(z))  # before pi: a huge w overflows here
         arg = 2j * mp.pi * zz
-        return _j_series(mp.exp(arg), mp.exp(-arg), lam, prec)
+        q = [(to_fixed(v.real._mpf_, w), to_fixed(v.imag._mpf_, w))
+             for v in (mp.exp(arg), mp.exp(-arg))]
+    return _j_series(*q, lam, prec)
 
 
 def coset_apply(coset: tuple[int, int, int], z):

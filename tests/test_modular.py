@@ -104,13 +104,16 @@ def points_met_by_modpoly(dmax, mmax):
     return sorted(points)
 
 
-def assert_j_within_its_error(z, ctx):
+def assert_j_within_its_error(z, ctx, oracle_bits=None):
+    """j_eval(z, ctx) against the kleinj oracle at oracle_bits (4 prec by
+    default), whose own error is far below 2^(32 - oracle_bits) max(1, |j|)."""
     value = j_eval(z, ctx)
     prec = ctx.mantissa_bits + numerics.GUARD_BITS
-    with mp.workprec(4 * prec):
-        exact = exact_j(z.mpc(mp))
-        # the oracle's own error is far below 2^(-3 prec) |j|
-        slack = mp.mpf(2) ** (-3 * prec) * max(1, abs(exact))
+    bits = oracle_bits or 4 * prec
+    with mp.workprec(bits):
+        point = z.mpc(mp) if isinstance(z, QuadForm) else mp.mpc(z)
+        exact = exact_j(point)
+        slack = mp.mpf(2) ** (32 - bits) * max(1, abs(exact))
         assert abs(value.value - exact) <= value.error + slack, (z, ctx.mantissa_bits)
     return value
 
@@ -133,18 +136,60 @@ def test_j_absolute_error_at_the_elliptic_points(d, exact, bits):
     assert abs(value.re - (exact << value.scale)) <= value.err and value.im == 0
 
 
+def _kernel_sample():
+    """About 40 reduced points modpoly meets at |d| <= 200, m <= 4: the one
+    with the smallest lam = pi sqrt|d| / a, real-q forms (b = 0 and b = a)
+    and a fixed random draw."""
+    points = points_met_by_modpoly(200, 4)
+    lowest = max(points, key=lambda f: f.a / math.sqrt(-f.disc))
+    real = [f for f in points if f.b in (0, f.a)]
+    rng = random.Random(33)
+    return [lowest] + rng.sample(real, 6) + rng.sample(points, 33)
+
+
+@pytest.mark.parametrize("bits", [512, 2048, 4096])
+def test_j_kernel_within_its_error_at_high_precision(bits, monkeypatch):
+    # every value is evaluated at these bits, against an oracle at prec + 64
+    # bits past |j|, so that the slack 2^(32 - oracle) |j| is under 2^(-prec - 32)
+    monkeypatch.setattr(modular, "_jvalue_cache", {})
+    ctx = CTX.with_bits(bits)
+    prec = bits + numerics.GUARD_BITS
+    sample = _kernel_sample()
+    assert len(sample) == 40 and any(f.b == 0 for f in sample)
+    assert any(f.b == f.a for f in sample)
+    for form in sample:
+        size = math.ceil(modular.log_j_size(form) / math.log(2)) + 1
+        value = assert_j_within_its_error(form, ctx, prec + size + 64)
+        assert value.scale == prec
+    rng = random.Random(bits)
+    for _ in range(10):  # other points, with the oracle at 2 prec + 64 bits
+        z = complex(rng.uniform(-1, 1), rng.uniform(0.45, 3))
+        assert_j_within_its_error(z, ctx, 2 * prec + 64)
+
+
 def test_j_series_derivative_bound():
-    # the bounds _j_series rests on: |q| <= e^(-pi sqrt 3) < 0.00434 on F,
-    # c_k <= e^(4 pi sqrt k), and sum_k k c_k r^(k-1) < 2^19 at r = 0.00434
+    # the constants _j_series and _cm_q cite: |q| <= e^(-pi sqrt 3) < 0.00434
+    # on F, c_k <= e^(4 pi sqrt k), sum_k k c_k r^k < 2^11 at r = 0.00434
+    # (so sum_k k c_k r^(k-1) < 2^19), and the margins of q and 1/q
     r = Fraction(434, 100000)
     assert math.exp(-math.pi * math.sqrt(3)) < r
     coeffs = j_q_coefficients(402)[2:]  # c_1 .. c_400
     for k, c in enumerate(coeffs, start=1):
         assert math.log(c) <= 4 * math.pi * math.sqrt(k)
-    head = sum(k * c * r ** (k - 1) for k, c in enumerate(coeffs[:40], start=1))
-    # past k = 40 the terms k e^(4 pi sqrt k) r^(k-1) fall by over e^-4 a step
-    tail = 2 * 41 * math.exp(4 * math.pi * math.sqrt(41)) * float(r) ** 40
-    assert head + Fraction(tail) < 2 ** 19
+    head = sum(k * c * r ** k for k, c in enumerate(coeffs[:40], start=1))
+    # past k = 40 the terms k e^(4 pi sqrt k) r^k fall by over e^-4 a step
+    tail = 2 * 41 * math.exp(4 * math.pi * math.sqrt(41)) * float(r) ** 41
+    assert head + Fraction(tail) < 2 ** 11
+    assert (head + Fraction(tail)) / r < 2 ** 19
+    # the worst powers, 1.001 e^(m lam) (sqrt 2 + 3) 2^11 against the guard
+    assert 1.001 * (math.sqrt(2) + 3) * 2 ** 11 < 2 ** 14
+    # _cm_q: e^-x (sqrt|d| + 5) / |d| < 0.01 for |d| >= 3 (x = pi sqrt|d| / a
+    # >= pi sqrt 3); mpmath's q, relative error (8 lam + 32) 2^-w, is within
+    # 0.33 units before its floor, and 1/q within 7 e^(2 lam)
+    lams = [math.pi * math.sqrt(3) + i / 10 for i in range(2000)]
+    assert all(math.exp(-lam) * (8 * lam + 32) < 0.33 for lam in lams)
+    assert all(8 * lam + 32 + 2 < 7 * math.exp(lam) for lam in lams)
+    assert max(float(r) * (s + 5) / (s * s) for s in (math.sqrt(n) for n in range(3, 10 ** 4))) < 0.01
 
 
 def test_j_gamma_invariance():
