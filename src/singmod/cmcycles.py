@@ -21,11 +21,12 @@ A cycle's product is n^power for an integer n that is certified
 (CMCycle.power: 1 for a small cycle; 4 for a big one, whose n is the
 product n0 over the grid at multiplicity 1, an integer by
 cycle_norm_integer, so n0 is certified at a quarter of the bits).
-cycle_log_norm multiplies the per-pair modular values of n as integer
-mantissas and returns n as a Fixed (numerics), with an error bound in
-integer units that counts every truncation, which recognize_with_retries
-certifies; its name is kept for the benchmark's layer metric.  The first
-pass is sized from exact data: log|j(z)| is about pi sqrt|d| / a at the
+cycle_log_norm multiplies the per-pair modular values of n, each a cut
+product with its relative budget (modpoly_eval), as integer mantissas and
+returns n as a Fixed (numerics), with an error bound in integer units that
+counts every truncation, which recognize_with_retries certifies; its
+name is kept for the benchmark's layer metric.  The first pass is sized
+from exact data: log|j(z)| is about pi sqrt|d| / a at the
 reduced form (a, b, c) of z, so the reduced forms of the pairs and their
 Hecke images give the size of n, and the j-values it reads, before any
 j-value is computed (norm_plan, from which a sweep evaluates each form
@@ -254,31 +255,25 @@ def _cut(x: int, width: int) -> tuple[int, int]:
     return x >> k, k
 
 
-def _up_ratio(a: int, b: int, bits: int) -> int:
-    """An integer >= a 2^bits / b, a >= 0 < b, from a 64-bit head of b."""
-    k = max(b.bit_length() - 64, 0)
-    a = a << bits - k if bits >= k else -(-a >> k - bits)
-    return -(-a // (b >> k))
-
-
 def cycle_log_norm(cycle: CMCycle, m: int, ctx: PrecisionContext) -> Fixed:
     """The certified product of |phi_m(j(z1), j(z2))| (n0 for a big cycle)
     as a Fixed, for recognize_with_retries; the benchmark wraps this name.
 
-    Each pair's modpoly_eval value v has |v - t| <= r min(|v|, |t|),
-    r = top/low - 1, t the true value.  A self-conjugate pair (both
-    classes their own inverse) has a real t and contributes c = |Re v|,
-    within r |t| of |t|; a folded pair c = |v|^2, within a factor (1 + r)^2
-    of |t|^2; each count times (CMCycle.orbit_counts).  So max(c/|t|,
-    |t|/c) <= 1 + rho, rho = r/(1 - r) resp. (1 + r)^2 - 1.  Factors and the running product
-    are cut to W-bit mantissas, W = mantissa_bits + GUARD_BITS, each cut
-    losing under 2^(1 - W) of what it keeps.  With S the sum of the rho's
-    and of 2^(1 - W) per cut, a factor's rho and cuts counted once per use
-    (count times), in units of 2^-(W + 64) rounded up, the product is
-    within a factor e^S of the true one, so err = S (1 + S) >= e^S - 1
-    (S <= 1) times it, rounded up.  Raises SingularCycleError the
-    moment a factor is decided zero; the order is fixed (the cycle's pair
-    order) so the product is bit-stable.
+    Each pair's modpoly_eval value v has |v - t| <= (e^S - 1) min(|v|, |t|),
+    S its budget, t the true value.  A self-conjugate pair (both classes
+    their own inverse) has a real t and contributes c = |Re v|, within
+    r |t| of |t|, r = S (1 + S) >= e^S - 1 (S <= 1); a folded pair
+    c = |v|^2, within a factor e^(2S) of |t|^2; each count times
+    (CMCycle.orbit_counts).  So max(c/|t|, |t|/c) <= e^rho, rho = r/(1 - r)
+    resp. 2S.  Factors and the running product are cut to W-bit mantissas,
+    W = mantissa_bits + GUARD_BITS, each cut losing under 2^(1 - W) of what
+    it keeps.  With T the sum of the rho's and of 2^(1 - W) per cut, a
+    factor's rho and cuts counted once per use (count times), in units of
+    2^-(W + 64), the units of S, rounded up, the product is within a factor
+    e^T of the true one, so err = T (1 + T) >= e^T - 1 (T <= 1) times it,
+    rounded up.  Raises SingularCycleError the moment a factor is decided
+    zero; the order is fixed (the cycle's pair order) so the product is
+    bit-stable.
     """
     width = ctx.mantissa_bits + GUARD_BITS
     unit, man, exp, total = width + 64, 1, 0, 0
@@ -289,11 +284,12 @@ def cycle_log_norm(cycle: CMCycle, m: int, ctx: PrecisionContext) -> Fixed:
             raise SingularCycleError(
                 f"phi_{m} vanishes at cycle pair {pair.key}",
                 pair=pair, zero_cosets=v.zero_cosets)
-        # r >= top/low - 1; r >= 1 leaves S > 1, and err unbounded
-        r = _up_ratio(v.top - v.low, v.low, unit) if v.low else one
+        s = v.budget
         if real:
             factor, k = _cut(abs(v.re), width)
             cuts, k = bool(k), k - v.shift
+            # r >= 1 (or S > 1) leaves T > 1, and err unbounded
+            r = s + -(-s * s >> unit) if s <= one else one
             share = -(-r * one // (one - r)) if r < one else math.inf
         else:
             # both cut by the larger to W + 3 bits (>= 2^(W + 2)): the under
@@ -302,7 +298,7 @@ def cycle_log_norm(cycle: CMCycle, m: int, ctx: PrecisionContext) -> Fixed:
             k = max(max(a, b).bit_length() - width - 3, 0)
             factor, k2 = _cut((a >> k) ** 2 + (b >> k) ** 2, width)
             cuts, k = bool(k) + bool(k2), 2 * (k - v.shift) + k2
-            share = 2 * r - (-r * r >> unit)
+            share = 2 * s
         man, cut = _cut(man * factor ** count, width)
         exp += k * count + cut
         # a factor's own cuts compound in factor ** count: once per use

@@ -3,23 +3,27 @@
 j is evaluated from its q-expansion (q = e^{2 pi i z}) after reduction to
 the standard fundamental domain F, where |q| <= e^{-pi sqrt(3)} makes the
 series decay geometrically.  The integer coefficients come from
-E_4^3 / Delta, with Delta generated through the eighth power of Jacobi's
-eta^3 series; they are computed once and extended on demand.  One kernel
-sums the series at every point, by rectangular splitting (Paterson-
-Stockmeyer) on Gaussian integers at a fixed binary scale, and every value
-carries an absolute error bound in units of 2^-P, P the working precision
-(JValue).  At a CM point q and 1/q are built from integers (mpmath's libmp
-supplies pi, exp and the phase as raw mantissas, so no mpf or mpc object
-is made); at any other point mpmath's q is converted to that scale.
-modpoly_eval and classpoly multiply these integers exactly, so their error
-bounds are integer inequalities that hold at j = 0 as well, and hand their
-results to the certifier as integers (numerics.Fixed).  A CM point is its reduced form
-(quadforms.QuadForm); at two CM points modpoly_eval decides its zeros by
-comparing reduced forms, not by a numeric test.  CM values are cached once
-per class pair: the inverse class is served as the exact conjugate of the
-cached value (j(-conj z) = conj j(z)), so a class and its inverse cost one
-series.  A sweep fills the cache with every form its grid will read before
-its instances run, and its pool workers fork with it (verify.sweep).
+E_4^3 / Delta, with E_4^3 = E_12 + (432000/691) Delta and Delta generated
+through the eighth power of Jacobi's eta^3 series; they are computed once
+and extended on demand.  One kernel sums the series at every point, by
+rectangular splitting (Paterson-Stockmeyer) on Gaussian integers at a
+fixed binary scale, and every value carries an absolute error bound in
+units of 2^-P, P the working precision (JValue).  At a CM point q and 1/q
+are built from integers: mpmath's libmp supplies pi and exp as raw
+mantissas, and the phase, a root of unity, is refined by integer Newton
+steps, so no mpf or mpc object is made; at any other point mpmath's q is
+converted to that scale.  modpoly_eval multiplies these integers into a
+product cut to the working precision, with one relative error budget,
+and classpoly expands its polynomial from them under an absolute bound
+per coefficient; both bounds are integer inequalities that hold at j = 0
+as well, and the results reach the certifier as integers
+(numerics.Fixed).  A CM point is its reduced form (quadforms.QuadForm);
+at two CM points modpoly_eval decides its zeros by comparing reduced
+forms, not by a numeric test.  CM values are cached once per class pair:
+the inverse class is served as the exact conjugate of the cached value
+(j(-conj z) = conj j(z)), so a class and its inverse cost one series.
+A sweep fills the cache with every form its grid will read before its
+instances run, and its pool workers fork with it (verify.sweep).
 
 Coset convention: Gamma_m is ALL integer matrices of determinant m,
 imprimitive ones included, so that the scalar matrix sqrt(m) I sits in
@@ -38,7 +42,7 @@ from typing import NamedTuple
 from operator import mul
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, from_rational, mpf_cos_sin_pi, mpf_exp, mpf_pi, to_fixed
+from mpmath.libmp import from_man_exp, mpf_exp, mpf_pi, to_fixed
 
 from .numerics import (
     GUARD_BITS,
@@ -55,8 +59,8 @@ _FOUR_PI = 4 * math.pi
 
 _jcoeff_lock = threading.Lock()
 _jcoeffs: list[int] = []  # c_{-1}, c_0, c_1, ... with c_{-1} = 1, c_0 = 744
-# Delta/q, E_4 and E_8, as long as _jcoeffs; see _extend_jcoeffs
-_jseries: tuple[list[int], list[int], list[int]] = ([], [], [])
+# Delta/q, as long as _jcoeffs; see _extend_jcoeffs
+_jseries: list[int] = []
 
 _jvalue_lock = threading.Lock()
 # _pair_key(form) -> j at the form's point, serving any scale up to its own
@@ -74,22 +78,22 @@ def _divisor_power_sum(n: int, k: int) -> int:
     return total
 
 
-def _extend_jcoeffs(coeffs: list[int], series: tuple[list[int], list[int], list[int]],
-                    count: int) -> None:
+def _extend_jcoeffs(coeffs: list[int], delta: list[int], count: int) -> None:
     """Grow coeffs, the q-expansion of j q, to count terms in place.
 
-    series holds Delta/q, E_4 and E_8 = E_4^2 (M_8 is one-dimensional) to as
-    many terms as coeffs, and grows with it; only the new index of each
-    series is computed per step.  Delta/q = (eta^3)^8 with eta^3 = sum_k
-    (-1)^k (2k + 1) q^(k (k + 1) / 2), by the power recurrence: f = g^8 with
-    g_0 = 1 has n f_n = sum_{i=1..n} (9 i - n) g_i f_(n-i) (from
-    g f' = 8 g' f), and g is sparse.  E_4^3 = E_4 E_8 is one convolution,
-    and j q = E_4^3 / (Delta/q) is exact division, as Delta/q starts with 1.
+    delta holds Delta/q = sum_n tau(n + 1) q^n to as many terms as coeffs,
+    and grows with it; only the new index is computed per step.  Delta/q =
+    (eta^3)^8 with eta^3 = sum_k (-1)^k (2k + 1) q^(k (k + 1) / 2), by the
+    power recurrence: f = g^8 with g_0 = 1 has n f_n = sum_{i=1..n}
+    (9 i - n) g_i f_(n-i) (from g f' = 8 g' f), and g is sparse.  M_12 is
+    spanned by E_12 and Delta, and E_4^3 = E_12 + (432000 / 691) Delta, so
+    the coefficient of q^n in E_4^3, n >= 1, is (65520 sigma_11(n) +
+    432000 tau(n)) / 691; j q = E_4^3 / (Delta/q) is exact division, one
+    convolution per index, as Delta/q starts with 1.
     """
-    delta, e4, e8 = series
     for n in range(len(coeffs), count):
         if n == 0:
-            delta_n = e4_n = e8_n = c_n = 1
+            delta_n = c_n = 1
         else:
             acc, k, i = 0, 1, 1
             while i <= n:
@@ -97,14 +101,9 @@ def _extend_jcoeffs(coeffs: list[int], series: tuple[list[int], list[int], list[
                 k += 1
                 i = k * (k + 1) // 2
             delta_n = acc // n
-            e4_n = 240 * _divisor_power_sum(n, 3)
-            e8_n = 480 * _divisor_power_sum(n, 7)
-            e4_cubed = (e4_n + e8_n
-                        + sum(map(mul, e4[1:n], reversed(e8[1:n]))))
+            e4_cubed = (65520 * _divisor_power_sum(n, 11) + 432000 * delta[n - 1]) // 691
             c_n = e4_cubed - delta_n - sum(map(mul, coeffs[1:n], reversed(delta[1:n])))
         delta.append(delta_n)
-        e4.append(e4_n)
-        e8.append(e8_n)
         coeffs.append(c_n)
 
 
@@ -226,12 +225,12 @@ def _gauss_mul(ar: int, ai: int, br: int, bi: int, shift: int) -> tuple[int, int
     return (k1 - ai * (br + bi)) >> shift, (k1 + ar * (bi - br)) >> shift
 
 
-def _j_series(q, q_inv, lam: float, scale: int) -> JValue:
+def _j_series(q, q_inv, shape: tuple[int, int, int], scale: int) -> JValue:
     """j = 1/q + sum_{k >= 0} c_k q^k in integers at the scale 2^-scale.
 
-    q and 1/q are Gaussian integers at 2^-w, (top, m, w) = _series_shape(lam,
-    scale), within e_q < 3 and 7 e^(2 lam) units of 2^-w, and |q| = e^-lam
-    <= 0.00434 (F has Im z >= sqrt 3 / 2).  By rectangular splitting
+    q and 1/q are Gaussian integers at 2^-w, (top, m, w) = shape =
+    _series_shape(lam, scale), within e_q < 3 and 7 e^(2 lam) units of
+    2^-w, and |q| = e^-lam <= 0.00434 (F has Im z >= sqrt 3 / 2).  By rectangular splitting
     (Paterson-Stockmeyer) the powers P_i ~ q^i 2^w, i <= m, are floored
     products, each block sum_{i < m} c_(jm+i) P_i is exact, and Horner runs
     in P_m, acc = ((acc P_m) >> w) + block, so a series costs about
@@ -250,7 +249,7 @@ def _j_series(q, q_inv, lam: float, scale: int) -> JValue:
     tail past top, 2^-17 for the work at 2^-w and sqrt 2 for the final
     floor: under _J_ERROR_UNITS = 4 in all.
     """
-    top, m, w = _series_shape(lam, scale)
+    top, m, w = shape
     coeffs = j_q_coefficients(top + 2)[1:]  # c_0 .. c_top
     # q real (a | b, or Re z in {0, 1/2}): j is real, one product per step
     times = _gauss_mul if q[1] else lambda ar, ai, br, bi, shift: ((ar * br) >> shift, 0)
@@ -268,22 +267,92 @@ def _j_series(q, q_inv, lam: float, scale: int) -> JValue:
     return JValue((re + q_inv[0]) >> cut, (im + q_inv[1]) >> cut, _J_ERROR_UNITS, scale)
 
 
+# bits past 2^-w at which _phase refines, and the bits of its float seed
+_PHASE_GUARD = 16
+_PHASE_SEED = 48
+# reduced (num, den) -> (p, re, im): e^(i pi num / den) at 2^-p, the finest so far
+_phases: dict[tuple[int, int], tuple[int, int, int]] = {}
+
+
+def _root_step(x: int, y: int, n: int, p: int) -> tuple[int, int]:
+    """One Newton step z - z (z^n - 1) / n towards a root of z^n = 1, z =
+    (x + i y) 2^-p, in integers at 2^-p (see _phase)."""
+    zr, zi = x, y
+    for bit in bin(n)[3:]:  # square-and-multiply, every product floored
+        zr, zi = ((zr + zi) * (zr - zi)) >> p, (zr * zi) >> p - 1
+        if bit == "1":
+            zr, zi = _gauss_mul(zr, zi, x, y, p)
+    cr, ci = _gauss_mul(x, y, zr - (1 << p), zi, p)
+    return x - cr // n, y - ci // n
+
+
+def _phase(num: int, den: int, w: int) -> tuple[int, int]:
+    """e^(i pi num / den), |num| <= den, as a Gaussian integer at 2^-w, each
+    part floored: exact when den | 2 num (the phase is +-1 or +-i), else
+    within 1 + 6 2^-16 < 2.3 units of 2^-w per part.
+
+    The phase z0 is a root of z^n = 1, n = 2 den / gcd(2 den, num) >= 3.  A
+    step of _root_step at p bits maps z, |z - z0| = delta with n delta <=
+    2^-10, to within n delta^2 + 5.3 units of 2^-p of z0:
+      * exactly, z (1 - (z^n - 1) / n) = z0 (1 - u^2 - (1 + u) R / n) for
+        z = z0 (1 + u), R = (1 + u)^n - 1 - n u, |R| <= (n |u|)^2 e^(n|u|) / 2,
+        so it is within (1 + 0.52 n) delta^2 <= n delta^2 of z0;
+      * the powers stay within 1 + 2^-9 of the unit circle, so a floored
+        product adds under sqrt 2 units and grows earlier errors by at most
+        1 + 2^-9; square-and-multiply makes at most 70 products (n < 2^35),
+        and without that growth the power z^k is within 2 sqrt 2 (k - 1)
+        (induction over k -> 2k, 2k + 1), so z^n is within 1.15 2 sqrt 2 n
+        < 3.3 n units;
+      * z (z^n - 1) then adds 3.3 (1 + 2^-9) + sqrt 2 / n and the division
+        by n one unit per part: 5.3 units in all (n >= 3).
+    So if z is within 6 units of 2^-p', 2 p' >= p + bitlength(n) + 6, the
+    step leaves it within 36 n 2^-2p' + 5.3 2^-p <= 6 2^-p, and n delta
+    <= 6 n 2^-48 <= 2^-10 from 48 bits on.  The float seed e^(i pi num /
+    den) at 2^-48 is within 6 units (|num / den| <= 1: libm's cos and sin,
+    on an argument within 2^-49.8 of pi num / den, are within 0.4 units;
+    truncation adds one per part).  The steps run at precisions that halve
+    down from w + _PHASE_GUARD to the seed's or to the finest phase memoised
+    for the reduced fraction, which is reused as it stands when fine
+    enough; the final floor to 2^-w adds under one unit per part to 6
+    2^-16.
+    """
+    if 2 * num % den == 0:
+        return ((1 << w, 0), (0, 1 << w), (-1 << w, 0), (0, -1 << w))[2 * num // den % 4]
+    g = math.gcd(num, den)
+    key = (num // g, den // g)
+    n = 2 * den // math.gcd(2 * den, num)
+    if n.bit_length() > 35:
+        raise ValueError(f"phase of order {n} is past the Newton step's range")
+    target = w + _PHASE_GUARD
+    p, x, y = _phases.get(key) or (_PHASE_SEED, *(
+        int(math.ldexp(f(math.pi * num / den), _PHASE_SEED)) for f in (math.cos, math.sin)))
+    if p < target:
+        steps, grow = [target], n.bit_length() + 7
+        while (steps[-1] + grow) // 2 > p:
+            steps.append((steps[-1] + grow) // 2)
+        for step in reversed(steps):
+            x, y = _root_step(x << step - p, y << step - p, n, step)
+            p = step
+        _phases[key] = (p, x, y)
+    return x >> p - w, y >> p - w
+
+
 def _cm_q(form: QuadForm, w: int):
     """q and 1/q at a reduced form's point, Gaussian integers at 2^-w.
 
     q = e^-x e^(i pi t), x = pi sqrt|d| / a, t = -b/a.  At p = w +
     bitlength|d|, X = floor(pi 2^p) isqrt(|d| 2^(2p)) // (a 2^p) is within
     sqrt|d| + 5 units of x 2^p, so R, e^(-X 2^-p) at w bits floored to 2^-w,
-    is within 0.01 + 1.02 of e^-x 2^w; the phase, cos and sin pi t from t at
-    w + 4 bits, within 2.3 per part (exactly +-1 when a | b).  So q, their
-    floored product, is within 2.5 units, and 1/q, floor(2^(2w) / R) times
-    the conjugate phase, within 1.05 e^(2x) + 3.3 e^x + 2.5 < 7 e^(2x).
+    is within 0.01 + 1.02 of e^-x 2^w; the phase, cos and sin pi t from
+    _phase, within 2.3 per part (exactly +-1 or +-i when a | 2b).  So q,
+    their floored product, is within 2.5 units, and 1/q, floor(2^(2w) / R)
+    times the conjugate phase, within 1.05 e^(2x) + 3.3 e^x + 2.5 < 7 e^(2x).
     """
     n = -form.disc
     p = w + n.bit_length()
     big_x = to_fixed(mpf_pi(p + 2), p) * math.isqrt(n << 2 * p) // (form.a << p)
     r = to_fixed(mpf_exp(from_man_exp(-big_x, -p), w), w)
-    cos, sin = (to_fixed(v, w) for v in mpf_cos_sin_pi(from_rational(-form.b, form.a, w + 4), w))
+    cos, sin = _phase(-form.b, form.a, w)
     r_inv = (1 << 2 * w) // r
     return (((r * cos) >> w, (r * sin) >> w),
             ((r_inv * cos) >> w, -(r_inv * sin) >> w))
@@ -324,20 +393,20 @@ def j_eval(z, ctx: PrecisionContext) -> JValue:
         key = _pair_key(red)
         value = _jvalue_cache.get(key)
         if value is None or value.scale < prec:
-            lam = log_j_size(key)
-            value = _j_series(*_cm_q(key, _series_shape(lam, prec)[2]), lam, prec)
+            shape = _series_shape(log_j_size(key), prec)
+            value = _j_series(*_cm_q(key, shape[2]), shape, prec)
             with _jvalue_lock:  # keep a finer value cached meanwhile
                 if key not in _jvalue_cache or _jvalue_cache[key].scale < prec:
                     _jvalue_cache[key] = value
         return value if key is red else value._replace(im=-value.im)
-    lam = 2 * math.pi * fd_reduce(complex(z))[0].imag
-    w = _series_shape(lam, prec)[2]
+    shape = _series_shape(2 * math.pi * fd_reduce(complex(z))[0].imag, prec)
+    w = shape[2]
     with mp.workprec(w):
         zz, _ = fd_reduce(mp.mpc(z))  # before pi: a huge w overflows here
         arg = 2j * mp.pi * zz
         q = [(to_fixed(v.real._mpf_, w), to_fixed(v.imag._mpf_, w))
              for v in (mp.exp(arg), mp.exp(-arg))]
-    return _j_series(*q, lam, prec)
+    return _j_series(*q, shape, prec)
 
 
 def coset_apply(coset: tuple[int, int, int], z):
@@ -351,16 +420,16 @@ def coset_apply(coset: tuple[int, int, int], z):
 
 @dataclass(frozen=True)
 class ModPolyValue:
-    """phi_m(j(z1), j(z2)) as the exact product (re + i im) 2^-shift of
-    the kept factors, within (top/low - 1) min(|true|, |product|) of the
-    true value (modpoly_eval; low = 0: no bound).  value (an mpc at prec
-    bits) and rel_error (which covers that rounding) are computed on read."""
+    """phi_m(j(z1), j(z2)) as (re + i im) 2^-shift, the product of the kept
+    factors cut to prec + 3 bits, within (e^S - 1) min(|true|, |product|)
+    of the true value, S = budget 2^-(prec + 64) (modpoly_eval; budget
+    inf: no bound).  value (an mpc at prec bits) and rel_error (which
+    covers that rounding) are computed on read."""
 
     re: int
     im: int
     shift: int
-    top: int
-    low: int
+    budget: int | float
     prec: int
     zero_cosets: tuple[tuple[int, int, int], ...]
 
@@ -375,12 +444,16 @@ class ModPolyValue:
 
     @property
     def rel_error(self) -> mp.mpf:
-        """(top - low)/low + 2^-prec top/low as an mpf, rounded up."""
-        if not self.low:
+        """g + 2^(1 - prec) (1 + g) as an mpf, rounded up, with g >= e^S - 1:
+        S (1 + S) for S <= 1, else 3^ceil(S)."""
+        if self.budget == math.inf:
             return mp.inf
+        unit = self.prec + 64
+        one, s = 1 << unit, self.budget
+        grow = s * (one + s) if s <= one else 3 ** -(-s >> unit) << 2 * unit
         with mp.workprec(self.prec):
-            return mp.fdiv(((self.top - self.low) << self.prec) + 2 * self.top,
-                           self.low << self.prec, rounding="u")
+            return mp.fdiv((grow << self.prec) + 2 * (one * one + grow),
+                           one * one << self.prec, rounding="u")
 
     def log_abs(self):
         if self.is_zero:
@@ -391,19 +464,28 @@ class ModPolyValue:
 def modpoly_eval(m: int, z1, z2, ctx: PrecisionContext) -> ModPolyValue:
     """Product over Hecke cosets of (j(z1) - j((a z2 + b)/d)), in integers.
 
-    Every j-value is read at the scale 2^-prec, prec = ctx.mantissa_bits +
-    GUARD_BITS, so each factor is a Gaussian integer f over 2^prec, within
+    Every j-value is read at the scale 2^-W, W = ctx.mantissa_bits +
+    GUARD_BITS, so each factor is a Gaussian integer f over 2^W, within
     e = err1 + errw units of its true value t; a form z2 (a CM point) takes
-    its images from the memoised hecke_images.  |f|^2 > e^2, an integer
-    comparison, proves f non-zero.  Otherwise, at two CM points, f is zero
-    exactly when the primitive part of z1 reduces to the image w of z2 (j
-    is injective on Y(1)); at other points it is flagged zero, which is
-    not proven.  The other factors are multiplied exactly.  With
-    L = isqrt(|f|^2), |f - t| <= e <= (L/(L - e) - 1) min(|f|, |t|), so
-    top = prod L and low = prod (L - e) bound the product likewise; low is
-    0 when a kept factor has L <= e, which the precision does not resolve.
+    its images from the memoised hecke_images.  max(|Re f|, |Im f|) > e,
+    or failing that |f|^2 > e^2, an integer comparison, proves f non-zero.
+    Otherwise, at two CM points, f is zero exactly when the primitive part
+    of z1 reduces to the image w of z2 (j is injective on Y(1)); at other
+    points it is flagged zero, which is not proven.  The other factors
+    multiply a running product, cut after each factor to W + 3 bits of its
+    larger part.  The budget S, in units of 2^-U, U = W + 64, adds per
+    factor ceil(e 2^U / (D 2^k)), D = isqrt(hr^2 + hi^2) - ceil(e / 2^k),
+    hr and hi the 64-bit heads |Re f| >> k and |Im f| >> k: D 2^k <= |f| -
+    e <= min(|f|, |t|), so |f - t| <= e <= (e 2^-k / D) min(|f|, |t|).  A
+    cut moves a product of at least 2^(W + 2) units by under sqrt 2 of them,
+    under 2^(1 - W) of the smaller of before and after, and adds 2^(1 - W).
+    Each step thus multiplies by some 1 + delta, and its inverse by some
+    1 + delta', |delta|, |delta'| <= its share; so the product v and the
+    true t obey |v - t| <= (e^S - 1) min(|v|, |t|).  The budget is inf
+    when a kept factor has D <= 0, which the precision does not resolve.
     """
     prec = ctx.mantissa_bits + GUARD_BITS
+    unit = prec + 64
     re1, im1, err1 = j_eval(z1, ctx).at_scale(prec)
     cosets = hecke_cosets(m)
     images = (hecke_images(z2, m) if isinstance(z2, QuadForm)
@@ -411,23 +493,25 @@ def modpoly_eval(m: int, z1, z2, ctx: PrecisionContext) -> ModPolyValue:
     # at two CM points, z1's point of Y(1): its primitive part, reduced
     exact = isinstance(z1, QuadForm) and isinstance(z2, QuadForm)
     home = exact and reduce_form(QuadForm(*(x // z1.content for x in (z1.a, z1.b, z1.c))))
-    re, im, shift = 1, 0, 0
-    top = low = 1
+    re, im, shift, budget = 1, 0, 0, 0
     zero_cosets = []
     for coset, w in zip(cosets, images):
         rew, imw, errw = j_eval(w, ctx).at_scale(prec)
         fr, fi, e = re1 - rew, im1 - imw, err1 + errw
-        norm = fr * fr + fi * fi
-        if norm <= e * e and (not exact or home == w):
+        hr, hi = abs(fr), abs(fi)
+        if hr <= e and hi <= e and fr * fr + fi * fi <= e * e and (not exact or home == w):
             zero_cosets.append(coset)
             continue
-        # Gauss: three products for (re + i im)(fr + i fi)
+        k = max(max(hr, hi).bit_length() - 64, 0)
+        size = math.isqrt((hr >> k) ** 2 + (hi >> k) ** 2) + (-e >> k)
+        budget += -(-(e << unit) // (size << k)) if size > 0 else math.inf
+        # Gauss: three products for (re + i im)(fr + i fi), then the cut
         k1 = fr * (re + im)
-        re, im, shift = k1 - im * (fr + fi), k1 + re * (fi - fr), shift + prec
-        size = math.isqrt(norm)
-        top *= size
-        low *= max(size - e, 0)
-    return ModPolyValue(re, im, shift, top, low, prec, tuple(zero_cosets))
+        re, im = k1 - im * (fr + fi), k1 + re * (fi - fr)
+        cut = max(max(re.bit_length(), im.bit_length()) - prec - 3, 0)
+        re, im, shift = re >> cut, im >> cut, shift + prec - cut
+        budget += bool(cut) << 65
+    return ModPolyValue(re, im, shift, budget, prec, tuple(zero_cosets))
 
 
 def _times_root(re: list[int], im: list[int], r: int, i: int, scale: int):

@@ -18,14 +18,17 @@ representation, truncated at 2^-mantissa_bits,
 
 Integers are certified by one loop, recognize_with_retries, which sizes
 each retry from the bits the failed attempt lacked, by integer_recognize
-against the fixed tolerance INTEGER_TOLERANCE.
+against the fixed tolerance INTEGER_TOLERANCE.  primes lists the primes
+from a sieve that grows by doubling, as far as its callers read.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import compress
 from typing import NamedTuple
 
 import mpmath as mp
@@ -386,3 +389,36 @@ def recognize_with_retries(compute, ctx: PrecisionContext) -> list[int]:
 def arccosh(t) -> float:
     """Float arccosh clamped against rounding dips just below 1."""
     return math.acosh(max(float(t), 1.0))
+
+
+_prime_lock = threading.Lock()
+# every prime below _prime_end, ascending
+_primes: list[int] = [2, 3]
+_prime_end = 4
+
+
+def _grow_primes() -> None:
+    """Double the sieved range: cross out of [end, 2 end) the multiples of
+    the primes below end, which hold every prime up to sqrt(2 end)."""
+    global _prime_end
+    with _prime_lock:
+        lo, hi = _prime_end, 2 * _prime_end
+        keep = bytearray([1]) * (hi - lo)
+        for p in _primes:
+            if p * p >= hi:
+                break
+            start = max(p * p, -(-lo // p) * p) - lo
+            keep[start::p] = bytes(len(range(start, hi - lo, p)))
+        _primes.extend(compress(range(lo, hi), keep))
+        _prime_end = hi
+
+
+def primes():
+    """Every prime, ascending; the sieve doubles its range whenever a
+    caller reads past it, so nothing is sieved beyond what is read."""
+    i = 0
+    while True:
+        while i < len(_primes):
+            yield _primes[i]
+            i += 1
+        _grow_primes()

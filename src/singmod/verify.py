@@ -6,11 +6,11 @@ it is at least 2, compare its logarithm against the Green's-function lower
 bounds, factor it, and exhibit the smallest prime factor as the residue
 characteristic witnessing an m-isogeny between the reduced curves.
 
-Factoring is deterministic trial division.  By Gross-Zagier (On singular
-moduli, 1985) every prime dividing the norm of a coprime fundamental pair is
-at most m^2 |d1 d2| / 4, and verify_nonunit trial-divides up to
-max(10^6, m^2 |d1 d2|), so a cofactor left over marks a norm outside that
-theorem's reach or a wrong norm.
+Factoring is deterministic trial division by primes.  By Gross-Zagier (On
+singular moduli, 1985) every prime dividing the norm of a coprime
+fundamental pair is at most m^2 |d1 d2| / 4, and verify_nonunit
+trial-divides up to max(10^6, m^2 |d1 d2|), so a cofactor left over marks
+a norm outside that theorem's reach or a wrong norm.
 
 A "zero" outcome (the modular polynomial vanishes somewhere on the cycle) is
 a legal result, not a failure; it is reported with the singular pair.
@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 
-from .numerics import MK_FLOAT, PrecisionContext, PrecisionError, _q_int
+from .numerics import MK_FLOAT, PrecisionContext, PrecisionError, _q_int, primes
 from .quadforms import Discriminant, QuadForm, QuadFormError
 from .cmcycles import (
     SingularCycleError,
@@ -70,11 +70,14 @@ class Factorization:
 def factor_norm(n: int, trial_bound: int = 10 ** 6) -> Factorization:
     """Factor n >= 2 by trial division up to trial_bound.
 
-    Divides by 2 and by odd p up to min(isqrt(rest), trial_bound).  What is
-    left is prime when it is below p^2 for the next trial divisor p, since
-    every smaller prime has been divided out; otherwise it is returned as
-    the cofactor, which may itself be prime.  A cofactor is legal output: the
-    non-unit verdict never depends on completing the factorization.
+    Divides by the primes p up to min(isqrt(rest), trial_bound), read from
+    numerics.primes.  What is left is prime when it is below q^2, q the
+    lesser of the next prime and the least of 2, 3, 5, 7, 9, ... over
+    trial_bound, since no prime below q divides it (so the result is that
+    of dividing by 2 and the odd numbers up to trial_bound); otherwise it is
+    returned as the cofactor, which may itself be prime.  A cofactor is
+    legal output: the non-unit verdict never depends on completing the
+    factorization.
 
     While n is a perfect square r^2 it is replaced by r, and the exponents
     and cofactor found for the last root are raised back by the same power,
@@ -90,13 +93,14 @@ def factor_norm(n: int, trial_bound: int = 10 ** 6) -> Factorization:
         rest, power = root, 2 * power
         root = math.isqrt(rest)
     factors: dict[int, int] = {}
-    p = 2
-    while p * p <= rest and p <= trial_bound:
+    for p in primes():
+        if p * p > rest or p > trial_bound:
+            break
         while rest % p == 0:
             factors[p] = factors.get(p, 0) + power
             rest //= p
-        p += 1 if p == 2 else 2
-    if 1 < rest < p * p and (power == 1 or rest <= trial_bound):
+    reach = 2 if trial_bound < 2 else (trial_bound + 1) | 1
+    if 1 < rest < min(p, reach) ** 2 and (power == 1 or rest <= trial_bound):
         factors[rest] = power
         rest = 1
     out = Factorization(factors=tuple(sorted(factors.items())),

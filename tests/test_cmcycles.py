@@ -285,12 +285,14 @@ def test_cycle_product_within_its_error_bound():
 
 @pytest.mark.parametrize("real", [True, False])
 def test_repeated_factor_cuts_counted_per_use(monkeypatch, real):
-    # a factor that loses almost 2^(1 - W) to its cut, used 1000 times:
-    # the product drifts by about 1000 2^(1 - W), which the bound must cover
+    # an exact value (budget 0) of W + 3 bits, as modpoly_eval cuts it,
+    # that loses almost 2^-W to the W-bit cut, used 1000 times: the product
+    # drifts by about 1000 2^-W, which the bound must cover
     ctx = CTX.with_bits(80)
     width = ctx.mantissa_bits + numerics.GUARD_BITS
-    x = (1 << width + 40) - 1
-    value = modular.ModPolyValue(x, 0 if real else x, 7, 1, 1, width, ())
+    x = (1 << width + 3) - 1
+    value = modular.ModPolyValue(re=x, im=0 if real else x, shift=7, budget=0,
+                                 prec=width, zero_cosets=())
     pair = big_cm_cycle(-3, -4).pairs[0]
     cycle = types.SimpleNamespace(orbit_counts=[(pair, real, 1000)])
     monkeypatch.setattr(cmcycles, "modpoly_eval", lambda m, z1, z2, ctx: value)
@@ -304,18 +306,34 @@ def test_repeated_factor_cuts_counted_per_use(monkeypatch, real):
 def test_norms_and_classpoly_certified_on_integers_alone(monkeypatch):
     # with the j-values cached, the phi_m products, the cycle product, its
     # bound and the recognition of norms and class-polynomial coefficients
-    # run without mpmath
+    # run without mpmath; cold, the CM j-values add only libmp's pi and
+    # exp, as their phases (complex for (3, 1, 6) and (4, 3, 5) of
+    # discriminant -71) come from integer Newton steps, never from
+    # mpf_cos_sin_pi
     class NoMpmath:
         def __getattr__(self, name):
             raise AssertionError(f"mpmath.{name} used")
 
+    def no_trigonometry(*args, **kwargs):
+        raise AssertionError("mpf_cos_sin_pi used")
+
     cycles = [(big_cm_cycle(-23, -24), 4), (big_cm_cycle(-7, -8), 3),
               (small_cm_cycle(-15, -60), 1)]
-    want = [cycle_norm_integer(cyc, m, CTX) for cyc, m in cycles], classpoly(-23, CTX)
+
+    def run():
+        return ([cycle_norm_integer(cyc, m, CTX) for cyc, m in cycles],
+                classpoly(-23, CTX), classpoly(-71, CTX))
+
+    want = run()
     monkeypatch.setattr(modular, "mp", NoMpmath())
     monkeypatch.setattr(numerics, "mp", NoMpmath())
-    got = [cycle_norm_integer(cyc, m, CTX) for cyc, m in cycles], classpoly(-23, CTX)
-    assert got == want
+    assert run() == want
+    monkeypatch.setattr(modular, "_jvalue_cache", {})
+    monkeypatch.setattr(modular, "_phases", {})
+    monkeypatch.setattr(mp.libmp, "mpf_cos_sin_pi", no_trigonometry)
+    monkeypatch.setattr(mp.libmp.libelefun, "mpf_cos_sin_pi", no_trigonometry)
+    assert run() == want
+    assert {(-1, 3), (-3, 4)} <= set(modular._phases)
 
 
 def test_log_norm_error_bound_does_not_underflow():

@@ -66,12 +66,12 @@ def _series_jcoeffs(count):
 def test_j_coefficients_grow_in_place(monkeypatch):
     # a table grown in steps equals the series oracle
     monkeypatch.setattr(modular, "_jcoeffs", [])
-    monkeypatch.setattr(modular, "_jseries", ([], [], []))
+    monkeypatch.setattr(modular, "_jseries", [])
     table = modular._jcoeffs
     for count in (1, 5, 64, 65, 130, 240):
         grown = j_q_coefficients(count)
         assert len(table) == count
-        assert all(len(series) == count for series in modular._jseries)
+        assert len(modular._jseries) == count  # Delta/q alone, as long as the table
     assert grown == _series_jcoeffs(240)
     assert j_q_coefficients(100) == grown[:100] and len(table) == 240
 
@@ -349,6 +349,95 @@ def test_modpoly_integer_product_against_an_oracle():
                         assert abs(v.value - exact) <= v.rel_error * abs(exact)
                     checked += 1
     assert checked > 250
+
+
+def _gauss(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _disk_point(rng, radius):
+    """A random Fraction pair within radius of 0."""
+    while True:
+        u, v = (Fraction(rng.randint(-1000, 1000), 1000) for _ in range(2))
+        if u * u + v * v <= 1:
+            return u * radius, v * radius
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_modpoly_budget_covers_values_off_by_their_error(monkeypatch, m):
+    # j-values served off their exact values by up to their err, with
+    # factors near |f| = 2e, whose shares are near 1, and far larger ones,
+    # up to sigma(4) = 7 factors: the cut product v and the exact product t
+    # obey |v - t| <= (e^S - 1) min(|v|, |t|), checked in Fractions against
+    # a lower bound of e^S - 1, and value within rel_error of t
+    ctx = CTX.with_bits(64)
+    prec = ctx.mantissa_bits + numerics.GUARD_BITS
+    scale = Fraction(1, 1 << prec)
+    rng = random.Random(m)
+    cuts = 0
+    for _ in range(30):
+        err1 = rng.randint(1, 8)
+        big = 1 << 200
+        served = [modular.JValue(rng.randint(-big, big), rng.randint(-big, big), err1, prec)]
+        true1 = _disk_point(rng, err1)
+        exact = (Fraction(1), Fraction(0))
+        for _ in hecke_cosets(m):
+            errw = rng.randint(1, 8)
+            e = err1 + errw
+            if rng.random() < 0.6:
+                size = e * rng.uniform(1.8, 2.4)
+            else:
+                size = 2.0 ** rng.randint(70, 400)
+            angle = rng.uniform(0, 2 * math.pi)
+            fr, fi = round(size * math.cos(angle)), round(size * math.sin(angle))
+            served.append(modular.JValue(served[0].re - fr, served[0].im - fi, errw, prec))
+            truew = _disk_point(rng, errw)
+            factor = ((fr + true1[0] - truew[0]) * scale, (fi + true1[1] - truew[1]) * scale)
+            exact = _gauss(exact, factor)
+        calls = iter(served)
+        monkeypatch.setattr(modular, "j_eval", lambda z, ctx: next(calls))
+        v = modpoly_eval(m, 1j, 2j, ctx)
+        assert not v.is_zero and v.budget < math.inf and next(calls, None) is None
+        cuts += v.shift != prec * len(hecke_cosets(m))
+        s = Fraction(v.budget, 1 << prec + 64)
+        term, below = Fraction(1), Fraction(0)  # e^S - 1 >= sum_{k <= 12} S^k / k!
+        for k in range(1, 13):
+            term = term * s / k
+            below += term
+        unit = Fraction(2) ** -v.shift
+        got = (v.re * unit, v.im * unit)
+        gap = (got[0] - exact[0]) ** 2 + (got[1] - exact[1]) ** 2
+        smaller = min(got[0] ** 2 + got[1] ** 2, exact[0] ** 2 + exact[1] ** 2)
+        assert gap <= below ** 2 * smaller
+        with mp.workprec(4 * prec):
+            t = mp.mpc(mp.mpf(exact[0].numerator) / exact[0].denominator,
+                       mp.mpf(exact[1].numerator) / exact[1].denominator)
+            assert abs(v.value - t) <= v.rel_error * abs(t)
+    assert cuts  # some products were cut
+
+
+def test_phase_against_mpmath(monkeypatch):
+    # e^(i pi num / den) for every num / den with den <= 40, refined from a
+    # coarser memoised phase, served from a finer one, or cold at 4096 bits:
+    # each part within one unit of 2^-w below the exact one (past the floor,
+    # under 6 2^-16 units), and exact when den | 2 num
+    monkeypatch.setattr(modular, "_phases", {})
+    rng = random.Random(7)
+    for den in range(1, 41):
+        for num in range(-den, den + 1):
+            if math.gcd(num, den) != 1:
+                continue
+            widths = (100, 700, 300) if rng.random() < 0.9 else (4096, 64)
+            for w in widths:
+                x, y = modular._phase(num, den, w)
+                if 2 * num % den == 0:  # i^(2 num / den)
+                    unit = [(1, 0), (0, 1), (-1, 0), (0, -1)][2 * num // den % 4]
+                    assert (x, y) == (unit[0] << w, unit[1] << w)
+                    continue
+                with mp.workprec(w + 64):
+                    z = mp.expjpi(mp.mpf(num) / den) * mp.mpf(2) ** w
+                    for exact, part in ((z.real, x), (z.imag, y)):
+                        assert -2.0 ** -12 < exact - part < 1 + 2.0 ** -12, (num, den, w)
 
 
 def test_classpoly_known():

@@ -1,9 +1,11 @@
+import itertools
 import math
+import random
 from dataclasses import replace
 
 import pytest
 
-from singmod import cmcycles, modular, verify
+from singmod import cmcycles, modular, numerics, verify
 from singmod.cmcycles import build_cycle
 from singmod.greens import G_k_m, TailBudgetError
 from singmod.numerics import PrecisionContext, PrecisionError, _q_int
@@ -84,6 +86,57 @@ def test_factor_norm_of_a_square_divides_the_root(root):
     for power in (2, 4):
         f = factor_norm(root ** power, trial_bound=1000)
         assert (f.factors, f.cofactor) == _direct_trial_division(root ** power, 1000)
+
+
+def _odd_trial_division(n, trial_bound):
+    """factor_norm's rule by trial division by 2 and every odd number up to
+    trial_bound, through the square roots of n."""
+    rest, power = n, 1
+    while math.isqrt(rest) ** 2 == rest:
+        rest, power = math.isqrt(rest), 2 * power
+    factors, p = {}, 2
+    while p * p <= rest and p <= trial_bound:
+        while rest % p == 0:
+            factors[p] = factors.get(p, 0) + power
+            rest //= p
+        p += 1 if p == 2 else 2
+    if 1 < rest < p * p and (power == 1 or rest <= trial_bound):
+        factors[rest] = power
+        rest = 1
+    return tuple(sorted(factors.items())), rest ** power
+
+
+def test_factor_norm_by_primes_equals_odd_trial_division():
+    # dividing by primes alone leaves the factors and the cofactor of
+    # dividing by 2 and the odd numbers: leftovers just past the bound's
+    # reach (a prime in [1001^2, 1009^2) at bound 1000), prime squares,
+    # fourth powers and bounds below 2
+    rng = random.Random(11)
+    small = [p for p in range(2, 3000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    window = next(n for n in range(1001 ** 2, 1009 ** 2)
+                  if all(n % q for q in range(2, 1001)))
+    cases = [window, 2 * window, window ** 2, 1009 ** 2, 1009 * 1013, 999983 * 1000003]
+    for _ in range(150):
+        n = math.prod(rng.choice(small) ** rng.randint(1, 3) for _ in range(rng.randint(1, 5)))
+        cases += [n, n ** 2, n ** 4, n * rng.choice(small) ** 2]
+    for n in cases:
+        for bound in (0, 1, 2, 3, 9, 10, 30, 1000, 1001, 10 ** 6):
+            if n >= 2:
+                f = factor_norm(n, trial_bound=bound)
+                assert (f.factors, f.cofactor) == _odd_trial_division(n, bound), (n, bound)
+
+
+def test_primes_sieve_grows_by_doubling_as_read(monkeypatch):
+    monkeypatch.setattr(numerics, "_primes", [2, 3])
+    monkeypatch.setattr(numerics, "_prime_end", 4)
+    # 2^20 3^5 7: the primes 2, 3 and 5 are read, whatever the bound
+    assert factor_norm(2 ** 20 * 3 ** 5 * 7, trial_bound=10 ** 12).factors == \
+        ((2, 20), (3, 5), (7, 1))
+    assert numerics._prime_end == 8
+    first = list(itertools.islice(numerics.primes(), 1229))
+    assert first == [p for p in range(2, 10 ** 4)
+                     if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    assert numerics._prime_end == 2 ** 14
 
 
 def test_verify_nonunit_basic():
